@@ -116,6 +116,19 @@ def edge_facet_profile(G: Multigraph) -> dict:
     return profile
 
 
+def _profile(G: Multigraph) -> dict:
+    """edge_facet_profile(G), computed once per graph instance.
+
+    Graphs are immutable, so the profile is kept in the instance's __dict__
+    the way functools.cached_property keeps Multigraph.adjacency, and is
+    freed with the graph.
+    """
+    profile = G.__dict__.get("_edge_facet_profile")
+    if profile is None:
+        profile = G.__dict__["_edge_facet_profile"] = edge_facet_profile(G)
+    return profile
+
+
 def weight_function(G: Multigraph, delta: int) -> WeightAssignment:
     """The forced weight assignment at delta, or WeightConflict.
 
@@ -125,9 +138,8 @@ def weight_function(G: Multigraph, delta: int) -> WeightAssignment:
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
-    profile = edge_facet_profile(G)
     weights = []
-    for eid, (del_ok, con_ok) in sorted(profile.items()):
+    for eid, (del_ok, con_ok) in sorted(_profile(G).items()):
         if del_ok and con_ok and delta != 2:
             raise WeightConflict(eid, delta)
         weights.append((eid, 1 if del_ok else delta - 1))
@@ -140,19 +152,33 @@ def candidate_deltas(G: Multigraph, max_delta: Optional[int] = None) -> Union[fr
     A K2 block has a point polytope and returns the ALL_DELTAS sentinel.
     The upper bound |E|+1 comes from w(E) <= (delta-1)|E| and
     w(E) = delta(|V|-1).
+
+    At delta = 2 every weight is 1, so the total is |E|.  Above 2, an edge
+    with both profile flags rules every delta out; otherwise a weight-1 edges
+    and b weight-(delta-1) edges give a + b(delta-1) = delta(|V|-1), which is
+    linear in delta: one solution, none, or (when both sides agree
+    identically) every delta.
     """
     if G.n == 2 and G.m == 1:
         return ALL_DELTAS
     _require_block(G)
     hi = max_delta if max_delta is not None else G.m + 1
-    found = []
-    for delta in range(2, hi + 1):
-        try:
-            w = weight_function(G, delta)
-        except WeightConflict:
-            continue
-        if w.total() == delta * (G.n - 1):
-            found.append(delta)
+    if hi < 2:
+        return frozenset()
+    found = set()
+    if G.m == 2 * (G.n - 1):
+        found.add(2)
+    profile = _profile(G)
+    if not any(del_ok and con_ok for del_ok, con_ok in profile.values()):
+        a = sum(del_ok for del_ok, _ in profile.values())
+        b = G.m - a
+        # delta * (b - (|V|-1)) = b - a
+        num, den = b - a, b - (G.n - 1)
+        if den == 0:
+            if num == 0:
+                found.update(range(3, hi + 1))
+        elif num % den == 0 and 3 <= num // den <= hi:
+            found.add(num // den)
     return frozenset(found)
 
 

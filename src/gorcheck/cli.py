@@ -7,7 +7,7 @@ JSON on stdout; DOT drawings are optional side outputs.
 
 Exit codes: 0 verdict produced, 1 parse error, 2 resource guard exceeded,
 3 certify on a non-Gorenstein input, 4 typed input error (e.g. the base
-checker on a multigraph).
+checker on a multigraph, or an option value out of range).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .baseck import base_verdict, weight_function
 from .construct import (
@@ -332,13 +331,14 @@ def cmd_sweep(args) -> int:
         for i, g in enumerate(graphs)
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, payloads))
     else:
         rows = [_sweep_one(p) for p in payloads]
     rows.sort(key=lambda r: r["index"])  # deterministic regardless of --jobs
     census: dict = {}
-    multi = []
     for row in rows:
         if "delta" in row:
             if row.get("status") != "gorenstein":
@@ -359,7 +359,6 @@ def cmd_sweep(args) -> int:
             "census_by_delta": dict(sorted(census.items())),
             "mismatches": len(mismatches),
             "mismatch_rows": mismatches,
-            "multi_delta": multi,
         }
     )
     return EXIT_OK
@@ -387,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--max-delta", type=int, default=None)
     o.add_argument("--hstar", action="store_true")
     o.add_argument("--normality", type=int, default=None, metavar="KMAX")
-    o.add_argument("--guard-nodes", type=int, default=None)
     add_common(o)
     o.set_defaults(func=cmd_oracle)
 
@@ -434,7 +432,7 @@ def main(argv=None) -> int:
     except (SimpleGraphRequired, NotTwoConnected, WeightConflict, ConstructionError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
 

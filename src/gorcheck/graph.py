@@ -23,6 +23,24 @@ def label_key(x):
     return (x.__class__.__name__, x)
 
 
+def _find(parent: dict, x):
+    """Root of x in a union-find forest held as a dict, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: dict, a, b) -> bool:
+    """Merge the classes of a and b under the smaller root label; False if already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    keep, gone = sorted((ra, rb), key=label_key)
+    parent[gone] = keep
+    return True
+
+
 @dataclass(frozen=True)
 class Multigraph:
     vertices: tuple
@@ -150,20 +168,9 @@ class Multigraph:
         if unknown:
             raise KeyError(f"unknown edge ids {sorted(unknown)}")
         parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for eid in contract_set:
-            u, v = self.edge_by_id[eid]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                keep, gone = sorted((ru, rv), key=label_key)
-                parent[gone] = keep
-        mapping = {v: find(v) for v in self.vertices}
+            _union(parent, *self.edge_by_id[eid])
+        mapping = {v: _find(parent, v) for v in self.vertices}
         new_vertices = tuple(v for v in self.vertices if mapping[v] == v)
         new_edges = []
         loops = self.loops_removed
@@ -291,12 +298,41 @@ def is_two_connected(G: Multigraph) -> bool:
     """Connected, >= 2 vertices, no cut vertex.
 
     K2 and the 2-cycle count as 2-connected; a single vertex never does.
+    One iterative low-link pass (Hopcroft-Tarjan), stopping at the first cut
+    vertex.  Loops and parallel edges never change the answer.
     """
-    if G.n < 2 or not is_connected(G):
+    if G.n < 2:
         return False
     if G.n == 2:
-        return G.m >= 1
-    return all(is_connected(G.without_vertices([v])) for v in G.vertices)
+        return is_connected(G)
+    adj = G.adjacency
+    root = G.vertices[0]
+    disc = {root: 0}
+    low = {root: 0}
+    root_children = 0
+    work = [(root, None, iter(adj[root]))]
+    while work:
+        v, parent, it = work[-1]
+        for _, w in it:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                work.append((w, v, iter(adj[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            work.pop()
+            if parent is None:
+                continue
+            if low[v] < low[parent]:
+                low[parent] = low[v]
+            if disc[parent] == 0:
+                root_children += 1
+                if root_children > 1:
+                    return False
+            elif low[v] >= disc[parent]:
+                return False
+    return len(disc) == G.n
 
 
 def blocks(G: Multigraph) -> list:
@@ -619,48 +655,18 @@ def has_k4_minor_bruteforce(G: Multigraph) -> bool:
 
 
 def graphic_rank(G: Multigraph, F) -> int:
-    """|V(F)| minus the number of components of (V(F), F): graphic-matroid rank."""
-    F = set(F)
-    verts = set()
+    """|V(F)| minus the number of components of (V(F), F): graphic-matroid rank.
+
+    That is how many edges of F, added one by one, join two components.
+    """
     parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = 0
-    for eid in F:
+    rank = 0
+    for eid in set(F):
         u, v = G.edge_by_id[eid]
-        for x in (u, v):
-            if x not in verts:
-                verts.add(x)
-                parent[x] = x
-                comps += 1
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return len(verts) - comps
-
-
-def _full_rank(G: Multigraph) -> int:
-    parent = {v: v for v in G.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = G.n
-    for _, u, v in G.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return G.n - comps
+        parent.setdefault(u, u)
+        parent.setdefault(v, v)
+        rank += _union(parent, u, v)
+    return rank
 
 
 def bases_and_forests(
@@ -675,7 +681,9 @@ def bases_and_forests(
     if kind not in ("spanning_trees", "forests"):
         raise ValueError(f"kind must be 'spanning_trees' or 'forests', got {kind!r}")
     edges = sorted(G.edges)
-    target = _full_rank(G)
+    target = graphic_rank(G, G.edge_by_id)
+    # union by size without path compression, so that undo() can roll a
+    # union back when the recursion leaves an edge; _find/_union cannot
     parent = {v: v for v in G.vertices}
     size = {v: 1 for v in G.vertices}
     count = 0

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Optional
 
-from .errors import GuardExceeded, NotTwoConnected
+from .errors import GuardExceeded, InternalContradiction, NotTwoConnected
 from .graph import Multigraph, bases_and_forests, graphic_rank, is_two_connected, normalize
 from .linalg import (
     coords_in_basis,
@@ -272,8 +272,12 @@ def hstar(P: LatticePolytope) -> HStarVector:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     h = HStarVector(tuple(coeffs))
-    assert h.coefficients[0] == 1, "h*_0 must be 1"
-    assert all(c >= 0 for c in h.coefficients), "h* entries must be nonnegative"
+    # both hold for every lattice polytope; checked without assert so that
+    # they also run under python -O
+    if h.coefficients[0] != 1:
+        raise InternalContradiction(f"h*_0 must be 1, got {h.coefficients}")
+    if any(c < 0 for c in h.coefficients):
+        raise InternalContradiction(f"h* entries must be nonnegative, got {h.coefficients}")
     return h
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from networkx.generators.atlas import graph_atlas_g
-
 from .graph import Multigraph, is_two_connected
 
 
 @lru_cache(maxsize=None)
 def _atlas():
+    # networkx is imported here, not at module level: only sweeps need it
+    from networkx.generators.atlas import graph_atlas_g
+
     return graph_atlas_g()
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gorcheck.graph import Multigraph
@@ -14,6 +16,34 @@ def complete(n):
     return Multigraph.build(
         range(n), [(a, b) for a in range(n) for b in range(a + 1, n)]
     )
+
+
+def random_multigraphs(count, seed):
+    """Seeded multigraphs on 1-9 vertices, for equivalence tests.
+
+    Labels are ints, strings or a mix; edges are drawn with replacement, so
+    parallel edges and loops occur, and sparse draws are disconnected.  Half
+    the graphs start from a Hamiltonian cycle, so many are 2-connected.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        kind = rng.choice(["int", "str", "mixed"])
+        labels = [
+            i if kind == "int" or (kind == "mixed" and i % 2) else f"v{i}"
+            for i in range(n)
+        ]
+        rng.shuffle(labels)
+        pairs = []
+        if n >= 2 and rng.random() < 0.5:
+            pairs += [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+        for _ in range(rng.randint(0, 2 * n)):
+            u = rng.choice(labels)
+            v = u if rng.random() < 0.1 else rng.choice(labels)
+            pairs.append((u, v))
+        out.append(Multigraph.build(labels, pairs))
+    return out
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import complete, cycle
@@ -48,6 +50,48 @@ def test_candidate_deltas(k4, k4_minus_e, c5, k2):
     assert candidate_deltas(c5) == frozenset({5})
     assert candidate_deltas(k2) is ALL_DELTAS
     assert 17 in ALL_DELTAS
+
+
+def _candidate_deltas_by_loop(G, max_delta=None):
+    """Reference definition: try every delta in [2, hi] and keep those whose
+    weight function exists and totals delta(|V|-1)."""
+    if G.n == 2 and G.m == 1:
+        return ALL_DELTAS
+    hi = max_delta if max_delta is not None else G.m + 1
+    found = []
+    for delta in range(2, hi + 1):
+        try:
+            w = weight_function(G, delta)
+        except WeightConflict:
+            continue
+        if w.total() == delta * (G.n - 1):
+            found.append(delta)
+    return frozenset(found)
+
+
+def test_candidate_deltas_match_loop():
+    for G in two_connected_graphs(7):
+        for max_delta in (None, 1, 2, 3, 4, 5, 6, 9):
+            got = candidate_deltas(G, max_delta)
+            assert got == _candidate_deltas_by_loop(G, max_delta), (G.edges, max_delta)
+
+
+def test_candidate_deltas_match_loop_on_any_profile():
+    # random profile flags in place of the computed ones, including flags no
+    # graph up to 7 vertices has: a = b = |V|-1 weight-1 and weight-(delta-1)
+    # edges make every delta >= 3 a candidate
+    rng = random.Random(20261018)
+    flags = [(True, False), (False, True), (True, True)]
+    for G in two_connected_graphs(6, min_vertices=4):
+        for _ in range(20):
+            profile = {eid: rng.choice(flags) for eid in sorted(G.edge_by_id)}
+            if rng.random() < 0.5:
+                profile = {eid: (f[0], not f[0]) for eid, f in profile.items()}
+            H = Multigraph(G.vertices, G.edges)
+            H.__dict__["_edge_facet_profile"] = profile
+            for max_delta in (None, 2, 4):
+                got = candidate_deltas(H, max_delta)
+                assert got == _candidate_deltas_by_loop(H, max_delta), (profile, max_delta)
 
 
 def test_check_spade_cycle(c5):

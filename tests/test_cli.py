@@ -77,6 +77,13 @@ def test_oracle_c5_chord_hstar(files, capsys):
     assert doc["normality"] == "pass"
 
 
+def test_oracle_normality_below_two_is_input_error(files, capsys):
+    code = main(["oracle", "base", files["c3"], "--normality", "1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_certify_g5(files, capsys):
     code, out = run(capsys, "certify", "base", files["g5"])
     doc = json.loads(out)

@@ -181,7 +181,7 @@ def test_random_certificate_closure():
         delta = rng.randint(2, 5)
         cert = random_cert(rng, rng.randint(1, 3), delta)
         G = replay(cert)
-        while G.n > 14:  # keep flat enumeration tractable
+        while G.n > 14:  # good_flats walks all 2^n vertex subsets
             cert = random_cert(rng, 1, delta)
             G = replay(cert)
         if rng.random() < 0.3:

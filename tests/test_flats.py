@@ -1,14 +1,19 @@
+import itertools
+
 import pytest
 
-from conftest import complete, cycle
-from gorcheck.errors import NotTwoConnected
+from conftest import complete, cycle, random_multigraphs
+from gorcheck.errors import GuardExceeded, NotTwoConnected
 from gorcheck.flats import (
+    SUBSET_GUARD_VERTICES,
+    GoodFlat,
     block_count_after_contraction,
     good_flats,
     indecomposable_flats,
     induced_edge_ids,
 )
-from gorcheck.graph import Multigraph
+from gorcheck.graph import Multigraph, is_two_connected
+from gorcheck.smallgraphs import two_connected_graphs
 
 
 def test_good_flats_c3(c3):
@@ -77,3 +82,49 @@ def test_block_count_bowtie_center():
 
 def test_induced_edge_ids(k4):
     assert induced_edge_ids(k4, (0, 1, 2)) == (0, 1, 3)
+
+
+def _subsets(G, max_size):
+    for r in range(2, max_size + 1):
+        yield from itertools.combinations(G.sorted_vertices, r)
+
+
+def _good_flats_by_contraction(G):
+    """Reference definition: build G[S] and G/E(S) for every subset and test both."""
+    if not is_two_connected(G):
+        raise NotTwoConnected("good_flats requires a 2-connected graph")
+    out = []
+    for S in _subsets(G, G.n - 1):
+        eids = induced_edge_ids(G, S)
+        if not eids or not is_two_connected(G.induced(S)):
+            continue
+        if is_two_connected(G.contract(eids)[0]):
+            out.append(GoodFlat(S, eids))
+    return out
+
+
+def _indecomposable_flats_by_induction(G):
+    return [S for S in _subsets(G, G.n) if is_two_connected(G.induced(S))]
+
+
+def test_flats_match_subset_definitions():
+    graphs = two_connected_graphs(7) + random_multigraphs(2000, seed=20261019)
+    two_connected = 0
+    for G in graphs:
+        assert indecomposable_flats(G) == _indecomposable_flats_by_induction(G), G.edges
+        if is_two_connected(G):
+            two_connected += 1
+            assert good_flats(G) == _good_flats_by_contraction(G), G.edges
+        else:
+            with pytest.raises(NotTwoConnected):
+                good_flats(G)
+    assert two_connected > 1000
+
+
+def test_subset_guard_trips_before_enumeration():
+    # the flat tables take 2^n bits per vertex; past the guard none is built
+    G = cycle(SUBSET_GUARD_VERTICES + 1)
+    with pytest.raises(GuardExceeded):
+        good_flats(G)
+    with pytest.raises(GuardExceeded):
+        indecomposable_flats(G)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import complete, cycle
+from conftest import complete, cycle, random_multigraphs
 from gorcheck.errors import GuardExceeded, ParseError
 from gorcheck.graph import (
     Multigraph,
@@ -16,6 +16,7 @@ from gorcheck.graph import (
     induced_cycles,
     is_isomorphic,
     is_k4_minor_free,
+    is_connected,
     is_two_connected,
     minor_op,
     normalize,
@@ -57,6 +58,38 @@ def test_two_connected():
     # path has a cut vertex
     assert not is_two_connected(Multigraph.build(range(3), [(0, 1), (1, 2)]))
     assert not is_two_connected(Multigraph.build(range(4), [(0, 1), (2, 3)]))
+
+
+def _is_two_connected_by_deletion(G):
+    """Reference definition: connected, and connected after deleting any vertex."""
+    if G.n < 2 or not is_connected(G):
+        return False
+    if G.n == 2:
+        return G.m >= 1
+    return all(is_connected(G.without_vertices([v])) for v in G.vertices)
+
+
+def test_two_connected_edge_cases():
+    assert not is_two_connected(Multigraph.build([], []))
+    assert not is_two_connected(Multigraph.build([0], [(0, 0)]))
+    assert is_two_connected(Multigraph.build(range(2), [(0, 1), (0, 1)]))
+    assert not is_two_connected(Multigraph.build(range(2), [(0, 0), (1, 1)]))
+    # a loop at the cut vertex of a path does not hide the cut
+    assert not is_two_connected(Multigraph.build(range(3), [(0, 1), (1, 1), (1, 2)]))
+    # a doubled path is still cut at its middle vertex
+    assert not is_two_connected(
+        Multigraph.build(range(3), [(0, 1), (0, 1), (1, 2), (1, 2)])
+    )
+
+
+def test_two_connected_matches_deletion_definition():
+    graphs = two_connected_graphs(7) + random_multigraphs(3000, seed=20261018)
+    for G in graphs:
+        assert is_two_connected(G) == _is_two_connected_by_deletion(G), G.edges
+        # every vertex-deleted subgraph too: these are mostly not 2-connected
+        for v in G.vertices[:2]:
+            H = G.without_vertices([v])
+            assert is_two_connected(H) == _is_two_connected_by_deletion(H), H.edges
 
 
 def test_blocks_bowtie():
@@ -137,6 +170,18 @@ def test_graphic_rank(k4):
     all_edges = list(k4.edge_by_id)
     assert graphic_rank(k4, all_edges) == 3
     assert graphic_rank(k4, []) == 0
+
+
+def test_union_find_users_match_components():
+    # graphic_rank and contract share one union-find: check both against
+    # components() on graphs with loops, parallel edges and mixed labels
+    for G in random_multigraphs(300, seed=20261020):
+        comps = components(G)
+        assert graphic_rank(G, G.edge_by_id) == G.n - len(comps)
+        H, mapping = G.contract(G.edge_by_id)
+        assert (H.n, H.m) == (len(comps), 0)
+        for comp in comps:
+            assert {mapping[v] for v in comp} == {comp[0]}
 
 
 def test_blow_up_factor():
