@@ -19,7 +19,7 @@ from .errors import (
     WeightConflict,
 )
 from .flats import good_flats, indecomposable_flats, block_count_after_contraction, induced_edge_ids
-from .graph import Multigraph, blocks, is_two_connected, normalize
+from .graph import Multigraph, blocks, is_connected, is_two_connected, normalize
 
 
 class AllDeltas:
@@ -98,16 +98,20 @@ def _require_block(G: Multigraph):
 def edge_facet_profile(G: Multigraph) -> dict:
     """Per edge: (deletion stays 2-connected, contraction stays 2-connected).
 
-    For a 2-connected simple graph with >= 2 edges at least one flag holds for
-    every edge; both flags failing is an internal contradiction.
+    G/e is 2-connected exactly when G-{u,v} is connected, e = uv: for any
+    other vertex x, (G/e)-x = (G-x)/e is connected because G is 2-connected,
+    so only the merged vertex can be a cut vertex of G/e, and removing it
+    leaves G-{u,v}.  For a 2-connected simple graph with >= 2 edges at least
+    one flag holds for every edge; both flags failing is an internal
+    contradiction.
     """
     _require_block(G)
     if G.m < 2:
         raise ValueError("edge_facet_profile requires at least 2 edges")
     profile = {}
-    for eid, _, _ in sorted(G.edges):
+    for eid, u, v in sorted(G.edges):
         del_ok = is_two_connected(G.without_edges([eid]))
-        con_ok = is_two_connected(G.contract([eid])[0])
+        con_ok = is_connected(G.without_vertices([u, v]))
         if not (del_ok or con_ok):
             raise InternalContradiction(
                 f"edge {eid}: neither deletion nor contraction is 2-connected"

@@ -131,80 +131,78 @@ def _merge_along(graphs, oriented_edges, drop_merged_edge: bool):
     return G, embeddings
 
 
-def replay_detail(cert: Cert):
-    """Replay a certificate; returns (graph, child embedding maps)."""
+def _children(cert) -> tuple:
+    if isinstance(cert, (Glue, Collide)):
+        return tuple(cert.children)
+    return (cert.child,) if isinstance(cert, (Subdivide, AttachCycle, BlowUp)) else ()
+
+
+def replay_step(cert: Cert, reps: list):
+    """Replay one node from its replayed children; returns (graph, child embedding maps)."""
     if isinstance(cert, Seed):
         if cert.kind == "cycle":
-            n = cert.n
-            if n is None or n < 2:
+            if cert.n is None or cert.n < 2:
                 raise ConstructionError("cycle seed needs length >= 2")
-            G, _ = _finish(range(n), [(i, (i + 1) % n) for i in range(n)])
+            pairs = [(i, (i + 1) % cert.n) for i in range(cert.n)]
         elif cert.kind == "k4":
-            G, _ = _finish(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
+            pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         elif cert.kind == "k2":
-            G, _ = _finish(range(2), [(0, 1)])
+            pairs = [(0, 1)]
         else:
             raise ConstructionError(f"unknown seed kind {cert.kind!r}")
-        return G, []
+        return _finish({x for p in pairs for x in p}, pairs)[0], []
 
-    if isinstance(cert, Glue):
-        if len(cert.children) != cert.delta - 1 or len(cert.refs) != len(cert.children):
-            raise ConstructionError(
-                f"glue at delta={cert.delta} needs exactly {cert.delta - 1} children"
-            )
-        reps = [replay_detail(c)[0] for c in cert.children]
-        oriented = [
-            (r.edge_id,) + _oriented(g, r) for g, r in zip(reps, cert.refs)
-        ]
-        return _merge_along(reps, oriented, drop_merged_edge=False)
+    if isinstance(cert, (Glue, Collide)):
+        is_glue = isinstance(cert, Glue)
+        want = cert.delta - 1 if is_glue else 2
+        if len(reps) != want or len(cert.refs) != want:
+            what = f"glue at delta={cert.delta}" if is_glue else "collide"
+            raise ConstructionError(f"{what} needs exactly {want} children")
+        oriented = [(r.edge_id,) + _oriented(g, r) for g, r in zip(reps, cert.refs)]
+        return _merge_along(reps, oriented, drop_merged_edge=not is_glue)
 
-    if isinstance(cert, Collide):
-        if len(cert.children) != 2 or len(cert.refs) != 2:
-            raise ConstructionError("collide needs exactly 2 children")
-        reps = [replay_detail(c)[0] for c in cert.children]
-        oriented = [
-            (r.edge_id,) + _oriented(g, r) for g, r in zip(reps, cert.refs)
-        ]
-        return _merge_along(reps, oriented, drop_merged_edge=True)
-
-    if isinstance(cert, Subdivide):
-        rep = replay_detail(cert.child)[0]
-        if cert.delta < 2:
-            raise ConstructionError("subdivide needs delta >= 2")
-        if cert.delta == 2:
-            # a path of delta-1 = 1 edge: the identity
-            return rep, [{x: x for x in rep.vertices}]
-        u, v = _oriented(rep, cert.ref)
-        n = rep.n
-        fresh = list(range(n, n + cert.delta - 2))
-        pairs = [(a, b) for e, a, b in rep.edges if e != cert.ref.edge_id]
-        chain = [u] + fresh + [v]
-        pairs.extend(zip(chain, chain[1:]))
-        G, lab = _finish(range(n + cert.delta - 2), pairs)
-        return G, [{x: lab[x] for x in rep.vertices}]
-
-    if isinstance(cert, AttachCycle):
-        rep = replay_detail(cert.child)[0]
-        if cert.delta < 2:
-            raise ConstructionError("attach_cycle needs delta >= 2")
-        u, v = _oriented(rep, cert.ref)
-        n = rep.n
-        fresh = list(range(n, n + cert.delta - 1))
-        pairs = [(a, b) for _, a, b in rep.edges]
-        chain = [u] + fresh + [v]
-        pairs.extend(zip(chain, chain[1:]))
-        G, lab = _finish(range(n + cert.delta - 1), pairs)
-        return G, [{x: lab[x] for x in rep.vertices}]
-
+    if not isinstance(cert, (Subdivide, AttachCycle, BlowUp)):
+        raise ConstructionError(f"unknown certificate node {cert!r}")
+    (rep,) = reps
     if isinstance(cert, BlowUp):
-        rep = replay_detail(cert.child)[0]
         if cert.m < 1:
             raise ConstructionError("blow-up multiplicity must be >= 1")
         pairs = [(a, b) for _, a, b in rep.edges for _ in range(cert.m)]
         G, lab = _finish(range(rep.n), pairs)
         return G, [{x: lab[x] for x in rep.vertices}]
 
-    raise ConstructionError(f"unknown certificate node {cert!r}")
+    # Subdivide replaces the referenced edge by a path of delta-1 edges (the
+    # identity at delta=2); AttachCycle adds a path of delta edges beside it
+    attach = isinstance(cert, AttachCycle)
+    if cert.delta < 2:
+        raise ConstructionError(f"{'attach_cycle' if attach else 'subdivide'} needs delta >= 2")
+    u, v = _oriented(rep, cert.ref)
+    fresh = list(range(rep.n, rep.n + cert.delta - 2 + attach))
+    pairs = [(a, b) for e, a, b in rep.edges if attach or e != cert.ref.edge_id]
+    chain = [u] + fresh + [v]
+    pairs.extend(zip(chain, chain[1:]))
+    G, lab = _finish(range(rep.n + len(fresh)), pairs)
+    return G, [{x: lab[x] for x in rep.vertices}]
+
+
+def replay_detail(cert: Cert):
+    """Replay a certificate; returns (graph, child embedding maps).
+
+    replay_step runs over the nodes in post-order, taken from an explicit
+    stack, so a deep certificate does not hit the recursion limit.
+    """
+    order, stack = [], [cert]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(_children(node))
+    done = []  # replayed graphs of the finished subtrees
+    for node in reversed(order):  # children before parents, left to right
+        split = len(done) - len(_children(node))
+        G, embeds = replay_step(node, done[split:])
+        del done[split:]
+        done.append(G)
+    return G, embeds
 
 
 def replay(cert: Cert) -> Multigraph:
@@ -570,35 +568,44 @@ def cert_to_dict(cert: Cert) -> dict:
     raise ConstructionError(f"unknown certificate node {cert!r}")
 
 
+def _field(d: dict, key: str, kind: type):
+    """d[key] if it has JSON type kind, else ConstructionError."""
+    value = d.get(key)
+    if type(value) is not kind:
+        raise ConstructionError(
+            f"certificate field {key!r} is missing or not of type {kind.__name__}"
+        )
+    return value
+
+
+def _ref_from_dict(r) -> EdgeRef:
+    if type(r) is not dict:
+        raise ConstructionError("certificate edge reference is missing or not an object")
+    return EdgeRef(_field(r, "edge", int), r.get("flip", False))
+
+
 def cert_from_dict(d: dict) -> Cert:
+    """Inverse of cert_to_dict; malformed input raises ConstructionError."""
+    if type(d) is not dict:
+        raise ConstructionError("certificate node is missing or not an object")
     op = d.get("op")
     if op == "seed":
-        return Seed(d["seed"], d.get("n"))
-    if op == "glue":
-        return Glue(
-            d["delta"],
-            tuple(cert_from_dict(c) for c in d["children"]),
-            tuple(EdgeRef(r["edge"], r.get("flip", False)) for r in d["refs"]),
-        )
-    if op == "subdivide":
-        return Subdivide(
-            d["delta"],
-            cert_from_dict(d["child"]),
-            EdgeRef(d["ref"]["edge"], d["ref"].get("flip", False)),
-        )
-    if op == "collide":
-        return Collide(
-            tuple(cert_from_dict(c) for c in d["children"]),
-            tuple(EdgeRef(r["edge"], r.get("flip", False)) for r in d["refs"]),
-        )
-    if op == "attach_cycle":
-        return AttachCycle(
-            d["delta"],
-            cert_from_dict(d["child"]),
-            EdgeRef(d["ref"]["edge"], d["ref"].get("flip", False)),
+        return Seed(_field(d, "seed", str), _field(d, "n", int) if "n" in d else None)
+    if op in ("glue", "collide"):
+        children = tuple(cert_from_dict(c) for c in _field(d, "children", list))
+        refs = tuple(_ref_from_dict(r) for r in _field(d, "refs", list))
+        if op == "collide":
+            return Collide(children, refs)
+        return Glue(_field(d, "delta", int), children, refs)
+    if op in ("subdivide", "attach_cycle"):
+        node = Subdivide if op == "subdivide" else AttachCycle
+        return node(
+            _field(d, "delta", int),
+            cert_from_dict(d.get("child")),
+            _ref_from_dict(d.get("ref")),
         )
     if op == "blow_up":
-        return BlowUp(cert_from_dict(d["child"]), d["m"])
+        return BlowUp(cert_from_dict(d.get("child")), _field(d, "m", int))
     raise ConstructionError(f"unknown certificate op {op!r}")
 
 
@@ -608,6 +615,7 @@ def cert_to_json(cert: Cert) -> str:
 
 def cert_from_json(text: str) -> Cert:
     doc = json.loads(text)
-    if doc.get("schema") != SCHEMA:
-        raise ConstructionError(f"unsupported certificate schema {doc.get('schema')!r}")
-    return cert_from_dict(doc["root"])
+    schema = doc.get("schema") if type(doc) is dict else None
+    if schema != SCHEMA:
+        raise ConstructionError(f"unsupported certificate schema {schema!r}")
+    return cert_from_dict(doc.get("root"))

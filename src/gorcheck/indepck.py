@@ -1,11 +1,12 @@
 """Combinatorial decision procedure for Gorensteinness of the independence polytope.
 
 A graph qualifies exactly when it is the uniform (delta-1)-fold parallel
-blow-up of a simple graph whose 2-connected blocks all satisfy the flat
-equality (delta-1)|E(S)| + 1 = delta(|S|-1).  Three equivalent views of that
-block condition are implemented and cross-run against each other: the flat
-equalities, delta-chordality without a K4 minor, and constructibility from K2
-by repeatedly attaching (delta+1)-cycles to edges.
+blow-up of a simple graph whose 2-connected blocks are all built from K2 by
+repeatedly attaching (delta+1)-cycles to edges.  indep_verdict decides each
+block by peeling such cycles off greedily (recognize_cycle_construction) and
+explains a failing block with the chordality witness of check_chordal_k4free.
+The flat equalities (check_club) and the chordality test are equivalent
+characterizations, kept for the sweeps and the tests.
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .baseck import Witness
-from .construct import AttachCycle, Cert, EdgeRef, Seed, replay, replay_detail
+from .construct import AttachCycle, Cert, EdgeRef, Seed, replay_step
 from .errors import InternalContradiction, NotTwoConnected
 from .flats import indecomposable_flats, induced_edge_ids
 from .graph import (
     Multigraph,
     blocks,
     blow_up_factor,
+    ears,
     induced_cycles,
     is_k4_minor_free,
     is_two_connected,
-    label_key,
     normalize,
 )
 
@@ -83,61 +84,58 @@ def check_chordal_k4free(H: Multigraph, delta: int) -> Optional[Witness]:
 def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[Cert]:
     """Certificate building H from K2 by attaching (delta+1)-cycles, or None.
 
-    Inverse search: find a chordless (delta+1)-cycle whose delta-1 freshly
-    attached vertices appear as a run of consecutive degree-2 vertices, remove
-    them, recurse; backtracks over the choice of cycle with a failure memo.
+    Greedy peel: while the graph is not K2, remove the inner vertices of one
+    maximal ear with delta-1 inner vertices and adjacent end vertices; a cycle
+    peels only when it is C_{delta+1}, and then down to K2.  H is
+    constructible exactly when the peel reaches K2, whichever ear each step
+    takes.  Let L be the path attached last and R any other removable ear:
+    both are maximal runs of degree-2 vertices, so they are disjoint and R
+    stays removable in H-L; by induction H-R = attach(H-L-R, L), except when
+    H-L is C_{delta+1}, and then H-R is C_{delta+1} as well.  The certificate
+    is built forward from K2, one replay step per attached path.
     """
     _require_simple_block(H)
     if delta < 2:
         raise ValueError("delta must be >= 2")
-    dead: set = set()
+    peeled = []  # ear paths (u, inner..., v) in peel order: last attached first
+    G = H
+    while not (G.n == 2 and G.m == 1):
+        scan = ears(G)
+        if scan.is_cycle:
+            if G.n != delta + 1:
+                return None
+            # walk the whole cycle: its two ends are adjacent
+            path = [G.sorted_vertices[0]]
+            while len(path) < G.n:
+                path.append(next(w for _, w in G.adjacency[path[-1]] if w not in path[-2:]))
+        else:
+            path = next(
+                (
+                    e.path for e in scan.ears
+                    if e.length == delta and G.has_edge(e.path[0], e.path[-1])
+                ),
+                None,
+            )
+            if path is None:
+                return None
+        peeled.append(path)
+        G = G.without_vertices(path[1:-1])
 
-    def search(G: Multigraph):
-        if G.n == 2 and G.m == 1:
-            vmap = {v: i for i, v in enumerate(sorted(G.vertices, key=label_key))}
-            return Seed("k2"), vmap
-        key = frozenset(G.vertices)
-        if key in dead:
-            return None
-        for cyc in induced_cycles(G):
-            if len(cyc) != delta + 1:
-                continue
-            doubled = cyc + cyc
-            for direction in (doubled, tuple(reversed(doubled))):
-                for start in range(delta + 1):
-                    window = direction[start : start + delta - 1]
-                    if any(G.degree(x) != 2 for x in window):
-                        continue
-                    v = direction[(start - 1) % (delta + 1)]
-                    u = direction[(start + delta - 1) % (delta + 1)]
-                    rest = G.without_vertices(window)
-                    if not is_two_connected(rest):
-                        continue
-                    got = search(rest)
-                    if got is None:
-                        continue
-                    cert_c, vmap_c = got
-                    rep = replay(cert_c)
-                    a, b = vmap_c[u], vmap_c[v]
-                    eid = rep.edge_between(a, b)
-                    if eid is None:
-                        raise InternalContradiction(
-                            "replayed child lost the attachment edge"
-                        )
-                    ref = EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a)
-                    cert = AttachCycle(delta, cert_c, ref)
-                    _, embeds = replay_detail(cert)
-                    vmap = {x: embeds[0][vmap_c[x]] for x in rest.vertices}
-                    base = rep.n
-                    # fresh labels run along the new path from u to v
-                    for j, x in enumerate(reversed(window)):
-                        vmap[x] = base + j
-                    return cert, vmap
-        dead.add(key)
-        return None
-
-    got = search(H)
-    return got[0] if got is not None else None
+    cert = Seed("k2")
+    rep, _ = replay_step(cert, [])
+    vmap = dict(zip(G.sorted_vertices, range(2)))
+    for path in reversed(peeled):
+        a, b = vmap[path[0]], vmap[path[-1]]
+        eid = rep.edge_between(a, b)
+        if eid is None:
+            raise InternalContradiction("replayed graph lost the attachment edge")
+        cert = AttachCycle(delta, cert, EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a))
+        base = rep.n
+        rep, (embed,) = replay_step(cert, [rep])
+        vmap = {x: embed[y] for x, y in vmap.items()}
+        # fresh labels run along the new path from a to b
+        vmap.update((x, base + j) for j, x in enumerate(path[1:-1]))
+    return cert
 
 
 @dataclass(frozen=True)
@@ -157,9 +155,10 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
     """Classify P(M(G)) for a multigraph.
 
     Every block must be the m-fold blow-up of a simple graph for one shared m;
-    delta = m+1 is forced, and every base block must pass check_club at that
-    delta.  The other two block characterizations are cross-run as assertions;
-    disagreement raises InternalContradiction.
+    delta = m+1 is forced, and every base block must be constructible from K2
+    by attaching (delta+1)-cycles.  The first block that is not gets its
+    witness from check_chordal_k4free; finding no violation there raises
+    InternalContradiction.
     """
     G = normalize(G)
     blks = blocks(G)
@@ -186,19 +185,12 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
     delta = m + 1
     for b, f in zip(blks, factored):
         H = f.base_graph
-        club = check_club(H, delta)
-        chordal = check_chordal_k4free(H, delta)
-        cert = recognize_cycle_construction(H, delta)
-        ok = club is None
-        if (chordal is None) != ok or (cert is not None) != ok:
-            raise InternalContradiction(
-                f"block characterizations disagree at delta={delta}: "
-                f"club={club}, chordal={chordal}, constructible={cert is not None}"
-            )
-        if not ok:
-            # prefer the structural witness; fall back to the flat equality
-            witness = chordal if chordal is not None else club
+        if recognize_cycle_construction(H, delta) is None:
+            witness = check_chordal_k4free(H, delta)
             if witness is None:
-                witness = Witness("not_constructible")
+                raise InternalContradiction(
+                    f"a block that is not constructible at delta={delta} is "
+                    f"chordal and K4-minor-free"
+                )
             return IndepVerdict("not_gorenstein", None, m, per_block, witness)
     return IndepVerdict("gorenstein", delta, m, per_block)

@@ -78,23 +78,32 @@ def coords_in_basis(basis, vec) -> list:
     return coords
 
 
-def fraction_rank(rows) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
+def _eliminate(mat, ncols) -> list:
+    """Gauss-Jordan on the first ncols columns of a Fraction matrix, in place.
+
+    Returns the pivot columns; pivot row i (for the i-th pivot) is scaled to 1
+    there and every other row is cleared in that column.
+    """
+    pivots = []
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
+            if i != r and mat[i][c] != 0:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return pivots
+
+
+def fraction_rank(rows) -> int:
+    mat = [[Fraction(x) for x in r] for r in rows]
+    return len(_eliminate(mat, len(mat[0]) if mat else 0))
 
 
 def solve_unique(rows, rhs) -> Optional[list]:
@@ -105,30 +114,12 @@ def solve_unique(rows, rhs) -> Optional[list]:
     """
     ncols = len(rows[0]) if rows else 0
     mat = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        pivots.append(c)
-        rank += 1
-    for i in range(rank, len(mat)):
-        if mat[i][ncols] != 0:
-            return None
-    if rank < ncols:
+    pivots = _eliminate(mat, ncols)
+    if any(row[ncols] != 0 for row in mat[len(pivots):]):
+        return None
+    if len(pivots) < ncols:
         raise ValueError("underdetermined system")
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = mat[i][ncols]
-    return sol
+    return [row[ncols] for row in mat[:ncols]]
 
 
 def invert(rows) -> list:
@@ -138,17 +129,8 @@ def invert(rows) -> list:
         [Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
         for i, r in enumerate(rows)
     ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        mat[c], mat[piv] = mat[piv], mat[c]
-        inv = 1 / mat[c][c]
-        mat[c] = [x * inv for x in mat[c]]
-        for i in range(n):
-            if i != c and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    if len(_eliminate(mat, n)) < n:
+        raise ValueError("singular matrix")
     return [row[n:] for row in mat]
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import complete, cycle
+from conftest import complete, cycle, random_multigraphs
 from gorcheck.baseck import (
     ALL_DELTAS,
     base_verdict,
@@ -13,7 +13,7 @@ from gorcheck.baseck import (
     weight_function,
 )
 from gorcheck.errors import SimpleGraphRequired, WeightConflict
-from gorcheck.graph import Multigraph
+from gorcheck.graph import Multigraph, blocks, is_two_connected, normalize
 from gorcheck.smallgraphs import two_connected_graphs
 
 
@@ -27,6 +27,26 @@ def test_edge_profile_cycle(c5):
     profile = edge_facet_profile(c5)
     # cycle edges: deletion breaks 2-connectivity, contraction keeps it
     assert all(profile[e] == (False, True) for e in profile)
+
+
+def test_edge_profile_matches_deletion_and_contraction():
+    # reference definition: build G-e and G/e and test them for 2-connectivity
+    graphs = two_connected_graphs(7) + [
+        b for G in random_multigraphs(3000, seed=20261021)
+        for b in blocks(normalize(G)) if b.is_simple() and b.m >= 2
+    ]
+    checked = 0
+    for G in graphs:
+        if G.m < 2:
+            continue
+        for eid, flags in edge_facet_profile(G).items():
+            want = (
+                is_two_connected(G.without_edges([eid])),
+                is_two_connected(G.contract([eid])[0]),
+            )
+            assert flags == want, (G.edges, eid)
+            checked += 1
+    assert checked > 9000
 
 
 def test_weight_function_conflict(k4):

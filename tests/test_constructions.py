@@ -14,6 +14,7 @@ from gorcheck.construct import (
     Subdivide,
     attach_cycle,
     blow_up,
+    cert_from_dict,
     cert_from_json,
     cert_to_json,
     collide,
@@ -217,3 +218,29 @@ def test_fingerprint_large_replay():
     matched, method = replay_matches(cert, G)
     assert matched and method == "fingerprint"
     assert fingerprint(G)[0] == 14
+
+
+def test_replay_deep_chain():
+    # 1,200 nested AttachCycle nodes, far past the recursion limit
+    cert = Seed("k2")
+    for _ in range(1200):
+        cert = AttachCycle(2, cert, EdgeRef(0))
+    G = replay(cert)
+    assert (G.n, G.m) == (2 + 1200, 1 + 2 * 1200)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"op": "subdivide", "delta": 3},
+        {"op": "glue", "children": []},
+        {
+            "op": "attach_cycle", "delta": 3,
+            "child": {"op": "seed", "seed": "k2"}, "ref": {"flip": True},
+        },
+        {"op": "glue", "delta": 3, "children": "x", "refs": []},
+    ],
+)
+def test_cert_from_dict_malformed(node):
+    with pytest.raises(ConstructionError):
+        cert_from_dict(node)

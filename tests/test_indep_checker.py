@@ -1,8 +1,22 @@
+import random
+
+import networkx as nx
 import pytest
 
 from conftest import complete, cycle
-from gorcheck.construct import AttachCycle, BlowUp, Seed, blow_up, replay, replay_matches
-from gorcheck.graph import Multigraph
+from gorcheck import indepck
+from gorcheck.construct import (
+    AttachCycle,
+    BlowUp,
+    EdgeRef,
+    Seed,
+    blow_up,
+    replay,
+    replay_detail,
+    replay_matches,
+)
+from gorcheck.errors import InternalContradiction
+from gorcheck.graph import Multigraph, induced_cycles, is_two_connected, label_key
 from gorcheck.indepck import (
     check_chordal_k4free,
     check_club,
@@ -107,3 +121,152 @@ def test_recognized_cert_blowup_roundtrip(c4):
     doubled = blow_up(c4, 2)
     cert = recognize_cycle_construction(c4, 3)
     assert replay_matches(BlowUp(cert, 2), doubled)[0]
+
+
+def _recognize_by_backtracking(H, delta):
+    """Reference recognizer: inverse search with backtracking and a failure memo.
+
+    Find a chordless (delta+1)-cycle whose delta-1 freshly attached vertices
+    appear as a run of consecutive degree-2 vertices, remove them, recurse;
+    backtrack over the choice of cycle.
+    """
+    dead = set()
+
+    def search(G):
+        if G.n == 2 and G.m == 1:
+            vmap = {v: i for i, v in enumerate(sorted(G.vertices, key=label_key))}
+            return Seed("k2"), vmap
+        key = frozenset(G.vertices)
+        if key in dead:
+            return None
+        for cyc in induced_cycles(G):
+            if len(cyc) != delta + 1:
+                continue
+            doubled = cyc + cyc
+            for direction in (doubled, tuple(reversed(doubled))):
+                for start in range(delta + 1):
+                    window = direction[start : start + delta - 1]
+                    if any(G.degree(x) != 2 for x in window):
+                        continue
+                    v = direction[(start - 1) % (delta + 1)]
+                    u = direction[(start + delta - 1) % (delta + 1)]
+                    rest = G.without_vertices(window)
+                    if not is_two_connected(rest):
+                        continue
+                    got = search(rest)
+                    if got is None:
+                        continue
+                    cert_c, vmap_c = got
+                    rep = replay(cert_c)
+                    a, b = vmap_c[u], vmap_c[v]
+                    eid = rep.edge_between(a, b)
+                    ref = EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a)
+                    cert = AttachCycle(delta, cert_c, ref)
+                    _, embeds = replay_detail(cert)
+                    vmap = {x: embeds[0][vmap_c[x]] for x in rest.vertices}
+                    for j, x in enumerate(reversed(window)):
+                        vmap[x] = rep.n + j
+                    return cert, vmap
+        dead.add(key)
+        return None
+
+    got = search(H)
+    return got[0] if got is not None else None
+
+
+def _random_attach_chain(rng, delta, steps):
+    """K2 plus `steps` (delta+1)-cycles attached to random edges.
+
+    Labels are shuffled strings; vertex order, edge order and edge
+    orientation are shuffled too.
+    """
+    labels = [f"v{i}" for i in range(2 + steps * (delta - 1))]
+    rng.shuffle(labels)
+    edges = [(labels[0], labels[1])]
+    for k in range(steps):
+        u, v = rng.choice(edges)
+        fresh = labels[2 + k * (delta - 1) : 2 + (k + 1) * (delta - 1)]
+        chain = [u] + fresh + [v]
+        edges += zip(chain, chain[1:])
+    rng.shuffle(edges)
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+    rng.shuffle(labels)
+    return Multigraph.build(labels, edges)
+
+
+def _with_random_chord(rng, H):
+    """H plus one edge between a random non-adjacent pair, or None if complete."""
+    pairs = [
+        (a, b) for i, a in enumerate(H.vertices) for b in H.vertices[i + 1 :]
+        if not H.has_edge(a, b)
+    ]
+    return H.with_edge(*rng.choice(pairs))[0] if pairs else None
+
+
+def _isomorphic(G1, G2):
+    """networkx VF2 on MultiGraphs, exact.
+
+    Nodes carry colour-refinement labels, which every isomorphism preserves;
+    they only prune the search, which is otherwise slow on the many
+    interchangeable paths of an attach-cycle graph.
+    """
+    def convert(G):
+        M = nx.MultiGraph()
+        M.add_nodes_from(G.vertices)
+        M.add_edges_from((u, v) for _, u, v in G.edges)
+        color = {v: M.degree(v) for v in M}
+        for _ in range(3):
+            color = {
+                v: hash((color[v], tuple(sorted(color[w] for w in M.neighbors(v)))))
+                for v in M
+            }
+        nx.set_node_attributes(M, color, "color")
+        return M
+
+    return nx.is_isomorphic(
+        convert(G1), convert(G2), node_match=lambda a, b: a["color"] == b["color"]
+    )
+
+
+def test_greedy_matches_backtracking_atlas():
+    # every 2-connected graph up to 7 vertices, delta = 2..8
+    for H in two_connected_graphs(7):
+        for delta in range(2, 9):
+            cert = recognize_cycle_construction(H, delta)
+            ref = _recognize_by_backtracking(H, delta)
+            assert (cert is None) == (ref is None), (H.edges, delta)
+            if cert is not None:
+                assert replay_matches(cert, H) == (True, "isomorphism")
+
+
+def test_greedy_matches_backtracking_random_chains():
+    # large chains replay isomorphically; small ones, and the same with one
+    # extra chord (never constructible), agree with the backtracking search
+    rng = random.Random(20261019)
+    compared = 0
+    for _ in range(60):
+        delta = rng.randint(2, 6)
+        H = _random_attach_chain(rng, delta, rng.randint(1, 148 // (delta - 1)))
+        cert = recognize_cycle_construction(H, delta)
+        assert isinstance(cert, AttachCycle)
+        assert _isomorphic(replay(cert), H), (delta, H.edges)
+        small = _random_attach_chain(rng, delta, rng.randint(1, 9 // (delta - 1)))
+        chord = _with_random_chord(rng, small)
+        for G in (small, chord):
+            if G is None:
+                continue
+            got = recognize_cycle_construction(G, delta)
+            assert (got is None) == (_recognize_by_backtracking(G, delta) is None), G.edges
+            if got is not None:
+                assert _isomorphic(replay(got), G)
+            compared += 1
+    assert compared > 100
+
+
+def test_indep_verdict_witness_comes_from_chordal_check(k4, monkeypatch):
+    # a block that fails the peel is explained by check_chordal_k4free; if
+    # that finds nothing, the two characterizations disagree
+    assert indep_verdict(k4).witness == check_chordal_k4free(k4, 2)
+    monkeypatch.setattr(indepck, "check_chordal_k4free", lambda H, delta: None)
+    with pytest.raises(InternalContradiction):
+        indep_verdict(k4)
