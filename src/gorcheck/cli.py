@@ -7,7 +7,8 @@ JSON on stdout; DOT drawings are optional side outputs.
 
 Exit codes: 0 verdict produced, 1 parse error, 2 resource guard exceeded,
 3 certify on a non-Gorenstein input, 4 typed input error (e.g. the base
-checker on a multigraph, or an option value out of range).
+checker on a multigraph, or an option value out of range), 5 internal
+contradiction (a state the classification theorems rule out).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     ConstructionError,
     GorcheckError,
     GuardExceeded,
+    InternalContradiction,
     NotTwoConnected,
     ParseError,
     SimpleGraphRequired,
@@ -58,6 +60,7 @@ EXIT_PARSE = 1
 EXIT_GUARD = 2
 EXIT_NOT_GORENSTEIN = 3
 EXIT_INPUT = 4
+EXIT_CONTRADICTION = 5
 
 
 def _load_graph(path: str) -> Multigraph:
@@ -435,6 +438,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except InternalContradiction as exc:
+        sys.stderr.write(f"internal contradiction: {exc}\n")
+        return EXIT_CONTRADICTION
 
 
 if __name__ == "__main__":

@@ -101,11 +101,6 @@ def _eliminate(mat, ncols) -> list:
     return pivots
 
 
-def fraction_rank(rows) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    return len(_eliminate(mat, len(mat[0]) if mat else 0))
-
-
 def solve_unique(rows, rhs) -> Optional[list]:
     """Solve A x = b exactly.
 
@@ -155,13 +150,11 @@ def dual_extreme_rays(points) -> list:
         raise ValueError("no nonzero points")
     n = len(pts[0])
 
-    # greedy spanning subset for the initial simplicial cone
-    chosen = []
-    for p in pts:
-        if fraction_rank(chosen + [list(p)]) > len(chosen):
-            chosen.append(list(p))
-        if len(chosen) == n:
-            break
+    # greedy spanning subset for the initial simplicial cone: with the points
+    # as columns, a point is a pivot column exactly when it is independent of
+    # the points before it
+    cols = [[Fraction(p[i]) for p in pts] for i in range(n)]
+    chosen = [list(pts[c]) for c in _eliminate(cols, len(pts))]
     if len(chosen) < n:
         raise ValueError("points do not span the ambient space")
     minv = invert(chosen)

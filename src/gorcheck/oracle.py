@@ -17,11 +17,11 @@ from typing import Optional
 from .errors import GuardExceeded, InternalContradiction, NotTwoConnected
 from .graph import Multigraph, bases_and_forests, graphic_rank, is_two_connected, normalize
 from .linalg import (
+    _eliminate,
     coords_in_basis,
     dual_extreme_rays,
     hnf_rows,
     primitive,
-    solve_unique,
 )
 
 FACET_VERTEX_GUARD = 512
@@ -148,7 +148,8 @@ def facets_bruteforce(P: LatticePolytope) -> tuple:
     """
     if len(P.vertices) > FACET_VERTEX_GUARD:
         raise GuardExceeded(
-            f"facet computation guarded at {FACET_VERTEX_GUARD} vertices"
+            f"facet computation guarded at {FACET_VERTEX_GUARD} vertices "
+            f"(polytope has {len(P.vertices)})"
         )
     points = [c + (1,) for c in P.vertex_coords]
     rays = dual_extreme_rays(points)
@@ -204,18 +205,25 @@ def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:
 
     For each delta the system "every facet equals 1" is linear with at most
     one solution (the facet normals span); the codegree bound dim + 1 makes
-    the search complete for normal polytopes.
+    the search complete for normal polytopes.  The right-hand side 1 - b delta
+    is affine in delta, so [A | 1 | b] is eliminated once and each delta's
+    reduced right-hand side is read off as col_1 - delta col_b.
     """
     facets = P.require_facets()
     if P.dim == 0:
         # point polytope: the lone facet of its cone is the height functional
         return GorensteinWitness(1, P.origin)
-    rows = [list(f.a) for f in facets]
-    for delta in range(1, P.dim + 2):
-        rhs = [1 - f.b * delta for f in facets]
-        sol = solve_unique(rows, rhs)
-        if sol is None:
+    n = P.dim
+    mat = [[Fraction(x) for x in f.a] + [Fraction(1), Fraction(f.b)] for f in facets]
+    rank = len(_eliminate(mat, n))
+    for delta in range(1, n + 2):
+        # same order of outcomes as solve_unique: inconsistent, then
+        # underdetermined, then the unique solution
+        if any(row[n] != delta * row[n + 1] for row in mat[rank:]):
             continue
+        if rank < n:
+            raise ValueError("underdetermined system")
+        sol = [row[n] - delta * row[n + 1] for row in mat[:n]]
         if all(x.denominator == 1 for x in sol):
             coords = [int(x) for x in sol]
             return GorensteinWitness(delta, P.to_ambient(coords, t=delta))
@@ -223,7 +231,16 @@ def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:
 
 
 def lattice_points(P: LatticePolytope, k: int, node_guard: int = POINT_NODE_GUARD):
-    """All lattice points of k*P, in lattice coordinates, by pruned box recursion."""
+    """All lattice points of k*P, in lattice coordinates, in lexicographic order.
+
+    Branch and bound over the box spanned by the vertices: a node fixes a
+    prefix of the coordinates and survives when every facet can still be
+    satisfied with the free coordinates at their best box corner.  Each node
+    carries every facet's slack (its partial sum plus that best case), so the
+    children of a surviving node that survive form one integer interval, cut
+    out by one division per facet.  Every child counts against node_guard,
+    pruned or not.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     facets = P.require_facets()
@@ -232,28 +249,34 @@ def lattice_points(P: LatticePolytope, k: int, node_guard: int = POINT_NODE_GUAR
         return [()]
     lo = [k * min(c[i] for c in P.vertex_coords) for i in range(d)]
     hi = [k * max(c[i] for c in P.vertex_coords) for i in range(d)]
+    # cols[i][f] = a_f[i]; best[i][f] is facet f's best case at coordinate i
+    cols = [[f.a[i] for f in facets] for i in range(d)]
+    best = [[a * (hi[i] if a > 0 else lo[i]) for a in cols[i]] for i in range(d)]
+    lower = [[(j, a) for j, a in enumerate(cols[i]) if a > 0] for i in range(d)]
+    upper = [[(j, -a) for j, a in enumerate(cols[i]) if a < 0] for i in range(d)]
+    slack = [f.b * k + sum(b) for f, b in zip(facets, zip(*best))]
+    nodes = 1  # the root
     out = []
-    nodes = [0]
-
-    def rec(prefix):
-        nodes[0] += 1
-        if nodes[0] > node_guard:
-            raise GuardExceeded(f"point enumeration guarded at {node_guard} nodes")
+    stack = [((), slack)] if min(slack) >= 0 else []
+    while stack and nodes <= node_guard:
+        prefix, slack = stack.pop()
         i = len(prefix)
-        # interval-arithmetic prune: every facet must remain satisfiable
-        for f in facets:
-            best = sum(x * y for x, y in zip(f.a, prefix)) + f.b * k
-            for j in range(i, d):
-                best += f.a[j] * (hi[j] if f.a[j] > 0 else lo[j])
-            if best < 0:
-                return
-        if i == d:
-            out.append(tuple(prefix))
-            return
-        for x in range(lo[i], hi[i] + 1):
-            rec(prefix + [x])
-
-    rec([])
+        nodes += hi[i] - lo[i] + 1
+        # slack without coordinate i's best case: child x survives facet f
+        # exactly when rest[f] + a_f[i] x >= 0
+        rest = [s - b for s, b in zip(slack, best[i])]
+        first = max([lo[i]] + [-(rest[j] // a) for j, a in lower[i]])
+        last = min([hi[i]] + [rest[j] // a for j, a in upper[i]])
+        if i == d - 1:
+            out.extend(prefix + (x,) for x in range(first, last + 1))
+            continue
+        col = cols[i]
+        for x in range(last, first - 1, -1):
+            stack.append((prefix + (x,), [r + a * x for r, a in zip(rest, col)]))
+    if nodes > node_guard:
+        raise GuardExceeded(
+            f"point enumeration guarded at {node_guard} nodes (reached {nodes})"
+        )
     return out
 
 

@@ -84,6 +84,20 @@ def test_oracle_normality_below_two_is_input_error(files, capsys):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+def test_internal_contradiction_exit5(files, capsys, monkeypatch):
+    import gorcheck.cli as cli
+    from gorcheck.errors import InternalContradiction
+
+    def contradict(*args, **kwargs):
+        raise InternalContradiction("weights disagree")
+
+    monkeypatch.setattr(cli, "base_verdict", contradict)
+    code = main(["check", "base", files["k4"]])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "internal contradiction: weights disagree\n"
+
+
 def test_certify_g5(files, capsys):
     code, out = run(capsys, "certify", "base", files["g5"])
     doc = json.loads(out)

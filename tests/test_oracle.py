@@ -5,9 +5,18 @@ import pytest
 from conftest import complete, cycle
 from gorcheck.errors import GuardExceeded
 from gorcheck.graph import Multigraph
-from gorcheck.linalg import coords_in_basis, dual_extreme_rays, hnf_rows, primitive
+from gorcheck.linalg import (
+    coords_in_basis,
+    dual_extreme_rays,
+    hnf_rows,
+    primitive,
+    solve_unique,
+)
 from gorcheck.oracle import (
+    FACET_VERTEX_GUARD,
     Facet,
+    GorensteinWitness,
+    _polytope_from_vertices,
     dump_polytope,
     facets_bruteforce,
     facets_from_cor33,
@@ -106,6 +115,49 @@ def test_gorenstein_search(c3, k2, c5_chord):
     assert gorenstein_search(polytope_of(c5_chord, "base")) is None
 
 
+def _gorenstein_by_solve_unique(P):
+    """Reference: one solve_unique per delta, as gorenstein_search once did."""
+    facets = P.require_facets()
+    if P.dim == 0:
+        return GorensteinWitness(1, P.origin)
+    rows = [list(f.a) for f in facets]
+    for delta in range(1, P.dim + 2):
+        sol = solve_unique(rows, [1 - f.b * delta for f in facets])
+        if sol is None:
+            continue
+        if all(x.denominator == 1 for x in sol):
+            return GorensteinWitness(delta, P.to_ambient([int(x) for x in sol], t=delta))
+    return None
+
+
+def test_gorenstein_search_matches_per_delta_solve():
+    checked = 0
+    for G in two_connected_graphs(6):
+        for kind in ("base", "independence"):
+            try:
+                P = polytope_of(G, kind, guard=FACET_VERTEX_GUARD)
+            except GuardExceeded:  # more vertices than facets_bruteforce takes
+                continue
+            assert gorenstein_search(P) == _gorenstein_by_solve_unique(P), (G.edges, kind)
+            checked += 1
+    assert checked > 100
+
+
+def test_gorenstein_search_outcome_order():
+    # one facet normal cannot pin down two coordinates: the first consistent
+    # delta raises, as solve_unique does
+    P = polytope_of(cycle(3), "base")
+    P.facets = (Facet((1, 0), 0),)
+    with pytest.raises(ValueError):
+        gorenstein_search(P)
+    with pytest.raises(ValueError):
+        _gorenstein_by_solve_unique(P)
+    # ... but a delta that is inconsistent is skipped before the rank matters
+    P.facets = (Facet((1, 0), 0), Facet((1, 0), -1))
+    assert gorenstein_search(P) is None
+    assert _gorenstein_by_solve_unique(P) is None
+
+
 def test_witness_equals_weight_vector(k4_minus_e):
     from gorcheck.baseck import weight_function
 
@@ -127,6 +179,78 @@ def test_lattice_points(c3, k2):
 def test_lattice_point_guard(k4):
     with pytest.raises(GuardExceeded):
         lattice_points(polytope_of(k4, "base"), 3, node_guard=10)
+
+
+def _lattice_points_by_recursion(P, k):
+    """Reference: box recursion that rescans every facet at every node.
+
+    Returns the points in visiting order and the number of nodes visited.
+    """
+    facets = P.require_facets()
+    d = P.dim
+    if d == 0:
+        return [()], 0
+    lo = [k * min(c[i] for c in P.vertex_coords) for i in range(d)]
+    hi = [k * max(c[i] for c in P.vertex_coords) for i in range(d)]
+    out = []
+    nodes = [0]
+
+    def rec(prefix):
+        nodes[0] += 1
+        i = len(prefix)
+        for f in facets:
+            best = sum(x * y for x, y in zip(f.a, prefix)) + f.b * k
+            for j in range(i, d):
+                best += f.a[j] * (hi[j] if f.a[j] > 0 else lo[j])
+            if best < 0:
+                return
+        if i == d:
+            out.append(tuple(prefix))
+            return
+        for x in range(lo[i], hi[i] + 1):
+            rec(prefix + [x])
+
+    rec([])
+    return out, nodes[0]
+
+
+def _small_polytopes(max_vertices, min_vertices=2):
+    for G in two_connected_graphs(max_vertices, min_vertices=min_vertices):
+        for kind in ("base", "independence"):
+            yield G, kind, polytope_of(G, kind)
+
+
+def test_lattice_points_match_recursion():
+    cases = [(4, 2, range(4)), (5, 5, range(2))]
+    for max_v, min_v, ks in cases:
+        for G, kind, P in _small_polytopes(max_v, min_v):
+            for k in ks:
+                points, _ = _lattice_points_by_recursion(P, k)
+                assert lattice_points(P, k) == points, (G.edges, kind, k)
+    # the polytopes above only have facet coefficients in {-1, 0, 1}; these
+    # have larger ones, so the interval ends are real ceil/floor divisions
+    for verts in [
+        [(0, 0), (1, 0), (0, 1), (3, 5)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 5)],
+        [(0, 0, 0), (2, 0, 1), (0, 3, 1), (1, 1, 0), (4, 1, 3)],
+    ]:
+        P = _polytope_from_vertices("product", verts)
+        assert max(abs(a) for f in P.require_facets() for a in f.a) > 1
+        for k in range(5):
+            points, nodes = _lattice_points_by_recursion(P, k)
+            assert lattice_points(P, k) == points, (verts, k)
+            with pytest.raises(GuardExceeded):
+                lattice_points(P, k, node_guard=nodes - 1)
+
+
+def test_lattice_point_guard_trips_at_recursion_node_count():
+    for G, kind, P in _small_polytopes(4):
+        if P.dim == 0:  # a point: no node is visited
+            continue
+        points, nodes = _lattice_points_by_recursion(P, 2)
+        with pytest.raises(GuardExceeded, match=f"reached {nodes}"):
+            lattice_points(P, 2, node_guard=nodes - 1)
+        assert lattice_points(P, 2, node_guard=nodes) == points, (G.edges, kind)
 
 
 def test_hstar(c3, k2, c5_chord):
@@ -164,7 +288,7 @@ def test_facet_guard():
     old = om.FACET_VERTEX_GUARD
     om.FACET_VERTEX_GUARD = 10
     try:
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded, match=r"guarded at 10 vertices \(polytope has 125\)"):
             facets_bruteforce(P)
     finally:
         om.FACET_VERTEX_GUARD = old
