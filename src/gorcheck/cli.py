@@ -20,6 +20,8 @@ import time
 
 from .baseck import base_verdict, weight_function
 from .construct import (
+    SCHEMA,
+    BlowUp,
     Seed,
     attach_cycle,
     blow_up,
@@ -53,7 +55,6 @@ from .oracle import (
 from .smallgraphs import two_connected_graphs
 
 VERDICT_SCHEMA = "gorcheck.verdict/1"
-CERT_SCHEMA = "gorcheck.cert/1"
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -196,29 +197,19 @@ def cmd_certify(args) -> int:
             }
         )
         return EXIT_NOT_GORENSTEIN
-    G = normalize(G)
     certs = []
-    for b in blocks(G):
-        if args.kind == "base":
-            if b.n == 2:
-                cert = Seed("k2")
-            else:
-                cert = decompose_base(b, v.delta)
-            matched, method = replay_matches(cert, b)
+    for b, *detail in v.per_block:
+        if args.kind == "indep":  # detail[0] is the block's simple base graph
+            cert = recognize_cycle_construction(detail[0], v.delta)
+            cert = BlowUp(cert, v.multiplicity) if v.multiplicity > 1 else cert
         else:
-            from .graph import blow_up_factor
-
-            f = blow_up_factor(b)
-            cert = recognize_cycle_construction(f.base_graph, v.delta)
-            from .construct import BlowUp
-
-            cert = BlowUp(cert, f.multiplicity) if f.multiplicity > 1 else cert
-            matched, method = replay_matches(cert, b)
+            cert = Seed("k2") if b.n == 2 else decompose_base(b, v.delta)
+        matched, method = replay_matches(cert, b)
         if not matched:
-            raise GorcheckError("certificate replay does not match the input block")
+            raise InternalContradiction("certificate replay does not match the input block")
         certs.append(
             {
-                "schema": CERT_SCHEMA,
+                "schema": SCHEMA,
                 "root": cert_to_dict(cert),
                 "replay_matched": matched,
                 "replay_check": method,

@@ -9,7 +9,9 @@ refers to the replayed child, keeping certificates self-contained.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 from .baseck import check_spade, weight_function
@@ -343,38 +345,48 @@ def _is_cycle_graph(G: Multigraph) -> bool:
 
 def _cycle_cert(G: Multigraph):
     walk = [min(G.vertices, key=label_key)]
-    nbrs = sorted((w for _, w in G.adjacency[walk[0]]), key=label_key)
-    walk.append(nbrs[0])
+    walk.append(min((w for _, w in G.adjacency[walk[0]]), key=label_key))
     while len(walk) < G.n:
-        a, b = walk[-2], walk[-1]
-        nxt = next(w for _, w in G.adjacency[b] if w != a)
-        walk.append(nxt)
-    vmap = {v: i for i, v in enumerate(walk)}
-    return Seed("cycle", G.n), vmap
+        walk.append(next(w for _, w in G.adjacency[walk[-1]] if w != walk[-2]))
+    return _seed(Seed("cycle", G.n), walk)
 
 
-def _child_edge_ref(cert_child: Cert, vmap_child: dict, u, v) -> EdgeRef:
-    rep = replay(cert_child)
-    a, b = vmap_child[u], vmap_child[v]
+def _seed(cert: Seed, order) -> tuple:
+    """(cert, vertex map, replayed graph) for a seed whose i-th vertex is order[i]."""
+    return cert, {v: i for i, v in enumerate(order)}, replay_step(cert, [])[0]
+
+
+def _edge_ref(rep: Multigraph, a, b) -> EdgeRef:
+    """Reference to the edge ab of a replayed child, oriented from a to b."""
     eid = rep.edge_between(a, b)
     if eid is None:
         raise InternalContradiction("replayed child lost a referenced edge")
     return EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a)
 
 
-def _decompose(G: Multigraph, delta: int, top: bool):
-    viol = check_spade(G, delta)
-    if viol is not None:
-        if top:
-            raise ConstructionError(
-                f"input fails the good-flat equalities at delta={delta}: "
-                f"{viol.as_dict()}"
-            )
-        raise InternalContradiction(
-            f"decomposition produced a part violating the equalities at "
-            f"delta={delta}: {viol.as_dict()}"
-        )
+def _split(parts, u, v, delta: int, node):
+    """Decompose each part, then join the replays along their copies of uv.
 
+    node(children, refs) is the Glue or Collide node; one replay_step over
+    the parts' replayed graphs gives its replay and the composed vertex map.
+    """
+    done = [_decompose(part, delta) for part in parts]  # (cert, vmap, replay)
+    cert = node(
+        tuple(c for c, _, _ in done),
+        tuple(_edge_ref(r, vm[u], vm[v]) for _, vm, r in done),
+    )
+    rep, embeds = replay_step(cert, [r for _, _, r in done])
+    vmap = {x: emb[y] for (_, vm, _), emb in zip(done, embeds) for x, y in vm.items()}
+    return cert, vmap, rep
+
+
+def _decompose(G: Multigraph, delta: int):
+    """(certificate, map V(G) -> replay labels, replayed graph) for one part.
+
+    No part is re-checked against the good-flat equalities: by the paper's
+    construction theorems each satisfies them when the input does, and
+    decompose_base checks the input and the final vertex map instead.
+    """
     if delta == 2:
         return _decompose_delta2(G)
 
@@ -392,30 +404,16 @@ def _decompose(G: Multigraph, delta: int, top: bool):
         key=lambda e: (tuple(sorted(label_key(x) for x in G.endpoints(e))), e),
     )
     if light:
-        eid = light[0]
-        u, v = sorted(G.endpoints(eid), key=label_key)
+        u, v = sorted(G.endpoints(light[0]), key=label_key)
         comps = components(G.without_vertices([u, v]))
         if len(comps) != delta - 1:
             raise InternalContradiction(
                 f"weight-1 edge split gave {len(comps)} parts, expected {delta - 1}"
             )
-        certs, refs, parts = [], [], []
-        for comp in comps:
-            part = G.induced(set(comp) | {u, v})
-            cert_i, vmap_i = _decompose(part, delta, top=False)
-            certs.append(cert_i)
-            refs.append(_child_edge_ref(cert_i, vmap_i, u, v))
-            parts.append((part, vmap_i))
-        cert = Glue(delta, tuple(certs), tuple(refs))
-        _, embeds = replay_detail(cert)
-        vmap = {}
-        for (part, vmap_i), emb in zip(parts, embeds):
-            for x in part.vertices:
-                vmap[x] = emb[vmap_i[x]]
-        return cert, vmap
+        parts = [G.induced(set(comp) | {u, v}) for comp in comps]
+        return _split(parts, u, v, delta, partial(Glue, delta))
 
-    scan = ears(G)
-    candidates = [e for e in scan.ears if e.length == delta - 1]
+    candidates = [e for e in ears(G).ears if e.length == delta - 1]
     if not candidates:
         raise InternalContradiction(
             f"no ({delta - 1})-ear in an all-heavy graph that is not a {delta}-cycle"
@@ -427,70 +425,74 @@ def _decompose(G: Multigraph, delta: int, top: bool):
             "ear endpoints are adjacent; its replacement would not be simple"
         )
     shrunk, _ = G.without_vertices(ear.inner).with_edge(v0, vs)
-    cert_c, vmap_c = _decompose(shrunk, delta, top=False)
-    ref = _child_edge_ref(cert_c, vmap_c, v0, vs)
-    cert = Subdivide(delta, cert_c, ref)
-    rep_child = replay(cert_c)
-    _, embeds = replay_detail(cert)
-    vmap = {x: embeds[0][vmap_c[x]] for x in shrunk.vertices}
-    base = rep_child.n
-    for j, x in enumerate(ear.inner):
-        vmap[x] = base + j
-    return cert, vmap
+    cert_c, vmap_c, rep_c = _decompose(shrunk, delta)
+    cert = Subdivide(delta, cert_c, _edge_ref(rep_c, vmap_c[v0], vmap_c[vs]))
+    rep, (embed,) = replay_step(cert, [rep_c])
+    vmap = {x: embed[y] for x, y in vmap_c.items()}
+    # fresh labels run along the new path from v0 to vs
+    vmap.update((x, rep_c.n + j) for j, x in enumerate(ear.inner))
+    return cert, vmap, rep
 
 
 def _decompose_delta2(G: Multigraph):
-    pair = None
     verts = G.sorted_vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if len(components(G.without_vertices([verts[i], verts[j]]))) > 1:
-                pair = (verts[i], verts[j])
-                break
-        if pair:
-            break
-    if pair is None:
+    splits = (
+        (a, b, components(G.without_vertices([a, b])))
+        for i, a in enumerate(verts) for b in verts[i + 1:]
+    )
+    split = next((s for s in splits if len(s[2]) > 1), None)
+    if split is None:
         if not (G.n == 4 and G.m == 6 and G.is_simple()):
             raise InternalContradiction(
                 "a 3-connected graph satisfying the delta=2 equalities must be K4"
             )
-        vmap = {v: i for i, v in enumerate(sorted(G.vertices, key=label_key))}
-        return Seed("k4"), vmap
-    v1, v2 = pair
-    comps = components(G.without_vertices([v1, v2]))
+        return _seed(Seed("k4"), verts)
+    v1, v2, comps = split
     if len(comps) != 2:
         raise InternalContradiction(
             f"separating pair leaves {len(comps)} components, expected 2"
         )
     if G.has_edge(v1, v2):
         raise InternalContradiction("separating pair joined by an edge")
-    certs, refs, parts = [], [], []
-    for comp in comps:
-        part, _ = G.induced(set(comp) | {v1, v2}).with_edge(v1, v2)
-        cert_i, vmap_i = _decompose(part, 2, top=False)
-        certs.append(cert_i)
-        refs.append(_child_edge_ref(cert_i, vmap_i, v1, v2))
-        parts.append((part, vmap_i))
-    cert = Collide(tuple(certs), tuple(refs))
-    _, embeds = replay_detail(cert)
-    vmap = {}
-    for (part, vmap_i), emb in zip(parts, embeds):
-        for x in part.vertices:
-            vmap[x] = emb[vmap_i[x]]
-    return cert, vmap
+    parts = [G.induced(set(comp) | {v1, v2}).with_edge(v1, v2)[0] for comp in comps]
+    return _split(parts, v1, v2, 2, Collide)
+
+
+def _check_vertex_map(G: Multigraph, vmap: dict, rep: Multigraph) -> None:
+    """InternalContradiction unless vmap is a bijection V(G) -> V(rep) that
+    carries the edges of G exactly onto those of rep, parallel edges counted."""
+    onto = set(vmap.values()) == set(rep.vertices)
+    if vmap.keys() != set(G.vertices) or not onto or rep.n != G.n:
+        raise InternalContradiction(
+            "certificate vertex map is not a bijection onto the replayed graph"
+        )
+    mapped = Counter(frozenset((vmap[u], vmap[v])) for _, u, v in G.edges)
+    if mapped != Counter(frozenset((a, b)) for _, a, b in rep.edges):
+        raise InternalContradiction(
+            "certificate vertex map does not carry the input's edges onto the replay"
+        )
 
 
 def decompose_base(G: Multigraph, delta: int) -> Cert:
     """Certificate for a 2-connected simple graph satisfying the equalities at delta.
 
-    Replaying the result yields a graph isomorphic to G.  Hitting a state the
-    classification theorems exclude raises InternalContradiction.
+    The good-flat equalities are checked once, on G.  Replaying the result
+    yields G up to the vertex map the decomposition builds alongside it,
+    which is checked exactly (bijection, edge multiset) before returning.
+    Hitting a state the classification theorems exclude raises
+    InternalContradiction.
     """
     if not is_two_connected(G):
         raise ConstructionError("decompose_base requires a 2-connected graph")
     if not G.is_simple():
         raise ConstructionError("decompose_base requires a simple graph")
-    cert, _ = _decompose(G, delta, top=True)
+    viol = check_spade(G, delta)
+    if viol is not None:
+        raise ConstructionError(
+            f"input fails the good-flat equalities at delta={delta}: {viol.as_dict()}"
+        )
+    cert, vmap, rep = _decompose(G, delta)
+    _check_vertex_map(G, vmap, rep)
     return cert
 
 

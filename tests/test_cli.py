@@ -98,6 +98,29 @@ def test_internal_contradiction_exit5(files, capsys, monkeypatch):
     assert captured.err == "internal contradiction: weights disagree\n"
 
 
+def test_certify_replay_mismatch_exit5(files, capsys, monkeypatch):
+    import gorcheck.cli as cli
+
+    monkeypatch.setattr(cli, "replay_matches", lambda cert, G: (False, "isomorphism"))
+    code = main(["certify", "base", files["c3"]])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == (
+        "internal contradiction: certificate replay does not match the input block\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["base", "indep"])
+def test_check_and_certify_report_the_same_input(files, capsys, kind):
+    # a loop and a triangle: certify used to summarize the normalized graph
+    looped = files["dir"] / "looped.txt"
+    looped.write_text("0 0\n0 1\n1 2\n0 2\n")
+    _, checked = run(capsys, "check", kind, str(looped))
+    code, certified = run(capsys, "certify", kind, str(looped))
+    assert code == 0
+    assert json.loads(certified)["input"] == json.loads(checked)["input"]
+
+
 def test_certify_g5(files, capsys):
     code, out = run(capsys, "certify", "base", files["g5"])
     doc = json.loads(out)

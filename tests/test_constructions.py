@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import complete, cycle
+from gorcheck import construct
 from gorcheck.baseck import base_verdict, check_spade, weight_function
 from gorcheck.construct import (
     AttachCycle,
@@ -25,7 +26,7 @@ from gorcheck.construct import (
     replay_matches,
     subdivide,
 )
-from gorcheck.errors import ConstructionError
+from gorcheck.errors import ConstructionError, InternalContradiction
 from gorcheck.graph import Multigraph, blow_up_factor, is_isomorphic
 from gorcheck.indepck import indep_verdict
 from gorcheck.smallgraphs import two_connected_graphs
@@ -129,14 +130,65 @@ def test_decompose_rejects_negative(c5_chord):
         decompose_base(c5_chord, 4)
 
 
+def _check_every_node(cert, delta):
+    """Per-node oracle: every child replays to a graph satisfying the
+    good-flat equalities, and each referenced edge has the weight its node
+    needs (delta-1 for Glue, 1 for Subdivide).  decompose_base checks the
+    equalities on its input only, so this is where the parts are checked."""
+    stack = [(cert, delta)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, Seed):
+            continue
+        if isinstance(node, Collide):
+            d = 2
+        kids = node.children if isinstance(node, (Glue, Collide)) else (node.child,)
+        refs = node.refs if isinstance(node, (Glue, Collide)) else (node.ref,)
+        for kid, ref in zip(kids, refs):
+            rep = replay(kid)
+            assert check_spade(rep, d) is None, (node, kid)
+            if isinstance(node, Glue):
+                assert weight_function(rep, d).as_dict()[ref.edge_id] == d - 1
+            elif isinstance(node, Subdivide):
+                assert weight_function(rep, d).as_dict()[ref.edge_id] == 1
+            stack.append((kid, d))
+
+
 def test_decompose_completeness_small():
     # every checker-positive 2-connected graph <= 6 vertices decomposes and
-    # replays isomorphically (7 vertices covered by the acceptance run)
+    # replays isomorphically (7 vertices covered by the acceptance run), and
+    # every node of its certificate passes the per-node oracle
+    kinds = set()
     for G in two_connected_graphs(6, min_vertices=3):
         v = base_verdict(G)
         if v.is_gorenstein:
             cert = decompose_base(G, v.delta)
             assert replay_matches(cert, G)[0], G.edges
+            _check_every_node(cert, v.delta)
+            kinds.add(type(cert).__name__)
+    assert kinds == {"Seed", "Glue", "Subdivide", "Collide"}
+
+
+@pytest.mark.parametrize(
+    "G, delta, corrupt",
+    [
+        # K4: two vertices sent to one label, so the map is not a bijection
+        (complete(4), 2, lambda vmap: {**vmap, 0: vmap[1]}),
+        # C5: a bijection, but swapping two non-adjacent vertices moves edges
+        (cycle(5), 5, lambda vmap: {**vmap, 0: vmap[2], 2: vmap[0]}),
+    ],
+    ids=["k4-not-bijective", "c5-edges-moved"],
+)
+def test_decompose_rejects_a_corrupted_vertex_map(monkeypatch, G, delta, corrupt):
+    real = construct._seed
+
+    def corrupted_seed(cert, order):
+        cert, vmap, rep = real(cert, order)
+        return cert, corrupt(vmap), rep
+
+    monkeypatch.setattr(construct, "_seed", corrupted_seed)
+    with pytest.raises(InternalContradiction, match="vertex map"):
+        decompose_base(G, delta)
 
 
 def random_cert(rng, depth, delta):

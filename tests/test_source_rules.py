@@ -17,3 +17,19 @@ def test_no_assert_statements_in_package():
         ]
     assert len(list(PACKAGE.glob("*.py"))) > 5
     assert found == []
+
+
+def test_no_raise_of_the_base_error_class():
+    # cli.main maps each typed subclass to a documented exit code; a bare
+    # GorcheckError matches no handler and escapes as a traceback
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "GorcheckError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
