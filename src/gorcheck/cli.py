@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from .baseck import base_verdict, weight_function
 from .construct import (
     SCHEMA,
-    BlowUp,
     Seed,
     attach_cycle,
     blow_up,
@@ -30,7 +30,6 @@ from .construct import (
     decompose_base,
     glue,
     replay,
-    replay_matches,
     subdivide,
 )
 from .errors import (
@@ -79,9 +78,24 @@ def _graph_summary(G: Multigraph) -> dict:
     }
 
 
+def _write(text: str) -> None:
+    """Write text to stdout and flush it.
+
+    A reader that has gone away (`gorcheck ... | head`) is not an error: the
+    rest of the output is dropped and the command keeps its own exit code.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that reach /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    _write(json.dumps(report, indent=2, default=str) + "\n")
 
 
 def _dot(G: Multigraph, delta=None) -> str:
@@ -197,24 +211,10 @@ def cmd_certify(args) -> int:
             }
         )
         return EXIT_NOT_GORENSTEIN
-    certs = []
-    for b, *detail in v.per_block:
-        if args.kind == "indep":  # detail[0] is the block's simple base graph
-            cert = recognize_cycle_construction(detail[0], v.delta)
-            cert = BlowUp(cert, v.multiplicity) if v.multiplicity > 1 else cert
-        else:
-            cert = Seed("k2") if b.n == 2 else decompose_base(b, v.delta)
-        matched, method = replay_matches(cert, b)
-        if not matched:
-            raise InternalContradiction("certificate replay does not match the input block")
-        certs.append(
-            {
-                "schema": SCHEMA,
-                "root": cert_to_dict(cert),
-                "replay_matched": matched,
-                "replay_check": method,
-            }
-        )
+    if args.kind == "indep":
+        certs = v.certificates
+    else:
+        certs = [Seed("k2") if b.n == 2 else decompose_base(b, v.delta) for b, *_ in v.per_block]
     _emit(
         {
             "schema": VERDICT_SCHEMA,
@@ -223,7 +223,18 @@ def cmd_certify(args) -> int:
             "input": _graph_summary(G),
             "status": v.status,
             "delta": v.delta,
-            "certificates": certs,
+            # each vertex map was checked exactly where its certificate was
+            # built (decompose_base, recognize_cycle_construction), which
+            # raises InternalContradiction on a mismatch
+            "certificates": [
+                {
+                    "schema": SCHEMA,
+                    "root": cert_to_dict(cert),
+                    "replay_matched": True,
+                    "replay_check": "vertex_map",
+                }
+                for cert in certs
+            ],
         }
     )
     return EXIT_OK
@@ -270,7 +281,7 @@ def cmd_generate(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write(text)
     v = base_verdict(G) if G.is_simple() else indep_verdict(G)
     sys.stderr.write(f"verdict: {v.status} delta={v.delta}\n")
     _maybe_dot(args, G, v.delta)

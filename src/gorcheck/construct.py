@@ -9,7 +9,6 @@ refers to the replayed child, keeping certificates self-contained.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
@@ -458,7 +457,7 @@ def _decompose_delta2(G: Multigraph):
     return _split(parts, v1, v2, 2, Collide)
 
 
-def _check_vertex_map(G: Multigraph, vmap: dict, rep: Multigraph) -> None:
+def check_vertex_map(G: Multigraph, vmap: dict, rep: Multigraph) -> None:
     """InternalContradiction unless vmap is a bijection V(G) -> V(rep) that
     carries the edges of G exactly onto those of rep, parallel edges counted."""
     onto = set(vmap.values()) == set(rep.vertices)
@@ -466,8 +465,11 @@ def _check_vertex_map(G: Multigraph, vmap: dict, rep: Multigraph) -> None:
         raise InternalContradiction(
             "certificate vertex map is not a bijection onto the replayed graph"
         )
-    mapped = Counter(frozenset((vmap[u], vmap[v])) for _, u, v in G.edges)
-    if mapped != Counter(frozenset((a, b)) for _, a, b in rep.edges):
+    # both sides are now in replay labels, ints, so the two edge multisets
+    # compare as sorted lists of (low, high) pairs
+    mapped = ((vmap[u], vmap[v]) for _, u, v in G.edges)
+    mapped = sorted((a, b) if a <= b else (b, a) for a, b in mapped)
+    if mapped != sorted((a, b) if a <= b else (b, a) for _, a, b in rep.edges):
         raise InternalContradiction(
             "certificate vertex map does not carry the input's edges onto the replay"
         )
@@ -492,7 +494,7 @@ def decompose_base(G: Multigraph, delta: int) -> Cert:
             f"input fails the good-flat equalities at delta={delta}: {viol.as_dict()}"
         )
     cert, vmap, rep = _decompose(G, delta)
-    _check_vertex_map(G, vmap, rep)
+    check_vertex_map(G, vmap, rep)
     return cert
 
 

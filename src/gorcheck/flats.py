@@ -8,7 +8,6 @@ the k(S)-corrected base equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import GuardExceeded, NotTwoConnected
 from .graph import Multigraph, blocks, is_connected, is_two_connected, label_key
@@ -22,7 +21,6 @@ class GoodFlat:
 
     S: tuple
     induced_edges: tuple  # sorted edge ids of E(S)
-    weight_sum: Optional[int] = None  # filled by the base checker
 
 
 def _subset_kernel(G: Multigraph) -> tuple:

@@ -16,6 +16,8 @@ from typing import Iterator, Optional
 from .errors import GuardExceeded, ParseError
 
 DEFAULT_GUARD = 10**6
+# induced_cycles walks all 2^n vertex subsets: 1.8 s at 20 vertices, x4 per two more
+CYCLE_GUARD_VERTICES = 20
 
 
 def label_key(x):
@@ -183,13 +185,6 @@ class Multigraph:
                 continue
             new_edges.append((eid, mu, mv))
         return Multigraph(new_vertices, tuple(new_edges), loops), mapping
-
-    def relabeled(self, mapping) -> "Multigraph":
-        return Multigraph(
-            tuple(mapping[v] for v in self.vertices),
-            tuple((eid, mapping[u], mapping[v]) for eid, u, v in self.edges),
-            self.loops_removed,
-        )
 
 
 # -- parsing and formatting ----------------------------------------------
@@ -400,18 +395,6 @@ def blocks(G: Multigraph) -> list:
     return result
 
 
-def minor_op(G: Multigraph, eid: int, kind: str) -> Multigraph:
-    """Single-edge minor operation: kind is "delete" or "contract"."""
-    if eid not in G.edge_by_id:
-        raise KeyError(f"unknown edge id {eid}")
-    if kind == "delete":
-        return G.without_edges([eid])
-    if kind == "contract":
-        H, _ = G.contract([eid])
-        return H
-    raise ValueError(f"kind must be 'delete' or 'contract', got {kind!r}")
-
-
 # -- ears ------------------------------------------------------------------
 
 
@@ -482,10 +465,16 @@ def induced_cycles(G: Multigraph, guard: int = 10**5) -> list:
     """All chordless cycles of a simple graph, as vertex tuples in cycle order.
 
     A subset of vertices induces a chordless cycle exactly when its induced
-    subgraph is connected with all degrees 2; enumeration is over subsets.
+    subgraph is connected with all degrees 2; enumeration is over subsets,
+    so graphs above CYCLE_GUARD_VERTICES vertices raise GuardExceeded.
     """
     if not G.is_simple():
         raise ValueError("induced_cycles requires a simple graph")
+    if G.n > CYCLE_GUARD_VERTICES:
+        raise GuardExceeded(
+            f"induced_cycles enumerates vertex subsets; guarded at "
+            f"{CYCLE_GUARD_VERTICES} vertices, graph has {G.n}"
+        )
     cycles = []
     verts = G.sorted_vertices
     for r in range(3, G.n + 1):
@@ -515,30 +504,6 @@ def induced_cycles(G: Multigraph, guard: int = 10**5) -> list:
             if len(cycles) > guard:
                 raise GuardExceeded(f"more than {guard} chordless cycles")
     return cycles
-
-
-def chordless_cycles(
-    G: Multigraph, guard: int = 10**5, include_two_cycles: bool = False
-) -> list:
-    """Lengths of all chordless cycles.
-
-    Parallel-edge pairs count as 2-cycles only when include_two_cycles is set;
-    in that mode the simple-graph requirement applies to the underlying graph.
-    """
-    lengths = []
-    if include_two_cycles:
-        for eids in G.parallel_classes.values():
-            k = len(eids)
-            lengths.extend([2] * (k * (k - 1) // 2))
-        simple = Multigraph.build(
-            G.vertices, [tuple(sorted(p, key=label_key)) for p in G.parallel_classes]
-        )
-        lengths.extend(len(c) for c in induced_cycles(simple, guard))
-    else:
-        lengths.extend(len(c) for c in induced_cycles(G, guard))
-    if len(lengths) > guard:
-        raise GuardExceeded(f"more than {guard} chordless cycles")
-    return sorted(lengths)
 
 
 # -- K4 minors -------------------------------------------------------------

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .baseck import Witness
-from .construct import AttachCycle, Cert, EdgeRef, Seed, replay_step
+from .construct import (
+    AttachCycle,
+    BlowUp,
+    Cert,
+    EdgeRef,
+    Seed,
+    check_vertex_map,
+    replay_step,
+)
 from .errors import InternalContradiction, NotTwoConnected
 from .flats import indecomposable_flats, induced_edge_ids
 from .graph import (
@@ -92,7 +100,9 @@ def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[Cert]:
     both are maximal runs of degree-2 vertices, so they are disjoint and R
     stays removable in H-L; by induction H-R = attach(H-L-R, L), except when
     H-L is C_{delta+1}, and then H-R is C_{delta+1} as well.  The certificate
-    is built forward from K2, one replay step per attached path.
+    is built forward from K2, one replay step per attached path, together
+    with the map V(H) -> replay labels, which is checked exactly (bijection,
+    edge multiset) before returning.
     """
     _require_simple_block(H)
     if delta < 2:
@@ -130,11 +140,11 @@ def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[Cert]:
         if eid is None:
             raise InternalContradiction("replayed graph lost the attachment edge")
         cert = AttachCycle(delta, cert, EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a))
-        base = rep.n
-        rep, (embed,) = replay_step(cert, [rep])
-        vmap = {x: embed[y] for x, y in vmap.items()}
-        # fresh labels run along the new path from a to b
-        vmap.update((x, base + j) for j, x in enumerate(path[1:-1]))
+        # the replay keeps the child's labels and appends the new path's inner
+        # vertices, from a to b; the final check below proves the map
+        vmap.update((x, rep.n + j) for j, x in enumerate(path[1:-1]))
+        rep, _ = replay_step(cert, [rep])
+    check_vertex_map(H, vmap, rep)
     return cert
 
 
@@ -145,6 +155,7 @@ class IndepVerdict:
     multiplicity: Optional[int]
     per_block: tuple  # of (block, simple base graph H or None)
     witness: Optional[Witness] = None
+    certificates: tuple = ()  # one per block when Gorenstein, in per_block order
 
     @property
     def is_gorenstein(self) -> bool:
@@ -158,7 +169,10 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
     delta = m+1 is forced, and every base block must be constructible from K2
     by attaching (delta+1)-cycles.  The first block that is not gets its
     witness from check_chordal_k4free; finding no violation there raises
-    InternalContradiction.
+    InternalContradiction.  A Gorenstein verdict keeps each block's checked
+    certificate, wrapped in BlowUp when m > 1: the block is its base graph
+    with every edge m-fold, and so is the BlowUp's replay of the base
+    graph's replay, under the same vertex map.
     """
     G = normalize(G)
     blks = blocks(G)
@@ -183,9 +197,10 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
         )
     m = mults.pop()
     delta = m + 1
-    for b, f in zip(blks, factored):
-        H = f.base_graph
-        if recognize_cycle_construction(H, delta) is None:
+    certs = []
+    for _, H in per_block:
+        cert = recognize_cycle_construction(H, delta)
+        if cert is None:
             witness = check_chordal_k4free(H, delta)
             if witness is None:
                 raise InternalContradiction(
@@ -193,4 +208,5 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
                     f"chordal and K4-minor-free"
                 )
             return IndepVerdict("not_gorenstein", None, m, per_block, witness)
-    return IndepVerdict("gorenstein", delta, m, per_block)
+        certs.append(BlowUp(cert, m) if m > 1 else cert)
+    return IndepVerdict("gorenstein", delta, m, per_block, certificates=tuple(certs))

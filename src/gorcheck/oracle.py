@@ -324,11 +324,3 @@ def normality_probe(P: LatticePolytope, kmax: int):
                 return (k, P.to_ambient(list(pt), t=k))
     return None
 
-
-def dump_polytope(P: LatticePolytope) -> str:
-    """Debug text format: vertices, then facet coefficient rows after %facets."""
-    lines = [" ".join(str(x) for x in v) for v in P.vertices]
-    lines.append("%facets")
-    for f in P.require_facets():
-        lines.append(" ".join(str(x) for x in f.a + (f.b,)))
-    return "\n".join(lines) + "\n"

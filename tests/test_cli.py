@@ -1,10 +1,25 @@
+import io
 import json
+import os
+import sys
 
 import pytest
 
+from conftest import cycle
+from gorcheck import construct, indepck
+from gorcheck.baseck import weight_function
 from gorcheck.cli import main
-from gorcheck.construct import cert_from_dict, replay_matches
-from gorcheck.graph import parse_graph
+from gorcheck.construct import (
+    AttachCycle,
+    EdgeRef,
+    Seed,
+    blow_up,
+    cert_from_dict,
+    glue,
+    replay,
+    replay_matches,
+)
+from gorcheck.graph import format_edge_list, parse_graph
 
 K4 = "a b\na c\na d\nb c\nb d\nc d\n"
 C3 = "1 2\n2 3\n3 1\n"
@@ -99,15 +114,55 @@ def test_internal_contradiction_exit5(files, capsys, monkeypatch):
 
 
 def test_certify_replay_mismatch_exit5(files, capsys, monkeypatch):
-    import gorcheck.cli as cli
+    # the vertex-map check where each certificate is built catches a
+    # corrupted map (base) or a corrupted replay (indep)
+    real_seed, real_step = construct._seed, indepck.replay_step
 
-    monkeypatch.setattr(cli, "replay_matches", lambda cert, G: (False, "isomorphism"))
-    code = main(["certify", "base", files["c3"]])
-    captured = capsys.readouterr()
-    assert code == 5 and captured.out == ""
-    assert captured.err == (
-        "internal contradiction: certificate replay does not match the input block\n"
-    )
+    def seed_with_two_vertices_merged(cert, order):
+        cert, vmap, rep = real_seed(cert, order)
+        return cert, {**vmap, order[0]: vmap[order[1]]}, rep
+
+    def step_losing_an_edge(cert, reps):
+        rep, embeds = real_step(cert, reps)
+        if isinstance(cert, AttachCycle):
+            rep = rep.without_edges([0])
+        return rep, embeds
+
+    monkeypatch.setattr(construct, "_seed", seed_with_two_vertices_merged)
+    monkeypatch.setattr(indepck, "replay_step", step_losing_an_edge)
+    for kind, name in [("base", "c3"), ("indep", "dc4")]:
+        code = main(["certify", kind, files[name]])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == "", kind
+        assert captured.err.startswith("internal contradiction: certificate vertex map")
+        assert captured.err.count("\n") == 1, captured.err
+
+
+def _four_pentagons():
+    c5 = cycle(5)
+    return glue([(c5, weight_function(c5, 5), 0)] * 4, 5)  # 14 vertices
+
+
+def _doubled_attach_chain():
+    cert = Seed("k2")
+    for _ in range(5):  # each 4-cycle attached to the newest edge
+        cert = AttachCycle(3, cert, EdgeRef(replay(cert).m - 1))
+    return blow_up(replay(cert), 2)  # 12 vertices
+
+
+@pytest.mark.parametrize(
+    "kind, G, delta", [("base", _four_pentagons(), 5), ("indep", _doubled_attach_chain(), 3)]
+)
+def test_certify_checks_the_vertex_map_beyond_ten_vertices(tmp_path, capsys, kind, G, delta):
+    # isomorphism by brute force stops at 10 vertices; the vertex map does not
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(G))
+    code, out = run(capsys, "certify", kind, str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["delta"] == delta and G.n > 10
+    (cert,) = doc["certificates"]
+    assert (cert["replay_matched"], cert["replay_check"]) == (True, "vertex_map")
+    assert replay_matches(cert_from_dict(cert["root"]), G)[0]
 
 
 @pytest.mark.parametrize("kind", ["base", "indep"])
@@ -131,6 +186,40 @@ def test_certify_g5(files, capsys):
     # the embedded certificate replays back to the input graph
     cert = cert_from_dict(root)
     assert replay_matches(cert, parse_graph(G5))[0]
+
+
+def test_check_indep_long_cycle_exit2(tmp_path, capsys):
+    path = tmp_path / "c30.txt"
+    path.write_text(format_edge_list(cycle(30)))
+    code = main(["check", "indep", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("guard exceeded: induced_cycles")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["certify", "base", "c5chord"], 3),
+    (["certify", "indep", "dc4"], 0),
+    (["generate", "seed", "--cycle", "5"], 0),
+])
+def test_closed_stdout_is_quiet(files, capsys, monkeypatch, tmp_path, argv, want):
+    # `gorcheck ... | head`: the reader is gone, the exit code stays the command's
+    sink = os.open(tmp_path / "sink", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return sink
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        code = main([files.get(a, a) for a in argv])
+    finally:
+        os.close(sink)
+    assert code == want
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_certify_negative_exit3(files, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -15,7 +16,7 @@ from gorcheck.construct import (
     replay_detail,
     replay_matches,
 )
-from gorcheck.errors import InternalContradiction
+from gorcheck.errors import GuardExceeded, InternalContradiction
 from gorcheck.graph import Multigraph, induced_cycles, is_two_connected, label_key
 from gorcheck.indepck import (
     check_chordal_k4free,
@@ -96,9 +97,22 @@ def test_indep_verdict_bridges():
     )
     v = indep_verdict(G)
     assert (v.status, v.delta) == ("gorenstein", 3)
+    # one certificate per block, blown up like the block
+    assert [type(c) for c in v.certificates] == [BlowUp, BlowUp]
+    for cert, (b, _) in zip(v.certificates, v.per_block):
+        assert replay_matches(cert, b) == (True, "isomorphism")
     # a lone doubled edge is the 2-blow-up of K2
     lone = Multigraph.build(range(2), [(0, 1), (0, 1)])
     assert indep_verdict(lone).delta == 3
+
+
+def test_indep_verdict_guards_the_chordless_cycle_walk():
+    # C30 passes the K4-minor test, so its witness search reaches the 2^n
+    # subset walk of induced_cycles; the vertex guard stops it at once
+    t0 = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="guarded at 20 vertices, graph has 30"):
+        indep_verdict(cycle(30))
+    assert time.perf_counter() - t0 < 1
 
 
 def test_simple_gorenstein_only_at_two(c3):

@@ -17,7 +17,6 @@ from gorcheck.oracle import (
     Facet,
     GorensteinWitness,
     _polytope_from_vertices,
-    dump_polytope,
     facets_bruteforce,
     facets_from_cor33,
     gorenstein_search,
@@ -272,13 +271,6 @@ def test_product_polytope(c3, k2):
     # the K2 factor is a point: the product is lattice-isomorphic to B(C3)
     w = gorenstein_search(P)
     assert w.delta == 3
-
-
-def test_dump_format(c3):
-    text = dump_polytope(polytope_of(c3, "base"))
-    head, facets = text.split("%facets\n")
-    assert len(head.strip().splitlines()) == 3
-    assert len(facets.strip().splitlines()) == 3
 
 
 def test_facet_guard():

@@ -33,3 +33,21 @@ def test_no_raise_of_the_base_error_class():
             if name == "GorcheckError":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_isomorphism_oracles_stay_off_the_production_path():
+    # every certificate is checked by its exact vertex map where it is built;
+    # replay_matches and the isomorphism routines behind it are test and
+    # benchmark oracles, and the checkers and the CLI do not call them
+    oracles = {"replay_matches", "fingerprint", "is_isomorphic"}
+    found = []
+    for name in ("cli.py", "baseck.py", "indepck.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            ident = (
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "name", None) or getattr(node, "asname", None)
+            )
+            if ident in oracles:
+                found.append(f"{name}:{getattr(node, 'lineno', '?')}:{ident}")
+    assert found == []
