@@ -45,6 +45,7 @@ from .errors import (
 from .graph import Multigraph, blocks, format_edge_list, normalize, parse_graph
 from .indepck import indep_verdict, recognize_cycle_construction
 from .oracle import (
+    FACET_VERTEX_GUARD,
     gorenstein_search,
     hstar,
     lattice_points,
@@ -156,7 +157,9 @@ def cmd_oracle(args) -> int:
     G = _load_graph(args.file)
     t0 = time.perf_counter()
     kind = "independence" if args.kind == "indep" else "base"
-    P = polytope_of(G, kind)
+    # every report needs facets: stop at the first vertex facets_bruteforce
+    # would refuse, before the lattice basis and the coordinates are built
+    P = polytope_of(G, kind, guard=FACET_VERTEX_GUARD)
     facets = P.require_facets()
     witness = gorenstein_search(P)
     if witness is not None and args.max_delta and witness.delta > args.max_delta:
@@ -312,7 +315,9 @@ def _sweep_one(payload):
     row["delta"] = v.delta
     row["mismatch"] = False
     if cross:
-        P = polytope_of(G, "base" if kind == "base" else "independence")
+        P = polytope_of(
+            G, "base" if kind == "base" else "independence", guard=FACET_VERTEX_GUARD
+        )
         w = gorenstein_search(P)
         odelta = w.delta if w else None
         cdelta = v.delta

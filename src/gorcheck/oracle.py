@@ -4,14 +4,13 @@ Polytopes are built straight from their definition (indicator vectors of
 spanning forests / forests), the affine lattice is computed from vertex
 differences, facets come from an exact dual-cone double description, and the
 Gorenstein witness, Ehrhart counts, h*-vector, and normality probe all work in
-exact integer/rational arithmetic.
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Optional
 
 from .errors import GuardExceeded, InternalContradiction, NotTwoConnected
@@ -214,7 +213,7 @@ def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:
         # point polytope: the lone facet of its cone is the height functional
         return GorensteinWitness(1, P.origin)
     n = P.dim
-    mat = [[Fraction(x) for x in f.a] + [Fraction(1), Fraction(f.b)] for f in facets]
+    mat = [list(f.a) + [1, f.b] for f in facets]
     rank = len(_eliminate(mat, n))
     for delta in range(1, n + 2):
         # same order of outcomes as solve_unique: inconsistent, then
@@ -223,9 +222,10 @@ def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:
             continue
         if rank < n:
             raise ValueError("underdetermined system")
-        sol = [row[n] - delta * row[n + 1] for row in mat[:n]]
-        if all(x.denominator == 1 for x in sol):
-            coords = [int(x) for x in sol]
+        # row i reads pivot * x_i = col_1 - delta col_b
+        sol = [divmod(row[n] - delta * row[n + 1], row[i]) for i, row in enumerate(mat[:n])]
+        if not any(r for _, r in sol):
+            coords = [q for q, _ in sol]
             return GorensteinWitness(delta, P.to_ambient(coords, t=delta))
     return None
 

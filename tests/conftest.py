@@ -1,8 +1,12 @@
 import random
+from functools import cache
 
 import pytest
 
+from gorcheck.errors import GuardExceeded
 from gorcheck.graph import Multigraph
+from gorcheck.oracle import FACET_VERTEX_GUARD, polytope_of
+from gorcheck.smallgraphs import two_connected_graphs
 
 
 def cycle(n, labels=None):
@@ -43,6 +47,25 @@ def random_multigraphs(count, seed):
             v = u if rng.random() < 0.1 else rng.choice(labels)
             pairs.append((u, v))
         out.append(Multigraph.build(labels, pairs))
+    return out
+
+
+@cache
+def guarded_atlas_polytopes():
+    """(G, kind, P) for both polytopes of every 2-connected atlas graph up to
+    6 vertices that facets_bruteforce takes (at most FACET_VERTEX_GUARD
+    vertices), built once per test session.
+
+    Callers only read them; the facets P.require_facets() caches on first use
+    are the same whichever test computes them.
+    """
+    out = []
+    for G in two_connected_graphs(6):
+        for kind in ("base", "independence"):
+            try:
+                out.append((G, kind, polytope_of(G, kind, guard=FACET_VERTEX_GUARD)))
+            except GuardExceeded:  # more vertices than facets_bruteforce takes
+                continue
     return out
 
 

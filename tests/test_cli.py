@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import cycle
+from conftest import complete, cycle
 from gorcheck import construct, indepck
 from gorcheck.baseck import weight_function
 from gorcheck.cli import main
@@ -97,6 +97,22 @@ def test_oracle_normality_below_two_is_input_error(files, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_oracle_over_the_facet_guard_stops_before_the_lattice(tmp_path, capsys, monkeypatch):
+    # K6 has far more than FACET_VERTEX_GUARD forests; the facets could not
+    # be computed, so no lattice basis or coordinates are built either
+    import gorcheck.oracle as oracle
+
+    calls = []
+    monkeypatch.setattr(oracle, "hnf_rows", lambda rows: calls.append(rows))
+    path = tmp_path / "k6.txt"
+    path.write_text(format_edge_list(complete(6)))
+    code = main(["oracle", "indep", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"guard exceeded: more than {oracle.FACET_VERTEX_GUARD} forests\n"
+    assert calls == []
 
 
 def test_internal_contradiction_exit5(files, capsys, monkeypatch):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import complete, cycle
+from conftest import complete, cycle, guarded_atlas_polytopes
 from gorcheck.errors import GuardExceeded
 from gorcheck.graph import Multigraph
 from gorcheck.linalg import (
@@ -13,7 +13,6 @@ from gorcheck.linalg import (
     solve_unique,
 )
 from gorcheck.oracle import (
-    FACET_VERTEX_GUARD,
     Facet,
     GorensteinWitness,
     _polytope_from_vertices,
@@ -130,16 +129,10 @@ def _gorenstein_by_solve_unique(P):
 
 
 def test_gorenstein_search_matches_per_delta_solve():
-    checked = 0
-    for G in two_connected_graphs(6):
-        for kind in ("base", "independence"):
-            try:
-                P = polytope_of(G, kind, guard=FACET_VERTEX_GUARD)
-            except GuardExceeded:  # more vertices than facets_bruteforce takes
-                continue
-            assert gorenstein_search(P) == _gorenstein_by_solve_unique(P), (G.edges, kind)
-            checked += 1
-    assert checked > 100
+    polytopes = guarded_atlas_polytopes()
+    for G, kind, P in polytopes:
+        assert gorenstein_search(P) == _gorenstein_by_solve_unique(P), (G.edges, kind)
+    assert len(polytopes) > 100
 
 
 def test_gorenstein_search_outcome_order():

@@ -51,3 +51,22 @@ def test_isomorphism_oracles_stay_off_the_production_path():
             if ident in oracles:
                 found.append(f"{name}:{getattr(node, 'lineno', '?')}:{ident}")
     assert found == []
+
+
+def test_oracle_hot_path_stays_integer():
+    # the elimination and the double description run over integer rows;
+    # Fractions appear only in the quotients solve_unique and invert return
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(), filename="linalg.py")
+    bodies = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_eliminate", "dual_extreme_rays")
+    }
+    assert sorted(bodies) == ["_eliminate", "dual_extreme_rays"]
+    found = [
+        f"linalg.py:{node.lineno}:{name}"
+        for name, fn in bodies.items()
+        for node in ast.walk(fn)
+        if "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert found == []
