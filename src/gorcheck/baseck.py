@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (
+    GuardExceeded,
     InternalContradiction,
     NotTwoConnected,
     SimpleGraphRequired,
     WeightConflict,
 )
+from .flats import SUBSET_GUARD_VERTICES
 from .flats import good_flats, indecomposable_flats, block_count_after_contraction, induced_edge_ids
 from .graph import Multigraph, blocks, is_connected, is_two_connected, normalize
 
@@ -78,8 +80,8 @@ class Witness:
 class BaseVerdict:
     status: str  # "gorenstein" | "not_gorenstein"
     delta: Optional[int]
-    per_block: tuple  # of (block, candidate set, WeightAssignment or None)
     witness: Optional[Witness] = None
+    certificates: tuple = ()  # one per block when Gorenstein, in blocks() order
 
     @property
     def is_gorenstein(self) -> bool:
@@ -150,7 +152,7 @@ def weight_function(G: Multigraph, delta: int) -> WeightAssignment:
     return WeightAssignment(delta, tuple(weights))
 
 
-def candidate_deltas(G: Multigraph, max_delta: Optional[int] = None) -> Union[frozenset, AllDeltas]:
+def candidate_deltas(G: Multigraph) -> Union[frozenset, AllDeltas]:
     """All delta in [2, |E|+1] admitting a weight function with the right total.
 
     A K2 block has a point polytope and returns the ALL_DELTAS sentinel.
@@ -166,9 +168,7 @@ def candidate_deltas(G: Multigraph, max_delta: Optional[int] = None) -> Union[fr
     if G.n == 2 and G.m == 1:
         return ALL_DELTAS
     _require_block(G)
-    hi = max_delta if max_delta is not None else G.m + 1
-    if hi < 2:
-        return frozenset()
+    hi = G.m + 1
     found = set()
     if G.m == 2 * (G.n - 1):
         found.add(2)
@@ -223,44 +223,38 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
 
     Gorenstein iff one delta works for every block simultaneously; K2 blocks
     are wildcards.  delta is None when every block is a wildcard (the polytope
-    is a point, Gorenstein at every index).
+    is a point, Gorenstein at every index).  construct.decompose decides the
+    blocks at each common candidate delta in turn, and a Gorenstein verdict
+    keeps their certificates; check_spade only names a stuck block's flat.
     """
+    from .construct import Seed, decompose  # construct imports this module
+
     G = normalize(G)
     if not G.is_simple():
         raise SimpleGraphRequired(
             "base checker requires a simple graph; use the oracle for multigraphs"
         )
     blks = blocks(G)
-    candidates = []
-    for b in blks:
-        candidates.append(candidate_deltas(b))
-    real = [
-        (b, c) for b, c in zip(blks, candidates) if not isinstance(c, AllDeltas)
-    ]
+    candidates = [candidate_deltas(b) for b in blks]
+    real = [c for c in candidates if not isinstance(c, AllDeltas)]
     if not real:
-        per_block = tuple((b, c, None) for b, c in zip(blks, candidates))
-        return BaseVerdict("gorenstein", None, per_block)
-    common = frozenset.intersection(*(c for _, c in real))
+        return BaseVerdict("gorenstein", None, certificates=(Seed("k2"),) * len(blks))
+    common = frozenset.intersection(*real)
     if not common:
-        per_block = tuple((b, c, None) for b, c in zip(blks, candidates))
-        return BaseVerdict(
-            "not_gorenstein", None, per_block, Witness("no_candidate_delta")
-        )
+        return BaseVerdict("not_gorenstein", None, Witness("no_candidate_delta"))
     first_witness = None
     for delta in sorted(common):
-        assignments = {}
-        witness = None
-        for b, _ in real:
-            witness = check_spade(b, delta)
+        certs = []
+        for b in blks:
+            if b.n > SUBSET_GUARD_VERTICES:
+                raise GuardExceeded(
+                    f"subset enumeration guarded at {SUBSET_GUARD_VERTICES} vertices"
+                )
+            cert, witness = (Seed("k2"), None) if b.n == 2 else decompose(b, delta)
             if witness is not None:
+                first_witness = first_witness or witness
                 break
-            assignments[id(b)] = weight_function(b, delta)
-        if witness is None:
-            per_block = tuple(
-                (b, c, assignments.get(id(b))) for b, c in zip(blks, candidates)
-            )
-            return BaseVerdict("gorenstein", delta, per_block)
-        if first_witness is None:
-            first_witness = witness
-    per_block = tuple((b, c, None) for b, c in zip(blks, candidates))
-    return BaseVerdict("not_gorenstein", None, per_block, first_witness)
+            certs.append(cert)
+        else:
+            return BaseVerdict("gorenstein", delta, certificates=tuple(certs))
+    return BaseVerdict("not_gorenstein", None, first_witness)

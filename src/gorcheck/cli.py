@@ -27,7 +27,6 @@ from .construct import (
     blow_up,
     cert_to_dict,
     collide,
-    decompose_base,
     glue,
     replay,
     subdivide,
@@ -198,10 +197,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_certify(args) -> int:
     G = _load_graph(args.file)
-    if args.kind == "base":
-        v = base_verdict(G)
-    else:
-        v = indep_verdict(G)
+    v = base_verdict(G) if args.kind == "base" else indep_verdict(G)
     if not v.is_gorenstein:
         _emit(
             {
@@ -214,10 +210,6 @@ def cmd_certify(args) -> int:
             }
         )
         return EXIT_NOT_GORENSTEIN
-    if args.kind == "indep":
-        certs = v.certificates
-    else:
-        certs = [Seed("k2") if b.n == 2 else decompose_base(b, v.delta) for b, *_ in v.per_block]
     _emit(
         {
             "schema": VERDICT_SCHEMA,
@@ -226,9 +218,9 @@ def cmd_certify(args) -> int:
             "input": _graph_summary(G),
             "status": v.status,
             "delta": v.delta,
-            # each vertex map was checked exactly where its certificate was
-            # built (decompose_base, recognize_cycle_construction), which
-            # raises InternalContradiction on a mismatch
+            # each vertex map was checked exactly where the verdict built its
+            # certificate (construct.decompose, recognize_cycle_construction),
+            # which raises InternalContradiction on a mismatch
             "certificates": [
                 {
                     "schema": SCHEMA,
@@ -236,7 +228,7 @@ def cmd_certify(args) -> int:
                     "replay_matched": True,
                     "replay_check": "vertex_map",
                 }
-                for cert in certs
+                for cert in v.certificates
             ],
         }
     )

@@ -14,7 +14,7 @@ from functools import partial
 from typing import Optional, Union
 
 from .baseck import check_spade, weight_function
-from .errors import ConstructionError, GuardExceeded, InternalContradiction
+from .errors import ConstructionError, GuardExceeded, InternalContradiction, WeightConflict
 from .flats import good_flats
 from .graph import (
     Multigraph,
@@ -27,6 +27,10 @@ from .graph import (
 )
 
 SCHEMA = "gorcheck.cert/1"
+# JSON nesting levels, one per "child" and two per "children" entry: the
+# recursive (de)serializers and the json module fail near the interpreter's
+# limit of 1,000.  A flat certificate format would lift this guard.
+CERT_DEPTH_GUARD = 900
 
 
 @dataclass(frozen=True)
@@ -382,9 +386,9 @@ def _split(parts, u, v, delta: int, node):
 def _decompose(G: Multigraph, delta: int):
     """(certificate, map V(G) -> replay labels, replayed graph) for one part.
 
-    No part is re-checked against the good-flat equalities: by the paper's
-    construction theorems each satisfies them when the input does, and
-    decompose_base checks the input and the final vertex map instead.
+    Every step meets its construction's hypothesis, so a finished run is a
+    proof: a Glue part is connected off uv, so uv weighs delta-1 there (or
+    weight_function raises WeightConflict), and Subdivide checks its edge weighs 1.
     """
     if delta == 2:
         return _decompose_delta2(G)
@@ -423,8 +427,10 @@ def _decompose(G: Multigraph, delta: int):
         raise InternalContradiction(
             "ear endpoints are adjacent; its replacement would not be simple"
         )
-    shrunk, _ = G.without_vertices(ear.inner).with_edge(v0, vs)
+    shrunk, new = G.without_vertices(ear.inner).with_edge(v0, vs)
     cert_c, vmap_c, rep_c = _decompose(shrunk, delta)
+    if weight_function(shrunk, delta).as_dict()[new] != 1:
+        raise InternalContradiction(f"an ear shrinks to an edge of weight {delta - 1}, not 1")
     cert = Subdivide(delta, cert_c, _edge_ref(rep_c, vmap_c[v0], vmap_c[vs]))
     rep, (embed,) = replay_step(cert, [rep_c])
     vmap = {x: embed[y] for x, y in vmap_c.items()}
@@ -475,26 +481,38 @@ def check_vertex_map(G: Multigraph, vmap: dict, rep: Multigraph) -> None:
         )
 
 
+def decompose(G: Multigraph, delta: int):
+    """(certificate, None) if a 2-connected simple G decomposes at delta,
+    else (None, witness).  The vertex map is checked exactly.  Only a stuck
+    decomposition runs check_spade, to name the violated good flat; if it
+    finds none, the stuck state stands as InternalContradiction.
+    """
+    try:
+        cert, vmap, rep = _decompose(G, delta)
+    except (InternalContradiction, WeightConflict) as stuck:
+        witness = check_spade(G, delta)
+        if witness is None:
+            raise InternalContradiction(str(stuck)) from stuck
+        return None, witness
+    check_vertex_map(G, vmap, rep)
+    return cert, None
+
+
 def decompose_base(G: Multigraph, delta: int) -> Cert:
     """Certificate for a 2-connected simple graph satisfying the equalities at delta.
 
-    The good-flat equalities are checked once, on G.  Replaying the result
-    yields G up to the vertex map the decomposition builds alongside it,
-    which is checked exactly (bijection, edge multiset) before returning.
-    Hitting a state the classification theorems exclude raises
-    InternalContradiction.
+    Replaying it yields G up to the vertex map decompose checks; an input
+    that does not decompose raises ConstructionError naming the violated flat.
     """
     if not is_two_connected(G):
         raise ConstructionError("decompose_base requires a 2-connected graph")
     if not G.is_simple():
         raise ConstructionError("decompose_base requires a simple graph")
-    viol = check_spade(G, delta)
+    cert, viol = decompose(G, delta)
     if viol is not None:
         raise ConstructionError(
             f"input fails the good-flat equalities at delta={delta}: {viol.as_dict()}"
         )
-    cert, vmap, rep = _decompose(G, delta)
-    check_vertex_map(G, vmap, rep)
     return cert
 
 
@@ -534,7 +552,16 @@ def replay_matches(cert: Cert, G: Multigraph) -> tuple:
 # -- serialization ------------------------------------------------------------
 
 
-def cert_to_dict(cert: Cert) -> dict:
+def _guard_depth(depth: int) -> None:
+    if depth > CERT_DEPTH_GUARD:
+        raise GuardExceeded(
+            f"certificate nesting guarded at {CERT_DEPTH_GUARD} levels (reached {depth})"
+        )
+
+
+def cert_to_dict(cert: Cert, depth: int = 1) -> dict:
+    """Nested JSON-ready dict; depth is the node's nesting level (the root is 1)."""
+    _guard_depth(depth)
     if isinstance(cert, Seed):
         out = {"op": "seed", "seed": cert.kind}
         if cert.n is not None:
@@ -544,31 +571,31 @@ def cert_to_dict(cert: Cert) -> dict:
         return {
             "op": "glue",
             "delta": cert.delta,
-            "children": [cert_to_dict(c) for c in cert.children],
+            "children": [cert_to_dict(c, depth + 2) for c in cert.children],
             "refs": [{"edge": r.edge_id, "flip": r.flipped} for r in cert.refs],
         }
     if isinstance(cert, Subdivide):
         return {
             "op": "subdivide",
             "delta": cert.delta,
-            "child": cert_to_dict(cert.child),
+            "child": cert_to_dict(cert.child, depth + 1),
             "ref": {"edge": cert.ref.edge_id, "flip": cert.ref.flipped},
         }
     if isinstance(cert, Collide):
         return {
             "op": "collide",
-            "children": [cert_to_dict(c) for c in cert.children],
+            "children": [cert_to_dict(c, depth + 2) for c in cert.children],
             "refs": [{"edge": r.edge_id, "flip": r.flipped} for r in cert.refs],
         }
     if isinstance(cert, AttachCycle):
         return {
             "op": "attach_cycle",
             "delta": cert.delta,
-            "child": cert_to_dict(cert.child),
+            "child": cert_to_dict(cert.child, depth + 1),
             "ref": {"edge": cert.ref.edge_id, "flip": cert.ref.flipped},
         }
     if isinstance(cert, BlowUp):
-        return {"op": "blow_up", "m": cert.m, "child": cert_to_dict(cert.child)}
+        return {"op": "blow_up", "m": cert.m, "child": cert_to_dict(cert.child, depth + 1)}
     raise ConstructionError(f"unknown certificate node {cert!r}")
 
 
@@ -588,15 +615,16 @@ def _ref_from_dict(r) -> EdgeRef:
     return EdgeRef(_field(r, "edge", int), r.get("flip", False))
 
 
-def cert_from_dict(d: dict) -> Cert:
+def cert_from_dict(d: dict, depth: int = 1) -> Cert:
     """Inverse of cert_to_dict; malformed input raises ConstructionError."""
+    _guard_depth(depth)
     if type(d) is not dict:
         raise ConstructionError("certificate node is missing or not an object")
     op = d.get("op")
     if op == "seed":
         return Seed(_field(d, "seed", str), _field(d, "n", int) if "n" in d else None)
     if op in ("glue", "collide"):
-        children = tuple(cert_from_dict(c) for c in _field(d, "children", list))
+        children = tuple(cert_from_dict(c, depth + 2) for c in _field(d, "children", list))
         refs = tuple(_ref_from_dict(r) for r in _field(d, "refs", list))
         if op == "collide":
             return Collide(children, refs)
@@ -605,11 +633,11 @@ def cert_from_dict(d: dict) -> Cert:
         node = Subdivide if op == "subdivide" else AttachCycle
         return node(
             _field(d, "delta", int),
-            cert_from_dict(d.get("child")),
+            cert_from_dict(d.get("child"), depth + 1),
             _ref_from_dict(d.get("ref")),
         )
     if op == "blow_up":
-        return BlowUp(cert_from_dict(d.get("child")), _field(d, "m", int))
+        return BlowUp(cert_from_dict(d.get("child"), depth + 1), _field(d, "m", int))
     raise ConstructionError(f"unknown certificate op {op!r}")
 
 

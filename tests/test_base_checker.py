@@ -5,6 +5,8 @@ import pytest
 from conftest import complete, cycle, random_multigraphs
 from gorcheck.baseck import (
     ALL_DELTAS,
+    AllDeltas,
+    Witness,
     base_verdict,
     candidate_deltas,
     check_heart,
@@ -12,7 +14,8 @@ from gorcheck.baseck import (
     edge_facet_profile,
     weight_function,
 )
-from gorcheck.errors import SimpleGraphRequired, WeightConflict
+from gorcheck.construct import Seed, cert_to_json, decompose_base
+from gorcheck.errors import GuardExceeded, SimpleGraphRequired, WeightConflict
 from gorcheck.graph import Multigraph, blocks, is_two_connected, normalize
 from gorcheck.smallgraphs import two_connected_graphs
 
@@ -72,14 +75,13 @@ def test_candidate_deltas(k4, k4_minus_e, c5, k2):
     assert 17 in ALL_DELTAS
 
 
-def _candidate_deltas_by_loop(G, max_delta=None):
-    """Reference definition: try every delta in [2, hi] and keep those whose
-    weight function exists and totals delta(|V|-1)."""
+def _candidate_deltas_by_loop(G):
+    """Reference definition: try every delta in [2, |E|+1] and keep those
+    whose weight function exists and totals delta(|V|-1)."""
     if G.n == 2 and G.m == 1:
         return ALL_DELTAS
-    hi = max_delta if max_delta is not None else G.m + 1
     found = []
-    for delta in range(2, hi + 1):
+    for delta in range(2, G.m + 2):
         try:
             w = weight_function(G, delta)
         except WeightConflict:
@@ -91,9 +93,7 @@ def _candidate_deltas_by_loop(G, max_delta=None):
 
 def test_candidate_deltas_match_loop():
     for G in two_connected_graphs(7):
-        for max_delta in (None, 1, 2, 3, 4, 5, 6, 9):
-            got = candidate_deltas(G, max_delta)
-            assert got == _candidate_deltas_by_loop(G, max_delta), (G.edges, max_delta)
+        assert candidate_deltas(G) == _candidate_deltas_by_loop(G), G.edges
 
 
 def test_candidate_deltas_match_loop_on_any_profile():
@@ -109,9 +109,7 @@ def test_candidate_deltas_match_loop_on_any_profile():
                 profile = {eid: (f[0], not f[0]) for eid, f in profile.items()}
             H = Multigraph(G.vertices, G.edges)
             H.__dict__["_edge_facet_profile"] = profile
-            for max_delta in (None, 2, 4):
-                got = candidate_deltas(H, max_delta)
-                assert got == _candidate_deltas_by_loop(H, max_delta), (profile, max_delta)
+            assert candidate_deltas(H) == _candidate_deltas_by_loop(H), profile
 
 
 def test_check_spade_cycle(c5):
@@ -187,3 +185,66 @@ def test_spade_heart_agree_exhaustively():
 def test_check_heart_k_v_zero(k4):
     # S = V uses k(V) = 0: w(E) + 0 = 2 * 3
     assert check_heart(k4, 2) is None
+
+
+def _base_verdict_by_spade(G):
+    """Reference decision by the good-flat system, block by block:
+    (status, delta, witness), trying the common candidate deltas in order."""
+    blks = blocks(normalize(G))
+    candidates = [candidate_deltas(b) for b in blks]
+    real = [(b, c) for b, c in zip(blks, candidates) if not isinstance(c, AllDeltas)]
+    if not real:
+        return "gorenstein", None, None
+    common = frozenset.intersection(*(c for _, c in real))
+    if not common:
+        return "not_gorenstein", None, Witness("no_candidate_delta")
+    first_witness = None
+    for delta in sorted(common):
+        witness = None
+        for b, _ in real:
+            witness = check_spade(b, delta)
+            if witness is not None:
+                break
+        if witness is None:
+            return "gorenstein", delta, None
+        if first_witness is None:
+            first_witness = witness
+    return "not_gorenstein", None, first_witness
+
+
+def _atlas_graphs_with_an_edge():
+    from networkx.generators.atlas import graph_atlas_g
+
+    return [
+        Multigraph.build(range(g.number_of_nodes()), sorted(tuple(sorted(e)) for e in g.edges()))
+        for g in graph_atlas_g() if g.number_of_edges()
+    ]
+
+
+def test_decomposition_decides_as_the_good_flat_system_on_the_atlas():
+    # every atlas graph up to 7 vertices with an edge, connected or not;
+    # a Gorenstein verdict keeps one certificate per block, the one
+    # decompose_base builds for that block
+    graphs = _atlas_graphs_with_an_edge()
+    positives = 0
+    for G in graphs:
+        v = base_verdict(G)
+        status, delta, witness = _base_verdict_by_spade(G)
+        assert (v.status, v.delta) == (status, delta), G.edges
+        assert (v.witness and v.witness.as_dict()) == (witness and witness.as_dict()), G.edges
+        if v.is_gorenstein:
+            positives += 1
+            blks = blocks(normalize(G))
+            assert len(v.certificates) == len(blks)
+            for cert, b in zip(v.certificates, blks):
+                want = Seed("k2") if b.n == 2 else decompose_base(b, v.delta)
+                assert cert_to_json(cert) == cert_to_json(want), G.edges
+        else:
+            assert v.certificates == ()
+    assert (len(graphs), positives) == (1245, 372)
+
+
+def test_base_verdict_guards_large_blocks():
+    # a block over the subset guard trips it before it is decided
+    with pytest.raises(GuardExceeded, match="guarded at 24 vertices"):
+        base_verdict(cycle(25))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import complete, cycle
-from gorcheck import construct, indepck
+from gorcheck import baseck, construct, indepck
 from gorcheck.baseck import weight_function
 from gorcheck.cli import main
 from gorcheck.construct import (
@@ -19,6 +19,7 @@ from gorcheck.construct import (
     replay,
     replay_matches,
 )
+from gorcheck.errors import InternalContradiction
 from gorcheck.graph import format_edge_list, parse_graph
 
 K4 = "a b\na c\na d\nb c\nb d\nc d\n"
@@ -202,6 +203,58 @@ def test_certify_g5(files, capsys):
     # the embedded certificate replays back to the input graph
     cert = cert_from_dict(root)
     assert replay_matches(cert, parse_graph(G5))[0]
+
+
+def test_check_base_over_the_subset_guard_exit2(tmp_path, capsys):
+    path = tmp_path / "c25.txt"
+    path.write_text(format_edge_list(cycle(25)))
+    code = main(["check", "base", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "guard exceeded: subset enumeration guarded at 24 vertices\n"
+
+
+def test_stuck_decomposition_of_a_positive_exit5(files, capsys, monkeypatch):
+    # K4 satisfies the good-flat equalities, so a stuck decomposition is not
+    # a negative verdict but a contradiction
+    def stuck(G, delta):
+        raise InternalContradiction("stuck")
+
+    monkeypatch.setattr(construct, "_decompose", stuck)
+    code = main(["check", "base", files["k4"]])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "internal contradiction: stuck\n"
+
+
+def test_certify_base_decides_once(files, capsys, monkeypatch):
+    # base_verdict decides by decomposition and certify emits its
+    # certificates, so the good-flat system runs on no path of a positive
+    def spy(*args):
+        raise AssertionError("check_spade ran on a positive")
+
+    monkeypatch.setattr(baseck, "check_spade", spy)
+    monkeypatch.setattr(construct, "check_spade", spy)
+    two_c4s = files["dir"] / "two-c4s.txt"  # two 4-cycles joined by a bridge
+    two_c4s.write_text("0 1\n1 2\n2 3\n3 0\n3 4\n4 5\n5 6\n6 7\n7 4\n")
+    for path, blocks in [(files["k4"], 1), (files["g5"], 1), (str(two_c4s), 3)]:
+        code, out = run(capsys, "certify", "base", path)
+        assert code == 0 and len(json.loads(out)["certificates"]) == blocks, path
+
+
+def test_certify_deep_certificate_exit2(tmp_path, capsys, monkeypatch):
+    # three triangles, each attached to the newest edge: four levels deep
+    cert = Seed("k2")
+    for _ in range(3):
+        cert = AttachCycle(2, cert, EdgeRef(replay(cert).m - 1))
+    path = tmp_path / "chain.txt"
+    path.write_text(format_edge_list(replay(cert)))
+    monkeypatch.setattr(construct, "CERT_DEPTH_GUARD", 3)
+    code = main(["certify", "indep", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("guard exceeded: certificate nesting guarded at 3 levels")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_check_indep_long_cycle_exit2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import complete, cycle
 from gorcheck import construct
-from gorcheck.baseck import base_verdict, check_spade, weight_function
+from gorcheck.baseck import WeightAssignment, base_verdict, check_spade, weight_function
 from gorcheck.construct import (
     AttachCycle,
     BlowUp,
@@ -17,6 +17,7 @@ from gorcheck.construct import (
     blow_up,
     cert_from_dict,
     cert_from_json,
+    cert_to_dict,
     cert_to_json,
     collide,
     decompose_base,
@@ -26,7 +27,7 @@ from gorcheck.construct import (
     replay_matches,
     subdivide,
 )
-from gorcheck.errors import ConstructionError, InternalContradiction
+from gorcheck.errors import ConstructionError, GuardExceeded, InternalContradiction
 from gorcheck.graph import Multigraph, blow_up_factor, is_isomorphic
 from gorcheck.indepck import indep_verdict
 from gorcheck.smallgraphs import two_connected_graphs
@@ -130,11 +131,32 @@ def test_decompose_rejects_negative(c5_chord):
         decompose_base(c5_chord, 4)
 
 
+def test_decompose_checks_the_subdivided_edge_weight(monkeypatch, k4_minus_e):
+    # G5 is Subdivide-rooted: its 2-ear shrinks to the weight-1 edge of K4-e.
+    # The second weight lookup on that K4-e, the Subdivide check's after the
+    # child has decomposed, misreports every edge as heavy.
+    G5 = subdivide(k4_minus_e, weight_function(k4_minus_e, 3), 0, 3)
+    assert isinstance(decompose_base(G5, 3), Subdivide)
+    real, seen = construct.weight_function, set()
+
+    def misreport_on_second_lookup(G, delta):
+        w = real(G, delta)
+        if id(G) in seen and G.n == 4:
+            w = WeightAssignment(delta, tuple((e, delta - 1) for e, _ in w.weights))
+        seen.add(id(G))
+        return w
+
+    monkeypatch.setattr(construct, "weight_function", misreport_on_second_lookup)
+    with pytest.raises(InternalContradiction, match="weight 2, not 1"):
+        decompose_base(G5, 3)
+
+
 def _check_every_node(cert, delta):
     """Per-node oracle: every child replays to a graph satisfying the
     good-flat equalities, and each referenced edge has the weight its node
-    needs (delta-1 for Glue, 1 for Subdivide).  decompose_base checks the
-    equalities on its input only, so this is where the parts are checked."""
+    needs (delta-1 for Glue, 1 for Subdivide).  Decomposition runs no
+    good-flat check at all; it checks the step hypotheses the paper's
+    construction theorems need, so this oracle checks the theorems too."""
     stack = [(cert, delta)]
     while stack:
         node, d = stack.pop()
@@ -270,6 +292,19 @@ def test_fingerprint_large_replay():
     matched, method = replay_matches(cert, G)
     assert matched and method == "fingerprint"
     assert fingerprint(G)[0] == 14
+
+
+def test_serialization_guards_deep_certificates():
+    # 1,000 AttachCycle nodes built without replay; the recursive walks and
+    # the json module would fail near the interpreter's limit
+    cert, doc = Seed("k2"), {"op": "seed", "seed": "k2"}
+    for _ in range(1000):
+        cert = AttachCycle(2, cert, EdgeRef(0))
+        doc = {"op": "attach_cycle", "delta": 2, "child": doc, "ref": {"edge": 0}}
+    with pytest.raises(GuardExceeded, match="guarded at 900 levels"):
+        cert_to_dict(cert)
+    with pytest.raises(GuardExceeded, match="guarded at 900 levels"):
+        cert_from_dict(doc)
 
 
 def test_replay_deep_chain():

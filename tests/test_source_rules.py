@@ -70,3 +70,25 @@ def test_oracle_hot_path_stays_integer():
         if "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))
     ]
     assert found == []
+
+
+def _names(node) -> set:
+    return {
+        getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+        for n in ast.walk(node)
+    }
+
+
+def test_base_side_decides_by_decomposition_only():
+    # base_verdict decides by construct.decompose and certify emits the
+    # verdict's certificates; the good-flat system only names a stuck
+    # block's flat, from inside decompose
+    cli = ast.parse((PACKAGE / "cli.py").read_text(), filename="cli.py")
+    assert _names(cli) & {"decompose_base", "check_spade"} == set()
+    baseck = ast.parse((PACKAGE / "baseck.py").read_text(), filename="baseck.py")
+    (verdict,) = [
+        node for node in baseck.body
+        if isinstance(node, ast.FunctionDef) and node.name == "base_verdict"
+    ]
+    names = _names(verdict)
+    assert "decompose" in names and "check_spade" not in names
