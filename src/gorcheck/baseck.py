@@ -21,7 +21,7 @@ from .errors import (
 )
 from .flats import SUBSET_GUARD_VERTICES
 from .flats import good_flats, indecomposable_flats, block_count_after_contraction, induced_edge_ids
-from .graph import Multigraph, blocks, is_connected, is_two_connected, normalize
+from .graph import Multigraph, blocks, is_two_connected, low_link, normalize
 
 
 class AllDeltas:
@@ -100,20 +100,25 @@ def _require_block(G: Multigraph):
 def edge_facet_profile(G: Multigraph) -> dict:
     """Per edge: (deletion stays 2-connected, contraction stays 2-connected).
 
-    G/e is 2-connected exactly when G-{u,v} is connected, e = uv: for any
-    other vertex x, (G/e)-x = (G-x)/e is connected because G is 2-connected,
-    so only the merged vertex can be a cut vertex of G/e, and removing it
-    leaves G-{u,v}.  For a 2-connected simple graph with >= 2 edges at least
-    one flag holds for every edge; both flags failing is an internal
-    contradiction.
+    One low-link pass of G-x per vertex x gives both flags, because G is
+    2-connected, so G-x and G-e are connected (n >= 3 here):
+    - G-e has a cut vertex x exactly when e is a bridge of G-x for some x
+      outside e, since (G-e)-x = (G-x)-e.
+    - G/e is 2-connected exactly when G-{u,v} is connected, e = uv, since
+      (G/e)-x = (G-x)/e is connected for any other vertex x; and G-{u,v} is
+      connected exactly when v is not a cut vertex of G-u.
+    For a 2-connected simple graph with >= 2 edges at least one flag holds
+    for every edge; both flags failing is an internal contradiction.
     """
     _require_block(G)
     if G.m < 2:
         raise ValueError("edge_facet_profile requires at least 2 edges")
+    passes = {x: low_link(G, skip=x) for x in G.vertices}
+    bridged = set().union(*(ll.bridges for ll in passes.values()))
     profile = {}
     for eid, u, v in sorted(G.edges):
-        del_ok = is_two_connected(G.without_edges([eid]))
-        con_ok = is_connected(G.without_vertices([u, v]))
+        del_ok = eid not in bridged
+        con_ok = v not in passes[u].cut_vertices
         if not (del_ok or con_ok):
             raise InternalContradiction(
                 f"edge {eid}: neither deletion nor contraction is 2-connected"

@@ -24,6 +24,7 @@ from .graph import (
     is_isomorphic,
     is_two_connected,
     label_key,
+    low_link,
 )
 
 SCHEMA = "gorcheck.cert/1"
@@ -439,20 +440,29 @@ def _decompose(G: Multigraph, delta: int):
     return cert, vmap, rep
 
 
-def _decompose_delta2(G: Multigraph):
+def _separating_pair(G: Multigraph):
+    """First (a, b) in sorted_vertices order, a before b, that separates a
+    2-connected G, or None.  G-a is connected, so {a, b} separates G exactly
+    when b is a cut vertex of G-a: one low-link pass per vertex a."""
     verts = G.sorted_vertices
-    splits = (
-        (a, b, components(G.without_vertices([a, b])))
-        for i, a in enumerate(verts) for b in verts[i + 1:]
-    )
-    split = next((s for s in splits if len(s[2]) > 1), None)
-    if split is None:
+    for i, a in enumerate(verts[:-1]):
+        cuts = low_link(G, skip=a).cut_vertices
+        b = next((b for b in verts[i + 1:] if b in cuts), None)
+        if b is not None:
+            return a, b
+    return None
+
+
+def _decompose_delta2(G: Multigraph):
+    pair = _separating_pair(G)
+    if pair is None:
         if not (G.n == 4 and G.m == 6 and G.is_simple()):
             raise InternalContradiction(
                 "a 3-connected graph satisfying the delta=2 equalities must be K4"
             )
-        return _seed(Seed("k4"), verts)
-    v1, v2, comps = split
+        return _seed(Seed("k4"), G.sorted_vertices)
+    v1, v2 = pair
+    comps = components(G.without_vertices(pair))
     if len(comps) != 2:
         raise InternalContradiction(
             f"separating pair leaves {len(comps)} components, expected 2"
@@ -646,7 +656,10 @@ def cert_to_json(cert: Cert) -> str:
 
 
 def cert_from_json(text: str) -> Cert:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:  # json nests past the interpreter's limit before the guard
+        raise GuardExceeded(f"certificate nesting guarded at {CERT_DEPTH_GUARD} levels") from None
     schema = doc.get("schema") if type(doc) is dict else None
     if schema != SCHEMA:
         raise ConstructionError(f"unsupported certificate schema {schema!r}")

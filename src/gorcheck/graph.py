@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import GuardExceeded, ParseError
 
@@ -255,18 +255,75 @@ def normalize(G: Multigraph) -> Multigraph:
 # -- connectivity ----------------------------------------------------------
 
 
+class LowLink(NamedTuple):
+    """What one depth-first pass learns about the 2-connectivity of a graph."""
+
+    components: int
+    cut_vertices: frozenset
+    bridges: frozenset  # edge ids
+    blocks: tuple  # edge-id tuples of the biconnected components, loops left out
+
+
+def low_link(G: Multigraph, skip=None) -> LowLink:
+    """One iterative Hopcroft-Tarjan low-link pass over G - skip.
+
+    skip is one vertex or None; the subgraph is never built, the pass just
+    does not enter skip.  Isolated vertices count as components.  Only the
+    tree edge a vertex was entered by is excluded from its low value, so a
+    parallel edge to the parent is a back edge and a doubled edge is no
+    bridge; loops join no block.
+    """
+    adj = G.adjacency
+    disc: dict = {}
+    low: dict = {}
+    stack: list = []  # edge ids of the blocks still open
+    cuts, bridges, out = set(), [], []
+    roots = 0
+    for root in G.vertices:
+        if root in disc or root == skip:
+            continue
+        roots += 1
+        disc[root] = low[root] = len(disc)
+        root_children = 0
+        # frames: vertex, tree edge in, adjacency iterator, stack size before that edge
+        work = [(root, None, iter(adj[root]), 0)]
+        while work:
+            v, in_eid, it, mark = work[-1]
+            for eid, w in it:
+                if w == skip or eid == in_eid:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    work.append((w, eid, iter(adj[w]), len(stack)))
+                    stack.append(eid)
+                    break
+                if disc[w] < disc[v]:  # back edge up; loops and edges already pushed fail this
+                    stack.append(eid)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                work.pop()
+                if not work:
+                    continue
+                p = work[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:  # p separates v's subtree: close its block
+                    out.append(tuple(stack[mark:]))
+                    del stack[mark:]
+                    if low[v] > disc[p]:
+                        bridges.append(in_eid)
+                    if p == root:
+                        root_children += 1
+                    else:
+                        cuts.add(p)
+        if root_children > 1:
+            cuts.add(root)
+    return LowLink(roots, frozenset(cuts), frozenset(bridges), tuple(out))
+
+
 def is_connected(G: Multigraph) -> bool:
-    if G.n == 0:
-        return False
-    seen = {G.vertices[0]}
-    stack = [G.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for _, w in G.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == G.n
+    return G.n > 0 and low_link(G).components == 1
 
 
 def components(G: Multigraph) -> list:
@@ -293,41 +350,12 @@ def is_two_connected(G: Multigraph) -> bool:
     """Connected, >= 2 vertices, no cut vertex.
 
     K2 and the 2-cycle count as 2-connected; a single vertex never does.
-    One iterative low-link pass (Hopcroft-Tarjan), stopping at the first cut
-    vertex.  Loops and parallel edges never change the answer.
+    Loops and parallel edges never change the answer.
     """
     if G.n < 2:
         return False
-    if G.n == 2:
-        return is_connected(G)
-    adj = G.adjacency
-    root = G.vertices[0]
-    disc = {root: 0}
-    low = {root: 0}
-    root_children = 0
-    work = [(root, None, iter(adj[root]))]
-    while work:
-        v, parent, it = work[-1]
-        for _, w in it:
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                work.append((w, v, iter(adj[w])))
-                break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            work.pop()
-            if parent is None:
-                continue
-            if low[v] < low[parent]:
-                low[parent] = low[v]
-            if disc[parent] == 0:
-                root_children += 1
-                if root_children > 1:
-                    return False
-            elif low[v] >= disc[parent]:
-                return False
-    return len(disc) == G.n
+    ll = low_link(G)
+    return ll.components == 1 and not ll.cut_vertices
 
 
 def blocks(G: Multigraph) -> list:
@@ -335,62 +363,10 @@ def blocks(G: Multigraph) -> list:
 
     Deterministic order: sorted by each block's sorted edge-id tuple.
     """
-    disc: dict = {}
-    low: dict = {}
-    stack: list = []  # edge ids
-    out: list = []
-    counter = itertools.count()
-
-    def emit_from(marker_eid):
-        comp = []
-        while True:
-            eid = stack.pop()
-            comp.append(eid)
-            if eid == marker_eid:
-                break
-        out.append(tuple(sorted(comp)))
-
-    def dfs(root):
-        # iterative DFS keeping per-vertex iterator state
-        disc[root] = low[root] = next(counter)
-        work = [(root, None, iter(sorted(G.adjacency[root])))]
-        while work:
-            v, in_eid, it = work[-1]
-            advanced = False
-            for eid, w in it:
-                if eid == in_eid:
-                    continue
-                if w not in disc:
-                    stack.append(eid)
-                    disc[w] = low[w] = next(counter)
-                    work.append((w, eid, iter(sorted(G.adjacency[w]))))
-                    advanced = True
-                    break
-                elif disc[w] < disc[v]:
-                    stack.append(eid)
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] >= disc[p]:
-                        emit_from(in_eid)
-
-    for v in G.sorted_vertices:
-        if v not in disc and G.adjacency[v]:
-            dfs(v)
-
     result = []
-    for comp in sorted(out):
-        vs = []
-        vset = set()
-        for eid in comp:
-            for x in G.edge_by_id[eid]:
-                if x not in vset:
-                    vset.add(x)
-                    vs.append(x)
+    for comp in sorted(tuple(sorted(b)) for b in low_link(G).blocks):
         edges = tuple((eid,) + G.edge_by_id[eid] for eid in comp)
+        vs = {x for _, u, v in edges for x in (u, v)}
         result.append(Multigraph(tuple(sorted(vs, key=label_key)), edges))
     return result
 

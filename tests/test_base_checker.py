@@ -16,8 +16,9 @@ from gorcheck.baseck import (
 )
 from gorcheck.construct import Seed, cert_to_json, decompose_base
 from gorcheck.errors import GuardExceeded, SimpleGraphRequired, WeightConflict
-from gorcheck.graph import Multigraph, blocks, is_two_connected, normalize
+from gorcheck.graph import Multigraph, blocks, normalize
 from gorcheck.smallgraphs import two_connected_graphs
+from test_graph import _is_two_connected_reference
 
 
 def test_edge_profile_k4(k4):
@@ -34,6 +35,7 @@ def test_edge_profile_cycle(c5):
 
 def test_edge_profile_matches_deletion_and_contraction():
     # reference definition: build G-e and G/e and test them for 2-connectivity
+    # with the reference routine, not the low-link pass the profile runs on
     graphs = two_connected_graphs(7) + [
         b for G in random_multigraphs(3000, seed=20261021)
         for b in blocks(normalize(G)) if b.is_simple() and b.m >= 2
@@ -44,8 +46,8 @@ def test_edge_profile_matches_deletion_and_contraction():
             continue
         for eid, flags in edge_facet_profile(G).items():
             want = (
-                is_two_connected(G.without_edges([eid])),
-                is_two_connected(G.contract([eid])[0]),
+                _is_two_connected_reference(G.without_edges([eid])),
+                _is_two_connected_reference(G.contract([eid])[0]),
             )
             assert flags == want, (G.edges, eid)
             checked += 1

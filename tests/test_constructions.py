@@ -28,7 +28,7 @@ from gorcheck.construct import (
     subdivide,
 )
 from gorcheck.errors import ConstructionError, GuardExceeded, InternalContradiction
-from gorcheck.graph import Multigraph, blow_up_factor, is_isomorphic
+from gorcheck.graph import Multigraph, blow_up_factor, components, is_isomorphic
 from gorcheck.indepck import indep_verdict
 from gorcheck.smallgraphs import two_connected_graphs
 
@@ -149,6 +149,65 @@ def test_decompose_checks_the_subdivided_edge_weight(monkeypatch, k4_minus_e):
     monkeypatch.setattr(construct, "weight_function", misreport_on_second_lookup)
     with pytest.raises(InternalContradiction, match="weight 2, not 1"):
         decompose_base(G5, 3)
+
+
+def _separating_pair_by_components(G):
+    """Reference: the scan _decompose_delta2 ran before the low-link pass,
+    components(G-{a,b}) for every vertex pair in sorted_vertices order."""
+    verts = G.sorted_vertices
+    pairs = ((a, b) for i, a in enumerate(verts) for b in verts[i + 1:])
+    return next(
+        (p for p in pairs if len(components(G.without_vertices(p))) > 1), None
+    )
+
+
+def _collide_chain(rng, levels):
+    """A delta=2 chain: K4, then `levels` Collide steps each adding a K4 on a
+    random edge; 4 + 2 * levels vertices, relabelled at random."""
+    k4 = Seed("k4")
+    cert, rep = k4, replay(k4)
+    for _ in range(levels):
+        kids = [(cert, rep), (k4, replay(k4))]
+        rng.shuffle(kids)
+        refs = tuple(
+            EdgeRef(rng.choice(sorted(r.edge_by_id)), rng.random() < 0.5) for _, r in kids
+        )
+        cert = Collide(tuple(c for c, _ in kids), refs)
+        rep = construct.replay_step(cert, [r for _, r in kids])[0]
+    labels = list(range(rep.n))
+    rng.shuffle(labels)
+    return Multigraph.build(labels, [(labels[u], labels[v]) for _, u, v in rep.edges])
+
+
+def test_separating_pair_matches_the_pair_scan():
+    graphs = two_connected_graphs(7, min_vertices=3)
+    rng = random.Random(20261019)
+    graphs += [_collide_chain(rng, rng.randint(1, 60)) for _ in range(40)]
+    separated = 0
+    for G in graphs:
+        pair = construct._separating_pair(G)
+        assert pair == _separating_pair_by_components(G), G.edges
+        separated += pair is not None
+    assert separated > 300
+
+
+def test_decompose_deep_collide_chain(monkeypatch):
+    # 100 Collide levels, 204 vertices: the pair search is one low-link pass
+    # per vertex instead of a components() call per vertex pair
+    G = _collide_chain(random.Random(100), 100)
+    checked = []
+    real = construct.check_vertex_map
+
+    def spy(H, vmap, rep):
+        real(H, vmap, rep)
+        checked.append((H, rep))
+
+    monkeypatch.setattr(construct, "check_vertex_map", spy)
+    cert = decompose_base(G, 2)
+    assert isinstance(cert, Collide)
+    ((H, rep),) = checked
+    assert H is G and (rep.n, rep.m) == (G.n, G.m) == (204, 6 + 4 * 100)
+    assert replay(cert) == rep
 
 
 def _check_every_node(cert, delta):
@@ -294,6 +353,14 @@ def test_fingerprint_large_replay():
     assert fingerprint(G)[0] == 14
 
 
+def _attach_cycle_json(levels):
+    """cert_from_json text of a chain of AttachCycle nodes over a K2 seed,
+    built as a string: json.dumps itself cannot nest that deep."""
+    node = '{"op": "attach_cycle", "delta": 2, "ref": {"edge": 0}, "child": '
+    seed = '{"op": "seed", "seed": "k2"}'
+    return '{"schema": "gorcheck.cert/1", "root": ' + node * levels + seed + "}" * (levels + 1)
+
+
 def test_serialization_guards_deep_certificates():
     # 1,000 AttachCycle nodes built without replay; the recursive walks and
     # the json module would fail near the interpreter's limit
@@ -305,6 +372,12 @@ def test_serialization_guards_deep_certificates():
         cert_to_dict(cert)
     with pytest.raises(GuardExceeded, match="guarded at 900 levels"):
         cert_from_dict(doc)
+    # json.loads parses 950 levels, and the nesting guard itself trips; at
+    # 1,200 levels json.loads runs out of recursion first
+    with pytest.raises(GuardExceeded, match=r"guarded at 900 levels \(reached 901\)"):
+        cert_from_json(_attach_cycle_json(950))
+    with pytest.raises(GuardExceeded, match="guarded at 900 levels"):
+        cert_from_json(_attach_cycle_json(1200))
 
 
 def test_replay_deep_chain():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import complete, cycle, random_multigraphs
@@ -17,6 +19,8 @@ from gorcheck.graph import (
     is_k4_minor_free,
     is_connected,
     is_two_connected,
+    label_key,
+    low_link,
     normalize,
     parse_graph,
 )
@@ -88,6 +92,147 @@ def test_two_connected_matches_deletion_definition():
         for v in G.vertices[:2]:
             H = G.without_vertices([v])
             assert is_two_connected(H) == _is_two_connected_by_deletion(H), H.edges
+
+
+def _is_two_connected_reference(G):
+    """Reference: the low-link pass is_two_connected ran before blocks and it
+    shared one, stopping at the first cut vertex."""
+    if G.n < 2:
+        return False
+    if G.n == 2:
+        return len(components(G)) == 1
+    adj = G.adjacency
+    root = G.vertices[0]
+    disc = {root: 0}
+    low = {root: 0}
+    root_children = 0
+    work = [(root, None, iter(adj[root]))]
+    while work:
+        v, parent, it = work[-1]
+        for _, w in it:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                work.append((w, v, iter(adj[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            work.pop()
+            if parent is None:
+                continue
+            if low[v] < low[parent]:
+                low[parent] = low[v]
+            if disc[parent] == 0:
+                root_children += 1
+                if root_children > 1:
+                    return False
+            elif low[v] >= disc[parent]:
+                return False
+    return len(disc) == G.n
+
+
+def _blocks_reference(G):
+    """Reference: the edge-stack DFS blocks ran over sorted adjacency lists
+    before it shared the low-link pass with is_two_connected."""
+    disc: dict = {}
+    low: dict = {}
+    stack: list = []  # edge ids
+    out: list = []
+    counter = itertools.count()
+
+    def emit_from(marker_eid):
+        comp = []
+        while True:
+            eid = stack.pop()
+            comp.append(eid)
+            if eid == marker_eid:
+                break
+        out.append(tuple(sorted(comp)))
+
+    def dfs(root):
+        disc[root] = low[root] = next(counter)
+        work = [(root, None, iter(sorted(G.adjacency[root])))]
+        while work:
+            v, in_eid, it = work[-1]
+            advanced = False
+            for eid, w in it:
+                if eid == in_eid:
+                    continue
+                if w not in disc:
+                    stack.append(eid)
+                    disc[w] = low[w] = next(counter)
+                    work.append((w, eid, iter(sorted(G.adjacency[w]))))
+                    advanced = True
+                    break
+                elif disc[w] < disc[v]:
+                    stack.append(eid)
+                    low[v] = min(low[v], disc[w])
+            if not advanced:
+                work.pop()
+                if work:
+                    p = work[-1][0]
+                    low[p] = min(low[p], low[v])
+                    if low[v] >= disc[p]:
+                        emit_from(in_eid)
+
+    for v in G.sorted_vertices:
+        if v not in disc and G.adjacency[v]:
+            dfs(v)
+
+    result = []
+    for comp in sorted(out):
+        vs = {x for eid in comp for x in G.edge_by_id[eid]}
+        edges = tuple((eid,) + G.edge_by_id[eid] for eid in comp)
+        result.append(Multigraph(tuple(sorted(vs, key=label_key)), edges))
+    return result
+
+
+def _count_components_without(H, vertex=None, edge=None):
+    """Deletion definition: components of H - vertex - edge, by plain search."""
+    seen = set() if vertex is None else {vertex}
+    count = 0
+    for s in H.vertices:
+        if s in seen:
+            continue
+        count += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            for eid, w in H.adjacency[stack.pop()]:
+                if eid != edge and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def test_low_link_matches_references_and_deletion_definitions():
+    # over G - skip for skip = None and every vertex, the one pass gives the
+    # component count, the cut vertices (removing v adds a component), the
+    # bridges (removing e adds a component) and the blocks, and the routines
+    # built on it agree with the references they replaced
+    graphs = two_connected_graphs(7) + random_multigraphs(3000, seed=20261019)
+    checked = 0
+    for G in graphs:
+        for skip in (None,) + G.vertices:
+            H = G if skip is None else G.without_vertices([skip])
+            ll = low_link(G, skip=skip)
+            count = _count_components_without(H)
+            assert ll.components == count == len(components(H)), (G.edges, skip)
+            assert ll.cut_vertices == {
+                v for v in H.vertices if _count_components_without(H, vertex=v) > count
+            }, (G.edges, skip)
+            assert ll.bridges == {
+                eid for eid, _, _ in H.edges if _count_components_without(H, edge=eid) > count
+            }, (G.edges, skip)
+            reference = _blocks_reference(H)
+            assert blocks(H) == reference, (G.edges, skip)
+            assert sorted(tuple(sorted(b)) for b in ll.blocks) == [
+                tuple(eid for eid, _, _ in b.edges) for b in reference
+            ]
+            assert is_two_connected(H) == _is_two_connected_reference(H), (G.edges, skip)
+            assert is_connected(H) == (count == 1), (G.edges, skip)
+            checked += 1
+    assert checked > 20000
 
 
 def test_blocks_bowtie():

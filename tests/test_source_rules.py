@@ -92,3 +92,23 @@ def test_base_side_decides_by_decomposition_only():
     ]
     names = _names(verdict)
     assert "decompose" in names and "check_spade" not in names
+
+
+def test_one_low_link_routine():
+    # is_two_connected, blocks, is_connected, the edge profile and the
+    # separating-pair search all read one low-link pass; a function that
+    # binds a `low` mapping of its own is a second 2-connectivity DFS
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            functions += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for fn in functions:
+            targets = [
+                t for node in ast.walk(fn) if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            ]
+            if any(isinstance(n, ast.Name) and n.id == "low" for t in targets for n in ast.walk(t)):
+                found.append(f"{path.name}:{fn.name}")
+    assert found == ["graph.py:low_link"]
