@@ -57,17 +57,17 @@ class WeightAssignment:
 class Witness:
     """Replayable violation: kind plus the offending object and both sides."""
 
-    kind: str  # no_candidate_delta | weight_conflict | total_weight_mismatch
-    #          | flat_equality_violated
-    edge: Optional[int] = None
+    # base side: no_candidate_delta | total_weight_mismatch
+    #   | flat_equality_violated; independence side: club_violated
+    #   | k4_minor_found | wrong_chordless_cycle | excess_chordless_cycles
+    #   | non_uniform_multiplicity
+    kind: str
     flat: Optional[tuple] = None
     lhs: Optional[int] = None
     rhs: Optional[int] = None
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind}
-        if self.edge is not None:
-            out["edge"] = self.edge
         if self.flat is not None:
             out["flat"] = list(self.flat)
         if self.lhs is not None:

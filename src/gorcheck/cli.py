@@ -21,7 +21,6 @@ import time
 
 from .baseck import base_verdict, weight_function
 from .construct import (
-    SCHEMA,
     Seed,
     attach_cycle,
     blow_up,
@@ -222,12 +221,7 @@ def cmd_certify(args) -> int:
             # certificate (construct.decompose, recognize_cycle_construction),
             # which raises InternalContradiction on a mismatch
             "certificates": [
-                {
-                    "schema": SCHEMA,
-                    "root": cert_to_dict(cert),
-                    "replay_matched": True,
-                    "replay_check": "vertex_map",
-                }
+                {**cert_to_dict(cert), "replay_matched": True, "replay_check": "vertex_map"}
                 for cert in v.certificates
             ],
         }

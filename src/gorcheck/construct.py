@@ -27,11 +27,7 @@ from .graph import (
     low_link,
 )
 
-SCHEMA = "gorcheck.cert/1"
-# JSON nesting levels, one per "child" and two per "children" entry: the
-# recursive (de)serializers and the json module fail near the interpreter's
-# limit of 1,000.  A flat certificate format would lift this guard.
-CERT_DEPTH_GUARD = 900
+SCHEMA = "gorcheck.cert/2"
 
 
 @dataclass(frozen=True)
@@ -191,24 +187,29 @@ def replay_step(cert: Cert, reps: list):
     return G, [{x: lab[x] for x in rep.vertices}]
 
 
-def replay_detail(cert: Cert):
-    """Replay a certificate; returns (graph, child embedding maps).
-
-    replay_step runs over the nodes in post-order, taken from an explicit
-    stack, so a deep certificate does not hit the recursion limit.
+def _fold(cert: Cert, visit):
+    """visit(node, results of its children) at every node, children first,
+    left to right; returns the root's result.  The post-order comes from an
+    explicit stack, so a deep certificate does not hit the recursion limit.
     """
     order, stack = [], [cert]
     while stack:
         node = stack.pop()
-        order.append(node)
-        stack.extend(_children(node))
-    done = []  # replayed graphs of the finished subtrees
-    for node in reversed(order):  # children before parents, left to right
-        split = len(done) - len(_children(node))
-        G, embeds = replay_step(node, done[split:])
+        kids = _children(node)
+        order.append((node, len(kids)))
+        stack.extend(kids)
+    done = []  # results of the finished subtrees
+    for node, arity in reversed(order):
+        split = len(done) - arity
+        result = visit(node, done[split:])
         del done[split:]
-        done.append(G)
-    return G, embeds
+        done.append(result)
+    return result
+
+
+def replay_detail(cert: Cert):
+    """Replay a certificate; returns (graph, child embedding maps) of its root."""
+    return _fold(cert, lambda node, kids: replay_step(node, [G for G, _ in kids]))
 
 
 def replay(cert: Cert) -> Multigraph:
@@ -266,15 +267,7 @@ def subdivide(G: Multigraph, w, eid: int, delta: int) -> Multigraph:
         )
     if delta == 2:
         return G
-    u, v = G.endpoints(eid)
-    fresh = _fresh_labels(G, delta - 2)
-    H = G.without_edges([eid])
-    chain = [u] + fresh + [v]
-    for x in fresh:
-        H = Multigraph(H.vertices + (x,), H.edges, H.loops_removed)
-    for a, b in zip(chain, chain[1:]):
-        H, _ = H.with_edge(a, b)
-    return H
+    return _forward(G, Subdivide(delta, None, EdgeRef(eid)))
 
 
 def collide(G1: Multigraph, e1: int, G2: Multigraph, e2: int) -> Multigraph:
@@ -291,48 +284,28 @@ def collide(G1: Multigraph, e1: int, G2: Multigraph, e2: int) -> Multigraph:
 def attach_cycle(H: Multigraph, eid: int, delta: int) -> Multigraph:
     """Add a fresh path of delta edges between the endpoints of an existing edge.
 
-    Together with the edge this creates a new (delta+1)-cycle.
+    Together with the edge this creates a new (delta+1)-cycle; replay_step
+    refuses delta < 2.
     """
     if not H.is_simple():
         raise ConstructionError("attach_cycle requires a simple graph")
     if eid not in H.edge_by_id:
         raise KeyError(f"unknown edge id {eid}")
-    if delta < 2:
-        raise ConstructionError("attach_cycle needs delta >= 2")
-    u, v = H.endpoints(eid)
-    fresh = _fresh_labels(H, delta - 1)
-    G = H
-    for x in fresh:
-        G = Multigraph(G.vertices + (x,), G.edges, G.loops_removed)
-    chain = [u] + fresh + [v]
-    for a, b in zip(chain, chain[1:]):
-        G, _ = G.with_edge(a, b)
-    return G
+    return _forward(H, AttachCycle(delta, None, EdgeRef(eid)))
 
 
 def blow_up(H: Multigraph, m: int) -> Multigraph:
-    """Replace every edge by m parallel copies."""
-    if m < 1:
-        raise ConstructionError("blow-up multiplicity must be >= 1")
-    return Multigraph.build(
-        H.vertices, [(u, v) for _, u, v in sorted(H.edges) for _ in range(m)],
-        H.loops_removed,
-    )
+    """Replace every edge by m parallel copies; replay_step refuses m < 1."""
+    return _forward(H, BlowUp(None, m))
 
 
-def _fresh_labels(G: Multigraph, count: int) -> list:
-    used = set(G.vertices)
-    if all(isinstance(v, int) for v in G.vertices):
-        start = max(used, default=-1) + 1
-        return list(range(start, start + count))
-    out = []
-    i = 0
-    while len(out) < count:
-        cand = f"w{i}"
-        if cand not in used:
-            out.append(cand)
-        i += 1
-    return out
+def _forward(G: Multigraph, step: Cert) -> Multigraph:
+    """Replay one step on G relabelled to replay labels: 0..n-1 in
+    sorted_vertices order, edge ids kept.  The step's child is None, since
+    replay_step reads only the replayed children."""
+    lab = {x: i for i, x in enumerate(G.sorted_vertices)}
+    rep = Multigraph(tuple(range(G.n)), tuple((e, lab[u], lab[v]) for e, u, v in G.edges))
+    return replay_step(step, [rep])[0]
 
 
 # -- decomposition (inverse construction) ------------------------------------
@@ -562,51 +535,43 @@ def replay_matches(cert: Cert, G: Multigraph) -> tuple:
 # -- serialization ------------------------------------------------------------
 
 
-def _guard_depth(depth: int) -> None:
-    if depth > CERT_DEPTH_GUARD:
-        raise GuardExceeded(
-            f"certificate nesting guarded at {CERT_DEPTH_GUARD} levels (reached {depth})"
-        )
+def _ref_to_dict(r: EdgeRef) -> dict:
+    return {"edge": r.edge_id, "flip": r.flipped}
 
 
-def cert_to_dict(cert: Cert, depth: int = 1) -> dict:
-    """Nested JSON-ready dict; depth is the node's nesting level (the root is 1)."""
-    _guard_depth(depth)
+def _node_to_dict(cert: Cert, kids: list) -> dict:
+    """One node of the flat list; kids are its children's indexes."""
     if isinstance(cert, Seed):
         out = {"op": "seed", "seed": cert.kind}
         if cert.n is not None:
             out["n"] = cert.n
         return out
-    if isinstance(cert, Glue):
+    if isinstance(cert, (Glue, Collide)):
+        out = {"op": "glue", "delta": cert.delta} if isinstance(cert, Glue) else {"op": "collide"}
+        return {**out, "children": kids, "refs": [_ref_to_dict(r) for r in cert.refs]}
+    if isinstance(cert, (Subdivide, AttachCycle)):
         return {
-            "op": "glue",
+            "op": "subdivide" if isinstance(cert, Subdivide) else "attach_cycle",
             "delta": cert.delta,
-            "children": [cert_to_dict(c, depth + 2) for c in cert.children],
-            "refs": [{"edge": r.edge_id, "flip": r.flipped} for r in cert.refs],
-        }
-    if isinstance(cert, Subdivide):
-        return {
-            "op": "subdivide",
-            "delta": cert.delta,
-            "child": cert_to_dict(cert.child, depth + 1),
-            "ref": {"edge": cert.ref.edge_id, "flip": cert.ref.flipped},
-        }
-    if isinstance(cert, Collide):
-        return {
-            "op": "collide",
-            "children": [cert_to_dict(c, depth + 2) for c in cert.children],
-            "refs": [{"edge": r.edge_id, "flip": r.flipped} for r in cert.refs],
-        }
-    if isinstance(cert, AttachCycle):
-        return {
-            "op": "attach_cycle",
-            "delta": cert.delta,
-            "child": cert_to_dict(cert.child, depth + 1),
-            "ref": {"edge": cert.ref.edge_id, "flip": cert.ref.flipped},
+            "child": kids[0],
+            "ref": _ref_to_dict(cert.ref),
         }
     if isinstance(cert, BlowUp):
-        return {"op": "blow_up", "m": cert.m, "child": cert_to_dict(cert.child, depth + 1)}
+        return {"op": "blow_up", "m": cert.m, "child": kids[0]}
     raise ConstructionError(f"unknown certificate node {cert!r}")
+
+
+def cert_to_dict(cert: Cert) -> dict:
+    """JSON-ready dict: the nodes in post-order, the root last, each child
+    named by its index in the list."""
+    nodes = []
+
+    def visit(node, kids):
+        nodes.append(_node_to_dict(node, kids))
+        return len(nodes) - 1
+
+    _fold(cert, visit)
+    return {"schema": SCHEMA, "nodes": nodes}
 
 
 def _field(d: dict, key: str, kind: type):
@@ -622,45 +587,59 @@ def _field(d: dict, key: str, kind: type):
 def _ref_from_dict(r) -> EdgeRef:
     if type(r) is not dict:
         raise ConstructionError("certificate edge reference is missing or not an object")
-    return EdgeRef(_field(r, "edge", int), r.get("flip", False))
+    return EdgeRef(_field(r, "edge", int), _field(r, "flip", bool) if "flip" in r else False)
 
 
-def cert_from_dict(d: dict, depth: int = 1) -> Cert:
-    """Inverse of cert_to_dict; malformed input raises ConstructionError."""
-    _guard_depth(depth)
-    if type(d) is not dict:
-        raise ConstructionError("certificate node is missing or not an object")
-    op = d.get("op")
-    if op == "seed":
-        return Seed(_field(d, "seed", str), _field(d, "n", int) if "n" in d else None)
-    if op in ("glue", "collide"):
-        children = tuple(cert_from_dict(c, depth + 2) for c in _field(d, "children", list))
-        refs = tuple(_ref_from_dict(r) for r in _field(d, "refs", list))
-        if op == "collide":
-            return Collide(children, refs)
-        return Glue(_field(d, "delta", int), children, refs)
-    if op in ("subdivide", "attach_cycle"):
-        node = Subdivide if op == "subdivide" else AttachCycle
-        return node(
-            _field(d, "delta", int),
-            cert_from_dict(d.get("child"), depth + 1),
-            _ref_from_dict(d.get("ref")),
-        )
-    if op == "blow_up":
-        return BlowUp(cert_from_dict(d.get("child"), depth + 1), _field(d, "m", int))
-    raise ConstructionError(f"unknown certificate op {op!r}")
-
-
-def cert_to_json(cert: Cert) -> str:
-    return json.dumps({"schema": SCHEMA, "root": cert_to_dict(cert)}, indent=2)
-
-
-def cert_from_json(text: str) -> Cert:
-    try:
-        doc = json.loads(text)
-    except RecursionError:  # json nests past the interpreter's limit before the guard
-        raise GuardExceeded(f"certificate nesting guarded at {CERT_DEPTH_GUARD} levels") from None
+def cert_from_dict(doc: dict) -> Cert:
+    """Inverse of cert_to_dict; keys it does not read are ignored, so a
+    certify report entry parses too.  Malformed input raises
+    ConstructionError: every child index must name an earlier node that no
+    other node has taken, and the last node must be the only one left.
+    """
     schema = doc.get("schema") if type(doc) is dict else None
     if schema != SCHEMA:
         raise ConstructionError(f"unsupported certificate schema {schema!r}")
-    return cert_from_dict(doc.get("root"))
+    built = []
+    free = set()  # indexes of the nodes no node has taken yet
+
+    def take(i):
+        if type(i) is not int or i not in free:
+            raise ConstructionError(
+                f"certificate child {i!r} is not the index of an earlier, untaken node"
+            )
+        free.remove(i)
+        return built[i]
+
+    for d in _field(doc, "nodes", list):
+        if type(d) is not dict:
+            raise ConstructionError("certificate node is not an object")
+        op = d.get("op")
+        if op == "seed":
+            node = Seed(_field(d, "seed", str), _field(d, "n", int) if "n" in d else None)
+        elif op in ("glue", "collide"):
+            children = tuple(take(i) for i in _field(d, "children", list))
+            refs = tuple(_ref_from_dict(r) for r in _field(d, "refs", list))
+            node = (
+                Collide(children, refs) if op == "collide"
+                else Glue(_field(d, "delta", int), children, refs)
+            )
+        elif op in ("subdivide", "attach_cycle"):
+            kind = Subdivide if op == "subdivide" else AttachCycle
+            node = kind(_field(d, "delta", int), take(d.get("child")), _ref_from_dict(d.get("ref")))
+        elif op == "blow_up":
+            node = BlowUp(take(d.get("child")), _field(d, "m", int))
+        else:
+            raise ConstructionError(f"unknown certificate op {op!r}")
+        free.add(len(built))
+        built.append(node)
+    if len(free) != 1:  # nothing can take the last node
+        raise ConstructionError(f"certificate nodes form {len(free)} trees, not one")
+    return built[-1]
+
+
+def cert_to_json(cert: Cert) -> str:
+    return json.dumps(cert_to_dict(cert), indent=2)
+
+
+def cert_from_json(text: str) -> Cert:
+    return cert_from_dict(json.loads(text))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import complete, cycle
-from gorcheck import baseck, construct, indepck
+from gorcheck import baseck, cli, construct, indepck
 from gorcheck.baseck import weight_function
 from gorcheck.cli import main
 from gorcheck.construct import (
@@ -15,6 +15,7 @@ from gorcheck.construct import (
     Seed,
     blow_up,
     cert_from_dict,
+    cert_to_json,
     glue,
     replay,
     replay_matches,
@@ -179,7 +180,7 @@ def test_certify_checks_the_vertex_map_beyond_ten_vertices(tmp_path, capsys, kin
     assert code == 0 and doc["delta"] == delta and G.n > 10
     (cert,) = doc["certificates"]
     assert (cert["replay_matched"], cert["replay_check"]) == (True, "vertex_map")
-    assert replay_matches(cert_from_dict(cert["root"]), G)[0]
+    assert replay_matches(cert_from_dict(cert), G)[0]
 
 
 @pytest.mark.parametrize("kind", ["base", "indep"])
@@ -197,11 +198,12 @@ def test_certify_g5(files, capsys):
     code, out = run(capsys, "certify", "base", files["g5"])
     doc = json.loads(out)
     assert code == 0 and doc["delta"] == 3
-    root = doc["certificates"][0]["root"]
-    assert root["op"] == "subdivide" and root["child"]["op"] == "glue"
-    assert doc["certificates"][0]["replay_matched"] is True
-    # the embedded certificate replays back to the input graph
-    cert = cert_from_dict(root)
+    (entry,) = doc["certificates"]
+    assert entry["schema"] == "gorcheck.cert/2" and entry["replay_matched"] is True
+    root = entry["nodes"][-1]  # post-order: the root comes last
+    assert root["op"] == "subdivide" and entry["nodes"][root["child"]]["op"] == "glue"
+    # the report entry parses as it stands and replays back to the input graph
+    cert = cert_from_dict(entry)
     assert replay_matches(cert, parse_graph(G5))[0]
 
 
@@ -242,19 +244,18 @@ def test_certify_base_decides_once(files, capsys, monkeypatch):
         assert code == 0 and len(json.loads(out)["certificates"]) == blocks, path
 
 
-def test_certify_deep_certificate_exit2(tmp_path, capsys, monkeypatch):
-    # three triangles, each attached to the newest edge: four levels deep
+def test_certify_emits_a_deep_certificate(files, capsys, monkeypatch):
+    # the flat node list has no depth limit: a verdict holding a 2,000-deep
+    # AttachCycle chain is reported whole, and the entry reads back
     cert = Seed("k2")
-    for _ in range(3):
-        cert = AttachCycle(2, cert, EdgeRef(replay(cert).m - 1))
-    path = tmp_path / "chain.txt"
-    path.write_text(format_edge_list(replay(cert)))
-    monkeypatch.setattr(construct, "CERT_DEPTH_GUARD", 3)
-    code = main(["certify", "indep", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("guard exceeded: certificate nesting guarded at 3 levels")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    for _ in range(2000):
+        cert = AttachCycle(2, cert, EdgeRef(0))
+    verdict = indepck.IndepVerdict("gorenstein", 2, 1, (), certificates=(cert,))
+    monkeypatch.setattr(cli, "indep_verdict", lambda G: verdict)
+    code, out = run(capsys, "certify", "indep", files["c3"])
+    (entry,) = json.loads(out)["certificates"]
+    assert code == 0 and len(entry["nodes"]) == 2001
+    assert cert_to_json(cert_from_dict(entry)) == cert_to_json(cert)
 
 
 def test_check_indep_long_cycle_exit2(tmp_path, capsys):
@@ -303,7 +304,10 @@ def test_certify_indep(files, capsys):
     code, out = run(capsys, "certify", "indep", files["dc4"])
     doc = json.loads(out)
     assert code == 0
-    assert doc["certificates"][0]["root"]["op"] == "blow_up"
+    (entry,) = doc["certificates"]
+    root = entry["nodes"][-1]
+    assert root["op"] == "blow_up" and root["m"] == 2
+    assert entry["nodes"][root["child"]]["op"] == "attach_cycle"
 
 
 def test_generate_glue(files, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from gorcheck.construct import (
     replay_matches,
     subdivide,
 )
-from gorcheck.errors import ConstructionError, GuardExceeded, InternalContradiction
+from gorcheck.errors import ConstructionError, InternalContradiction
 from gorcheck.graph import Multigraph, blow_up_factor, components, is_isomorphic
 from gorcheck.indepck import indep_verdict
 from gorcheck.smallgraphs import two_connected_graphs
@@ -104,6 +105,21 @@ def test_blow_up_roundtrip(c4):
     f = blow_up_factor(doubled)
     assert f.multiplicity == 2 and is_isomorphic(f.base_graph, c4)
     assert blow_up(c4, 1).m == c4.m
+
+
+def test_forward_constructions_use_replay_labels():
+    # subdivide, attach_cycle and blow_up replay one step on the input
+    # relabelled 0..n-1 in sorted_vertices order; new vertices come after
+    G = Multigraph.build("dcba", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")])
+
+    def pairs(H):
+        assert H.vertices == tuple(range(H.n))
+        return sorted((u, v) for _, u, v in H.edges)
+
+    ring = [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert pairs(subdivide(G, None, 4, 3)) == sorted(ring + [(0, 4), (2, 4)])
+    assert pairs(attach_cycle(G, 4, 2)) == sorted(ring + [(0, 2), (0, 4), (2, 4)])
+    assert pairs(blow_up(G, 2)) == sorted(2 * (ring + [(0, 2)]))
 
 
 def test_decompose_named(k4, k4_minus_e):
@@ -338,8 +354,10 @@ def test_cert_json_roundtrip(k4_minus_e):
     cert = decompose_base(k4_minus_e, 3)
     text = cert_to_json(cert)
     assert cert_from_json(text) == cert
-    with pytest.raises(ConstructionError):
-        cert_from_json('{"schema": "bogus/9", "root": {}}')
+    assert cert_from_dict({**cert_to_dict(cert), "replay_matched": True}) == cert
+    for schema in ("bogus/9", "gorcheck.cert/1"):
+        with pytest.raises(ConstructionError):
+            cert_from_json(json.dumps({"schema": schema, "root": {"op": "seed", "seed": "k2"}}))
 
 
 def test_fingerprint_large_replay():
@@ -353,31 +371,17 @@ def test_fingerprint_large_replay():
     assert fingerprint(G)[0] == 14
 
 
-def _attach_cycle_json(levels):
-    """cert_from_json text of a chain of AttachCycle nodes over a K2 seed,
-    built as a string: json.dumps itself cannot nest that deep."""
-    node = '{"op": "attach_cycle", "delta": 2, "ref": {"edge": 0}, "child": '
-    seed = '{"op": "seed", "seed": "k2"}'
-    return '{"schema": "gorcheck.cert/1", "root": ' + node * levels + seed + "}" * (levels + 1)
-
-
-def test_serialization_guards_deep_certificates():
-    # 1,000 AttachCycle nodes built without replay; the recursive walks and
-    # the json module would fail near the interpreter's limit
-    cert, doc = Seed("k2"), {"op": "seed", "seed": "k2"}
-    for _ in range(1000):
+def test_deep_certificate_roundtrip():
+    # 10,000 AttachCycle nodes built without replay: the flat node list has
+    # no nesting, so writing and reading never recurse.  Dataclass __eq__
+    # recurses along the chain, so the re-serialized text is compared instead
+    cert = Seed("k2")
+    for _ in range(10_000):
         cert = AttachCycle(2, cert, EdgeRef(0))
-        doc = {"op": "attach_cycle", "delta": 2, "child": doc, "ref": {"edge": 0}}
-    with pytest.raises(GuardExceeded, match="guarded at 900 levels"):
-        cert_to_dict(cert)
-    with pytest.raises(GuardExceeded, match="guarded at 900 levels"):
-        cert_from_dict(doc)
-    # json.loads parses 950 levels, and the nesting guard itself trips; at
-    # 1,200 levels json.loads runs out of recursion first
-    with pytest.raises(GuardExceeded, match=r"guarded at 900 levels \(reached 901\)"):
-        cert_from_json(_attach_cycle_json(950))
-    with pytest.raises(GuardExceeded, match="guarded at 900 levels"):
-        cert_from_json(_attach_cycle_json(1200))
+    text = cert_to_json(cert)
+    nodes = json.loads(text)["nodes"]
+    assert len(nodes) == 10_001 and nodes[-1]["child"] == 9_999
+    assert cert_to_json(cert_from_json(text)) == text
 
 
 def test_replay_deep_chain():
@@ -389,18 +393,38 @@ def test_replay_deep_chain():
     assert (G.n, G.m) == (2 + 1200, 1 + 2 * 1200)
 
 
+K2 = {"op": "seed", "seed": "k2"}
+
+
+def _attach(child):
+    return {"op": "attach_cycle", "delta": 2, "child": child, "ref": {"edge": 0}}
+
+
 @pytest.mark.parametrize(
-    "node",
+    "node",  # the "nodes" field of a /2 document whose only fault is named
     [
-        {"op": "subdivide", "delta": 3},
-        {"op": "glue", "children": []},
-        {
-            "op": "attach_cycle", "delta": 3,
-            "child": {"op": "seed", "seed": "k2"}, "ref": {"flip": True},
-        },
-        {"op": "glue", "delta": 3, "children": "x", "refs": []},
+        [{"op": "subdivide", "delta": 3}],  # no child, no ref
+        [{"op": "glue", "children": []}],  # no delta, no refs
+        [K2, {"op": "attach_cycle", "delta": 3, "child": 0, "ref": {"flip": True}}],
+        [{"op": "glue", "delta": 3, "children": "x", "refs": []}],
+        [_attach(1), K2],  # child index points forward
+        [K2, _attach(2)],  # out of range
+        [K2, _attach(-1)],  # negative
+        [K2, _attach(0), _attach(0)],  # taken twice
+        [K2, {"op": "collide", "children": [0, 0], "refs": [{"edge": 0}] * 2}],
+        [K2, _attach("0")],  # not an int
+        [K2, _attach(True)],
+        [K2, _attach(0.0)],
+        [],
+        "x",
+        {"0": K2},
+        [K2, K2],  # two roots
+        [K2, K2, _attach(1)],
+        [K2, 5],  # a node that is not an object
+        [{"op": "contract", "child": 0}],  # unknown op
+        [K2, {**_attach(0), "ref": {"edge": 0, "flip": "no"}}],  # flip not a bool
     ],
 )
 def test_cert_from_dict_malformed(node):
     with pytest.raises(ConstructionError):
-        cert_from_dict(node)
+        cert_from_dict({"schema": "gorcheck.cert/2", "nodes": node})

@@ -112,3 +112,20 @@ def test_one_low_link_routine():
             if any(isinstance(n, ast.Name) and n.id == "low" for t in targets for n in ast.walk(t)):
                 found.append(f"{path.name}:{fn.name}")
     assert found == ["graph.py:low_link"]
+
+
+def test_one_certificate_walk():
+    # certificates are walked by one explicit-stack post-order, construct._fold;
+    # a recursive writer, reader or replay would bring back a depth limit
+    tree = ast.parse((PACKAGE / "construct.py").read_text(), filename="construct.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def callees(fn):
+        return {
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+        }
+
+    walks = ("cert_to_dict", "cert_from_dict", "replay_detail")
+    assert [name for name in walks if name in callees(functions[name])] == []
+    assert [name for name, fn in functions.items() if "_children" in callees(fn)] == ["_fold"]
