@@ -230,8 +230,8 @@ def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:
     return None
 
 
-def lattice_points(P: LatticePolytope, k: int, node_guard: int = POINT_NODE_GUARD):
-    """All lattice points of k*P, in lattice coordinates, in lexicographic order.
+def _point_intervals(P: LatticePolytope, k: int, node_guard: int, interior: bool):
+    """Lattice points of k*P (dim >= 1) in lex order: prefix + (x,) for first <= x <= last.
 
     Branch and bound over the box spanned by the vertices: a node fixes a
     prefix of the coordinates and survives when every facet can still be
@@ -239,14 +239,11 @@ def lattice_points(P: LatticePolytope, k: int, node_guard: int = POINT_NODE_GUAR
     carries every facet's slack (its partial sum plus that best case), so the
     children of a surviving node that survive form one integer interval, cut
     out by one division per facet.  Every child counts against node_guard,
-    pruned or not.
+    pruned or not.  With interior, every slack starts 1 lower, so a point
+    survives exactly when every facet value is >= 1.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     facets = P.require_facets()
     d = P.dim
-    if d == 0:
-        return [()]
     lo = [k * min(c[i] for c in P.vertex_coords) for i in range(d)]
     hi = [k * max(c[i] for c in P.vertex_coords) for i in range(d)]
     # cols[i][f] = a_f[i]; best[i][f] is facet f's best case at coordinate i
@@ -254,9 +251,8 @@ def lattice_points(P: LatticePolytope, k: int, node_guard: int = POINT_NODE_GUAR
     best = [[a * (hi[i] if a > 0 else lo[i]) for a in cols[i]] for i in range(d)]
     lower = [[(j, a) for j, a in enumerate(cols[i]) if a > 0] for i in range(d)]
     upper = [[(j, -a) for j, a in enumerate(cols[i]) if a < 0] for i in range(d)]
-    slack = [f.b * k + sum(b) for f, b in zip(facets, zip(*best))]
+    slack = [f.b * k + sum(b) - interior for f, b in zip(facets, zip(*best))]
     nodes = 1  # the root
-    out = []
     stack = [((), slack)] if min(slack) >= 0 else []
     while stack and nodes <= node_guard:
         prefix, slack = stack.pop()
@@ -268,30 +264,59 @@ def lattice_points(P: LatticePolytope, k: int, node_guard: int = POINT_NODE_GUAR
         first = max([lo[i]] + [-(rest[j] // a) for j, a in lower[i]])
         last = min([hi[i]] + [rest[j] // a for j, a in upper[i]])
         if i == d - 1:
-            out.extend(prefix + (x,) for x in range(first, last + 1))
+            yield prefix, first, last
             continue
         col = cols[i]
         for x in range(last, first - 1, -1):
             stack.append((prefix + (x,), [r + a * x for r, a in zip(rest, col)]))
     if nodes > node_guard:
         raise GuardExceeded(
-            f"point enumeration guarded at {node_guard} nodes (reached {nodes})"
+            f"lattice points of {'the interior of ' if interior else ''}{k}P: "
+            f"guarded at {node_guard} nodes (reached {nodes})"
         )
-    return out
+
+
+def lattice_points(P: LatticePolytope, k: int, node_guard: int = POINT_NODE_GUARD):
+    """All lattice points of k*P, in lattice coordinates, in lexicographic order."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if P.dim == 0:
+        return [()]
+    intervals = _point_intervals(P, k, node_guard, False)
+    return [prefix + (x,) for prefix, first, last in intervals for x in range(first, last + 1)]
+
+
+def _count_points(P: LatticePolytope, k: int, interior=False, node_guard=POINT_NODE_GUARD):
+    """The number of lattice points of k*P, or of its relative interior."""
+    if P.dim == 0:
+        # a point is its own relative interior, except at k = 0
+        return 0 if interior and k == 0 else 1
+    intervals = _point_intervals(P, k, node_guard, interior)
+    return sum(max(last - first + 1, 0) for _, first, last in intervals)
 
 
 def hstar(P: LatticePolytope) -> HStarVector:
-    """Ehrhart h*-vector via the binomial transform of the counts L(0..d)."""
+    """Ehrhart h*-vector from lattice-point counts up to the dilate ceil(d/2).
+
+    L(k) counts the lattice points of kP, L°(k) those of its relative interior:
+    a point is interior when every facet value is > 0, which is >= 1 since the
+    facets have integer coefficients in lattice coordinates.  By
+    Ehrhart-Macdonald reciprocity (Ehrhart 1967; Macdonald 1971),
+    L(-k) = (-1)^d L°(k), so h* read backwards is the binomial transform of
+    L° (with L°(0) = 0) that gives h* from L.  With b = floor(d/2) and
+    a = d - b, h*_0..h*_b come from L(0..b) and h*_(b+1)..h*_d from L°(1..a);
+    for odd d the top dilate is an interior count, whose walk prunes sooner.
+    """
     d = P.dim
-    counts = [len(lattice_points(P, k)) for k in range(d + 1)]
-    coeffs = []
-    for j in range(d + 1):
-        coeffs.append(
-            sum(
-                (-1) ** i * comb(d + 1, i) * counts[j - i]
-                for i in range(j + 1)
-            )
-        )
+    a, b = d - d // 2, d // 2
+    closed = [_count_points(P, k) for k in range(b + 1)]
+    interior = [0] + [_count_points(P, k, interior=True) for k in range(1, a + 1)]
+
+    def transform(counts, j):
+        return sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
+
+    coeffs = [transform(closed, j) for j in range(b + 1)]
+    coeffs += [transform(interior, j) for j in range(a, 0, -1)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     h = HStarVector(tuple(coeffs))

@@ -94,6 +94,19 @@ def test_oracle_c5_chord_hstar(files, capsys):
     assert doc["normality"] == "pass"
 
 
+def test_oracle_hstar_reaches_k5_minus_an_edge(files, capsys):
+    # dim 8: the counts stop at the dilate 4, where the full counts up to
+    # 8P visit more than 10**7 branch-and-bound nodes
+    path = files["dir"] / "k5e.txt"
+    path.write_text("".join(f"{a} {b}\n" for a in range(5) for b in range(a + 1, 5) if (a, b) != (3, 4)))
+    code, out = run(capsys, "oracle", "base", str(path), "--hstar")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["polytope"]["vertices"], doc["polytope"]["dim"]) == (75, 8)
+    assert doc["hstar"]["coefficients"] == [1, 66, 768, 2436, 2400, 702, 45]
+    assert doc["elapsed_s"] < 3
+
+
 def test_oracle_normality_below_two_is_input_error(files, capsys):
     code = main(["oracle", "base", files["c3"], "--normality", "1"])
     err = capsys.readouterr().err

@@ -1,4 +1,6 @@
 import itertools
+from functools import cache
+from math import comb
 
 import pytest
 
@@ -15,6 +17,7 @@ from gorcheck.linalg import (
 from gorcheck.oracle import (
     Facet,
     GorensteinWitness,
+    _count_points,
     _polytope_from_vertices,
     facets_bruteforce,
     facets_from_cor33,
@@ -26,6 +29,7 @@ from gorcheck.oracle import (
     product_polytope,
 )
 from gorcheck.smallgraphs import two_connected_graphs
+from test_acceptance import _hstar_family
 
 
 def test_hnf_basics():
@@ -243,6 +247,70 @@ def test_lattice_point_guard_trips_at_recursion_node_count():
         with pytest.raises(GuardExceeded, match=f"reached {nodes}"):
             lattice_points(P, 2, node_guard=nodes - 1)
         assert lattice_points(P, 2, node_guard=nodes) == points, (G.edges, kind)
+        # the count walks the same nodes as the list
+        message = rf"lattice points of 2P: guarded at {nodes - 1} nodes \(reached {nodes}\)"
+        with pytest.raises(GuardExceeded, match=message):
+            _count_points(P, 2, node_guard=nodes - 1)
+        assert _count_points(P, 2, node_guard=nodes) == len(points), (G.edges, kind)
+    # B(K4) is Gorenstein of codegree 2: the interior of 2P is one point
+    with pytest.raises(GuardExceeded, match=r"lattice points of the interior of 2P: guarded at 1 nodes"):
+        _count_points(polytope_of(complete(4), "base"), 2, interior=True, node_guard=1)
+
+
+def _hstar_by_direct_counts(P):
+    """Reference: the binomial transform of the counts L(0..d) of kP itself."""
+    d = P.dim
+    counts = [len(lattice_points(P, k)) for k in range(d + 1)]
+    coeffs = [
+        sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
+        for j in range(d + 1)
+    ]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@cache
+def _reciprocity_polytopes():
+    """The criterion-7 family, the atlas up to 5 vertices with dim <= 6, and
+    three polytopes with facet coefficients beyond {-1, 0, 1}, each once."""
+    polytopes = {}
+    for G, kind in _hstar_family():
+        P = polytope_of(G, kind)
+        polytopes.setdefault(P.vertices, P)
+    for _, _, P in _small_polytopes(5):
+        if P.dim <= 6:
+            polytopes.setdefault(P.vertices, P)
+    for verts in [
+        [(0, 0), (1, 0), (0, 1), (3, 5)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 5)],
+        [(0, 0, 0), (2, 0, 1), (0, 3, 1), (1, 1, 0), (4, 1, 3)],
+    ]:
+        P = _polytope_from_vertices("product", verts)
+        polytopes.setdefault(P.vertices, P)
+    return tuple(polytopes.values())
+
+
+def test_hstar_matches_direct_counts():
+    polytopes = _reciprocity_polytopes()
+    assert {P.dim for P in polytopes} == set(range(7))
+    for P in polytopes:
+        assert hstar(P).coefficients == _hstar_by_direct_counts(P), P.vertices
+
+
+def test_interior_count_matches_filtered_points():
+    # dim 6 is left to test_hstar_matches_direct_counts, whose hstar counts
+    # interiors too; the point lists grow fast with dim
+    polytopes = [P for P in _reciprocity_polytopes() if P.dim <= 5]
+    assert any(P.dim == 0 for P in polytopes)
+    for P in polytopes:
+        facets = P.require_facets()
+        for k in range(4):
+            points = lattice_points(P, k)
+            # a point polytope is its own relative interior for k >= 1
+            inside = [p for p in points if all(f.value(p, k) >= 1 for f in facets)]
+            assert _count_points(P, k, interior=True) == len(inside), (P.vertices, k)
+            assert _count_points(P, k) == len(points), (P.vertices, k)
 
 
 def test_hstar(c3, k2, c5_chord):

@@ -129,3 +129,22 @@ def test_one_certificate_walk():
     walks = ("cert_to_dict", "cert_from_dict", "replay_detail")
     assert [name for name in walks if name in callees(functions[name])] == []
     assert [name for name, fn in functions.items() if "_children" in callees(fn)] == ["_fold"]
+
+
+def test_one_lattice_point_walk():
+    # hstar counts through the branch and bound without building the point
+    # lists, and the list and the counts share one walk: the interval cut, a
+    # floor division of a facet's slack `rest[j] // a`, appears in one
+    # function only
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(), filename="oracle.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "lattice_points" not in _names(functions["hstar"])
+    cuts = [
+        name for name, fn in functions.items()
+        if any(
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.left, ast.Subscript)
+            for node in ast.walk(fn)
+        )
+    ]
+    assert cuts == ["_point_intervals"]
