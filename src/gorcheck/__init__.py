@@ -18,6 +18,7 @@ from .construct import (
     Collide,
     EdgeRef,
     Glue,
+    Node,
     Seed,
     Subdivide,
     attach_cycle,

@@ -152,6 +152,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.max_delta is not None and args.max_delta < 1:
+        raise ValueError("--max-delta must be >= 1")
     G = _load_graph(args.file)
     t0 = time.perf_counter()
     kind = "independence" if args.kind == "indep" else "base"
@@ -160,7 +162,7 @@ def cmd_oracle(args) -> int:
     P = polytope_of(G, kind, guard=FACET_VERTEX_GUARD)
     facets = P.require_facets()
     witness = gorenstein_search(P)
-    if witness is not None and args.max_delta and witness.delta > args.max_delta:
+    if witness is not None and args.max_delta is not None and witness.delta > args.max_delta:
         witness = None
     report = {
         "schema": VERDICT_SCHEMA,
@@ -183,7 +185,7 @@ def cmd_oracle(args) -> int:
             "coefficients": list(h.coefficients),
             "palindromic": h.palindromic,
         }
-    if args.normality:
+    if args.normality is not None:
         bad = normality_probe(P, args.normality)
         report["normality"] = (
             "pass" if bad is None else {"k": bad[0], "point": list(bad[1])}
@@ -231,7 +233,7 @@ def cmd_certify(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.op == "seed":
-        if args.cycle:
+        if args.cycle is not None:
             G = replay(Seed("cycle", args.cycle))
         elif args.k4:
             G = replay(Seed("k4"))

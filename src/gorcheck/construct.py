@@ -1,6 +1,9 @@
 """Generative operations, replayable certificates, and their inverses.
 
-A certificate is a tree of construction steps.  Replay is deterministic:
+A certificate is a tuple of construction steps in post-order, the root last:
+the gorcheck.cert/2 node list itself, in memory as on disk.  Each Node is
+flat, naming its children by their indexes in the tuple, so ==, hash and
+repr are flat tuple operations at any depth.  Replay is deterministic:
 every node's output uses canonical integer vertex labels and re-assigned edge
 ids, so an edge reference (id plus orientation flag) inside a node always
 refers to the replayed child, keeping certificates self-contained.
@@ -9,9 +12,7 @@ refers to the replayed child, keeping certificates self-contained.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Union
+from typing import NamedTuple, Optional
 
 from .baseck import check_spade, weight_function
 from .errors import ConstructionError, GuardExceeded, InternalContradiction, WeightConflict
@@ -30,54 +31,63 @@ from .graph import (
 SCHEMA = "gorcheck.cert/2"
 
 
-@dataclass(frozen=True)
-class EdgeRef:
+class EdgeRef(NamedTuple):
     """Edge of a replayed child: id plus whether the stored endpoint order is reversed."""
 
     edge_id: int
     flipped: bool = False
 
 
-@dataclass(frozen=True)
-class Seed:
-    kind: str  # "cycle" | "k4" | "k2"
+class Node(NamedTuple):
+    """One construction step; the fields are the gorcheck.cert/2 keys, and
+    children (child on disk) are indexes of earlier nodes."""
+
+    op: str  # "seed" | "glue" | "subdivide" | "collide" | "attach_cycle" | "blow_up"
+    children: tuple = ()
+    refs: tuple = ()  # one EdgeRef per child; none for seed and blow_up
+    delta: Optional[int] = None
+    seed: Optional[str] = None  # "cycle" | "k4" | "k2"
     n: Optional[int] = None  # cycle length
+    m: Optional[int] = None  # blow-up multiplicity
 
 
-@dataclass(frozen=True)
-class Glue:
-    delta: int
-    children: tuple
-    refs: tuple  # one EdgeRef per child
+def _join(certs, op: str, **fields) -> tuple:
+    """One certificate from child certificates and a root step: the children's
+    nodes one after another, each child's indexes shifted by its offset,
+    then the root, which takes the children's roots."""
+    nodes, kids = (), []
+    for cert in certs:
+        shift = len(nodes)
+        if shift:
+            cert = tuple(nd._replace(children=tuple(i + shift for i in nd.children)) for nd in cert)
+        nodes += cert
+        kids.append(len(nodes) - 1)
+    return nodes + (Node(op, tuple(kids), **fields),)
 
 
-@dataclass(frozen=True)
-class Subdivide:
-    delta: int
-    child: "Cert"
-    ref: EdgeRef
+# the steps by name: each returns a certificate, that step over its children
+def Seed(kind: str, n: Optional[int] = None) -> tuple:
+    return (Node("seed", seed=kind, n=n),)
 
 
-@dataclass(frozen=True)
-class Collide:
-    children: tuple  # exactly 2
-    refs: tuple
+def Glue(delta: int, children, refs) -> tuple:
+    return _join(children, "glue", refs=tuple(refs), delta=delta)
 
 
-@dataclass(frozen=True)
-class AttachCycle:
-    delta: int
-    child: "Cert"
-    ref: EdgeRef
+def Subdivide(delta: int, child: tuple, ref: EdgeRef) -> tuple:
+    return _join((child,), "subdivide", refs=(ref,), delta=delta)
 
 
-@dataclass(frozen=True)
-class BlowUp:
-    child: "Cert"
-    m: int
+def Collide(children, refs) -> tuple:
+    return _join(children, "collide", refs=tuple(refs))
 
 
-Cert = Union[Seed, Glue, Subdivide, Collide, AttachCycle, BlowUp]
+def AttachCycle(delta: int, child: tuple, ref: EdgeRef) -> tuple:
+    return _join((child,), "attach_cycle", refs=(ref,), delta=delta)
+
+
+def BlowUp(child: tuple, m: int) -> tuple:
+    return _join((child,), "blow_up", m=m)
 
 
 # -- replay ------------------------------------------------------------------
@@ -133,86 +143,70 @@ def _merge_along(graphs, oriented_edges, drop_merged_edge: bool):
     return G, embeddings
 
 
-def _children(cert) -> tuple:
-    if isinstance(cert, (Glue, Collide)):
-        return tuple(cert.children)
-    return (cert.child,) if isinstance(cert, (Subdivide, AttachCycle, BlowUp)) else ()
-
-
-def replay_step(cert: Cert, reps: list):
+def replay_step(node: Node, reps: list):
     """Replay one node from its replayed children; returns (graph, child embedding maps)."""
-    if isinstance(cert, Seed):
-        if cert.kind == "cycle":
-            if cert.n is None or cert.n < 2:
+    op = node.op
+    if op == "seed":
+        if node.seed == "cycle":
+            if node.n is None or node.n < 2:
                 raise ConstructionError("cycle seed needs length >= 2")
-            pairs = [(i, (i + 1) % cert.n) for i in range(cert.n)]
-        elif cert.kind == "k4":
+            pairs = [(i, (i + 1) % node.n) for i in range(node.n)]
+        elif node.seed == "k4":
             pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        elif cert.kind == "k2":
+        elif node.seed == "k2":
             pairs = [(0, 1)]
         else:
-            raise ConstructionError(f"unknown seed kind {cert.kind!r}")
+            raise ConstructionError(f"unknown seed kind {node.seed!r}")
         return _finish({x for p in pairs for x in p}, pairs)[0], []
 
-    if isinstance(cert, (Glue, Collide)):
-        is_glue = isinstance(cert, Glue)
-        want = cert.delta - 1 if is_glue else 2
-        if len(reps) != want or len(cert.refs) != want:
-            what = f"glue at delta={cert.delta}" if is_glue else "collide"
+    if op in ("glue", "collide"):
+        is_glue = op == "glue"
+        want = node.delta - 1 if is_glue else 2
+        if len(reps) != want or len(node.refs) != want:
+            what = f"glue at delta={node.delta}" if is_glue else "collide"
             raise ConstructionError(f"{what} needs exactly {want} children")
-        oriented = [(r.edge_id,) + _oriented(g, r) for g, r in zip(reps, cert.refs)]
+        oriented = [(r.edge_id,) + _oriented(g, r) for g, r in zip(reps, node.refs)]
         return _merge_along(reps, oriented, drop_merged_edge=not is_glue)
 
-    if not isinstance(cert, (Subdivide, AttachCycle, BlowUp)):
-        raise ConstructionError(f"unknown certificate node {cert!r}")
+    if op not in ("subdivide", "attach_cycle", "blow_up"):
+        raise ConstructionError(f"unknown certificate op {op!r}")
     (rep,) = reps
-    if isinstance(cert, BlowUp):
-        if cert.m < 1:
+    if op == "blow_up":
+        if node.m < 1:
             raise ConstructionError("blow-up multiplicity must be >= 1")
-        pairs = [(a, b) for _, a, b in rep.edges for _ in range(cert.m)]
+        pairs = [(a, b) for _, a, b in rep.edges for _ in range(node.m)]
         G, lab = _finish(range(rep.n), pairs)
         return G, [{x: lab[x] for x in rep.vertices}]
 
     # Subdivide replaces the referenced edge by a path of delta-1 edges (the
     # identity at delta=2); AttachCycle adds a path of delta edges beside it
-    attach = isinstance(cert, AttachCycle)
-    if cert.delta < 2:
+    attach = op == "attach_cycle"
+    if node.delta < 2:
         raise ConstructionError(f"{'attach_cycle' if attach else 'subdivide'} needs delta >= 2")
-    u, v = _oriented(rep, cert.ref)
-    fresh = list(range(rep.n, rep.n + cert.delta - 2 + attach))
-    pairs = [(a, b) for e, a, b in rep.edges if attach or e != cert.ref.edge_id]
+    (ref,) = node.refs
+    u, v = _oriented(rep, ref)
+    fresh = list(range(rep.n, rep.n + node.delta - 2 + attach))
+    pairs = [(a, b) for e, a, b in rep.edges if attach or e != ref.edge_id]
     chain = [u] + fresh + [v]
     pairs.extend(zip(chain, chain[1:]))
     G, lab = _finish(range(rep.n + len(fresh)), pairs)
     return G, [{x: lab[x] for x in rep.vertices}]
 
 
-def _fold(cert: Cert, visit):
-    """visit(node, results of its children) at every node, children first,
-    left to right; returns the root's result.  The post-order comes from an
-    explicit stack, so a deep certificate does not hit the recursion limit.
+def replay_detail(cert: tuple):
+    """Replay a certificate; returns (graph, child embedding maps) of its root.
+
+    One forward pass over the nodes: a child's replayed graph is dropped
+    once its parent has used it, so a chain holds one graph at a time.
     """
-    order, stack = [], [cert]
-    while stack:
-        node = stack.pop()
-        kids = _children(node)
-        order.append((node, len(kids)))
-        stack.extend(kids)
-    done = []  # results of the finished subtrees
-    for node, arity in reversed(order):
-        split = len(done) - arity
-        result = visit(node, done[split:])
-        del done[split:]
-        done.append(result)
+    pending = {}  # node index -> replayed graph no parent has used yet
+    for i, node in enumerate(cert):
+        result = replay_step(node, [pending.pop(k) for k in node.children])
+        pending[i] = result[0]
     return result
 
 
-def replay_detail(cert: Cert):
-    """Replay a certificate; returns (graph, child embedding maps) of its root."""
-    return _fold(cert, lambda node, kids: replay_step(node, [G for G, _ in kids]))
-
-
-def replay(cert: Cert) -> Multigraph:
+def replay(cert: tuple) -> Multigraph:
     """Deterministic reconstruction of the graph a certificate describes."""
     return replay_detail(cert)[0]
 
@@ -267,7 +261,7 @@ def subdivide(G: Multigraph, w, eid: int, delta: int) -> Multigraph:
         )
     if delta == 2:
         return G
-    return _forward(G, Subdivide(delta, None, EdgeRef(eid)))
+    return _forward(G, Node("subdivide", refs=(EdgeRef(eid),), delta=delta))
 
 
 def collide(G1: Multigraph, e1: int, G2: Multigraph, e2: int) -> Multigraph:
@@ -291,18 +285,18 @@ def attach_cycle(H: Multigraph, eid: int, delta: int) -> Multigraph:
         raise ConstructionError("attach_cycle requires a simple graph")
     if eid not in H.edge_by_id:
         raise KeyError(f"unknown edge id {eid}")
-    return _forward(H, AttachCycle(delta, None, EdgeRef(eid)))
+    return _forward(H, Node("attach_cycle", refs=(EdgeRef(eid),), delta=delta))
 
 
 def blow_up(H: Multigraph, m: int) -> Multigraph:
     """Replace every edge by m parallel copies; replay_step refuses m < 1."""
-    return _forward(H, BlowUp(None, m))
+    return _forward(H, Node("blow_up", m=m))
 
 
-def _forward(G: Multigraph, step: Cert) -> Multigraph:
+def _forward(G: Multigraph, step: Node) -> Multigraph:
     """Replay one step on G relabelled to replay labels: 0..n-1 in
-    sorted_vertices order, edge ids kept.  The step's child is None, since
-    replay_step reads only the replayed children."""
+    sorted_vertices order, edge ids kept.  The step names no children, since
+    replay_step reads only the replayed ones."""
     lab = {x: i for i, x in enumerate(G.sorted_vertices)}
     rep = Multigraph(tuple(range(G.n)), tuple((e, lab[u], lab[v]) for e, u, v in G.edges))
     return replay_step(step, [rep])[0]
@@ -320,17 +314,18 @@ def _is_cycle_graph(G: Multigraph) -> bool:
     )
 
 
-def _cycle_cert(G: Multigraph):
+def _cycle_cert(G: Multigraph, nodes: list):
     walk = [min(G.vertices, key=label_key)]
     walk.append(min((w for _, w in G.adjacency[walk[0]]), key=label_key))
     while len(walk) < G.n:
         walk.append(next(w for _, w in G.adjacency[walk[-1]] if w != walk[-2]))
-    return _seed(Seed("cycle", G.n), walk)
+    return _seed(Node("seed", seed="cycle", n=G.n), walk, nodes)
 
 
-def _seed(cert: Seed, order) -> tuple:
-    """(cert, vertex map, replayed graph) for a seed whose i-th vertex is order[i]."""
-    return cert, {v: i for i, v in enumerate(order)}, replay_step(cert, [])[0]
+def _seed(node: Node, order, nodes: list) -> tuple:
+    """Append a seed whose i-th vertex is order[i]; returns (vertex map, replayed graph)."""
+    nodes.append(node)
+    return {v: i for i, v in enumerate(order)}, replay_step(node, [])[0]
 
 
 def _edge_ref(rep: Multigraph, a, b) -> EdgeRef:
@@ -341,31 +336,38 @@ def _edge_ref(rep: Multigraph, a, b) -> EdgeRef:
     return EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a)
 
 
-def _split(parts, u, v, delta: int, node):
+def _split(parts, u, v, delta: int, nodes: list, op: str):
     """Decompose each part, then join the replays along their copies of uv.
 
-    node(children, refs) is the Glue or Collide node; one replay_step over
-    the parts' replayed graphs gives its replay and the composed vertex map.
+    op is "glue" or "collide"; one replay_step over the parts' replayed
+    graphs gives the joining node's replay and the composed vertex map.
     """
-    done = [_decompose(part, delta) for part in parts]  # (cert, vmap, replay)
-    cert = node(
-        tuple(c for c, _, _ in done),
-        tuple(_edge_ref(r, vm[u], vm[v]) for _, vm, r in done),
+    done, kids = [], []  # (vmap, replay) and root index of each part
+    for part in parts:
+        done.append(_decompose(part, delta, nodes))
+        kids.append(len(nodes) - 1)
+    node = Node(
+        op,
+        tuple(kids),
+        tuple(_edge_ref(r, vm[u], vm[v]) for vm, r in done),
+        delta if op == "glue" else None,
     )
-    rep, embeds = replay_step(cert, [r for _, _, r in done])
-    vmap = {x: emb[y] for (_, vm, _), emb in zip(done, embeds) for x, y in vm.items()}
-    return cert, vmap, rep
+    nodes.append(node)
+    rep, embeds = replay_step(node, [r for _, r in done])
+    vmap = {x: emb[y] for (vm, _), emb in zip(done, embeds) for x, y in vm.items()}
+    return vmap, rep
 
 
-def _decompose(G: Multigraph, delta: int):
-    """(certificate, map V(G) -> replay labels, replayed graph) for one part.
+def _decompose(G: Multigraph, delta: int, nodes: list):
+    """Append one part's certificate to nodes in post-order, its root last;
+    returns (map V(G) -> replay labels, replayed graph).
 
     Every step meets its construction's hypothesis, so a finished run is a
     proof: a Glue part is connected off uv, so uv weighs delta-1 there (or
     weight_function raises WeightConflict), and Subdivide checks its edge weighs 1.
     """
     if delta == 2:
-        return _decompose_delta2(G)
+        return _decompose_delta2(G, nodes)
 
     if _is_cycle_graph(G):
         if G.n != delta:
@@ -373,7 +375,7 @@ def _decompose(G: Multigraph, delta: int):
                 f"a cycle satisfying the equalities at delta={delta} must be a "
                 f"{delta}-cycle, got C{G.n}"
             )
-        return _cycle_cert(G)
+        return _cycle_cert(G, nodes)
 
     w = weight_function(G, delta).as_dict()
     light = sorted(
@@ -388,7 +390,7 @@ def _decompose(G: Multigraph, delta: int):
                 f"weight-1 edge split gave {len(comps)} parts, expected {delta - 1}"
             )
         parts = [G.induced(set(comp) | {u, v}) for comp in comps]
-        return _split(parts, u, v, delta, partial(Glue, delta))
+        return _split(parts, u, v, delta, nodes, "glue")
 
     candidates = [e for e in ears(G).ears if e.length == delta - 1]
     if not candidates:
@@ -402,15 +404,17 @@ def _decompose(G: Multigraph, delta: int):
             "ear endpoints are adjacent; its replacement would not be simple"
         )
     shrunk, new = G.without_vertices(ear.inner).with_edge(v0, vs)
-    cert_c, vmap_c, rep_c = _decompose(shrunk, delta)
+    vmap_c, rep_c = _decompose(shrunk, delta, nodes)
     if weight_function(shrunk, delta).as_dict()[new] != 1:
         raise InternalContradiction(f"an ear shrinks to an edge of weight {delta - 1}, not 1")
-    cert = Subdivide(delta, cert_c, _edge_ref(rep_c, vmap_c[v0], vmap_c[vs]))
-    rep, (embed,) = replay_step(cert, [rep_c])
+    ref = _edge_ref(rep_c, vmap_c[v0], vmap_c[vs])
+    node = Node("subdivide", (len(nodes) - 1,), (ref,), delta)
+    nodes.append(node)
+    rep, (embed,) = replay_step(node, [rep_c])
     vmap = {x: embed[y] for x, y in vmap_c.items()}
     # fresh labels run along the new path from v0 to vs
     vmap.update((x, rep_c.n + j) for j, x in enumerate(ear.inner))
-    return cert, vmap, rep
+    return vmap, rep
 
 
 def _separating_pair(G: Multigraph):
@@ -426,14 +430,14 @@ def _separating_pair(G: Multigraph):
     return None
 
 
-def _decompose_delta2(G: Multigraph):
+def _decompose_delta2(G: Multigraph, nodes: list):
     pair = _separating_pair(G)
     if pair is None:
         if not (G.n == 4 and G.m == 6 and G.is_simple()):
             raise InternalContradiction(
                 "a 3-connected graph satisfying the delta=2 equalities must be K4"
             )
-        return _seed(Seed("k4"), G.sorted_vertices)
+        return _seed(Node("seed", seed="k4"), G.sorted_vertices, nodes)
     v1, v2 = pair
     comps = components(G.without_vertices(pair))
     if len(comps) != 2:
@@ -443,7 +447,7 @@ def _decompose_delta2(G: Multigraph):
     if G.has_edge(v1, v2):
         raise InternalContradiction("separating pair joined by an edge")
     parts = [G.induced(set(comp) | {v1, v2}).with_edge(v1, v2)[0] for comp in comps]
-    return _split(parts, v1, v2, 2, Collide)
+    return _split(parts, v1, v2, 2, nodes, "collide")
 
 
 def check_vertex_map(G: Multigraph, vmap: dict, rep: Multigraph) -> None:
@@ -470,18 +474,19 @@ def decompose(G: Multigraph, delta: int):
     decomposition runs check_spade, to name the violated good flat; if it
     finds none, the stuck state stands as InternalContradiction.
     """
+    nodes = []
     try:
-        cert, vmap, rep = _decompose(G, delta)
+        vmap, rep = _decompose(G, delta, nodes)
     except (InternalContradiction, WeightConflict) as stuck:
         witness = check_spade(G, delta)
         if witness is None:
             raise InternalContradiction(str(stuck)) from stuck
         return None, witness
     check_vertex_map(G, vmap, rep)
-    return cert, None
+    return tuple(nodes), None
 
 
-def decompose_base(G: Multigraph, delta: int) -> Cert:
+def decompose_base(G: Multigraph, delta: int) -> tuple:
     """Certificate for a 2-connected simple graph satisfying the equalities at delta.
 
     Replaying it yields G up to the vertex map decompose checks; an input
@@ -519,7 +524,7 @@ def fingerprint(G: Multigraph) -> tuple:
     )
 
 
-def replay_matches(cert: Cert, G: Multigraph) -> tuple:
+def replay_matches(cert: tuple, G: Multigraph) -> tuple:
     """Compare replay(cert) with G; returns (matched, method).
 
     Brute-force isomorphism up to 10 vertices, invariant fingerprint beyond
@@ -535,43 +540,24 @@ def replay_matches(cert: Cert, G: Multigraph) -> tuple:
 # -- serialization ------------------------------------------------------------
 
 
-def _ref_to_dict(r: EdgeRef) -> dict:
-    return {"edge": r.edge_id, "flip": r.flipped}
+def _node_to_dict(node: Node) -> dict:
+    """One node of the /2 list, keys in the order the format lists them."""
+    op = node.op
+    if op == "seed":
+        return {"op": op, "seed": node.seed, **({} if node.n is None else {"n": node.n})}
+    if op == "blow_up":
+        return {"op": op, "m": node.m, "child": node.children[0]}
+    out = {"op": op} if op == "collide" else {"op": op, "delta": node.delta}
+    refs = [{"edge": r.edge_id, "flip": r.flipped} for r in node.refs]
+    if op in ("glue", "collide"):
+        return {**out, "children": list(node.children), "refs": refs}
+    return {**out, "child": node.children[0], "ref": refs[0]}
 
 
-def _node_to_dict(cert: Cert, kids: list) -> dict:
-    """One node of the flat list; kids are its children's indexes."""
-    if isinstance(cert, Seed):
-        out = {"op": "seed", "seed": cert.kind}
-        if cert.n is not None:
-            out["n"] = cert.n
-        return out
-    if isinstance(cert, (Glue, Collide)):
-        out = {"op": "glue", "delta": cert.delta} if isinstance(cert, Glue) else {"op": "collide"}
-        return {**out, "children": kids, "refs": [_ref_to_dict(r) for r in cert.refs]}
-    if isinstance(cert, (Subdivide, AttachCycle)):
-        return {
-            "op": "subdivide" if isinstance(cert, Subdivide) else "attach_cycle",
-            "delta": cert.delta,
-            "child": kids[0],
-            "ref": _ref_to_dict(cert.ref),
-        }
-    if isinstance(cert, BlowUp):
-        return {"op": "blow_up", "m": cert.m, "child": kids[0]}
-    raise ConstructionError(f"unknown certificate node {cert!r}")
-
-
-def cert_to_dict(cert: Cert) -> dict:
+def cert_to_dict(cert: tuple) -> dict:
     """JSON-ready dict: the nodes in post-order, the root last, each child
     named by its index in the list."""
-    nodes = []
-
-    def visit(node, kids):
-        nodes.append(_node_to_dict(node, kids))
-        return len(nodes) - 1
-
-    _fold(cert, visit)
-    return {"schema": SCHEMA, "nodes": nodes}
+    return {"schema": SCHEMA, "nodes": [_node_to_dict(node) for node in cert]}
 
 
 def _field(d: dict, key: str, kind: type):
@@ -590,7 +576,7 @@ def _ref_from_dict(r) -> EdgeRef:
     return EdgeRef(_field(r, "edge", int), _field(r, "flip", bool) if "flip" in r else False)
 
 
-def cert_from_dict(doc: dict) -> Cert:
+def cert_from_dict(doc: dict) -> tuple:
     """Inverse of cert_to_dict; keys it does not read are ignored, so a
     certify report entry parses too.  Malformed input raises
     ConstructionError: every child index must name an earlier node that no
@@ -599,7 +585,7 @@ def cert_from_dict(doc: dict) -> Cert:
     schema = doc.get("schema") if type(doc) is dict else None
     if schema != SCHEMA:
         raise ConstructionError(f"unsupported certificate schema {schema!r}")
-    built = []
+    nodes = []
     free = set()  # indexes of the nodes no node has taken yet
 
     def take(i):
@@ -608,38 +594,40 @@ def cert_from_dict(doc: dict) -> Cert:
                 f"certificate child {i!r} is not the index of an earlier, untaken node"
             )
         free.remove(i)
-        return built[i]
+        return i
 
     for d in _field(doc, "nodes", list):
         if type(d) is not dict:
             raise ConstructionError("certificate node is not an object")
         op = d.get("op")
         if op == "seed":
-            node = Seed(_field(d, "seed", str), _field(d, "n", int) if "n" in d else None)
+            seed = _field(d, "seed", str)
+            node = Node(op, seed=seed, n=_field(d, "n", int) if "n" in d else None)
         elif op in ("glue", "collide"):
             children = tuple(take(i) for i in _field(d, "children", list))
             refs = tuple(_ref_from_dict(r) for r in _field(d, "refs", list))
-            node = (
-                Collide(children, refs) if op == "collide"
-                else Glue(_field(d, "delta", int), children, refs)
-            )
+            node = Node(op, children, refs, None if op == "collide" else _field(d, "delta", int))
         elif op in ("subdivide", "attach_cycle"):
-            kind = Subdivide if op == "subdivide" else AttachCycle
-            node = kind(_field(d, "delta", int), take(d.get("child")), _ref_from_dict(d.get("ref")))
+            node = Node(
+                op,
+                delta=_field(d, "delta", int),
+                children=(take(d.get("child")),),
+                refs=(_ref_from_dict(d.get("ref")),),
+            )
         elif op == "blow_up":
-            node = BlowUp(take(d.get("child")), _field(d, "m", int))
+            node = Node(op, children=(take(d.get("child")),), m=_field(d, "m", int))
         else:
             raise ConstructionError(f"unknown certificate op {op!r}")
-        free.add(len(built))
-        built.append(node)
+        free.add(len(nodes))
+        nodes.append(node)
     if len(free) != 1:  # nothing can take the last node
         raise ConstructionError(f"certificate nodes form {len(free)} trees, not one")
-    return built[-1]
+    return tuple(nodes)
 
 
-def cert_to_json(cert: Cert) -> str:
+def cert_to_json(cert: tuple) -> str:
     return json.dumps(cert_to_dict(cert), indent=2)
 
 
-def cert_from_json(text: str) -> Cert:
+def cert_from_json(text: str) -> tuple:
     return cert_from_dict(json.loads(text))

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .baseck import Witness
-from .construct import (
-    AttachCycle,
-    BlowUp,
-    Cert,
-    EdgeRef,
-    Seed,
-    check_vertex_map,
-    replay_step,
-)
+from .construct import BlowUp, EdgeRef, Node, check_vertex_map, replay_step
 from .errors import InternalContradiction, NotTwoConnected
 from .flats import indecomposable_flats, induced_edge_ids
 from .graph import (
@@ -89,7 +81,7 @@ def check_chordal_k4free(H: Multigraph, delta: int) -> Optional[Witness]:
     return None
 
 
-def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[Cert]:
+def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[tuple]:
     """Certificate building H from K2 by attaching (delta+1)-cycles, or None.
 
     Greedy peel: while the graph is not K2, remove the inner vertices of one
@@ -131,21 +123,22 @@ def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[Cert]:
         peeled.append(path)
         G = G.without_vertices(path[1:-1])
 
-    cert = Seed("k2")
-    rep, _ = replay_step(cert, [])
+    nodes = [Node("seed", seed="k2")]
+    rep, _ = replay_step(nodes[0], [])
     vmap = dict(zip(G.sorted_vertices, range(2)))
     for path in reversed(peeled):
         a, b = vmap[path[0]], vmap[path[-1]]
         eid = rep.edge_between(a, b)
         if eid is None:
             raise InternalContradiction("replayed graph lost the attachment edge")
-        cert = AttachCycle(delta, cert, EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a))
+        ref = EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a)
+        nodes.append(Node("attach_cycle", (len(nodes) - 1,), (ref,), delta))
         # the replay keeps the child's labels and appends the new path's inner
         # vertices, from a to b; the final check below proves the map
         vmap.update((x, rep.n + j) for j, x in enumerate(path[1:-1]))
-        rep, _ = replay_step(cert, [rep])
+        rep, _ = replay_step(nodes[-1], [rep])
     check_vertex_map(H, vmap, rep)
-    return cert
+    return tuple(nodes)
 
 
 @dataclass(frozen=True)

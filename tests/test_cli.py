@@ -15,7 +15,6 @@ from gorcheck.construct import (
     Seed,
     blow_up,
     cert_from_dict,
-    cert_to_json,
     glue,
     replay,
     replay_matches,
@@ -107,11 +106,31 @@ def test_oracle_hstar_reaches_k5_minus_an_edge(files, capsys):
     assert doc["elapsed_s"] < 3
 
 
-def test_oracle_normality_below_two_is_input_error(files, capsys):
-    code = main(["oracle", "base", files["c3"], "--normality", "1"])
+@pytest.mark.parametrize("kmax", ["1", "0"])
+def test_oracle_normality_below_two_is_input_error(files, capsys, kmax):
+    # 0 is a value out of range, not "no probe"
+    code = main(["oracle", "base", files["c3"], "--normality", kmax])
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_oracle_max_delta_below_one_is_input_error(files, capsys, bound):
+    # the oracle never finds an index below 1, so such a bound was ignored
+    code = main(["oracle", "base", files["c3"], "--max-delta", bound])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "input error: --max-delta must be >= 1\n"
+
+
+@pytest.mark.parametrize("length", ["0", "1"])
+def test_generate_seed_cycle_below_two_is_input_error(capsys, length):
+    # --cycle 0 used to print K2 and exit 0, as if the option were absent
+    code = main(["generate", "seed", "--cycle", length])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "input error: cycle seed needs length >= 2\n"
 
 
 def test_oracle_over_the_facet_guard_stops_before_the_lattice(tmp_path, capsys, monkeypatch):
@@ -149,13 +168,13 @@ def test_certify_replay_mismatch_exit5(files, capsys, monkeypatch):
     # corrupted map (base) or a corrupted replay (indep)
     real_seed, real_step = construct._seed, indepck.replay_step
 
-    def seed_with_two_vertices_merged(cert, order):
-        cert, vmap, rep = real_seed(cert, order)
-        return cert, {**vmap, order[0]: vmap[order[1]]}, rep
+    def seed_with_two_vertices_merged(node, order, nodes):
+        vmap, rep = real_seed(node, order, nodes)
+        return {**vmap, order[0]: vmap[order[1]]}, rep
 
-    def step_losing_an_edge(cert, reps):
-        rep, embeds = real_step(cert, reps)
-        if isinstance(cert, AttachCycle):
+    def step_losing_an_edge(node, reps):
+        rep, embeds = real_step(node, reps)
+        if node.op == "attach_cycle":
             rep = rep.without_edges([0])
         return rep, embeds
 
@@ -232,7 +251,7 @@ def test_check_base_over_the_subset_guard_exit2(tmp_path, capsys):
 def test_stuck_decomposition_of_a_positive_exit5(files, capsys, monkeypatch):
     # K4 satisfies the good-flat equalities, so a stuck decomposition is not
     # a negative verdict but a contradiction
-    def stuck(G, delta):
+    def stuck(G, delta, nodes):
         raise InternalContradiction("stuck")
 
     monkeypatch.setattr(construct, "_decompose", stuck)
@@ -268,7 +287,7 @@ def test_certify_emits_a_deep_certificate(files, capsys, monkeypatch):
     code, out = run(capsys, "certify", "indep", files["c3"])
     (entry,) = json.loads(out)["certificates"]
     assert code == 0 and len(entry["nodes"]) == 2001
-    assert cert_to_json(cert_from_dict(entry)) == cert_to_json(cert)
+    assert cert_from_dict(entry) == cert
 
 
 def test_check_indep_long_cycle_exit2(tmp_path, capsys):

@@ -114,9 +114,10 @@ def test_one_low_link_routine():
     assert found == ["graph.py:low_link"]
 
 
-def test_one_certificate_walk():
-    # certificates are walked by one explicit-stack post-order, construct._fold;
-    # a recursive writer, reader or replay would bring back a depth limit
+def test_certificate_functions_do_not_recurse():
+    # a certificate is one flat node tuple in post-order, so there is no tree
+    # to walk: the explicit-stack walk (_fold, _children) is gone, and no
+    # certificate function calls itself, which would bring back a depth limit
     tree = ast.parse((PACKAGE / "construct.py").read_text(), filename="construct.py")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -126,9 +127,12 @@ def test_one_certificate_walk():
             for node in ast.walk(fn) if isinstance(node, ast.Call)
         }
 
-    walks = ("cert_to_dict", "cert_from_dict", "replay_detail")
-    assert [name for name in walks if name in callees(functions[name])] == []
-    assert [name for name, fn in functions.items() if "_children" in callees(fn)] == ["_fold"]
+    assert "_fold" not in functions and "_children" not in functions
+    certificate_code = (
+        "replay_detail", "cert_to_dict", "cert_from_dict", "_join",
+        "Seed", "Glue", "Subdivide", "Collide", "AttachCycle", "BlowUp",
+    )
+    assert [name for name in certificate_code if name in callees(functions[name])] == []
 
 
 def test_one_lattice_point_walk():
