@@ -233,6 +233,8 @@ def cmd_certify(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.op == "seed":
+        if args.cycle is not None and args.k4:
+            raise ValueError("--cycle and --k4 are mutually exclusive")
         if args.cycle is not None:
             G = replay(Seed("cycle", args.cycle))
         elif args.k4:
@@ -317,6 +319,10 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
+    if args.max_vertices < 2:
+        raise ValueError("--max-vertices must be >= 2")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     limit = 6 if args.cross_validate else 7
     if args.max_vertices > limit:
         raise GuardExceeded(

@@ -15,13 +15,7 @@ from typing import Optional
 
 from .errors import GuardExceeded, InternalContradiction, NotTwoConnected
 from .graph import Multigraph, bases_and_forests, graphic_rank, is_two_connected, normalize
-from .linalg import (
-    _eliminate,
-    coords_in_basis,
-    dual_extreme_rays,
-    hnf_rows,
-    primitive,
-)
+from .linalg import _eliminate, dual_extreme_rays, lattice_coords, primitive
 
 FACET_VERTEX_GUARD = 512
 POINT_NODE_GUARD = 10**7
@@ -87,14 +81,8 @@ class LatticePolytope:
 
 def _polytope_from_vertices(kind: str, verts: list) -> LatticePolytope:
     verts = sorted(set(tuple(v) for v in verts))
-    ambient = len(verts[0])
     v0 = verts[0]
-    diffs = [[a - b for a, b in zip(v, v0)] for v in verts[1:]]
-    basis = hnf_rows(diffs)
-    coords = tuple(
-        tuple(coords_in_basis(basis, [a - b for a, b in zip(v, v0)]))
-        for v in verts
-    )
+    basis, coords = lattice_coords([[a - b for a, b in zip(v, v0)] for v in verts])
     # saturation: the HNF of the differences has all pivots 1 exactly when the
     # affine lattice equals the full ambient lattice restricted to the hull
     saturated = all(
@@ -102,11 +90,11 @@ def _polytope_from_vertices(kind: str, verts: list) -> LatticePolytope:
     )
     return LatticePolytope(
         kind=kind,
-        ambient_dim=ambient,
+        ambient_dim=len(v0),
         vertices=tuple(verts),
         dim=len(basis),
         lattice_basis=tuple(tuple(r) for r in basis),
-        vertex_coords=coords,
+        vertex_coords=tuple(tuple(c) for c in coords),
         lattice_saturated=saturated,
     )
 

@@ -133,13 +133,39 @@ def test_generate_seed_cycle_below_two_is_input_error(capsys, length):
     assert captured.err == "input error: cycle seed needs length >= 2\n"
 
 
+def test_generate_seed_cycle_and_k4_is_input_error(capsys):
+    # the pair used to print the cycle and drop --k4
+    code = main(["generate", "seed", "--cycle", "3", "--k4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "input error: --cycle and --k4 are mutually exclusive\n"
+
+
+@pytest.mark.parametrize("count", ["1", "0", "-2"])
+def test_sweep_max_vertices_below_two_is_input_error(capsys, count):
+    # -2 used to sweep no graph and report 0 mismatches with exit 0
+    code = main(["sweep", "--max-vertices", count])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "input error: --max-vertices must be >= 2\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_is_input_error(capsys, jobs):
+    # 0 used to run serially without a word
+    code = main(["sweep", "--max-vertices", "3", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "input error: --jobs must be >= 1\n"
+
+
 def test_oracle_over_the_facet_guard_stops_before_the_lattice(tmp_path, capsys, monkeypatch):
     # K6 has far more than FACET_VERTEX_GUARD forests; the facets could not
     # be computed, so no lattice basis or coordinates are built either
     import gorcheck.oracle as oracle
 
     calls = []
-    monkeypatch.setattr(oracle, "hnf_rows", lambda rows: calls.append(rows))
+    monkeypatch.setattr(oracle, "lattice_coords", lambda vectors: calls.append(vectors))
     path = tmp_path / "k6.txt"
     path.write_text(format_edge_list(complete(6)))
     code = main(["oracle", "indep", str(path)])

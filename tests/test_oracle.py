@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import cache
 from math import comb
 
@@ -7,10 +8,11 @@ import pytest
 from conftest import complete, cycle, guarded_atlas_polytopes
 from gorcheck.errors import GuardExceeded
 from gorcheck.graph import Multigraph
+import gorcheck.linalg as linalg
 from gorcheck.linalg import (
-    coords_in_basis,
     dual_extreme_rays,
     hnf_rows,
+    lattice_coords,
     primitive,
     solve_unique,
 )
@@ -32,15 +34,92 @@ from gorcheck.smallgraphs import two_connected_graphs
 from test_acceptance import _hstar_family
 
 
-def test_hnf_basics():
+def test_hnf_basics(monkeypatch):
     assert hnf_rows([[2, 0], [0, 2], [1, 1]]) == [[1, 1], [0, 2]]
     assert hnf_rows([[0, 0]]) == []
-    basis = hnf_rows([[1, 2, 3], [4, 5, 6]])
-    coords = coords_in_basis(basis, [5, 7, 9])
-    recon = [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(3)]
-    assert recon == [5, 7, 9]
-    with pytest.raises(ValueError):
-        coords_in_basis(hnf_rows([[2, 0]]), [1, 0])
+    vectors = [[1, 2, 3], [4, 5, 6], [5, 7, 9]]
+    basis, coords = lattice_coords(vectors)
+    assert basis == hnf_rows(vectors[:2])
+    for vec, c in zip(vectors, coords):
+        assert [sum(x * row[j] for x, row in zip(c, basis)) for j in range(3)] == vec
+    assert lattice_coords([]) == ([], [])
+    assert lattice_coords([[0, 0], [0, 0]]) == ([], [[], []])
+    # every coordinate is read by an exact reduction: a basis that misses a
+    # vector raises instead of returning wrong coordinates
+    monkeypatch.setattr(linalg, "hnf_rows", lambda rows: hnf_rows(rows[:-1]))
+    with pytest.raises(ValueError, match="vector not in lattice"):
+        lattice_coords([[2, 0], [1, 0]])
+
+
+def _coords_in_basis(basis, vec) -> list:
+    """Integer coordinates of vec in an HNF row basis.
+
+    Raises ValueError when vec is not in the generated lattice.
+    """
+    residual = list(vec)
+    coords = []
+    for row in basis:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        if residual[p] % row[p] != 0:
+            raise ValueError("vector not in lattice")
+        c = residual[p] // row[p]
+        coords.append(c)
+        if c:
+            residual = [a - c * b for a, b in zip(residual, row)]
+    if any(residual):
+        raise ValueError("vector not in lattice")
+    return coords
+
+
+def _lattice_by_full_hnf(vectors):
+    """Reference: the route lattice_coords replaced, hnf_rows over every
+    vector at once, then a dense reduction of each vector."""
+    basis = hnf_rows(vectors)
+    return basis, [_coords_in_basis(basis, v) for v in vectors]
+
+
+def _assert_lattice_matches_full_hnf(P):
+    v0 = P.vertices[0]
+    basis, coords = _lattice_by_full_hnf([[a - b for a, b in zip(v, v0)] for v in P.vertices])
+    assert P.lattice_basis == tuple(map(tuple, basis)), P.vertices
+    assert P.vertex_coords == tuple(map(tuple, coords)), P.vertices
+    assert P.dim == len(basis)
+    pivots = [next(x for x in row if x) for row in basis]
+    assert P.lattice_saturated == all(p == 1 for p in pivots)
+    return pivots
+
+
+def test_lattice_coords_match_full_hnf():
+    # every atlas polytope up to 6 vertices, both kinds, the ones over the
+    # facet guard included
+    sizes = []
+    for G in two_connected_graphs(6):
+        for kind in ("base", "independence"):
+            P = polytope_of(G, kind)
+            _assert_lattice_matches_full_hnf(P)
+            sizes.append(len(P.vertices))
+    assert len(sizes) == 142 and max(sizes) > 1000
+    # the product polytopes with facet coefficients beyond {-1, 0, 1}
+    for verts in [
+        [(0, 0), (1, 0), (0, 1), (3, 5)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 5)],
+        [(0, 0, 0), (2, 0, 1), (0, 3, 1), (1, 1, 0), (4, 1, 3)],
+    ]:
+        _assert_lattice_matches_full_hnf(_polytope_from_vertices("product", verts))
+    # seeded point sets whose lattices are not saturated (pivots > 1), in
+    # polytopes and as bare vectors with repeats and zeros
+    rng = random.Random(13)
+    unsaturated = 0
+    for _ in range(300):
+        ambient = rng.randint(1, 6)
+        scale = [rng.choice([1, 1, 2, 3]) for _ in range(ambient)]
+        points = [
+            [s * rng.randint(-3, 3) for s in scale] for _ in range(rng.randint(1, 10))
+        ]
+        pivots = _assert_lattice_matches_full_hnf(_polytope_from_vertices("product", points))
+        unsaturated += any(p > 1 for p in pivots)
+        assert lattice_coords(points) == _lattice_by_full_hnf(points), points
+    assert unsaturated >= 100, unsaturated
 
 
 def test_primitive():
