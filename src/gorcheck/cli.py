@@ -19,17 +19,6 @@ import os
 import sys
 import time
 
-from .baseck import base_verdict, weight_function
-from .construct import (
-    Seed,
-    attach_cycle,
-    blow_up,
-    cert_to_dict,
-    collide,
-    glue,
-    replay,
-    subdivide,
-)
 from .errors import (
     ConstructionError,
     GorcheckError,
@@ -41,16 +30,10 @@ from .errors import (
     WeightConflict,
 )
 from .graph import Multigraph, blocks, format_edge_list, normalize, parse_graph
-from .indepck import indep_verdict, recognize_cycle_construction
-from .oracle import (
-    FACET_VERTEX_GUARD,
-    gorenstein_search,
-    hstar,
-    lattice_points,
-    normality_probe,
-    polytope_of,
-)
-from .smallgraphs import two_connected_graphs
+
+# Every command parses with .graph and main maps .errors to exit codes; the
+# other layers are imported inside the commands that run them, so a process
+# compiles and imports only what its subcommand needs.
 
 VERDICT_SCHEMA = "gorcheck.verdict/1"
 
@@ -60,6 +43,17 @@ EXIT_GUARD = 2
 EXIT_NOT_GORENSTEIN = 3
 EXIT_INPUT = 4
 EXIT_CONTRADICTION = 5
+
+
+def _checker(kind: str):
+    """The verdict function of one polytope kind, imported when it runs."""
+    if kind == "base":
+        from .baseck import base_verdict
+
+        return base_verdict
+    from .indepck import indep_verdict
+
+    return indep_verdict
 
 
 def _load_graph(path: str) -> Multigraph:
@@ -102,6 +96,8 @@ def _dot(G: Multigraph, delta=None) -> str:
     lines = ["graph G {"]
     weights = {}
     if delta is not None:
+        from .baseck import weight_function
+
         try:
             for b in blocks(normalize(G)):
                 if b.m >= 2:
@@ -128,13 +124,10 @@ def _maybe_dot(args, G: Multigraph, delta=None) -> None:
 
 def cmd_check(args) -> int:
     G = _load_graph(args.file)
+    verdict = _checker(args.kind)
     t0 = time.perf_counter()
-    if args.kind == "base":
-        v = base_verdict(G)
-        extra = {}
-    else:
-        v = indep_verdict(G)
-        extra = {"m": v.multiplicity}
+    v = verdict(G)
+    extra = {} if args.kind == "base" else {"m": v.multiplicity}
     report = {
         "schema": VERDICT_SCHEMA,
         "command": "check",
@@ -154,6 +147,8 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     if args.max_delta is not None and args.max_delta < 1:
         raise ValueError("--max-delta must be >= 1")
+    from .oracle import FACET_VERTEX_GUARD, gorenstein_search, hstar, normality_probe, polytope_of
+
     G = _load_graph(args.file)
     t0 = time.perf_counter()
     kind = "independence" if args.kind == "indep" else "base"
@@ -197,8 +192,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .construct import cert_to_dict
+
     G = _load_graph(args.file)
-    v = base_verdict(G) if args.kind == "base" else indep_verdict(G)
+    v = _checker(args.kind)(G)
     if not v.is_gorenstein:
         _emit(
             {
@@ -232,6 +229,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .baseck import weight_function
+    from .construct import Seed, attach_cycle, blow_up, collide, glue, replay, subdivide
+
     if args.op == "seed":
         if args.cycle is not None and args.k4:
             raise ValueError("--cycle and --k4 are mutually exclusive")
@@ -275,7 +275,7 @@ def cmd_generate(args) -> int:
             fh.write(text)
     else:
         _write(text)
-    v = base_verdict(G) if G.is_simple() else indep_verdict(G)
+    v = _checker("base" if G.is_simple() else "indep")(G)
     sys.stderr.write(f"verdict: {v.status} delta={v.delta}\n")
     _maybe_dot(args, G, v.delta)
     return EXIT_OK
@@ -289,7 +289,7 @@ def _sweep_one(payload):
     ])
     row = {"index": idx, "edges": [[u, v] for _, u, v in edges]}
     if kind == "indep-equivalence":
-        from .indepck import check_chordal_k4free, check_club
+        from .indepck import check_chordal_k4free, check_club, recognize_cycle_construction
 
         agreements = []
         for d in range(2, 9):
@@ -300,11 +300,13 @@ def _sweep_one(payload):
         row["three_way_agree"] = all(agreements)
         row["mismatch"] = not row["three_way_agree"]
         return row
-    v = base_verdict(G) if kind == "base" else indep_verdict(G)
+    v = _checker(kind)(G)
     row["status"] = v.status
     row["delta"] = v.delta
     row["mismatch"] = False
     if cross:
+        from .oracle import FACET_VERTEX_GUARD, gorenstein_search, polytope_of
+
         P = polytope_of(
             G, "base" if kind == "base" else "independence", guard=FACET_VERTEX_GUARD
         )
@@ -329,6 +331,8 @@ def cmd_sweep(args) -> int:
             f"sweep guarded at {limit} vertices"
             + (" with cross-validation" if args.cross_validate else "")
         )
+    from .smallgraphs import two_connected_graphs
+
     graphs = two_connected_graphs(args.max_vertices)
     payloads = [
         (i, list(g.edges), args.kind, args.cross_validate)

@@ -165,10 +165,14 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
     InternalContradiction.  A Gorenstein verdict keeps each block's checked
     certificate, wrapped in BlowUp when m > 1: the block is its base graph
     with every edge m-fold, and so is the BlowUp's replay of the base
-    graph's replay, under the same vertex map.
+    graph's replay, under the same vertex map.  A graph with no edge left
+    after normalize has a point polytope, Gorenstein at every index: delta
+    and m are None, as in base_verdict's all-wildcard verdict.
     """
     G = normalize(G)
     blks = blocks(G)
+    if not blks:
+        return IndepVerdict("gorenstein", None, None, ())
     factored = []
     for b in blks:
         f = blow_up_factor(b)

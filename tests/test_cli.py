@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import complete, cycle
-from gorcheck import baseck, cli, construct, indepck
+from gorcheck import baseck, construct, indepck
 from gorcheck.baseck import weight_function
 from gorcheck.cli import main
 from gorcheck.construct import (
@@ -176,13 +176,10 @@ def test_oracle_over_the_facet_guard_stops_before_the_lattice(tmp_path, capsys, 
 
 
 def test_internal_contradiction_exit5(files, capsys, monkeypatch):
-    import gorcheck.cli as cli
-    from gorcheck.errors import InternalContradiction
-
     def contradict(*args, **kwargs):
         raise InternalContradiction("weights disagree")
 
-    monkeypatch.setattr(cli, "base_verdict", contradict)
+    monkeypatch.setattr(baseck, "base_verdict", contradict)
     code = main(["check", "base", files["k4"]])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
@@ -309,7 +306,7 @@ def test_certify_emits_a_deep_certificate(files, capsys, monkeypatch):
     for _ in range(2000):
         cert = AttachCycle(2, cert, EdgeRef(0))
     verdict = indepck.IndepVerdict("gorenstein", 2, 1, (), certificates=(cert,))
-    monkeypatch.setattr(cli, "indep_verdict", lambda G: verdict)
+    monkeypatch.setattr(indepck, "indep_verdict", lambda G: verdict)
     code, out = run(capsys, "certify", "indep", files["c3"])
     (entry,) = json.loads(out)["certificates"]
     assert code == 0 and len(entry["nodes"]) == 2001
@@ -416,3 +413,108 @@ def test_sweep_jobs_deterministic(files, capsys):
 def test_sweep_guard(files, capsys):
     code, _ = run(capsys, "sweep", "--max-vertices", "7", "--cross-validate")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "indep", "{file}"],
+    ["certify", "indep", "{file}"],
+    ["generate", "blowup", "{file}", "--m", "2"],
+])
+def test_loop_only_graph_is_a_point_polytope(tmp_path, capsys, argv):
+    # normalize leaves no edge: the independence polytope is a point, which
+    # the oracle finds Gorenstein; indep_verdict used to pop an empty set
+    path = tmp_path / "loop.txt"
+    path.write_text("0 0\n")
+    code, out = run(capsys, "oracle", "indep", str(path))
+    oracle_status = json.loads(out)["status"]
+    assert code == 0 and oracle_status == "gorenstein"
+    code = main([str(path) if a == "{file}" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    if argv[0] == "generate":
+        assert captured.err == f"verdict: {oracle_status} delta=None\n"
+    else:
+        doc = json.loads(captured.out)
+        assert (doc["status"], doc["delta"]) == (oracle_status, None)
+
+
+# Print the gorcheck modules (and fractions) a fresh process has loaded after
+# an import statement, and after `gorcheck.cli.main(argv)` when argv is given.
+_LOADED = """
+import json, sys
+exec(sys.argv[1])
+code = gorcheck.cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("gorcheck", "fractions"))
+sys.stderr.write("\\n" + json.dumps([code, loaded]) + "\\n")
+"""
+
+
+def _loaded_modules(statement, *argv):
+    import subprocess
+
+    import gorcheck
+
+    src = os.path.dirname(os.path.dirname(gorcheck.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, statement, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return {m.removeprefix("gorcheck.") for m in loaded}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["oracle", "base"], {"baseck", "construct", "flats", "indepck", "smallgraphs"}),
+    (["check", "base"], {"oracle", "linalg", "indepck", "smallgraphs", "fractions"}),
+    (["certify", "base"], {"oracle", "linalg", "indepck", "smallgraphs", "fractions"}),
+    (["check", "indep"], {"oracle", "linalg"}),
+])
+def test_a_command_imports_only_the_layers_it_runs(files, argv, absent):
+    # a cold `gorcheck` process compiles every module it imports
+    loaded = _loaded_modules("import gorcheck.cli", *argv, files["k4"])
+    assert {"gorcheck", "cli", "errors", "graph"} <= loaded
+    assert loaded & absent == set()
+
+
+def test_importing_the_cli_loads_only_the_parser_layers():
+    assert _loaded_modules("import gorcheck") == {"gorcheck"}
+    assert _loaded_modules("import gorcheck.cli") == {"gorcheck", "cli", "errors", "graph"}
+
+
+# the names `gorcheck` exported when its __init__ imported every submodule
+_PUBLIC = {
+    "baseck": "ALL_DELTAS BaseVerdict WeightAssignment Witness base_verdict"
+              " candidate_deltas check_heart check_spade edge_facet_profile weight_function",
+    "construct": "AttachCycle BlowUp Collide EdgeRef Glue Node Seed Subdivide attach_cycle"
+                 " blow_up cert_from_json cert_to_json collide decompose_base glue replay"
+                 " replay_matches subdivide",
+    "errors": "ConstructionError GorcheckError GuardExceeded InternalContradiction"
+              " NotTwoConnected ParseError SimpleGraphRequired WeightConflict",
+    "flats": "GoodFlat good_flats indecomposable_flats",
+    "graph": "Multigraph blocks blow_up_factor format_edge_list is_two_connected normalize"
+             " parse_graph",
+    "indepck": "IndepVerdict check_chordal_k4free check_club indep_verdict"
+               " recognize_cycle_construction",
+    "oracle": "Facet GorensteinWitness HStarVector LatticePolytope facets_bruteforce"
+              " facets_from_cor33 gorenstein_search hstar lattice_points normality_probe"
+              " polytope_of product_polytope",
+}
+
+
+def test_public_names_stay_importable_from_the_package():
+    import importlib
+
+    import gorcheck
+
+    names = [(mod, name) for mod, text in _PUBLIC.items() for name in text.split()]
+    assert sorted(gorcheck.__all__) == sorted(name for _, name in names)
+    for mod, name in names:
+        scope = {}
+        exec(f"from gorcheck import {name}", scope)
+        assert scope[name] is getattr(importlib.import_module(f"gorcheck.{mod}"), name), name
+    assert set(gorcheck.__all__) <= set(dir(gorcheck))
+    assert gorcheck.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        gorcheck.no_such_name
