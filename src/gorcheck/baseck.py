@@ -9,8 +9,7 @@ are compatible with every delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     GuardExceeded,
@@ -37,8 +36,7 @@ class AllDeltas:
 ALL_DELTAS = AllDeltas()
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class WeightAssignment(NamedTuple):
     delta: int
     weights: tuple  # sorted (edge_id, weight) pairs
 
@@ -53,8 +51,7 @@ class WeightAssignment:
         return sum(d[e] for e in eids)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Replayable violation: kind plus the offending object and both sides."""
 
     # base side: no_candidate_delta | total_weight_mismatch
@@ -76,8 +73,7 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
-class BaseVerdict:
+class BaseVerdict(NamedTuple):
     status: str  # "gorenstein" | "not_gorenstein"
     delta: Optional[int]
     witness: Optional[Witness] = None

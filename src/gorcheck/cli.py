@@ -6,8 +6,8 @@ construction), sweep (exhaustive small-graph cross-validation).  Verdicts are
 JSON on stdout; DOT drawings are optional side outputs.
 
 Exit codes: 0 verdict produced, 1 parse error, 2 resource guard exceeded,
-3 certify on a non-Gorenstein input, 4 typed input error (e.g. the base
-checker on a multigraph, or an option value out of range), 5 internal
+3 certify on a non-Gorenstein input, 4 typed input or usage error (e.g. the
+base checker on a multigraph, or an option value out of range), 5 internal
 contradiction (a state the classification theorems rule out).
 """
 
@@ -62,12 +62,13 @@ def _load_graph(path: str) -> Multigraph:
 
 
 def _graph_summary(G: Multigraph) -> dict:
+    H = normalize(G)  # the graph the verdict is about: parsing keeps loops
     return {
         "vertices": G.n,
         "edges": G.m,
-        "loops_removed": G.loops_removed,
+        "loops_removed": H.loops_removed,
         "simple": G.is_simple(),
-        "blocks": len(blocks(normalize(G))),
+        "blocks": len(blocks(H)),
     }
 
 
@@ -372,8 +373,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit EXIT_INPUT: exit 2 means a tripped guard."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gorcheck",
         description="Gorenstein classification of graphic matroid polytopes",
     )

@@ -7,7 +7,7 @@ the k(S)-corrected base equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GuardExceeded, NotTwoConnected
 from .graph import Multigraph, blocks, is_connected, is_two_connected, label_key
@@ -15,8 +15,7 @@ from .graph import Multigraph, blocks, is_connected, is_two_connected, label_key
 SUBSET_GUARD_VERTICES = 24
 
 
-@dataclass(frozen=True)
-class GoodFlat:
+class GoodFlat(NamedTuple):
     """Vertex set S whose restriction and whose E(S)-contraction are 2-connected."""
 
     S: tuple

@@ -9,7 +9,6 @@ new graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
@@ -43,11 +42,14 @@ def _union(parent: dict, a, b) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class _MultigraphFields(NamedTuple):
     vertices: tuple
     edges: tuple  # of (edge_id, u, v)
     loops_removed: int = 0
+
+
+class Multigraph(_MultigraphFields):
+    # no __slots__: the instance __dict__ holds the cached properties
 
     @classmethod
     def build(cls, vertices, pairs, loops_removed: int = 0) -> "Multigraph":
@@ -374,8 +376,7 @@ def blocks(G: Multigraph) -> list:
 # -- ears ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ear:
+class Ear(NamedTuple):
     """Path whose inner vertices have degree 2 in the host graph."""
 
     path: tuple  # vertex sequence (v_0, ..., v_s)
@@ -390,8 +391,7 @@ class Ear:
         return self.path[1:-1]
 
 
-@dataclass(frozen=True)
-class EarScan:
+class EarScan(NamedTuple):
     is_cycle: bool
     ears: tuple
 
@@ -685,8 +685,7 @@ def bases_and_forests(
 # -- blow-ups ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlowUpFactor:
+class BlowUpFactor(NamedTuple):
     multiplicity: int
     base_graph: Multigraph
 

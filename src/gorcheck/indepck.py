@@ -11,8 +11,7 @@ characterizations, kept for the sweeps and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .baseck import Witness
 from .construct import BlowUp, EdgeRef, Node, check_vertex_map, replay_step
@@ -141,8 +140,7 @@ def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[tuple]:
     return tuple(nodes)
 
 
-@dataclass(frozen=True)
-class IndepVerdict:
+class IndepVerdict(NamedTuple):
     status: str  # "gorenstein" | "not_gorenstein"
     delta: Optional[int]
     multiplicity: Optional[int]

@@ -9,9 +9,8 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import GuardExceeded, InternalContradiction, NotTwoConnected
 from .graph import Multigraph, bases_and_forests, graphic_rank, is_two_connected, normalize
@@ -21,8 +20,7 @@ FACET_VERTEX_GUARD = 512
 POINT_NODE_GUARD = 10**7
 
 
-@dataclass(frozen=True, order=True)
-class Facet:
+class Facet(NamedTuple):
     """Primitive functional h(c, t) = a . c + b t on the cone, in lattice coordinates.
 
     h >= 0 on the cone over the polytope and h vanishes on a facet; the gcd of
@@ -36,14 +34,12 @@ class Facet:
         return sum(x * y for x, y in zip(self.a, coords)) + self.b * t
 
 
-@dataclass(frozen=True)
-class GorensteinWitness:
+class GorensteinWitness(NamedTuple):
     delta: int
     v: tuple  # ambient integer vector in delta * P
 
 
-@dataclass(frozen=True)
-class HStarVector:
+class HStarVector(NamedTuple):
     coefficients: tuple
 
     @property
@@ -51,16 +47,19 @@ class HStarVector:
         return self.coefficients == tuple(reversed(self.coefficients))
 
 
-@dataclass
 class LatticePolytope:
-    kind: str  # "base" | "independence" | "product"
-    ambient_dim: int
-    vertices: tuple  # ambient integer vectors
-    dim: int
-    lattice_basis: tuple  # HNF rows spanning the affine lattice of differences
-    vertex_coords: tuple  # each vertex as lattice coordinates relative to vertices[0]
-    lattice_saturated: bool  # affine lattice == ambient lattice on the affine hull
-    facets: Optional[tuple] = field(default=None)
+    """An explicit lattice polytope; require_facets stores its facets."""
+
+    def __init__(self, kind, ambient_dim, vertices, dim, lattice_basis, vertex_coords,
+                 lattice_saturated, facets=None):
+        self.kind = kind  # "base" | "independence" | "product"
+        self.ambient_dim = ambient_dim
+        self.vertices = vertices  # ambient integer vectors
+        self.dim = dim
+        self.lattice_basis = lattice_basis  # HNF rows: the affine lattice of differences
+        self.vertex_coords = vertex_coords  # lattice coordinates relative to vertices[0]
+        self.lattice_saturated = lattice_saturated  # affine lattice == ambient one on the hull
+        self.facets: Optional[tuple] = facets
 
     @property
     def origin(self) -> tuple:

@@ -159,6 +159,27 @@ def test_sweep_jobs_below_one_is_input_error(capsys, jobs):
     assert captured.err == "input error: --jobs must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["check", "base"], "the following arguments are required: file"),
+    (["oracle", "independence", "g.txt"], "argument kind: invalid choice: 'independence'"),
+    (["sweep", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+])
+def test_usage_error_is_input_error(capsys, argv, message):
+    # argparse exits 2 on its own, the code of a tripped resource guard
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (4, "")
+    assert captured.err.startswith("usage: gorcheck") and message in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: gorcheck check")
+
+
 def test_oracle_over_the_facet_guard_stops_before_the_lattice(tmp_path, capsys, monkeypatch):
     # K6 has far more than FACET_VERTEX_GUARD forests; the facets could not
     # be computed, so no lattice basis or coordinates are built either
@@ -247,6 +268,7 @@ def test_check_and_certify_report_the_same_input(files, capsys, kind):
     code, certified = run(capsys, "certify", kind, str(looped))
     assert code == 0
     assert json.loads(certified)["input"] == json.loads(checked)["input"]
+    assert json.loads(checked)["input"]["loops_removed"] == 1
 
 
 def test_certify_g5(files, capsys):
@@ -438,13 +460,15 @@ def test_loop_only_graph_is_a_point_polytope(tmp_path, capsys, argv):
         assert (doc["status"], doc["delta"]) == (oracle_status, None)
 
 
-# Print the gorcheck modules (and fractions) a fresh process has loaded after
-# an import statement, and after `gorcheck.cli.main(argv)` when argv is given.
+# Print the gorcheck modules (and fractions, dataclasses, inspect) a fresh
+# process has loaded after an import statement, and after
+# `gorcheck.cli.main(argv)` when argv is given.
 _LOADED = """
 import json, sys
 exec(sys.argv[1])
 code = gorcheck.cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("gorcheck", "fractions"))
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("gorcheck", "fractions", "dataclasses", "inspect"))
 sys.stderr.write("\\n" + json.dumps([code, loaded]) + "\\n")
 """
 
@@ -466,19 +490,24 @@ def _loaded_modules(statement, *argv):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["oracle", "base"], {"baseck", "construct", "flats", "indepck", "smallgraphs"}),
-    (["check", "base"], {"oracle", "linalg", "indepck", "smallgraphs", "fractions"}),
-    (["certify", "base"], {"oracle", "linalg", "indepck", "smallgraphs", "fractions"}),
-    (["check", "indep"], {"oracle", "linalg"}),
+    (["oracle", "base", "k4"], {"baseck", "construct", "flats", "indepck", "smallgraphs"}),
+    (["check", "base", "k4"], {"oracle", "linalg", "indepck", "smallgraphs", "fractions"}),
+    (["certify", "base", "k4"], {"oracle", "linalg", "indepck", "smallgraphs", "fractions"}),
+    (["check", "indep", "k4"], {"oracle", "linalg"}),
+    (["certify", "indep", "dc4"], {"oracle", "linalg"}),
+    (["generate", "seed", "--k4"], {"oracle", "linalg", "smallgraphs"}),
 ])
 def test_a_command_imports_only_the_layers_it_runs(files, argv, absent):
-    # a cold `gorcheck` process compiles every module it imports
-    loaded = _loaded_modules("import gorcheck.cli", *argv, files["k4"])
+    # a cold `gorcheck` process compiles every module it imports; records are
+    # NamedTuples, so these commands load neither dataclasses nor the inspect
+    # it imports (sweep does: networkx, whose atlas it reads, imports both)
+    loaded = _loaded_modules("import gorcheck.cli", *(files.get(a, a) for a in argv))
     assert {"gorcheck", "cli", "errors", "graph"} <= loaded
-    assert loaded & absent == set()
+    assert loaded & (absent | {"dataclasses", "inspect"}) == set()
 
 
 def test_importing_the_cli_loads_only_the_parser_layers():
+    # _LOADED also reports dataclasses and inspect, so they are absent here
     assert _loaded_modules("import gorcheck") == {"gorcheck"}
     assert _loaded_modules("import gorcheck.cli") == {"gorcheck", "cli", "errors", "graph"}
 

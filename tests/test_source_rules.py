@@ -152,3 +152,21 @@ def test_one_lattice_point_walk():
         )
     ]
     assert cuts == ["_point_intervals"]
+
+
+def test_records_are_not_dataclasses():
+    # records are NamedTuples: importing dataclasses costs a cold process the
+    # inspect module and about a millisecond of generated code per class
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
