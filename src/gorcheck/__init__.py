@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "baseck": (
-        "ALL_DELTAS", "BaseVerdict", "WeightAssignment", "Witness", "base_verdict",
-        "candidate_deltas", "check_heart", "check_spade", "edge_facet_profile",
-        "weight_function",
+        "ALL_DELTAS", "BaseVerdict", "Witness", "base_verdict", "candidate_deltas",
+        "check_heart", "check_spade", "edge_facet_profile", "weight_function",
     ),
     "construct": (
         "AttachCycle", "BlowUp", "Collide", "EdgeRef", "Glue", "Node", "Seed",

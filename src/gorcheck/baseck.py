@@ -36,21 +36,6 @@ class AllDeltas:
 ALL_DELTAS = AllDeltas()
 
 
-class WeightAssignment(NamedTuple):
-    delta: int
-    weights: tuple  # sorted (edge_id, weight) pairs
-
-    def as_dict(self) -> dict:
-        return dict(self.weights)
-
-    def total(self) -> int:
-        return sum(w for _, w in self.weights)
-
-    def sum_over(self, eids) -> int:
-        d = self.as_dict()
-        return sum(d[e] for e in eids)
-
-
 class Witness(NamedTuple):
     """Replayable violation: kind plus the offending object and both sides."""
 
@@ -136,8 +121,9 @@ def _profile(G: Multigraph) -> dict:
     return profile
 
 
-def weight_function(G: Multigraph, delta: int) -> WeightAssignment:
-    """The forced weight assignment at delta, or WeightConflict.
+def weight_function(G: Multigraph, delta: int) -> dict:
+    """The forced weights at delta, {edge id: weight} in edge-id order, or
+    WeightConflict.
 
     An edge whose deletion and contraction are both 2-connected is forced to
     weight 1 and to weight delta-1 simultaneously, which is consistent only
@@ -145,12 +131,12 @@ def weight_function(G: Multigraph, delta: int) -> WeightAssignment:
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
-    weights = []
+    weights = {}
     for eid, (del_ok, con_ok) in sorted(_profile(G).items()):
         if del_ok and con_ok and delta != 2:
             raise WeightConflict(eid, delta)
-        weights.append((eid, 1 if del_ok else delta - 1))
-    return WeightAssignment(delta, tuple(weights))
+        weights[eid] = 1 if del_ok else delta - 1
+    return weights
 
 
 def candidate_deltas(G: Multigraph) -> Union[frozenset, AllDeltas]:
@@ -194,13 +180,13 @@ def check_spade(G: Multigraph, delta: int) -> Optional[Witness]:
     flat S, reporting the first failure in deterministic enumeration order.
     """
     w = weight_function(G, delta)
-    total = w.total()
+    total = sum(w.values())
     if total != delta * (G.n - 1):
         return Witness(
             "total_weight_mismatch", lhs=total, rhs=delta * (G.n - 1)
         )
     for flat in good_flats(G):
-        lhs = w.sum_over(flat.induced_edges) + 1
+        lhs = sum(w[e] for e in flat.induced_edges) + 1
         rhs = delta * (len(flat.S) - 1)
         if lhs != rhs:
             return Witness("flat_equality_violated", flat=flat.S, lhs=lhs, rhs=rhs)
@@ -212,7 +198,7 @@ def check_heart(G: Multigraph, delta: int) -> Optional[Witness]:
     w = weight_function(G, delta)
     for S in indecomposable_flats(G):
         k = block_count_after_contraction(G, S)
-        lhs = w.sum_over(induced_edge_ids(G, S)) + k
+        lhs = sum(w[e] for e in induced_edge_ids(G, S)) + k
         rhs = delta * (len(S) - 1)
         if lhs != rhs:
             return Witness("flat_equality_violated", flat=S, lhs=lhs, rhs=rhs)

@@ -102,7 +102,7 @@ def _dot(G: Multigraph, delta=None) -> str:
         try:
             for b in blocks(normalize(G)):
                 if b.m >= 2:
-                    weights.update(weight_function(b, delta).as_dict())
+                    weights.update(weight_function(b, delta))
         except GorcheckError:
             weights = {}
     for eid, u, v in sorted(G.edges):
@@ -146,8 +146,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.max_delta is not None and args.max_delta < 1:
-        raise ValueError("--max-delta must be >= 1")
     from .oracle import FACET_VERTEX_GUARD, gorenstein_search, hstar, normality_probe, polytope_of
 
     G = _load_graph(args.file)
@@ -158,8 +156,6 @@ def cmd_oracle(args) -> int:
     P = polytope_of(G, kind, guard=FACET_VERTEX_GUARD)
     facets = P.require_facets()
     witness = gorenstein_search(P)
-    if witness is not None and args.max_delta is not None and witness.delta > args.max_delta:
-        witness = None
     report = {
         "schema": VERDICT_SCHEMA,
         "command": "oracle",
@@ -229,7 +225,15 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+# how many input graphs each generate op takes; None: one or more
+GENERATE_INPUTS = {"seed": 0, "glue": None, "subdivide": 1, "collide": 2, "attach": 1, "blowup": 1}
+
+
 def cmd_generate(args) -> int:
+    want, got = GENERATE_INPUTS[args.op], len(args.inputs)
+    if (got < 1) if want is None else (got != want):
+        what = "at least 1 input graph" if want is None else f"{want} input graph{'s' * (want != 1)}"
+        raise ValueError(f"generate {args.op} takes {what}, got {got}")
     from .baseck import weight_function
     from .construct import Seed, attach_cycle, blow_up, collide, glue, replay, subdivide
 
@@ -247,29 +251,25 @@ def cmd_generate(args) -> int:
         chosen = []
         for g in parts:
             w = weight_function(g, args.delta)
-            heavy = [e for e, wt in sorted(w.as_dict().items()) if wt == args.delta - 1]
+            heavy = [e for e, wt in sorted(w.items()) if wt == args.delta - 1]
             if not heavy:
                 raise ConstructionError("part has no weight-(delta-1) edge to glue on")
-            chosen.append((g, w, heavy[0]))
+            chosen.append((g, heavy[0]))
         G = glue(chosen, args.delta)
     elif args.op == "subdivide":
         g = _load_graph(args.inputs[0])
-        w = weight_function(g, args.delta)
-        light = [e for e, wt in sorted(w.as_dict().items()) if wt == 1]
+        light = [e for e, wt in sorted(weight_function(g, args.delta).items()) if wt == 1]
         if not light:
             raise ConstructionError("no weight-1 edge to subdivide")
-        G = subdivide(g, w, light[0], args.delta)
+        G = subdivide(g, light[0], args.delta)
     elif args.op == "collide":
-        g1, g2 = (_load_graph(p) for p in args.inputs[:2])
+        g1, g2 = (_load_graph(p) for p in args.inputs)
         G = collide(g1, sorted(g1.edge_by_id)[0], g2, sorted(g2.edge_by_id)[0])
     elif args.op == "attach":
         g = _load_graph(args.inputs[0])
         G = attach_cycle(g, sorted(g.edge_by_id)[0], args.delta)
-    elif args.op == "blowup":
-        g = _load_graph(args.inputs[0])
-        G = blow_up(g, args.m)
     else:
-        raise ValueError(f"unknown op {args.op!r}")
+        G = blow_up(_load_graph(args.inputs[0]), args.m)
     text = format_edge_list(G)
     if args.output:
         with open(args.output, "w") as fh:
@@ -326,6 +326,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("--max-vertices must be >= 2")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    if args.cross_validate and args.kind == "indep-equivalence":
+        raise ValueError("--cross-validate does not apply to --kind indep-equivalence")
     limit = 6 if args.cross_validate else 7
     if args.max_vertices > limit:
         raise GuardExceeded(
@@ -400,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exact lattice-polytope oracle")
     o.add_argument("kind", choices=["base", "indep"])
     o.add_argument("file")
-    o.add_argument("--max-delta", type=int, default=None)
     o.add_argument("--hstar", action="store_true")
     o.add_argument("--normality", type=int, default=None, metavar="KMAX")
     add_common(o)
@@ -413,9 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     ct.set_defaults(func=cmd_certify)
 
     g = sub.add_parser("generate", help="run a construction")
-    g.add_argument(
-        "op", choices=["seed", "glue", "subdivide", "collide", "attach", "blowup"]
-    )
+    g.add_argument("op", choices=list(GENERATE_INPUTS))
     g.add_argument("inputs", nargs="*")
     g.add_argument("--delta", type=int, default=3)
     g.add_argument("--m", type=int, default=2)

@@ -214,21 +214,25 @@ def replay(cert: tuple) -> Multigraph:
 # -- forward construction operations ----------------------------------------
 
 
-def _spade_or_raise(G: Multigraph, delta: int, what: str):
-    viol = check_spade(G, delta)
+def _weights_of_part(G: Multigraph, delta: int, what: str) -> dict:
+    """G's weights at delta, once G decomposes at delta; else ConstructionError
+    naming the good flat that fails."""
+    w = weight_function(G, delta)
+    viol = decompose(G, delta)[1]
     if viol is not None:
         raise ConstructionError(
             f"{what} must satisfy the good-flat equalities at delta={delta}; "
             f"violation: {viol.as_dict()}"
         )
+    return w
 
 
 def glue(parts, delta: int) -> Multigraph:
     """Glue delta-1 graphs along one weight-(delta-1) edge each.
 
-    parts is a list of (graph, weight assignment or None, edge id); the
-    chosen edges are identified into a single edge of the result (its weight
-    becomes 1).  Output labels are canonical integers.
+    parts is a list of (graph, edge id); the chosen edges are identified
+    into a single edge of the result (its weight becomes 1).  Output labels
+    are canonical integers.
     """
     if delta < 3:
         raise ConstructionError("glue is a delta > 2 construction")
@@ -236,43 +240,29 @@ def glue(parts, delta: int) -> Multigraph:
         raise ConstructionError(
             f"glue at delta={delta} needs exactly {delta - 1} parts, got {len(parts)}"
         )
-    oriented = []
-    graphs = []
-    for g, w, eid in parts:
-        _spade_or_raise(g, delta, "every glued part")
-        w = w if w is not None else weight_function(g, delta)
-        if w.as_dict()[eid] != delta - 1:
-            raise ConstructionError(
-                f"glued edge {eid} has weight {w.as_dict()[eid]}, needs {delta - 1}"
-            )
-        graphs.append(g)
-        oriented.append((eid,) + g.endpoints(eid))
-    G, _ = _merge_along(graphs, oriented, drop_merged_edge=False)
-    return G
+    for g, eid in parts:
+        w = _weights_of_part(g, delta, "every glued part")
+        if w[eid] != delta - 1:
+            raise ConstructionError(f"glued edge {eid} has weight {w[eid]}, needs {delta - 1}")
+    refs = tuple(EdgeRef(eid) for _, eid in parts)
+    return _forward([g for g, _ in parts], Node("glue", refs=refs, delta=delta))
 
 
-def subdivide(G: Multigraph, w, eid: int, delta: int) -> Multigraph:
+def subdivide(G: Multigraph, eid: int, delta: int) -> Multigraph:
     """Replace a weight-1 edge by a path of delta-1 edges (identity at delta=2)."""
-    _spade_or_raise(G, delta, "the subdivided graph")
-    w = w if w is not None else weight_function(G, delta)
-    if w.as_dict()[eid] != 1:
-        raise ConstructionError(
-            f"subdivision target {eid} has weight {w.as_dict()[eid]}, needs 1"
-        )
+    w = _weights_of_part(G, delta, "the subdivided graph")
+    if w[eid] != 1:
+        raise ConstructionError(f"subdivision target {eid} has weight {w[eid]}, needs 1")
     if delta == 2:
         return G
-    return _forward(G, Node("subdivide", refs=(EdgeRef(eid),), delta=delta))
+    return _forward([G], Node("subdivide", refs=(EdgeRef(eid),), delta=delta))
 
 
 def collide(G1: Multigraph, e1: int, G2: Multigraph, e2: int) -> Multigraph:
     """Glue two graphs along the given edges, then remove the identified edge."""
     for g in (G1, G2):
-        _spade_or_raise(g, 2, "every collided part")
-    G, _ = _merge_along(
-        [G1, G2], [(e1,) + G1.endpoints(e1), (e2,) + G2.endpoints(e2)],
-        drop_merged_edge=True,
-    )
-    return G
+        _weights_of_part(g, 2, "every collided part")
+    return _forward([G1, G2], Node("collide", refs=(EdgeRef(e1), EdgeRef(e2))))
 
 
 def attach_cycle(H: Multigraph, eid: int, delta: int) -> Multigraph:
@@ -285,24 +275,37 @@ def attach_cycle(H: Multigraph, eid: int, delta: int) -> Multigraph:
         raise ConstructionError("attach_cycle requires a simple graph")
     if eid not in H.edge_by_id:
         raise KeyError(f"unknown edge id {eid}")
-    return _forward(H, Node("attach_cycle", refs=(EdgeRef(eid),), delta=delta))
+    return _forward([H], Node("attach_cycle", refs=(EdgeRef(eid),), delta=delta))
 
 
 def blow_up(H: Multigraph, m: int) -> Multigraph:
     """Replace every edge by m parallel copies; replay_step refuses m < 1."""
-    return _forward(H, Node("blow_up", m=m))
+    return _forward([H], Node("blow_up", m=m))
 
 
-def _forward(G: Multigraph, step: Node) -> Multigraph:
-    """Replay one step on G relabelled to replay labels: 0..n-1 in
+def _forward(graphs, step: Node) -> Multigraph:
+    """Replay one step on the graphs relabelled to replay labels: 0..n-1 in
     sorted_vertices order, edge ids kept.  The step names no children, since
     replay_step reads only the replayed ones."""
-    lab = {x: i for i, x in enumerate(G.sorted_vertices)}
-    rep = Multigraph(tuple(range(G.n)), tuple((e, lab[u], lab[v]) for e, u, v in G.edges))
-    return replay_step(step, [rep])[0]
+    reps = []
+    for G in graphs:
+        lab = {x: i for i, x in enumerate(G.sorted_vertices)}
+        reps.append(Multigraph(tuple(range(G.n)), tuple((e, lab[u], lab[v]) for e, u, v in G.edges)))
+    return replay_step(step, reps)[0]
 
 
 # -- decomposition (inverse construction) ------------------------------------
+
+
+class Step(NamedTuple):
+    """One construction step of a part, before build places it in the
+    certificate: its node without children or refs, and what build needs
+    to fill those in and to map the part's vertices to replay labels."""
+
+    node: Node
+    arity: int = 0  # how many parts the step splits its part into
+    ends: tuple = ()  # (a, b): each child's ref names its copy of the edge ab
+    new: tuple = ()  # a seed's vertices, or a new path's inner ones, in replay-label order
 
 
 def _is_cycle_graph(G: Multigraph) -> bool:
@@ -314,20 +317,6 @@ def _is_cycle_graph(G: Multigraph) -> bool:
     )
 
 
-def _cycle_cert(G: Multigraph, nodes: list):
-    walk = [min(G.vertices, key=label_key)]
-    walk.append(min((w for _, w in G.adjacency[walk[0]]), key=label_key))
-    while len(walk) < G.n:
-        walk.append(next(w for _, w in G.adjacency[walk[-1]] if w != walk[-2]))
-    return _seed(Node("seed", seed="cycle", n=G.n), walk, nodes)
-
-
-def _seed(node: Node, order, nodes: list) -> tuple:
-    """Append a seed whose i-th vertex is order[i]; returns (vertex map, replayed graph)."""
-    nodes.append(node)
-    return {v: i for i, v in enumerate(order)}, replay_step(node, [])[0]
-
-
 def _edge_ref(rep: Multigraph, a, b) -> EdgeRef:
     """Reference to the edge ab of a replayed child, oriented from a to b."""
     eid = rep.edge_between(a, b)
@@ -336,38 +325,33 @@ def _edge_ref(rep: Multigraph, a, b) -> EdgeRef:
     return EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a)
 
 
-def _split(parts, u, v, delta: int, nodes: list, op: str):
-    """Decompose each part, then join the replays along their copies of uv.
-
-    op is "glue" or "collide"; one replay_step over the parts' replayed
-    graphs gives the joining node's replay and the composed vertex map.
-    """
-    done, kids = [], []  # (vmap, replay) and root index of each part
-    for part in parts:
-        done.append(_decompose(part, delta, nodes))
-        kids.append(len(nodes) - 1)
-    node = Node(
-        op,
-        tuple(kids),
-        tuple(_edge_ref(r, vm[u], vm[v]) for vm, r in done),
-        delta if op == "glue" else None,
-    )
-    nodes.append(node)
-    rep, embeds = replay_step(node, [r for _, r in done])
-    vmap = {x: emb[y] for (vm, _), emb in zip(done, embeds) for x, y in vm.items()}
-    return vmap, rep
-
-
-def _decompose(G: Multigraph, delta: int, nodes: list):
-    """Append one part's certificate to nodes in post-order, its root last;
-    returns (map V(G) -> replay labels, replayed graph).
+def _step(G: Multigraph, delta: int):
+    """One decomposition step of a part G: (step, the parts it splits G
+    into, in child order).  A seed splits G into no parts.
 
     Every step meets its construction's hypothesis, so a finished run is a
     proof: a Glue part is connected off uv, so uv weighs delta-1 there (or
-    weight_function raises WeightConflict), and Subdivide checks its edge weighs 1.
+    weight_function raises WeightConflict), and Subdivide checks its edge
+    weighs 1.  A stuck part raises InternalContradiction or WeightConflict.
     """
     if delta == 2:
-        return _decompose_delta2(G, nodes)
+        pair = _separating_pair(G)
+        if pair is None:
+            if not (G.n == 4 and G.m == 6 and G.is_simple()):
+                raise InternalContradiction(
+                    "a 3-connected graph satisfying the delta=2 equalities must be K4"
+                )
+            return Step(Node("seed", seed="k4"), new=G.sorted_vertices), []
+        v1, v2 = pair
+        comps = components(G.without_vertices(pair))
+        if len(comps) != 2:
+            raise InternalContradiction(
+                f"separating pair leaves {len(comps)} components, expected 2"
+            )
+        if G.has_edge(v1, v2):
+            raise InternalContradiction("separating pair joined by an edge")
+        parts = [G.induced(set(comp) | {v1, v2}).with_edge(v1, v2)[0] for comp in comps]
+        return Step(Node("collide"), 2, pair), parts
 
     if _is_cycle_graph(G):
         if G.n != delta:
@@ -375,9 +359,13 @@ def _decompose(G: Multigraph, delta: int, nodes: list):
                 f"a cycle satisfying the equalities at delta={delta} must be a "
                 f"{delta}-cycle, got C{G.n}"
             )
-        return _cycle_cert(G, nodes)
+        walk = [min(G.vertices, key=label_key)]
+        walk.append(min((w for _, w in G.adjacency[walk[0]]), key=label_key))
+        while len(walk) < G.n:
+            walk.append(next(w for _, w in G.adjacency[walk[-1]] if w != walk[-2]))
+        return Step(Node("seed", seed="cycle", n=G.n), new=tuple(walk)), []
 
-    w = weight_function(G, delta).as_dict()
+    w = weight_function(G, delta)
     light = sorted(
         (eid for eid, wt in w.items() if wt == 1),
         key=lambda e: (tuple(sorted(label_key(x) for x in G.endpoints(e))), e),
@@ -390,7 +378,7 @@ def _decompose(G: Multigraph, delta: int, nodes: list):
                 f"weight-1 edge split gave {len(comps)} parts, expected {delta - 1}"
             )
         parts = [G.induced(set(comp) | {u, v}) for comp in comps]
-        return _split(parts, u, v, delta, nodes, "glue")
+        return Step(Node("glue", delta=delta), delta - 1, (u, v)), parts
 
     candidates = [e for e in ears(G).ears if e.length == delta - 1]
     if not candidates:
@@ -404,17 +392,10 @@ def _decompose(G: Multigraph, delta: int, nodes: list):
             "ear endpoints are adjacent; its replacement would not be simple"
         )
     shrunk, new = G.without_vertices(ear.inner).with_edge(v0, vs)
-    vmap_c, rep_c = _decompose(shrunk, delta, nodes)
-    if weight_function(shrunk, delta).as_dict()[new] != 1:
+    if weight_function(shrunk, delta)[new] != 1:
         raise InternalContradiction(f"an ear shrinks to an edge of weight {delta - 1}, not 1")
-    ref = _edge_ref(rep_c, vmap_c[v0], vmap_c[vs])
-    node = Node("subdivide", (len(nodes) - 1,), (ref,), delta)
-    nodes.append(node)
-    rep, (embed,) = replay_step(node, [rep_c])
-    vmap = {x: embed[y] for x, y in vmap_c.items()}
-    # fresh labels run along the new path from v0 to vs
-    vmap.update((x, rep_c.n + j) for j, x in enumerate(ear.inner))
-    return vmap, rep
+    # the new path's inner vertices run from v0 to vs
+    return Step(Node("subdivide", delta=delta), 1, (v0, vs), ear.inner), [shrunk]
 
 
 def _separating_pair(G: Multigraph):
@@ -430,24 +411,35 @@ def _separating_pair(G: Multigraph):
     return None
 
 
-def _decompose_delta2(G: Multigraph, nodes: list):
-    pair = _separating_pair(G)
-    if pair is None:
-        if not (G.n == 4 and G.m == 6 and G.is_simple()):
-            raise InternalContradiction(
-                "a 3-connected graph satisfying the delta=2 equalities must be K4"
-            )
-        return _seed(Node("seed", seed="k4"), G.sorted_vertices, nodes)
-    v1, v2 = pair
-    comps = components(G.without_vertices(pair))
-    if len(comps) != 2:
-        raise InternalContradiction(
-            f"separating pair leaves {len(comps)} components, expected 2"
-        )
-    if G.has_edge(v1, v2):
-        raise InternalContradiction("separating pair joined by an edge")
-    parts = [G.induced(set(comp) | {v1, v2}).with_edge(v1, v2)[0] for comp in comps]
-    return _split(parts, v1, v2, 2, nodes, "collide")
+def build(steps) -> tuple:
+    """(certificate, vertex map, replayed graph) from steps in post-order:
+    each step's children come before it, in child order, and the root last.
+
+    One replay_step per node fills in its children and refs, and the map
+    from the input's vertices to replay labels is composed as it goes.  A
+    step with at most one child keeps its child's labels and numbers its
+    new vertices after them, so the child's map is extended in place; the
+    caller's check_vertex_map proves the composed map.
+    """
+    nodes, pending = [], []  # (index, map, replay) of each node no parent has taken yet
+    for step in steps:
+        kids = pending[len(pending) - step.arity:]
+        del pending[len(pending) - step.arity:]
+        refs = ()
+        if step.ends:
+            a, b = step.ends
+            refs = tuple(_edge_ref(r, vm[a], vm[b]) for _, vm, r in kids)
+        node = step.node._replace(children=tuple(i for i, _, _ in kids), refs=refs)
+        rep, embeds = replay_step(node, [r for _, _, r in kids])
+        if len(kids) > 1:
+            vmap = {x: emb[y] for (_, vm, _), emb in zip(kids, embeds) for x, y in vm.items()}
+        else:
+            vmap, base = (kids[0][1], kids[0][2].n) if kids else ({}, 0)
+            vmap.update((x, base + j) for j, x in enumerate(step.new))
+        pending.append((len(nodes), vmap, rep))
+        nodes.append(node)
+    ((_, vmap, rep),) = pending
+    return tuple(nodes), vmap, rep
 
 
 def check_vertex_map(G: Multigraph, vmap: dict, rep: Multigraph) -> None:
@@ -473,17 +465,26 @@ def decompose(G: Multigraph, delta: int):
     else (None, witness).  The vertex map is checked exactly.  Only a stuck
     decomposition runs check_spade, to name the violated good flat; if it
     finds none, the stuck state stands as InternalContradiction.
+
+    A work stack of parts replaces recursion: the steps are taken root
+    first, and each step's parts are pushed in child order and so taken
+    last child first, which makes the steps, read backwards, the post-order
+    build wants.
     """
-    nodes = []
+    steps, parts = [], [G]
     try:
-        vmap, rep = _decompose(G, delta, nodes)
+        while parts:
+            step, split = _step(parts.pop(), delta)
+            steps.append(step)
+            parts += split
     except (InternalContradiction, WeightConflict) as stuck:
         witness = check_spade(G, delta)
         if witness is None:
             raise InternalContradiction(str(stuck)) from stuck
         return None, witness
+    cert, vmap, rep = build(reversed(steps))
     check_vertex_map(G, vmap, rep)
-    return tuple(nodes), None
+    return cert, None
 
 
 def decompose_base(G: Multigraph, delta: int) -> tuple:

@@ -525,73 +525,6 @@ def is_k4_minor_free(G: Multigraph) -> bool:
     return all(_sp_reducible(b) for b in blocks(G))
 
 
-def has_k4_minor_bruteforce(G: Multigraph) -> bool:
-    """Independent oracle: search for 4 disjoint connected, pairwise-adjacent sets.
-
-    Restricted-growth enumeration over branch-set assignments; intended for
-    graphs with at most ~8 vertices.
-    """
-    verts = G.sorted_vertices
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * n
-    for eid, u, v in G.edges:
-        if u != v:
-            nbr[idx[u]] |= 1 << idx[v]
-            nbr[idx[v]] |= 1 << idx[u]
-
-    def mask_connected(mask: int) -> bool:
-        if mask == 0:
-            return False
-        start = mask & -mask
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                nxt |= nbr[b.bit_length() - 1]
-            frontier = nxt & mask & ~seen
-            seen |= frontier
-        return seen == mask
-
-    def rec(i: int, classes: list, used: int) -> bool:
-        if n - i < 4 - used:
-            return False
-        if i == n:
-            if used < 4:
-                return False
-            for a in range(4):
-                if not mask_connected(classes[a]):
-                    return False
-            adj = [0] * 4
-            for a in range(4):
-                m = classes[a]
-                acc = 0
-                while m:
-                    b = m & -m
-                    m ^= b
-                    acc |= nbr[b.bit_length() - 1]
-                adj[a] = acc
-            return all(
-                adj[a] & classes[b]
-                for a in range(4)
-                for b in range(a + 1, 4)
-            )
-        bit = 1 << i
-        for c in range(min(used + 1, 4)):
-            classes[c] |= bit
-            if rec(i + 1, classes, max(used, c + 1)):
-                classes[c] ^= bit
-                return True
-            classes[c] ^= bit
-        return rec(i + 1, classes, used)
-
-    return rec(0, [0, 0, 0, 0], 0)
-
-
 # -- matroid bases and independent sets ------------------------------------
 
 
@@ -623,63 +556,48 @@ def bases_and_forests(
         raise ValueError(f"kind must be 'spanning_trees' or 'forests', got {kind!r}")
     edges = sorted(G.edges)
     target = graphic_rank(G, G.edge_by_id)
-    # union by size without path compression, so that undo() can roll a
-    # union back when the recursion leaves an edge; _find/_union cannot
+    trees = kind == "spanning_trees"
+    # union by size without path compression, so that a union can be rolled
+    # back when the walk leaves its edge; _find/_union cannot
     parent = {v: v for v in G.vertices}
     size = {v: 1 for v in G.vertices}
-    count = 0
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return None
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
-        return (ru, rv)
-
-    def undo(op):
-        ru, rv = op
-        parent[rv] = rv
-        size[ru] -= size[rv]
-
     chosen: list = []
-
-    def rec(i: int):
-        nonlocal count
-        if kind == "spanning_trees":
-            if len(chosen) == target:
-                count += 1
-                if count > guard:
-                    raise GuardExceeded(f"more than {guard} spanning forests")
-                yield frozenset(chosen)
-                return
-            if len(chosen) + (len(edges) - i) < target:
-                return
-        if i == len(edges):
-            if kind == "forests":
-                count += 1
-                if count > guard:
-                    raise GuardExceeded(f"more than {guard} forests")
-                yield frozenset(chosen)
-            return
-        eid, u, v = edges[i]
-        if u != v:
-            op = union(u, v)
-            if op is not None:
-                chosen.append(eid)
-                yield from rec(i + 1)
-                chosen.pop()
-                undo(op)
-        yield from rec(i + 1)
-
-    yield from rec(0)
+    count = 0
+    # depth-first over edge indexes, taking each edge before leaving it out:
+    # an entry is the next edge index to decide, or (ru, rv, i), the union
+    # edge i made, to roll back before deciding i+1 without it
+    stack: list = [0]
+    while stack:
+        i = stack.pop()
+        if type(i) is tuple:
+            ru, rv, i = i
+            chosen.pop()
+            parent[rv] = rv
+            size[ru] -= size[rv]
+            stack.append(i + 1)
+        elif (len(chosen) == target) if trees else (i == len(edges)):
+            count += 1
+            if count > guard:
+                raise GuardExceeded(f"more than {guard} {'spanning forests' if trees else 'forests'}")
+            yield frozenset(chosen)
+        elif i < len(edges) and (not trees or len(chosen) + len(edges) - i >= target):
+            eid, u, v = edges[i]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                stack.append(i + 1)
+                continue
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            chosen.append(eid)
+            stack += [(ru, rv, i), i + 1]
 
 
 # -- blow-ups ---------------------------------------------------------------

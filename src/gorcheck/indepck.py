@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .baseck import Witness
-from .construct import BlowUp, EdgeRef, Node, check_vertex_map, replay_step
+from .construct import BlowUp, Node, Step, build, check_vertex_map
 from .errors import InternalContradiction, NotTwoConnected
 from .flats import indecomposable_flats, induced_edge_ids
 from .graph import (
@@ -122,22 +122,15 @@ def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[tuple]:
         peeled.append(path)
         G = G.without_vertices(path[1:-1])
 
-    nodes = [Node("seed", seed="k2")]
-    rep, _ = replay_step(nodes[0], [])
-    vmap = dict(zip(G.sorted_vertices, range(2)))
-    for path in reversed(peeled):
-        a, b = vmap[path[0]], vmap[path[-1]]
-        eid = rep.edge_between(a, b)
-        if eid is None:
-            raise InternalContradiction("replayed graph lost the attachment edge")
-        ref = EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a)
-        nodes.append(Node("attach_cycle", (len(nodes) - 1,), (ref,), delta))
-        # the replay keeps the child's labels and appends the new path's inner
-        # vertices, from a to b; the final check below proves the map
-        vmap.update((x, rep.n + j) for j, x in enumerate(path[1:-1]))
-        rep, _ = replay_step(nodes[-1], [rep])
+    # build replays it forward from K2, one attach_cycle step per peeled path
+    steps = [Step(Node("seed", seed="k2"), new=G.sorted_vertices)]
+    steps += [
+        Step(Node("attach_cycle", delta=delta), 1, (path[0], path[-1]), path[1:-1])
+        for path in reversed(peeled)
+    ]
+    cert, vmap, rep = build(steps)
     check_vertex_map(H, vmap, rep)
-    return tuple(nodes)
+    return cert
 
 
 class IndepVerdict(NamedTuple):

@@ -59,11 +59,11 @@ def test_weight_function_conflict(k4):
     with pytest.raises(WeightConflict):
         weight_function(k4, 3)
     w = weight_function(k4, 2)
-    assert w.total() == 6
+    assert sum(w.values()) == 6
 
 
 def test_weight_function_k4_minus_e(k4_minus_e):
-    w = weight_function(k4_minus_e, 3).as_dict()
+    w = weight_function(k4_minus_e, 3)
     # ab (edge 0) deletes to C4: weight 1; the rest contract only: weight 2
     assert w[0] == 1
     assert all(w[e] == 2 for e in w if e != 0)
@@ -88,7 +88,7 @@ def _candidate_deltas_by_loop(G):
             w = weight_function(G, delta)
         except WeightConflict:
             continue
-        if w.total() == delta * (G.n - 1):
+        if sum(w.values()) == delta * (G.n - 1):
             found.append(delta)
     return frozenset(found)
 

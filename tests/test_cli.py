@@ -7,7 +7,6 @@ import pytest
 
 from conftest import complete, cycle
 from gorcheck import baseck, construct, indepck
-from gorcheck.baseck import weight_function
 from gorcheck.cli import main
 from gorcheck.construct import (
     AttachCycle,
@@ -115,15 +114,6 @@ def test_oracle_normality_below_two_is_input_error(files, capsys, kmax):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("bound", ["0", "-1"])
-def test_oracle_max_delta_below_one_is_input_error(files, capsys, bound):
-    # the oracle never finds an index below 1, so such a bound was ignored
-    code = main(["oracle", "base", files["c3"], "--max-delta", bound])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (4, "")
-    assert captured.err == "input error: --max-delta must be >= 1\n"
-
-
 @pytest.mark.parametrize("length", ["0", "1"])
 def test_generate_seed_cycle_below_two_is_input_error(capsys, length):
     # --cycle 0 used to print K2 and exit 0, as if the option were absent
@@ -139,6 +129,48 @@ def test_generate_seed_cycle_and_k4_is_input_error(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert captured.err == "input error: --cycle and --k4 are mutually exclusive\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each of these used to end in a traceback and exit 1
+    (["attach"], "attach takes 1 input graph, got 0"),
+    (["subdivide"], "subdivide takes 1 input graph, got 0"),
+    (["blowup"], "blowup takes 1 input graph, got 0"),
+    (["collide", "k4"], "collide takes 2 input graphs, got 1"),
+    # extra inputs used to be dropped without a word
+    (["seed", "c3"], "seed takes 0 input graphs, got 1"),
+    (["attach", "c3", "c3"], "attach takes 1 input graph, got 2"),
+    (["glue"], "glue takes at least 1 input graph, got 0"),
+])
+def test_generate_checks_its_input_count(files, capsys, argv, message):
+    code = main(["generate"] + [files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"input error: generate {message}\n"
+
+
+def test_sweep_cross_validate_of_indep_equivalence_is_input_error(capsys):
+    # the three-way sweep has no oracle side: the flag was ignored and the
+    # sweep reported 0 mismatches
+    code = main(["sweep", "--max-vertices", "3", "--kind", "indep-equivalence", "--cross-validate"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "input error: --cross-validate does not apply to --kind indep-equivalence\n"
+
+
+def test_oracle_on_a_long_path(tmp_path, capsys):
+    # 1,200 edges: the spanning-forest walk used to nest one generator frame
+    # per edge and end in a RecursionError traceback before its first yield
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1200)))
+    code, out = run(capsys, "oracle", "base", str(path))
+    doc = json.loads(out)
+    assert code == 0 and (doc["status"], doc["delta"]) == ("gorenstein", 1)
+    assert doc["polytope"]["vertices"] == 1 and doc["witness_point"] == [1] * 1200
+    code = main(["oracle", "indep", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "guard exceeded: more than 512 forests\n"
 
 
 @pytest.mark.parametrize("count", ["1", "0", "-2"])
@@ -209,12 +241,16 @@ def test_internal_contradiction_exit5(files, capsys, monkeypatch):
 
 def test_certify_replay_mismatch_exit5(files, capsys, monkeypatch):
     # the vertex-map check where each certificate is built catches a
-    # corrupted map (base) or a corrupted replay (indep)
-    real_seed, real_step = construct._seed, indepck.replay_step
+    # corrupted map (base: the C3 seed's, which build returns as it stands)
+    # or a corrupted replay (indep)
+    real_build, real_step = construct.build, construct.replay_step
 
-    def seed_with_two_vertices_merged(node, order, nodes):
-        vmap, rep = real_seed(node, order, nodes)
-        return {**vmap, order[0]: vmap[order[1]]}, rep
+    def build_with_two_seed_vertices_merged(steps):
+        cert, vmap, rep = real_build(steps)
+        if cert[-1].op == "seed":
+            order = sorted(vmap, key=vmap.get)
+            vmap = {**vmap, order[0]: vmap[order[1]]}
+        return cert, vmap, rep
 
     def step_losing_an_edge(node, reps):
         rep, embeds = real_step(node, reps)
@@ -222,8 +258,8 @@ def test_certify_replay_mismatch_exit5(files, capsys, monkeypatch):
             rep = rep.without_edges([0])
         return rep, embeds
 
-    monkeypatch.setattr(construct, "_seed", seed_with_two_vertices_merged)
-    monkeypatch.setattr(indepck, "replay_step", step_losing_an_edge)
+    monkeypatch.setattr(construct, "build", build_with_two_seed_vertices_merged)
+    monkeypatch.setattr(construct, "replay_step", step_losing_an_edge)
     for kind, name in [("base", "c3"), ("indep", "dc4")]:
         code = main(["certify", kind, files[name]])
         captured = capsys.readouterr()
@@ -234,7 +270,7 @@ def test_certify_replay_mismatch_exit5(files, capsys, monkeypatch):
 
 def _four_pentagons():
     c5 = cycle(5)
-    return glue([(c5, weight_function(c5, 5), 0)] * 4, 5)  # 14 vertices
+    return glue([(c5, 0)] * 4, 5)  # 14 vertices
 
 
 def _doubled_attach_chain():
@@ -296,10 +332,10 @@ def test_check_base_over_the_subset_guard_exit2(tmp_path, capsys):
 def test_stuck_decomposition_of_a_positive_exit5(files, capsys, monkeypatch):
     # K4 satisfies the good-flat equalities, so a stuck decomposition is not
     # a negative verdict but a contradiction
-    def stuck(G, delta, nodes):
+    def stuck(G, delta):
         raise InternalContradiction("stuck")
 
-    monkeypatch.setattr(construct, "_decompose", stuck)
+    monkeypatch.setattr(construct, "_step", stuck)
     code = main(["check", "base", files["k4"]])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
@@ -514,7 +550,7 @@ def test_importing_the_cli_loads_only_the_parser_layers():
 
 # the names `gorcheck` exported when its __init__ imported every submodule
 _PUBLIC = {
-    "baseck": "ALL_DELTAS BaseVerdict WeightAssignment Witness base_verdict"
+    "baseck": "ALL_DELTAS BaseVerdict Witness base_verdict"
               " candidate_deltas check_heart check_spade edge_facet_profile weight_function",
     "construct": "AttachCycle BlowUp Collide EdgeRef Glue Node Seed Subdivide attach_cycle"
                  " blow_up cert_from_json cert_to_json collide decompose_base glue replay"

@@ -1,11 +1,12 @@
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import complete, cycle
 from gorcheck import construct
-from gorcheck.baseck import WeightAssignment, base_verdict, check_spade, weight_function
+from gorcheck.baseck import base_verdict, check_spade, weight_function
 from gorcheck.construct import (
     AttachCycle,
     BlowUp,
@@ -41,44 +42,48 @@ def test_replay_seeds():
 
 
 def test_glue_c3_c3_is_k4_minus_e(c3, k4_minus_e):
-    w = weight_function(c3, 3)
-    G = glue([(c3, w, 0), (c3, w, 0)], 3)
+    G = glue([(c3, 0), (c3, 0)], 3)
     assert is_isomorphic(G, k4_minus_e)
     # edge-order independence
-    G2 = glue([(c3, w, 1), (c3, w, 2)], 3)
+    G2 = glue([(c3, 1), (c3, 2)], 3)
     assert is_isomorphic(G, G2)
     assert check_spade(G, 3) is None
 
 
 def test_glue_arity_error(c3):
-    w = weight_function(c3, 3)
     with pytest.raises(ConstructionError):
-        glue([(c3, w, 0)] * 3, 3)
+        glue([(c3, 0)] * 3, 3)
 
 
 def test_glue_rejects_failing_part(c4):
-    w = weight_function(c4, 3)
     with pytest.raises(ConstructionError):
-        glue([(c4, w, 0), (c4, w, 0)], 3)  # C4 fails the equalities at 3
+        glue([(c4, 0), (c4, 0)], 3)  # C4 fails the equalities at 3
+
+
+def test_forward_parts_past_the_subset_guard():
+    # parts are checked by decomposition, so a positive part over 24 vertices
+    # no longer trips the good-flat tables' guard
+    c26 = cycle(26)
+    G = glue([(c26, 0)] * 25, 26)
+    assert (G.n, G.m) == (2 + 25 * 24, 25 * 25 + 1)
+    with pytest.raises(ConstructionError, match="total_weight_mismatch"):
+        glue([(c26, 0)] * 24, 25)
 
 
 def test_subdivide_makes_g5(k4_minus_e):
-    w = weight_function(k4_minus_e, 3)
-    G5 = subdivide(k4_minus_e, w, 0, 3)  # edge ab has weight 1
+    G5 = subdivide(k4_minus_e, 0, 3)  # edge ab has weight 1
     assert (G5.n, G5.m) == (5, 6)
     assert base_verdict(G5).delta == 3
-    assert all(wt == 2 for wt in weight_function(G5, 3).as_dict().values())
+    assert all(wt == 2 for wt in weight_function(G5, 3).values())
 
 
 def test_subdivide_rejects_heavy_edge(c3):
-    w = weight_function(c3, 3)
     with pytest.raises(ConstructionError):
-        subdivide(c3, w, 0, 3)  # all C3 edges have weight 2
+        subdivide(c3, 0, 3)  # all C3 edges have weight 2
 
 
 def test_subdivide_delta2_identity(k4):
-    w = weight_function(k4, 2)
-    assert subdivide(k4, w, 0, 2) is k4
+    assert subdivide(k4, 0, 2) is k4
 
 
 def test_collide(k4, c3):
@@ -117,7 +122,7 @@ def test_forward_constructions_use_replay_labels():
         return sorted((u, v) for _, u, v in H.edges)
 
     ring = [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert pairs(subdivide(G, None, 4, 3)) == sorted(ring + [(0, 4), (2, 4)])
+    assert pairs(subdivide(G, 4, 3)) == sorted(ring + [(0, 4), (2, 4)])
     assert pairs(attach_cycle(G, 4, 2)) == sorted(ring + [(0, 2), (0, 4), (2, 4)])
     assert pairs(blow_up(G, 2)) == sorted(2 * (ring + [(0, 2)]))
 
@@ -127,8 +132,7 @@ def test_decompose_named(k4, k4_minus_e):
     c3 = Seed("cycle", 3)
     glued = Glue(3, (c3, c3), (EdgeRef(0), EdgeRef(0)))
     assert decompose_base(k4_minus_e, 3) == glued
-    w = weight_function(k4_minus_e, 3)
-    G5 = subdivide(k4_minus_e, w, 0, 3)
+    G5 = subdivide(k4_minus_e, 0, 3)
     cert5 = decompose_base(G5, 3)
     assert cert5 == Subdivide(3, glued, EdgeRef(4))
     assert replay_matches(cert5, G5) == (True, "isomorphism")
@@ -148,26 +152,23 @@ def test_decompose_rejects_negative(c5_chord):
 
 def test_decompose_checks_the_subdivided_edge_weight(monkeypatch, k4_minus_e):
     # G5 is Subdivide-rooted: its 2-ear shrinks to the weight-1 edge of K4-e.
-    # The second weight lookup on that K4-e, the Subdivide check's after the
-    # child has decomposed, misreports every edge as heavy.
-    G5 = subdivide(k4_minus_e, weight_function(k4_minus_e, 3), 0, 3)
+    # The first weight lookup on that K4-e, the Subdivide check's before the
+    # child is split, misreports every edge as heavy.
+    G5 = subdivide(k4_minus_e, 0, 3)
     assert decompose_base(G5, 3)[-1].op == "subdivide"
-    real, seen = construct.weight_function, set()
+    real = construct.weight_function
 
-    def misreport_on_second_lookup(G, delta):
+    def misreport_on_four_vertices(G, delta):
         w = real(G, delta)
-        if id(G) in seen and G.n == 4:
-            w = WeightAssignment(delta, tuple((e, delta - 1) for e, _ in w.weights))
-        seen.add(id(G))
-        return w
+        return {e: delta - 1 for e in w} if G.n == 4 else w
 
-    monkeypatch.setattr(construct, "weight_function", misreport_on_second_lookup)
+    monkeypatch.setattr(construct, "weight_function", misreport_on_four_vertices)
     with pytest.raises(InternalContradiction, match="weight 2, not 1"):
         decompose_base(G5, 3)
 
 
 def _separating_pair_by_components(G):
-    """Reference: the scan _decompose_delta2 ran before the low-link pass,
+    """Reference: the scan the delta=2 step ran before the low-link pass,
     components(G-{a,b}) for every vertex pair in sorted_vertices order."""
     verts = G.sorted_vertices
     pairs = ((a, b) for i, a in enumerate(verts) for b in verts[i + 1:])
@@ -225,6 +226,36 @@ def test_decompose_deep_collide_chain(monkeypatch):
     assert replay(cert) == rep
 
 
+def _in_order_chain(rounds):
+    """A delta=3 chain with in-order labels: C3, then `rounds` times glue a
+    triangle on the newest edge and subdivide the edge it was glued on;
+    3 + 2 * rounds vertices."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    a, b, n = 1, 2, 3
+    for _ in range(rounds):
+        edges.remove((a, b))
+        edges += [(a, n), (n, b), (a, n + 1), (n + 1, b)]
+        a, n = n + 1, n + 2
+    return Multigraph.build(range(n), edges)
+
+
+def test_decompose_does_not_recurse_along_a_deep_chain():
+    # the decomposition is a loop over a work stack, so its depth does not
+    # follow the input's: 50 frames above the caller's are enough at any size
+    G = _in_order_chain(49)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        cert = decompose_base(G, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert G.n == 101 and cert[-1].op == "subdivide"
+    assert replay(cert).m == G.m
+
+
 def _check_every_node(cert, delta):
     """Per-node oracle: every child replays to a graph satisfying the
     good-flat equalities, and each referenced edge has the weight its node
@@ -238,9 +269,9 @@ def _check_every_node(cert, delta):
         for k, ref in zip(node.children, node.refs):
             assert check_spade(reps[k], d) is None, (node, cert[k])
             if node.op == "glue":
-                assert weight_function(reps[k], d).as_dict()[ref.edge_id] == d - 1
+                assert weight_function(reps[k], d)[ref.edge_id] == d - 1
             elif node.op == "subdivide":
-                assert weight_function(reps[k], d).as_dict()[ref.edge_id] == 1
+                assert weight_function(reps[k], d)[ref.edge_id] == 1
 
 
 def test_decompose_completeness_small():
@@ -269,13 +300,14 @@ def test_decompose_completeness_small():
     ids=["k4-not-bijective", "c5-edges-moved"],
 )
 def test_decompose_rejects_a_corrupted_vertex_map(monkeypatch, G, delta, corrupt):
-    real = construct._seed
+    # both certificates are a single seed, so build's map is the seed's
+    real = construct.build
 
-    def corrupted_seed(node, order, nodes):
-        vmap, rep = real(node, order, nodes)
-        return corrupt(vmap), rep
+    def corrupted_seed(steps):
+        cert, vmap, rep = real(steps)
+        return cert, corrupt(vmap), rep
 
-    monkeypatch.setattr(construct, "_seed", corrupted_seed)
+    monkeypatch.setattr(construct, "build", corrupted_seed)
     with pytest.raises(InternalContradiction, match="vertex map"):
         decompose_base(G, delta)
 
@@ -301,7 +333,7 @@ def random_cert(rng, depth, delta):
         for c in kids:
             rep = replay(c)
             heavy = [
-                e for e, wt in weight_function(rep, delta).as_dict().items()
+                e for e, wt in weight_function(rep, delta).items()
                 if wt == delta - 1
             ]
             refs.append(EdgeRef(rng.choice(heavy)))
@@ -309,7 +341,7 @@ def random_cert(rng, depth, delta):
     child = random_cert(rng, depth - 1, delta)
     rep = replay(child)
     light = [
-        e for e, wt in weight_function(rep, delta).as_dict().items() if wt == 1
+        e for e, wt in weight_function(rep, delta).items() if wt == 1
     ]
     if not light:
         return child  # seeds have no weight-1 edge to subdivide
@@ -355,8 +387,7 @@ def test_cert_json_roundtrip(k4_minus_e):
 def test_fingerprint_large_replay():
     # 4 pentagons glued along one edge: 14 vertices, beyond the isomorphism guard
     c5g = cycle(5)
-    w = weight_function(c5g, 5)
-    G = glue([(c5g, w, 0)] * 4, 5)
+    G = glue([(c5g, 0)] * 4, 5)
     cert = decompose_base(G, 5)
     matched, method = replay_matches(cert, G)
     assert matched and method == "fingerprint"

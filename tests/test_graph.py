@@ -13,7 +13,6 @@ from gorcheck.graph import (
     ears,
     format_edge_list,
     graphic_rank,
-    has_k4_minor_bruteforce,
     induced_cycles,
     is_isomorphic,
     is_k4_minor_free,
@@ -283,6 +282,73 @@ def test_k4_minor():
         Multigraph.build(range(5), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     )
     assert not is_k4_minor_free(complete(5))
+
+
+def has_k4_minor_bruteforce(G: Multigraph) -> bool:
+    """Independent oracle: search for 4 disjoint connected, pairwise-adjacent sets.
+
+    Restricted-growth enumeration over branch-set assignments; intended for
+    graphs with at most ~8 vertices.
+    """
+    verts = G.sorted_vertices
+    n = len(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * n
+    for eid, u, v in G.edges:
+        if u != v:
+            nbr[idx[u]] |= 1 << idx[v]
+            nbr[idx[v]] |= 1 << idx[u]
+
+    def mask_connected(mask: int) -> bool:
+        if mask == 0:
+            return False
+        start = mask & -mask
+        seen = start
+        frontier = start
+        while frontier:
+            nxt = 0
+            m = frontier
+            while m:
+                b = m & -m
+                m ^= b
+                nxt |= nbr[b.bit_length() - 1]
+            frontier = nxt & mask & ~seen
+            seen |= frontier
+        return seen == mask
+
+    def rec(i: int, classes: list, used: int) -> bool:
+        if n - i < 4 - used:
+            return False
+        if i == n:
+            if used < 4:
+                return False
+            for a in range(4):
+                if not mask_connected(classes[a]):
+                    return False
+            adj = [0] * 4
+            for a in range(4):
+                m = classes[a]
+                acc = 0
+                while m:
+                    b = m & -m
+                    m ^= b
+                    acc |= nbr[b.bit_length() - 1]
+                adj[a] = acc
+            return all(
+                adj[a] & classes[b]
+                for a in range(4)
+                for b in range(a + 1, 4)
+            )
+        bit = 1 << i
+        for c in range(min(used + 1, 4)):
+            classes[c] |= bit
+            if rec(i + 1, classes, max(used, c + 1)):
+                classes[c] ^= bit
+                return True
+            classes[c] ^= bit
+        return rec(i + 1, classes, used)
+
+    return rec(0, [0, 0, 0, 0], 0)
 
 
 def test_k4_minor_bruteforce_agrees_exhaustively():

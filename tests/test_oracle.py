@@ -238,7 +238,7 @@ def test_witness_equals_weight_vector(k4_minus_e):
 
     P = polytope_of(k4_minus_e, "base")
     w = gorenstein_search(P)
-    weights = weight_function(k4_minus_e, 3).as_dict()
+    weights = weight_function(k4_minus_e, 3)
     assert w.v == tuple(weights[e] for e in sorted(weights))
 
 

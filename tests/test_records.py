@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from conftest import complete, cycle
-from gorcheck.baseck import BaseVerdict, WeightAssignment, Witness, base_verdict, candidate_deltas
+from gorcheck.baseck import BaseVerdict, Witness, base_verdict, candidate_deltas
 from gorcheck.flats import GoodFlat
 from gorcheck.graph import BlowUpFactor, Ear, EarScan, Multigraph
 from gorcheck.indepck import IndepVerdict
@@ -30,8 +30,6 @@ def _records():
         (lambda: EarScan(False, (ear(),)), f"EarScan(is_cycle=False, ears=({EAR_REPR},))"),
         (lambda: BlowUpFactor(2, c3()), f"BlowUpFactor(multiplicity=2, base_graph={C3_REPR})"),
         (lambda: GoodFlat((0, 1, 2), (0, 1, 2)), "GoodFlat(S=(0, 1, 2), induced_edges=(0, 1, 2))"),
-        (lambda: WeightAssignment(3, ((0, 1), (1, 2))),
-         "WeightAssignment(delta=3, weights=((0, 1), (1, 2)))"),
         (lambda: Witness("flat_equality_violated", (0, 1), 3, 4),
          "Witness(kind='flat_equality_violated', flat=(0, 1), lhs=3, rhs=4)"),
         (lambda: BaseVerdict("not_gorenstein", None, Witness("no_candidate_delta")),
