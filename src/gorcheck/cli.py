@@ -151,8 +151,9 @@ def cmd_oracle(args) -> int:
     G = _load_graph(args.file)
     t0 = time.perf_counter()
     kind = "independence" if args.kind == "indep" else "base"
-    # every report needs facets: stop at the first vertex facets_bruteforce
-    # would refuse, before the lattice basis and the coordinates are built
+    # every report needs facets: stop at the first vertex over
+    # FACET_VERTEX_GUARD, which both facet routes refuse, before the lattice
+    # basis and the coordinates are built
     P = polytope_of(G, kind, guard=FACET_VERTEX_GUARD)
     facets = P.require_facets()
     witness = gorenstein_search(P)

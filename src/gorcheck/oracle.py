@@ -2,18 +2,31 @@
 
 Polytopes are built straight from their definition (indicator vectors of
 spanning forests / forests), the affine lattice is computed from vertex
-differences, facets come from an exact dual-cone double description, and the
-Gorenstein witness, Ehrhart counts, h*-vector, and normality probe all work in
-exact integer arithmetic.
+differences, and the Gorenstein witness, Ehrhart counts, h*-vector, and
+normality probe all work in exact integer arithmetic.
+
+Facets come by one of two exact routes, picked by what the polytope holds.  A
+polytope that polytope_of built keeps its graph, and facets_from_flats reads
+its facets off Edmonds' inequalities (Edmonds 1970): P(M) is cut out by
+x >= 0 and x(F) <= r(F) for every flat F, and B(M) adds x(E) = r(E), so every
+facet is one of those inequalities, and each one kept is proved a facet by the
+rank of its tight vertices.  Any other polytope (product_polytope's) goes
+through facets_bruteforce, the dual-cone double description of the vertices
+alone.  That route rests on no theorem about matroids, so it also stays as
+the reference the tests hold facets_from_flats to.  Both refuse a polytope
+over FACET_VERTEX_GUARD vertices.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import GuardExceeded, InternalContradiction, NotTwoConnected
-from .graph import Multigraph, bases_and_forests, graphic_rank, is_two_connected, normalize
+from .graph import (
+    Multigraph, bases_and_forests, graphic_rank, is_two_connected, low_link, normalize,
+)
 from .linalg import _eliminate, dual_extreme_rays, lattice_coords, primitive
 
 FACET_VERTEX_GUARD = 512
@@ -51,7 +64,7 @@ class LatticePolytope:
     """An explicit lattice polytope; require_facets stores its facets."""
 
     def __init__(self, kind, ambient_dim, vertices, dim, lattice_basis, vertex_coords,
-                 lattice_saturated, facets=None):
+                 lattice_saturated, facets=None, graph=None):
         self.kind = kind  # "base" | "independence" | "product"
         self.ambient_dim = ambient_dim
         self.vertices = vertices  # ambient integer vectors
@@ -60,6 +73,10 @@ class LatticePolytope:
         self.vertex_coords = vertex_coords  # lattice coordinates relative to vertices[0]
         self.lattice_saturated = lattice_saturated  # affine lattice == ambient one on the hull
         self.facets: Optional[tuple] = facets
+        # the loop-free graph whose forests are the vertices; ambient
+        # coordinate j is its j-th smallest edge id.  None for a polytope
+        # given by its vertices alone
+        self.graph: Optional[Multigraph] = graph
 
     @property
     def origin(self) -> tuple:
@@ -73,12 +90,21 @@ class LatticePolytope:
         return tuple(out)
 
     def require_facets(self) -> tuple:
+        """The sorted facets, computed on first use and kept.
+
+        A polytope with a graph takes facets_from_flats, any other the double
+        description facets_bruteforce; both give the same tuple, and both
+        refuse a polytope over FACET_VERTEX_GUARD vertices.
+        """
         if self.facets is None:
-            self.facets = facets_bruteforce(self)
+            if self.graph is None:
+                self.facets = facets_bruteforce(self)
+            else:
+                self.facets = facets_from_flats(self)
         return self.facets
 
 
-def _polytope_from_vertices(kind: str, verts: list) -> LatticePolytope:
+def _polytope_from_vertices(kind: str, verts: list, graph=None) -> LatticePolytope:
     verts = sorted(set(tuple(v) for v in verts))
     v0 = verts[0]
     basis, coords = lattice_coords([[a - b for a, b in zip(v, v0)] for v in verts])
@@ -95,6 +121,7 @@ def _polytope_from_vertices(kind: str, verts: list) -> LatticePolytope:
         lattice_basis=tuple(tuple(r) for r in basis),
         vertex_coords=tuple(tuple(c) for c in coords),
         lattice_saturated=saturated,
+        graph=graph,
     )
 
 
@@ -115,7 +142,7 @@ def polytope_of(G: Multigraph, kind: str, guard: int = 10**6) -> LatticePolytope
         for eid in s:
             vec[pos[eid]] = 1
         verts.append(tuple(vec))
-    return _polytope_from_vertices(kind, verts)
+    return _polytope_from_vertices(kind, verts, G)
 
 
 def product_polytope(parts) -> LatticePolytope:
@@ -132,14 +159,196 @@ def facets_bruteforce(P: LatticePolytope) -> tuple:
     Vertices are homogenized to height 1 in lattice coordinates; an exact
     double description yields the primitive facet functionals.
     """
+    _facet_guard(P)
+    points = [c + (1,) for c in P.vertex_coords]
+    rays = dual_extreme_rays(points)
+    return tuple(sorted(Facet(tuple(r[:-1]), r[-1]) for r in rays))
+
+
+def _facet_guard(P: LatticePolytope) -> None:
     if len(P.vertices) > FACET_VERTEX_GUARD:
         raise GuardExceeded(
             f"facet computation guarded at {FACET_VERTEX_GUARD} vertices "
             f"(polytope has {len(P.vertices)})"
         )
-    points = [c + (1,) for c in P.vertex_coords]
-    rays = dual_extreme_rays(points)
-    return tuple(sorted(Facet(tuple(r[:-1]), r[-1]) for r in rays))
+
+
+def _lattice_facet(P: LatticePolytope, u, c: int = 0) -> Facet:
+    """The ambient functional u . x + c as a primitive Facet in P's lattice coordinates.
+
+    At height t a point of the cone is x = t origin + sum_i coords_i basis_i,
+    so the functional reads a_i = u . basis_i and b = u . origin + c.
+    """
+    a = tuple(sum(map(mul, u, row)) for row in P.lattice_basis)
+    b = sum(map(mul, u, P.origin)) + c
+    vec = primitive(a + (b,))
+    return Facet(vec[:-1], vec[-1])
+
+
+# byte 0 -> "0", byte 1 -> "1": a 0/1 column read as one binary numeral
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _connected_flats(G: Multigraph) -> list:
+    """The flats E(S) for S inside one block with G[S] connected, as (edge mask, rank).
+
+    G has no loops, and bit j of a mask is G's j-th smallest edge id.  For
+    such an S with |S| >= 2, E(S) is a flat of rank |S| - 1: an edge outside
+    it has an end outside S.  Every flat on which the cycle matroid is
+    connected is one of them, since its edges form a 2-connected subgraph,
+    which lies in one block.  Each S is grown one neighbouring vertex at a
+    time from a single vertex, over a work list of vertex bitmasks, carrying
+    E(S), the block edges at S, and the neighbours of S as bitmasks.  The
+    count is polynomial where all flats are not: a cycle C_n has about n^2
+    such sets against 2^n flats.  An S on which G[S] is a tree of two or
+    more edges is grown through but not returned, since its flat splits
+    into its single edges; on C_n that leaves n + 1 flats.
+    """
+    col = {eid: j for j, eid in enumerate(sorted(G.edge_by_id))}
+    index = {v: i for i, v in enumerate(G.vertices)}
+    out = []
+    for block in low_link(G).blocks:
+        at: dict = {}  # vertex -> mask of the block's edges at it
+        near: dict = {}  # vertex -> vertex mask of its neighbours in the block
+        for eid in block:
+            u, v = (index[x] for x in G.edge_by_id[eid])
+            for x, y in ((u, v), (v, u)):
+                at[x] = at.get(x, 0) | 1 << col[eid]
+                near[x] = near.get(x, 0) | 1 << y
+        todo = [(1 << v, 0, at[v], near[v]) for v in at]
+        seen = {S for S, _, _, _ in todo}
+        while todo:
+            S, inside, touching, around = todo.pop()
+            rank = S.bit_count() - 1
+            if inside.bit_count() > rank or rank == 1:
+                out.append((inside, rank))
+            grow = around & ~S
+            while grow:
+                bit = grow & -grow
+                grow ^= bit
+                if S | bit not in seen:
+                    seen.add(S | bit)
+                    w = bit.bit_length() - 1
+                    todo.append(
+                        (S | bit, inside | (at[w] & touching), touching | at[w], around | near[w])
+                    )
+    return out
+
+
+def _tight_at(columns, mask: int, r: int, every: int) -> int:
+    """The vertices x with x(F) = r, as a bitmask, for the flat F = mask.
+
+    columns[j] is the bitmask of the vertices with x_j = 1.  The count x(F)
+    of every vertex at once is bit-sliced: planes[i] holds bit i of every
+    count, and each edge of F is added by a ripple carry across the planes.
+    """
+    planes: list = []
+    for j in range(mask.bit_length()):
+        if not mask >> j & 1:
+            continue
+        carry = columns[j]
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    if r >> len(planes):
+        return 0
+    tight = every
+    for i, plane in enumerate(planes):
+        tight &= plane if r >> i & 1 else ~plane
+    return tight
+
+
+def _reaches_rank(columns, members: int, coords, need: int) -> bool:
+    """Whether the 0/1 points in members (a bitmask) have affine rank >= need.
+
+    columns[j] is the bitmask of the points with coordinate j equal to 1.  The
+    affine rank is the rank of the differences from one member, which is also
+    the rank of the columns of that difference matrix: over GF(2) the
+    difference is an XOR, so column j restricted to the members is
+    columns[j] & members, flipped wholesale where the first member has a 1.
+    Its GF(2) rank, from an XOR basis keyed by the leading bit, is at most the
+    rational rank, so reaching need settles it without a loop over points.
+    Otherwise the exact elimination runs on the points' lattice coordinates.
+    """
+    if need <= 0:
+        return True
+    first = (members & -members).bit_length() - 1
+    basis: dict = {}
+    for col in columns:
+        col &= members
+        if col >> first & 1:
+            col ^= members
+        while col:
+            top = col.bit_length() - 1
+            if top not in basis:
+                basis[top] = col
+                break
+            col ^= basis[top]
+        if len(basis) >= need:
+            return True
+    origin = coords[first]
+    rows = []
+    rest = members ^ (1 << first)
+    while rest:
+        bit = rest & -rest
+        point = coords[bit.bit_length() - 1]
+        rows.append([x - y for x, y in zip(point, origin)])
+        rest ^= bit
+    return len(_eliminate(rows, len(origin))) >= need
+
+
+def facets_from_flats(P: LatticePolytope) -> tuple:
+    """Facets of a polytope_of polytope from Edmonds' inequalities, sorted.
+
+    By Edmonds' theorem the facets are among x_e >= 0 and x(F) <= r(F) for
+    the nonempty flats F (for B(M), x(E) = r(E) holds on every vertex and
+    such an inequality is dropped below).  A flat on which the matroid
+    splits as F1 + F2 has r(F) = r(F1) + r(F2), so its inequality is the sum
+    of theirs and its tight set the intersection of theirs: the connected
+    flats of _connected_flats suffice.  Each candidate's tight vertices
+    form a bitmask over P.vertices.  A set that is empty or holds every
+    vertex names no facet, equal sets name one face, and a face inside a
+    larger one is no facet, so the facets are the maximal proper nonempty
+    sets.  Each of those is proved a facet: its affine rank reaches dim - 1.
+    A shortfall would mean Edmonds' list missed a facet, and raises
+    InternalContradiction.  Returns the tuple facets_bruteforce returns.
+    """
+    _facet_guard(P)
+    if P.dim == 0:
+        # a point: the lone facet of its cone is the height functional
+        return (Facet((), 1),)
+    m = P.ambient_dim
+    every = (1 << len(P.vertices)) - 1
+    columns = [
+        int(bytes(col[::-1]).translate(_BINARY_DIGITS), 2) for col in zip(*P.vertices)
+    ]
+    # tight vertex set -> the first candidate with that set, as (sign, edge
+    # mask, c) for the functional sign * x(mask) + c >= 0
+    faces: dict = {}
+    for j in range(m):
+        faces.setdefault(every & ~columns[j], (1, 1 << j, 0))
+    for mask, r in _connected_flats(P.graph):
+        faces.setdefault(_tight_at(columns, mask, r, every), (-1, mask, r))
+    faces.pop(0, None)
+    faces.pop(every, None)
+    kept = []
+    for tight in sorted(faces, key=int.bit_count, reverse=True):
+        # a proper subset of a face lies inside a larger kept one
+        if not any(tight & other == tight for other in kept):
+            kept.append(tight)
+    out = []
+    for tight in kept:
+        if not _reaches_rank(columns, tight, P.vertex_coords, P.dim - 1):
+            raise InternalContradiction(
+                f"a maximal Edmonds face of {len(P.vertices)} vertices has "
+                f"affine rank below {P.dim - 1}: a facet is missing from the flats"
+            )
+        sign, mask, c = faces[tight]
+        out.append(_lattice_facet(P, [sign * (mask >> j & 1) for j in range(m)], c))
+    return tuple(sorted(out))
 
 
 def facets_from_cor33(G: Multigraph, P: Optional[LatticePolytope] = None) -> tuple:
@@ -175,15 +384,7 @@ def facets_from_cor33(G: Multigraph, P: Optional[LatticePolytope] = None) -> tup
         for eid in flat.induced_edges:
             u[pos[eid]] -= rank
         functionals.append(u)
-    out = []
-    for u in functionals:
-        a = tuple(
-            sum(x * y for x, y in zip(u, row)) for row in P.lattice_basis
-        )
-        b = sum(x * y for x, y in zip(u, P.origin))
-        vec = primitive(a + (b,))
-        out.append(Facet(vec[:-1], vec[-1]))
-    return tuple(sorted(out))
+    return tuple(sorted(_lattice_facet(P, u) for u in functionals))
 
 
 def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:

@@ -53,18 +53,20 @@ def random_multigraphs(count, seed):
 @cache
 def guarded_atlas_polytopes():
     """(G, kind, P) for both polytopes of every 2-connected atlas graph up to
-    6 vertices that facets_bruteforce takes (at most FACET_VERTEX_GUARD
-    vertices), built once per test session.
+    6 vertices under FACET_VERTEX_GUARD, the polytopes both facet routes
+    take, built once per test session: 121 of the 142.
 
     Callers only read them; the facets P.require_facets() caches on first use
-    are the same whichever test computes them.
+    come from facets_from_flats, since each P has its graph, and are the same
+    whichever test computes them.  Tests that need the double description
+    call facets_bruteforce(P), which caches nothing.
     """
     out = []
     for G in two_connected_graphs(6):
         for kind in ("base", "independence"):
             try:
                 out.append((G, kind, polytope_of(G, kind, guard=FACET_VERTEX_GUARD)))
-            except GuardExceeded:  # more vertices than facets_bruteforce takes
+            except GuardExceeded:  # more vertices than either facet route takes
                 continue
     return out
 

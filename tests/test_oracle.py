@@ -6,9 +6,11 @@ from math import comb
 import pytest
 
 from conftest import complete, cycle, guarded_atlas_polytopes
-from gorcheck.errors import GuardExceeded
+from gorcheck.construct import blow_up
+from gorcheck.errors import GuardExceeded, InternalContradiction
 from gorcheck.graph import Multigraph
 import gorcheck.linalg as linalg
+import gorcheck.oracle as oracle
 from gorcheck.linalg import (
     dual_extreme_rays,
     hnf_rows,
@@ -21,8 +23,10 @@ from gorcheck.oracle import (
     GorensteinWitness,
     _count_points,
     _polytope_from_vertices,
+    _reaches_rank,
     facets_bruteforce,
     facets_from_cor33,
+    facets_from_flats,
     gorenstein_search,
     hstar,
     lattice_points,
@@ -422,5 +426,87 @@ def test_facet_guard():
     try:
         with pytest.raises(GuardExceeded, match=r"guarded at 10 vertices \(polytope has 125\)"):
             facets_bruteforce(P)
+        with pytest.raises(GuardExceeded, match=r"guarded at 10 vertices \(polytope has 125\)"):
+            P.require_facets()
     finally:
         om.FACET_VERTEX_GUARD = old
+
+
+def _edmonds_cases():
+    """Graphs off the 2-connected atlas: multigraphs, cut vertices, loops, and
+    the polytopes of dimension 0 and 1."""
+    return {
+        "doubled triangle": blow_up(cycle(3), 2),  # the h* family's multigraph
+        "bridge": Multigraph.build(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]),
+        "disconnected": Multigraph.build(
+            range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (3, 5)]
+        ),
+        "loop": Multigraph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1), (0, 2)]),
+        "K2": Multigraph.build(range(2), [(0, 1)]),  # dim 0 and 1
+        "2-cycle": Multigraph.build(range(2), [(0, 1), (0, 1)]),  # dim 1 and 2
+        "single vertex": Multigraph.build([0], []),  # dim 0, no coordinates
+    }
+
+
+def test_flats_route_matches_double_description():
+    polytopes = guarded_atlas_polytopes()
+    assert len(polytopes) == 121
+    for G, kind, P in polytopes:
+        assert facets_from_flats(P) == facets_bruteforce(P), (G.edges, kind)
+    dims = set()
+    for name, G in _edmonds_cases().items():
+        for kind in ("base", "independence"):
+            P = polytope_of(G, kind)
+            assert P.graph is not None and not any(u == v for _, u, v in P.graph.edges)
+            assert facets_from_flats(P) == facets_bruteforce(P), (name, kind)
+            dims.add(P.dim)
+    assert {0, 1, 2} <= dims
+    # base polytopes with few vertices but 2^24 flats: the route grows about
+    # n^2 connected vertex sets here, not every flat
+    tail = [(i, i + 1) for i in range(2, 26)]
+    for G in (cycle(24), Multigraph.build(range(27), [(0, 1), (1, 2), (2, 0)] + tail)):
+        P = polytope_of(G, "base")
+        assert facets_from_flats(P) == facets_bruteforce(P), G.edges
+
+
+def test_require_facets_picks_the_route_by_graph(monkeypatch, c3, k2):
+    def refuse(P):
+        raise AssertionError("wrong facet route")
+
+    expected = facets_bruteforce(polytope_of(c3, "base"))
+    monkeypatch.setattr(oracle, "facets_bruteforce", refuse)
+    assert polytope_of(c3, "base").require_facets() == expected
+    monkeypatch.undo()
+    # a product has no graph: the double description runs
+    P = product_polytope([polytope_of(c3, "base"), polytope_of(k2, "independence")])
+    assert P.graph is None
+    expected = facets_bruteforce(P)
+    monkeypatch.setattr(oracle, "facets_from_flats", refuse)
+    assert P.require_facets() == expected
+
+
+def test_rank_proof_falls_back_to_exact_elimination(monkeypatch):
+    # 000, 110, 011, 101: the three differences from 000 sum to 0 over GF(2)
+    # (rank 2) but are independent over Q (rank 3)
+    points = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    columns = [sum(p[j] << i for i, p in enumerate(points)) for j in range(3)]
+    calls = []
+
+    def counting(mat, ncols):
+        calls.append(len(mat))
+        return linalg._eliminate(mat, ncols)
+
+    monkeypatch.setattr(oracle, "_eliminate", counting)
+    assert _reaches_rank(columns, 0b1111, points, 2) and calls == []
+    assert _reaches_rank(columns, 0b1111, points, 3) and calls == [3]
+    assert not _reaches_rank(columns, 0b1111, points, 4)
+    assert not _reaches_rank(columns, 0b0011, points, 2)
+    assert _reaches_rank(columns, 0b0001, points, 0)
+
+
+def test_missing_flat_is_a_contradiction(monkeypatch, c3):
+    # without the flats, B(C3)'s candidates x_e >= 0 are each tight at one
+    # vertex only: maximal, but of affine rank 0 in a triangle
+    monkeypatch.setattr(oracle, "_connected_flats", lambda G: [])
+    with pytest.raises(InternalContradiction, match="affine rank below 1"):
+        facets_from_flats(polytope_of(c3, "base"))

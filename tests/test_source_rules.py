@@ -54,21 +54,30 @@ def test_isomorphism_oracles_stay_off_the_production_path():
 
 
 def test_oracle_hot_path_stays_integer():
-    # the elimination and the double description run over integer rows;
-    # Fractions appear only in the quotients solve_unique and invert return
-    tree = ast.parse((PACKAGE / "linalg.py").read_text(), filename="linalg.py")
-    bodies = {
-        node.name: node for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("_eliminate", "dual_extreme_rays")
+    # the elimination, the double description and the facet route from the
+    # flats run over integer rows and bitmasks; Fractions appear only in the
+    # quotients solve_unique and invert return
+    routines = {
+        "linalg.py": ("_eliminate", "dual_extreme_rays"),
+        "oracle.py": (
+            "_connected_flats", "_tight_at", "_reaches_rank", "_lattice_facet",
+            "facets_from_flats",
+        ),
     }
-    assert sorted(bodies) == ["_eliminate", "dual_extreme_rays"]
-    found = [
-        f"linalg.py:{node.lineno}:{name}"
-        for name, fn in bodies.items()
-        for node in ast.walk(fn)
-        if "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))
-    ]
+    found = []
+    for module, names in routines.items():
+        tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+        bodies = {
+            node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in names
+        }
+        assert sorted(bodies) == sorted(names)
+        found += [
+            f"{module}:{node.lineno}:{name}"
+            for name, fn in bodies.items()
+            for node in ast.walk(fn)
+            if "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))
+        ]
     assert found == []
 
 
