@@ -61,15 +61,17 @@ def _load_graph(path: str) -> Multigraph:
         return parse_graph(fh.read())
 
 
-def _graph_summary(G: Multigraph) -> dict:
+def _header(args, G: Multigraph) -> dict:
+    """The keys a check, oracle or certify report opens with."""
     H = normalize(G)  # the graph the verdict is about: parsing keeps loops
-    return {
+    summary = {
         "vertices": G.n,
         "edges": G.m,
-        "loops_removed": H.loops_removed,
+        "loops_removed": G.m - H.m,
         "simple": G.is_simple(),
         "blocks": len(blocks(H)),
     }
+    return {"schema": VERDICT_SCHEMA, "command": args.command, "kind": args.kind, "input": summary}
 
 
 def _write(text: str) -> None:
@@ -130,10 +132,7 @@ def cmd_check(args) -> int:
     v = verdict(G)
     extra = {} if args.kind == "base" else {"m": v.multiplicity}
     report = {
-        "schema": VERDICT_SCHEMA,
-        "command": "check",
-        "kind": args.kind,
-        "input": _graph_summary(G),
+        **_header(args, G),
         "status": v.status,
         "delta": v.delta,
         **extra,
@@ -158,10 +157,7 @@ def cmd_oracle(args) -> int:
     facets = P.require_facets()
     witness = gorenstein_search(P)
     report = {
-        "schema": VERDICT_SCHEMA,
-        "command": "oracle",
-        "kind": args.kind,
-        "input": _graph_summary(G),
+        **_header(args, G),
         "polytope": {
             "vertices": len(P.vertices),
             "dim": P.dim,
@@ -194,24 +190,8 @@ def cmd_certify(args) -> int:
 
     G = _load_graph(args.file)
     v = _checker(args.kind)(G)
-    if not v.is_gorenstein:
-        _emit(
-            {
-                "schema": VERDICT_SCHEMA,
-                "command": "certify",
-                "kind": args.kind,
-                "input": _graph_summary(G),
-                "status": v.status,
-                "witness": v.witness.as_dict() if v.witness else None,
-            }
-        )
-        return EXIT_NOT_GORENSTEIN
-    _emit(
-        {
-            "schema": VERDICT_SCHEMA,
-            "command": "certify",
-            "kind": args.kind,
-            "input": _graph_summary(G),
+    if v.is_gorenstein:
+        body = {
             "status": v.status,
             "delta": v.delta,
             # each vertex map was checked exactly where the verdict built its
@@ -222,8 +202,11 @@ def cmd_certify(args) -> int:
                 for cert in v.certificates
             ],
         }
-    )
-    return EXIT_OK
+    else:
+        body = {"status": v.status, "witness": v.witness.as_dict() if v.witness else None}
+    _emit({**_header(args, G), **body})
+    _maybe_dot(args, G, v.delta)
+    return EXIT_OK if v.is_gorenstein else EXIT_NOT_GORENSTEIN
 
 
 # how many input graphs each generate op takes; None: one or more

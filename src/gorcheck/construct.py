@@ -308,15 +308,6 @@ class Step(NamedTuple):
     new: tuple = ()  # a seed's vertices, or a new path's inner ones, in replay-label order
 
 
-def _is_cycle_graph(G: Multigraph) -> bool:
-    return (
-        G.n == G.m
-        and G.n >= 3
-        and all(G.degree(v) == 2 for v in G.vertices)
-        and is_two_connected(G)
-    )
-
-
 def _edge_ref(rep: Multigraph, a, b) -> EdgeRef:
     """Reference to the edge ab of a replayed child, oriented from a to b."""
     eid = rep.edge_between(a, b)
@@ -329,6 +320,13 @@ def _step(G: Multigraph, delta: int):
     """One decomposition step of a part G: (step, the parts it splits G
     into, in child order).  A seed splits G into no parts.
 
+    Every part is 2-connected and simple: decompose's input is, and each
+    step's parts are again (a Collide part gains the edge its separating
+    pair lacks, a Glue part keeps the one edge uv, and a Subdivide part
+    trades an ear for an edge its ends lack).  So G is a cycle exactly when
+    n = m, and K4 exactly when n = 4 and m = 6; check_vertex_map proves the
+    finished certificate all the same.
+
     Every step meets its construction's hypothesis, so a finished run is a
     proof: a Glue part is connected off uv, so uv weighs delta-1 there (or
     weight_function raises WeightConflict), and Subdivide checks its edge
@@ -337,23 +335,17 @@ def _step(G: Multigraph, delta: int):
     if delta == 2:
         pair = _separating_pair(G)
         if pair is None:
-            if not (G.n == 4 and G.m == 6 and G.is_simple()):
+            if not (G.n == 4 and G.m == 6):
                 raise InternalContradiction(
                     "a 3-connected graph satisfying the delta=2 equalities must be K4"
                 )
             return Step(Node("seed", seed="k4"), new=G.sorted_vertices), []
-        v1, v2 = pair
-        comps = components(G.without_vertices(pair))
-        if len(comps) != 2:
-            raise InternalContradiction(
-                f"separating pair leaves {len(comps)} components, expected 2"
-            )
-        if G.has_edge(v1, v2):
+        parts = _split(G, pair, 2)
+        if G.has_edge(*pair):
             raise InternalContradiction("separating pair joined by an edge")
-        parts = [G.induced(set(comp) | {v1, v2}).with_edge(v1, v2)[0] for comp in comps]
-        return Step(Node("collide"), 2, pair), parts
+        return Step(Node("collide"), 2, pair), [part.with_edge(*pair)[0] for part in parts]
 
-    if _is_cycle_graph(G):
+    if G.n == G.m:
         if G.n != delta:
             raise InternalContradiction(
                 f"a cycle satisfying the equalities at delta={delta} must be a "
@@ -371,14 +363,8 @@ def _step(G: Multigraph, delta: int):
         key=lambda e: (tuple(sorted(label_key(x) for x in G.endpoints(e))), e),
     )
     if light:
-        u, v = sorted(G.endpoints(light[0]), key=label_key)
-        comps = components(G.without_vertices([u, v]))
-        if len(comps) != delta - 1:
-            raise InternalContradiction(
-                f"weight-1 edge split gave {len(comps)} parts, expected {delta - 1}"
-            )
-        parts = [G.induced(set(comp) | {u, v}) for comp in comps]
-        return Step(Node("glue", delta=delta), delta - 1, (u, v)), parts
+        pair = tuple(sorted(G.endpoints(light[0]), key=label_key))
+        return Step(Node("glue", delta=delta), delta - 1, pair), _split(G, pair, delta - 1)
 
     candidates = [e for e in ears(G).ears if e.length == delta - 1]
     if not candidates:
@@ -396,6 +382,18 @@ def _step(G: Multigraph, delta: int):
         raise InternalContradiction(f"an ear shrinks to an edge of weight {delta - 1}, not 1")
     # the new path's inner vertices run from v0 to vs
     return Step(Node("subdivide", delta=delta), 1, (v0, vs), ear.inner), [shrunk]
+
+
+def _split(G: Multigraph, pair, want: int) -> list:
+    """The parts of G at a separating pair: for each component of G - pair,
+    in components order, the subgraph G induces on it and the pair;
+    InternalContradiction unless there are want of them."""
+    comps = components(G.without_vertices(pair))
+    if len(comps) != want:
+        raise InternalContradiction(
+            f"separating pair leaves {len(comps)} components, expected {want}"
+        )
+    return [G.induced(set(comp).union(pair)) for comp in comps]
 
 
 def _separating_pair(G: Multigraph):

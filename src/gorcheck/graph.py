@@ -24,35 +24,16 @@ def label_key(x):
     return (x.__class__.__name__, x)
 
 
-def _find(parent: dict, x):
-    """Root of x in a union-find forest held as a dict, halving the path."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: dict, a, b) -> bool:
-    """Merge the classes of a and b under the smaller root label; False if already one."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
-    keep, gone = sorted((ra, rb), key=label_key)
-    parent[gone] = keep
-    return True
-
-
 class _MultigraphFields(NamedTuple):
     vertices: tuple
     edges: tuple  # of (edge_id, u, v)
-    loops_removed: int = 0
 
 
 class Multigraph(_MultigraphFields):
     # no __slots__: the instance __dict__ holds the cached properties
 
     @classmethod
-    def build(cls, vertices, pairs, loops_removed: int = 0) -> "Multigraph":
+    def build(cls, vertices, pairs) -> "Multigraph":
         """Build a graph from endpoint pairs, assigning edge ids 0..m-1."""
         vs = tuple(vertices)
         seen = set()
@@ -65,7 +46,7 @@ class Multigraph(_MultigraphFields):
             if u not in seen or v not in seen:
                 raise ValueError(f"edge ({u!r}, {v!r}) uses undeclared vertex")
             edges.append((i, u, v))
-        return cls(vs, tuple(edges), loops_removed)
+        return cls(vs, tuple(edges))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -131,18 +112,13 @@ class Multigraph(_MultigraphFields):
         unknown = drop - set(self.edge_by_id)
         if unknown:
             raise KeyError(f"unknown edge ids {sorted(unknown)}")
-        return Multigraph(
-            self.vertices,
-            tuple(e for e in self.edges if e[0] not in drop),
-            self.loops_removed,
-        )
+        return Multigraph(self.vertices, tuple(e for e in self.edges if e[0] not in drop))
 
     def without_vertices(self, vs) -> "Multigraph":
         drop = set(vs)
         return Multigraph(
             tuple(v for v in self.vertices if v not in drop),
             tuple(e for e in self.edges if e[1] not in drop and e[2] not in drop),
-            self.loops_removed,
         )
 
     def induced(self, S) -> "Multigraph":
@@ -150,43 +126,30 @@ class Multigraph(_MultigraphFields):
         return Multigraph(
             tuple(v for v in self.vertices if v in keep),
             tuple(e for e in self.edges if e[1] in keep and e[2] in keep),
-            self.loops_removed,
         )
 
     def with_edge(self, u, v) -> tuple:
         """Add an edge with a fresh id; returns (graph, new_edge_id)."""
         eid = max(self.edge_by_id, default=-1) + 1
-        return (
-            Multigraph(self.vertices, self.edges + ((eid, u, v),), self.loops_removed),
-            eid,
-        )
+        return Multigraph(self.vertices, self.edges + ((eid, u, v),)), eid
 
     def contract(self, eids) -> tuple:
         """Contract the given edges; returns (graph, old-vertex -> merged-vertex map).
 
-        Merged classes keep their smallest label.  Resulting loops are removed
-        and counted into loops_removed; parallel edges are kept.
+        Each class of vertices the contracted edges join merges into its
+        smallest label.  Resulting loops are dropped; parallel edges are kept.
         """
         contract_set = set(eids)
         unknown = contract_set - set(self.edge_by_id)
         if unknown:
             raise KeyError(f"unknown edge ids {sorted(unknown)}")
-        parent = {v: v for v in self.vertices}
-        for eid in contract_set:
-            _union(parent, *self.edge_by_id[eid])
-        mapping = {v: _find(parent, v) for v in self.vertices}
-        new_vertices = tuple(v for v in self.vertices if mapping[v] == v)
-        new_edges = []
-        loops = self.loops_removed
-        for eid, u, v in self.edges:
-            if eid in contract_set:
-                continue
-            mu, mv = mapping[u], mapping[v]
-            if mu == mv:
-                loops += 1
-                continue
-            new_edges.append((eid, mu, mv))
-        return Multigraph(new_vertices, tuple(new_edges), loops), mapping
+        joined = Multigraph(self.vertices, tuple(e for e in self.edges if e[0] in contract_set))
+        mapping = {v: comp[0] for comp in components(joined) for v in comp}
+        new_edges = tuple(
+            (eid, mapping[u], mapping[v]) for eid, u, v in self.edges
+            if eid not in contract_set and mapping[u] != mapping[v]
+        )
+        return Multigraph(tuple(v for v in self.vertices if mapping[v] == v), new_edges), mapping
 
 
 # -- parsing and formatting ----------------------------------------------
@@ -243,15 +206,9 @@ def format_edge_list(G: Multigraph) -> str:
 
 
 def normalize(G: Multigraph) -> Multigraph:
-    """Strip loops (they never affect Gorensteinness); count them."""
-    loops = [eid for eid, u, v in G.edges if u == v]
-    if not loops:
-        return G
-    return Multigraph(
-        G.vertices,
-        tuple(e for e in G.edges if e[0] not in set(loops)),
-        G.loops_removed + len(loops),
-    )
+    """Strip loops: they never affect Gorensteinness."""
+    edges = tuple(e for e in G.edges if e[1] != e[2])
+    return G if len(edges) == G.m else Multigraph(G.vertices, edges)
 
 
 # -- connectivity ----------------------------------------------------------
@@ -528,21 +485,6 @@ def is_k4_minor_free(G: Multigraph) -> bool:
 # -- matroid bases and independent sets ------------------------------------
 
 
-def graphic_rank(G: Multigraph, F) -> int:
-    """|V(F)| minus the number of components of (V(F), F): graphic-matroid rank.
-
-    That is how many edges of F, added one by one, join two components.
-    """
-    parent: dict = {}
-    rank = 0
-    for eid in set(F):
-        u, v = G.edge_by_id[eid]
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        rank += _union(parent, u, v)
-    return rank
-
-
 def bases_and_forests(
     G: Multigraph, kind: str, guard: int = DEFAULT_GUARD
 ) -> Iterator[frozenset]:
@@ -555,10 +497,10 @@ def bases_and_forests(
     if kind not in ("spanning_trees", "forests"):
         raise ValueError(f"kind must be 'spanning_trees' or 'forests', got {kind!r}")
     edges = sorted(G.edges)
-    target = graphic_rank(G, G.edge_by_id)
+    target = G.n - low_link(G).components  # rank of E: edges in a spanning forest
     trees = kind == "spanning_trees"
-    # union by size without path compression, so that a union can be rolled
-    # back when the walk leaves its edge; _find/_union cannot
+    # the package's one union-find: by size without path compression, so
+    # that a union can be rolled back when the walk leaves its edge
     parent = {v: v for v in G.vertices}
     size = {v: 1 for v in G.vertices}
 

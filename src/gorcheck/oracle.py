@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 from .errors import GuardExceeded, InternalContradiction, NotTwoConnected
 from .graph import (
-    Multigraph, bases_and_forests, graphic_rank, is_two_connected, low_link, normalize,
+    Multigraph, bases_and_forests, is_two_connected, low_link, normalize,
 )
 from .linalg import _eliminate, dual_extreme_rays, lattice_coords, primitive
 
@@ -371,7 +371,7 @@ def facets_from_cor33(G: Multigraph, P: Optional[LatticePolytope] = None) -> tup
         return (Facet((), 1),)
     order = sorted(G.edge_by_id)
     pos = {eid: i for i, eid in enumerate(order)}
-    rank = graphic_rank(G, G.edge_by_id)
+    rank = G.n - 1  # G is connected
     functionals = []
     for eid in order:
         if is_two_connected(G.without_edges([eid])):

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -449,6 +450,28 @@ def test_dot_output(files, capsys, tmp_path):
     assert code == 0
     text = dot.read_text()
     assert text.startswith("graph G {") and '"a" -- "b"' in text
+
+
+@pytest.mark.parametrize("name, exit_code", [("k4", 0), ("c5chord", 3)])
+def test_certify_writes_dot(files, capsys, tmp_path, name, exit_code):
+    # certify accepted --dot and wrote nothing; a positive colours its weights
+    dot = tmp_path / "out.dot"
+    code, _ = run(capsys, "certify", "base", files[name], "--dot", str(dot))
+    assert code == exit_code
+    text = dot.read_text()
+    assert text.startswith("graph G {") and ("color=" in text) == (exit_code == 0)
+
+
+def test_check_many_loops(tmp_path, capsys):
+    # normalize was quadratic in the loops and ran twice: 24 s on this input
+    path = tmp_path / "loops.txt"
+    path.write_text("a a 20000\na b\n")
+    t0 = time.perf_counter()
+    code, out = run(capsys, "check", "base", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    doc = json.loads(out)
+    assert code == 0 and doc["input"]["loops_removed"] == 20000
+    assert (doc["status"], doc["delta"]) == ("gorenstein", None)
 
 
 def test_sweep_small(files, capsys):

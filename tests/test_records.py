@@ -16,7 +16,7 @@ from gorcheck.graph import BlowUpFactor, Ear, EarScan, Multigraph
 from gorcheck.indepck import IndepVerdict
 from gorcheck.oracle import Facet, GorensteinWitness, HStarVector, polytope_of
 
-C3_REPR = "Multigraph(vertices=(0, 1, 2), edges=((0, 0, 1), (1, 1, 2), (2, 0, 2)), loops_removed=0)"
+C3_REPR = "Multigraph(vertices=(0, 1, 2), edges=((0, 0, 1), (1, 1, 2), (2, 0, 2)))"
 EAR_REPR = "Ear(path=('a', 'x', 'c'), edge_ids=(4, 5))"
 
 

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+from gorcheck.graph import Multigraph
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gorcheck"
 
 
@@ -107,6 +109,12 @@ def test_one_low_link_routine():
     # is_two_connected, blocks, is_connected, the edge profile and the
     # separating-pair search all read one low-link pass; a function that
     # binds a `low` mapping of its own is a second 2-connectivity DFS
+    assert _binders("low") == ["graph.py:low_link"]
+
+
+def _binders(name: str) -> list:
+    """module:function for each top-level function or method whose
+    assignments bind `name`, as a plain name or subscripted."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -118,9 +126,34 @@ def test_one_low_link_routine():
                 t for node in ast.walk(fn) if isinstance(node, (ast.Assign, ast.AnnAssign))
                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
             ]
-            if any(isinstance(n, ast.Name) and n.id == "low" for t in targets for n in ast.walk(t)):
+            if any(isinstance(n, ast.Name) and n.id == name for t in targets for n in ast.walk(t)):
                 found.append(f"{path.name}:{fn.name}")
-    assert found == ["graph.py:low_link"]
+    return found
+
+
+def test_one_union_find():
+    # bases_and_forests holds the package's one union-find, the one that can
+    # roll a union back; rank(E) is n minus the low-link components, and
+    # contract merges along components(); a function that binds a `parent`
+    # mapping of its own is a second union-find
+    assert _binders("parent") == ["graph.py:bases_and_forests"]
+    gone = {"_find", "_union", "graphic_rank", "_is_cycle_graph"}
+    found = [
+        f"{path.name}:{ident}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for ident in sorted(_names(ast.parse(path.read_text(), filename=str(path))) & gone)
+    ]
+    assert found == []
+
+
+def test_a_multigraph_is_its_vertices_and_edges():
+    # equality and hashing do not depend on how a graph was made: contracting
+    # a triangle to a point leaves no trace of the loop it dropped
+    assert Multigraph._fields == ("vertices", "edges")
+    k3 = Multigraph.build(range(3), [(0, 1), (1, 2), (0, 2)])
+    point = Multigraph.build([0], [])
+    assert k3.contract([0, 1])[0] == point
+    assert hash(k3.contract([0, 1])[0]) == hash(point)
 
 
 def test_no_function_recurses():
