@@ -11,16 +11,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .errors import (
-    GuardExceeded,
-    InternalContradiction,
-    NotTwoConnected,
-    SimpleGraphRequired,
-    WeightConflict,
-)
-from .flats import SUBSET_GUARD_VERTICES
+from .errors import InternalContradiction, NotTwoConnected, SimpleGraphRequired, WeightConflict
 from .flats import good_flats, indecomposable_flats, block_count_after_contraction, induced_edge_ids
-from .graph import Multigraph, blocks, is_two_connected, low_link, normalize
+from .graph import Multigraph, blocks, check_subset_guard, is_two_connected, low_link, normalize
 
 
 class AllDeltas:
@@ -154,7 +147,6 @@ def candidate_deltas(G: Multigraph) -> Union[frozenset, AllDeltas]:
     """
     if G.n == 2 and G.m == 1:
         return ALL_DELTAS
-    _require_block(G)
     hi = G.m + 1
     found = set()
     if G.m == 2 * (G.n - 1):
@@ -233,10 +225,7 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
     for delta in sorted(common):
         certs = []
         for b in blks:
-            if b.n > SUBSET_GUARD_VERTICES:
-                raise GuardExceeded(
-                    f"subset enumeration guarded at {SUBSET_GUARD_VERTICES} vertices"
-                )
+            check_subset_guard(b.n)
             cert, witness = (Seed("k2"), None) if b.n == 2 else decompose(b, delta)
             if witness is not None:
                 first_witness = first_witness or witness

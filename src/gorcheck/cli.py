@@ -218,8 +218,9 @@ def cmd_generate(args) -> int:
     if (got < 1) if want is None else (got != want):
         what = "at least 1 input graph" if want is None else f"{want} input graph{'s' * (want != 1)}"
         raise ValueError(f"generate {args.op} takes {what}, got {got}")
-    from .baseck import weight_function
-    from .construct import Seed, attach_cycle, blow_up, collide, glue, replay, subdivide
+    from .construct import (
+        Seed, attach_cycle, blow_up, collide, glue, part_weights, replay, subdivide,
+    )
 
     if args.op == "seed":
         if args.cycle is not None and args.k4:
@@ -233,8 +234,8 @@ def cmd_generate(args) -> int:
     elif args.op == "glue":
         parts = [_load_graph(p) for p in args.inputs]
         chosen = []
-        for g in parts:
-            w = weight_function(g, args.delta)
+        for i, g in enumerate(parts, 1):
+            w = part_weights(g, args.delta, f"glue part {i}")
             heavy = [e for e, wt in sorted(w.items()) if wt == args.delta - 1]
             if not heavy:
                 raise ConstructionError("part has no weight-(delta-1) edge to glue on")
@@ -242,7 +243,8 @@ def cmd_generate(args) -> int:
         G = glue(chosen, args.delta)
     elif args.op == "subdivide":
         g = _load_graph(args.inputs[0])
-        light = [e for e, wt in sorted(weight_function(g, args.delta).items()) if wt == 1]
+        w = part_weights(g, args.delta, "subdivide part 1")
+        light = [e for e, wt in sorted(w.items()) if wt == 1]
         if not light:
             raise ConstructionError("no weight-1 edge to subdivide")
         G = subdivide(g, light[0], args.delta)

@@ -93,17 +93,10 @@ def BlowUp(child: tuple, m: int) -> tuple:
 # -- replay ------------------------------------------------------------------
 
 
-def _finish(temp_vertices, temp_pairs):
-    """Relabel to 0..n-1 and re-id edges deterministically.
-
-    Returns (graph, temp-label -> int map).
-    """
-    order = sorted(temp_vertices)
-    lab = {t: i for i, t in enumerate(order)}
-    pairs = sorted(
-        (min(lab[u], lab[v]), max(lab[u], lab[v])) for u, v in temp_pairs
-    )
-    return Multigraph.build(range(len(order)), pairs), lab
+def _finish(n: int, pairs) -> Multigraph:
+    """The graph on 0..n-1 with the given pairs, each as (low, high), sorted
+    and numbered 0..m-1: edge ids depend only on the edge multiset."""
+    return Multigraph.build(range(n), sorted((a, b) if a <= b else (b, a) for a, b in pairs))
 
 
 def _oriented(G: Multigraph, ref: EdgeRef):
@@ -116,48 +109,40 @@ def _oriented(G: Multigraph, ref: EdgeRef):
 def _merge_along(graphs, oriented_edges, drop_merged_edge: bool):
     """Disjoint union with one oriented edge per part identified into a single edge.
 
+    The parts' other vertices are numbered part by part, each part's in
+    increasing order, and the identified ends u, v become n-2 and n-1.
     Returns (graph, embeddings) where embeddings[i] maps part i's vertex
     labels into the result.
     """
-    temp_maps = []
-    temp_vertices = [("g", 0), ("g", 1)]
-    temp_pairs = []
-    for i, (g, (eid, u, v)) in enumerate(zip(graphs, oriented_edges)):
-        t = {}
-        for x in g.vertices:
-            if x == u:
-                t[x] = ("g", 0)
-            elif x == v:
-                t[x] = ("g", 1)
-            else:
-                t[x] = ("c", i, label_key(x))
-                temp_vertices.append(t[x])
-        for e, a, b in g.edges:
-            if e != eid:
-                temp_pairs.append((t[a], t[b]))
-        temp_maps.append(t)
-    if not drop_merged_edge:
-        temp_pairs.append((("g", 0), ("g", 1)))
-    G, lab = _finish(temp_vertices, temp_pairs)
-    embeddings = [{x: lab[t[x]] for x in t} for t in temp_maps]
-    return G, embeddings
+    embeddings, n = [], 0
+    for g, (_, u, v) in zip(graphs, oriented_edges):
+        others = [x for x in range(g.n) if x != u and x != v]
+        embeddings.append(dict(zip(others, range(n, n + len(others)))))
+        n += len(others)
+    pairs = [] if drop_merged_edge else [(n, n + 1)]
+    for g, emb, (eid, u, v) in zip(graphs, embeddings, oriented_edges):
+        emb[u], emb[v] = n, n + 1
+        pairs += [(emb[a], emb[b]) for e, a, b in g.edges if e != eid]
+    return _finish(n + 2, pairs), embeddings
 
 
 def replay_step(node: Node, reps: list):
-    """Replay one node from its replayed children; returns (graph, child embedding maps)."""
+    """Replay one node from its replayed children, each labelled 0..n-1 as
+    its output is; returns (graph, child embedding maps).  A one-child step
+    numbers its new vertices after its child's, so it embeds by the identity."""
     op = node.op
     if op == "seed":
         if node.seed == "cycle":
             if node.n is None or node.n < 2:
                 raise ConstructionError("cycle seed needs length >= 2")
-            pairs = [(i, (i + 1) % node.n) for i in range(node.n)]
+            n, pairs = node.n, [(i, (i + 1) % node.n) for i in range(node.n)]
         elif node.seed == "k4":
-            pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+            n, pairs = 4, [(a, b) for a in range(4) for b in range(a + 1, 4)]
         elif node.seed == "k2":
-            pairs = [(0, 1)]
+            n, pairs = 2, [(0, 1)]
         else:
             raise ConstructionError(f"unknown seed kind {node.seed!r}")
-        return _finish({x for p in pairs for x in p}, pairs)[0], []
+        return _finish(n, pairs), []
 
     if op in ("glue", "collide"):
         is_glue = op == "glue"
@@ -171,12 +156,11 @@ def replay_step(node: Node, reps: list):
     if op not in ("subdivide", "attach_cycle", "blow_up"):
         raise ConstructionError(f"unknown certificate op {op!r}")
     (rep,) = reps
+    identity = [{x: x for x in rep.vertices}]
     if op == "blow_up":
         if node.m < 1:
             raise ConstructionError("blow-up multiplicity must be >= 1")
-        pairs = [(a, b) for _, a, b in rep.edges for _ in range(node.m)]
-        G, lab = _finish(range(rep.n), pairs)
-        return G, [{x: lab[x] for x in rep.vertices}]
+        return _finish(rep.n, [(a, b) for _, a, b in rep.edges for _ in range(node.m)]), identity
 
     # Subdivide replaces the referenced edge by a path of delta-1 edges (the
     # identity at delta=2); AttachCycle adds a path of delta edges beside it
@@ -185,12 +169,10 @@ def replay_step(node: Node, reps: list):
         raise ConstructionError(f"{'attach_cycle' if attach else 'subdivide'} needs delta >= 2")
     (ref,) = node.refs
     u, v = _oriented(rep, ref)
-    fresh = list(range(rep.n, rep.n + node.delta - 2 + attach))
+    chain = [u, *range(rep.n, rep.n + node.delta - 2 + attach), v]
     pairs = [(a, b) for e, a, b in rep.edges if attach or e != ref.edge_id]
-    chain = [u] + fresh + [v]
     pairs.extend(zip(chain, chain[1:]))
-    G, lab = _finish(range(rep.n + len(fresh)), pairs)
-    return G, [{x: lab[x] for x in rep.vertices}]
+    return _finish(rep.n + len(chain) - 2, pairs), identity
 
 
 def replay_detail(cert: tuple):
@@ -214,14 +196,23 @@ def replay(cert: tuple) -> Multigraph:
 # -- forward construction operations ----------------------------------------
 
 
-def _weights_of_part(G: Multigraph, delta: int, what: str) -> dict:
+def part_weights(G: Multigraph, delta: int, part: str) -> dict:
+    """weight_function(G, delta) for a construction's part, named like
+    "glue part 1"; ConstructionError naming it when it is K2, whose point
+    polytope forces no weight on its edge."""
+    if G.n == 2 and G.m == 1:
+        raise ConstructionError(f"{part} is K2: a construction part needs at least 2 edges")
+    return weight_function(G, delta)
+
+
+def _weights_of_part(G: Multigraph, delta: int, part: str) -> dict:
     """G's weights at delta, once G decomposes at delta; else ConstructionError
     naming the good flat that fails."""
-    w = weight_function(G, delta)
+    w = part_weights(G, delta, part)
     viol = decompose(G, delta)[1]
     if viol is not None:
         raise ConstructionError(
-            f"{what} must satisfy the good-flat equalities at delta={delta}; "
+            f"{part} must satisfy the good-flat equalities at delta={delta}; "
             f"violation: {viol.as_dict()}"
         )
     return w
@@ -240,8 +231,8 @@ def glue(parts, delta: int) -> Multigraph:
         raise ConstructionError(
             f"glue at delta={delta} needs exactly {delta - 1} parts, got {len(parts)}"
         )
-    for g, eid in parts:
-        w = _weights_of_part(g, delta, "every glued part")
+    for i, (g, eid) in enumerate(parts, 1):
+        w = _weights_of_part(g, delta, f"glue part {i}")
         if w[eid] != delta - 1:
             raise ConstructionError(f"glued edge {eid} has weight {w[eid]}, needs {delta - 1}")
     refs = tuple(EdgeRef(eid) for _, eid in parts)
@@ -250,7 +241,7 @@ def glue(parts, delta: int) -> Multigraph:
 
 def subdivide(G: Multigraph, eid: int, delta: int) -> Multigraph:
     """Replace a weight-1 edge by a path of delta-1 edges (identity at delta=2)."""
-    w = _weights_of_part(G, delta, "the subdivided graph")
+    w = _weights_of_part(G, delta, "subdivide part 1")
     if w[eid] != 1:
         raise ConstructionError(f"subdivision target {eid} has weight {w[eid]}, needs 1")
     if delta == 2:
@@ -260,8 +251,8 @@ def subdivide(G: Multigraph, eid: int, delta: int) -> Multigraph:
 
 def collide(G1: Multigraph, e1: int, G2: Multigraph, e2: int) -> Multigraph:
     """Glue two graphs along the given edges, then remove the identified edge."""
-    for g in (G1, G2):
-        _weights_of_part(g, 2, "every collided part")
+    for i, g in enumerate((G1, G2), 1):
+        _weights_of_part(g, 2, f"collide part {i}")
     return _forward([G1, G2], Node("collide", refs=(EdgeRef(e1), EdgeRef(e2))))
 
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import GuardExceeded, NotTwoConnected
+from .errors import NotTwoConnected
 from .graph import Multigraph, blocks, is_connected, is_two_connected, label_key
-
-SUBSET_GUARD_VERTICES = 24
+from .graph import SUBSET_GUARD_VERTICES, _subset_kernel, _vertex_sets  # the guard is read here too
 
 
 class GoodFlat(NamedTuple):
@@ -22,90 +21,10 @@ class GoodFlat(NamedTuple):
     induced_edges: tuple  # sorted edge ids of E(S)
 
 
-def _subset_kernel(G: Multigraph) -> tuple:
-    """Connectivity of every induced subgraph of G at once, as two big integers.
-
-    Vertex i is G.sorted_vertices[i], and a vertex set is the bitmask S with
-    bit i set for each member.  A table over all 2^n masks is one 2^n-bit
-    integer whose bit S is that mask's entry, so one integer operation works
-    on every subset together.  Returns (conn, biconn): bit S of conn is set
-    when G[S] is nonempty and connected, and of biconn when G[S] is
-    2-connected (an edge for |S| = 2).  Loops and parallel edges are ignored:
-    neither changes connectivity.  Memory is about 2n integers of 2^n bits.
-    """
-    if G.n > SUBSET_GUARD_VERTICES:
-        raise GuardExceeded(
-            f"subset enumeration guarded at {SUBSET_GUARD_VERTICES} vertices"
-        )
-    n = G.n
-    index = {v: i for i, v in enumerate(G.sorted_vertices)}
-    nbrs = [set() for _ in range(n)]
-    for _, u, v in G.edges:
-        if u != v:
-            nbrs[index[u]].add(index[v])
-            nbrs[index[v]].add(index[u])
-    size = 1 << n
-    table_all = (1 << size) - 1
-    # member[i]: masks containing vertex i, i.e. 2^i clear bits then 2^i set
-    # bits, repeated
-    member = []
-    for i in range(n):
-        period = 2 << i
-        x = ((1 << (1 << i)) - 1) << (1 << i)
-        while period < size:
-            x |= x << period
-            period *= 2
-        member.append(x)
-    # reach[i]: masks in which vertex i is reached from the lowest member;
-    # it starts as the masks whose lowest member is i and grows edge by edge
-    reach = []
-    lower = 0
-    for i in range(n):
-        reach.append(member[i] & ~lower)
-        lower |= member[i]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            grown = 0
-            for j in nbrs[i]:
-                grown |= reach[j]
-            grown = reach[i] | (grown & member[i])
-            if grown != reach[i]:
-                reach[i] = grown
-                changed = True
-    conn = table_all ^ 1  # the empty mask is not connected
-    for i in range(n):
-        conn &= reach[i] | ~member[i]
-    # G[S] is 2-connected when it is connected and so is G[S - v] for every
-    # v in S; bit S of conn << 2^v is conn's bit S - v
-    biconn = conn
-    for v in range(n):
-        biconn &= (conn << (1 << v)) | ~member[v]
-    # a singleton fails: removing its vertex leaves the empty mask
-    return conn, biconn & table_all
-
-
 def _complement_table(table: int, n: int) -> int:
     """The table whose bit S is bit (V - S) of the given table."""
     size = 1 << n
     return int(format(table, f"0{size}b")[::-1], 2)
-
-
-def _vertex_sets(G: Multigraph, table: int) -> list:
-    """The masks set in a table, as vertex tuples by size, then lexicographically.
-
-    That is the itertools.combinations order over sorted_vertices.
-    """
-    verts = G.sorted_vertices
-    bits = format(table, "b")[::-1]
-    masks = []
-    S = bits.find("1")
-    while S >= 0:
-        masks.append(tuple(i for i in range(G.n) if S >> i & 1))
-        S = bits.find("1", S + 1)
-    masks.sort(key=lambda idx: (len(idx), idx))
-    return [tuple(verts[i] for i in idx) for idx in masks]
 
 
 def induced_edge_ids(G: Multigraph, S) -> tuple:
@@ -124,7 +43,7 @@ def good_flats(G: Multigraph) -> list:
     """
     if not is_two_connected(G):
         raise NotTwoConnected("good_flats requires a 2-connected graph")
-    conn, biconn = _subset_kernel(G)
+    conn, biconn, _ = _subset_kernel(G)
     # bit V of the complement table is the empty mask's, which is clear
     flats = biconn & _complement_table(conn, G.n)
     return [GoodFlat(S, induced_edge_ids(G, S)) for S in _vertex_sets(G, flats)]

@@ -8,15 +8,15 @@ new graph.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import GuardExceeded, ParseError
 
 DEFAULT_GUARD = 10**6
-# induced_cycles walks all 2^n vertex subsets: 1.8 s at 20 vertices, x4 per two more
-CYCLE_GUARD_VERTICES = 20
+# the subset tables take 2^n bits each, about 2n of them: 150 MB at 24 vertices
+SUBSET_GUARD_VERTICES = 24
+CHORDLESS_CYCLE_GUARD = 10**5
 
 
 def label_key(x):
@@ -330,6 +330,107 @@ def blocks(G: Multigraph) -> list:
     return result
 
 
+# -- vertex subsets --------------------------------------------------------
+
+
+def check_subset_guard(n: int) -> None:
+    """GuardExceeded when a graph on n vertices is too large for the subset tables."""
+    if n > SUBSET_GUARD_VERTICES:
+        raise GuardExceeded(
+            f"subset enumeration guarded at {SUBSET_GUARD_VERTICES} vertices, graph has {n}"
+        )
+
+
+def _subset_kernel(G: Multigraph) -> tuple:
+    """Connectivity of every induced subgraph of G at once, as three big integers.
+
+    Vertex i is G.sorted_vertices[i], and a vertex set is the bitmask S with
+    bit i set for each member.  A table over all 2^n masks is one 2^n-bit
+    integer whose bit S is that mask's entry, so one integer operation works
+    on every subset together.  Returns (conn, biconn, cycles): bit S of conn
+    is set when G[S] is nonempty and connected, of biconn when G[S] is
+    2-connected (an edge for |S| = 2), and of cycles when G[S] is a chordless
+    cycle, i.e. connected with every member adjacent to exactly two others.
+    Loops and parallel edges are ignored: neither changes connectivity.
+    Memory is about 2n integers of 2^n bits.
+    """
+    check_subset_guard(G.n)
+    n = G.n
+    index = {v: i for i, v in enumerate(G.sorted_vertices)}
+    nbrs = [set() for _ in range(n)]
+    for _, u, v in G.edges:
+        if u != v:
+            nbrs[index[u]].add(index[v])
+            nbrs[index[v]].add(index[u])
+    size = 1 << n
+    table_all = (1 << size) - 1
+    # member[i]: masks containing vertex i, i.e. 2^i clear bits then 2^i set
+    # bits, repeated
+    member = []
+    for i in range(n):
+        period = 2 << i
+        x = ((1 << (1 << i)) - 1) << (1 << i)
+        while period < size:
+            x |= x << period
+            period *= 2
+        member.append(x)
+    # reach[i]: masks in which vertex i is reached from the lowest member;
+    # it starts as the masks whose lowest member is i and grows edge by edge
+    reach = []
+    lower = 0
+    for i in range(n):
+        reach.append(member[i] & ~lower)
+        lower |= member[i]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            grown = 0
+            for j in nbrs[i]:
+                grown |= reach[j]
+            grown = reach[i] | (grown & member[i])
+            if grown != reach[i]:
+                reach[i] = grown
+                changed = True
+    conn = table_all ^ 1  # the empty mask is not connected
+    for i in range(n):
+        conn &= reach[i] | ~member[i]
+    # G[S] is 2-connected when it is connected and so is G[S - v] for every
+    # v in S; bit S of conn << 2^v is conn's bit S - v.  A singleton fails:
+    # removing its vertex leaves the empty mask
+    biconn = conn
+    for v in range(n):
+        biconn &= (conn << (1 << v)) | ~member[v]
+    # G[S] is a chordless cycle when it is connected and every member has
+    # exactly two neighbours in S; one / two / three: the masks in which
+    # vertex i has at least that many, a counter that saturates at three
+    cycles = conn
+    for i in range(n):
+        one = two = three = 0
+        for j in nbrs[i]:
+            three |= two & member[j]
+            two |= one & member[j]
+            one |= member[j]
+        cycles &= (two & ~three) | ~member[i]
+    return conn, biconn & table_all, cycles
+
+
+def _vertex_sets(G: Multigraph, table: int) -> list:
+    """The masks set in a table, as vertex tuples by size, then lexicographically.
+
+    That is the itertools.combinations order over sorted_vertices.
+    """
+    verts = G.sorted_vertices
+    bits = format(table, "b")[::-1]
+    masks = []
+    S = bits.find("1")
+    while S >= 0:
+        masks.append(tuple(i for i in range(G.n) if S >> i & 1))
+        S = bits.find("1", S + 1)
+    masks.sort(key=lambda idx: (len(idx), idx))
+    return [tuple(verts[i] for i in idx) for idx in masks]
+
+
 # -- ears ------------------------------------------------------------------
 
 
@@ -394,48 +495,30 @@ def ears(G: Multigraph) -> EarScan:
 # -- cycles ----------------------------------------------------------------
 
 
-def induced_cycles(G: Multigraph, guard: int = 10**5) -> list:
+def induced_cycles(G: Multigraph) -> list:
     """All chordless cycles of a simple graph, as vertex tuples in cycle order.
 
-    A subset of vertices induces a chordless cycle exactly when its induced
-    subgraph is connected with all degrees 2; enumeration is over subsets,
-    so graphs above CYCLE_GUARD_VERTICES vertices raise GuardExceeded.
+    The vertex sets come from the subset kernel's cycle table, by size, then
+    lexicographically; each cycle starts at its set's first vertex and leaves
+    it by that vertex's first neighbour in the set, in adjacency order.
+    Graphs over SUBSET_GUARD_VERTICES vertices, and graphs with more than
+    CHORDLESS_CYCLE_GUARD chordless cycles, raise GuardExceeded before any
+    cycle is walked.
     """
     if not G.is_simple():
         raise ValueError("induced_cycles requires a simple graph")
-    if G.n > CYCLE_GUARD_VERTICES:
-        raise GuardExceeded(
-            f"induced_cycles enumerates vertex subsets; guarded at "
-            f"{CYCLE_GUARD_VERTICES} vertices, graph has {G.n}"
-        )
+    table = _subset_kernel(G)[2]
+    if table.bit_count() > CHORDLESS_CYCLE_GUARD:
+        raise GuardExceeded(f"more than {CHORDLESS_CYCLE_GUARD} chordless cycles")
     cycles = []
-    verts = G.sorted_vertices
-    for r in range(3, G.n + 1):
-        for S in itertools.combinations(verts, r):
-            sset = set(S)
-            degs_ok = True
-            local_adj = {}
-            for v in S:
-                nb = [w for _, w in G.adjacency[v] if w in sset]
-                if len(nb) != 2:
-                    degs_ok = False
-                    break
-                local_adj[v] = nb
-            if not degs_ok:
-                continue
-            # connected + all degree 2 => a single cycle
-            order = [S[0], local_adj[S[0]][0]]
-            while True:
-                a, b = order[-2], order[-1]
-                nxt = local_adj[b][0] if local_adj[b][0] != a else local_adj[b][1]
-                if nxt == order[0]:
-                    break
-                order.append(nxt)
-            if len(order) != r:
-                continue
-            cycles.append(tuple(order))
-            if len(cycles) > guard:
-                raise GuardExceeded(f"more than {guard} chordless cycles")
+    for S in _vertex_sets(G, table):
+        members = set(S)
+        nbrs = {v: [w for _, w in G.adjacency[v] if w in members] for v in S}
+        order = [S[0], nbrs[S[0]][0]]
+        while len(order) < len(S):
+            a, b = nbrs[order[-1]]
+            order.append(b if a == order[-2] else a)
+        cycles.append(tuple(order))
     return cycles
 
 

@@ -150,6 +150,22 @@ def test_generate_checks_its_input_count(files, capsys, argv, message):
     assert captured.err == f"input error: generate {message}\n"
 
 
+@pytest.mark.parametrize("argv, part", [
+    (["collide", "k2", "k2"], "collide part 1"),
+    (["glue", "k2", "k2", "--delta", "3"], "glue part 1"),
+    (["subdivide", "k2", "--delta", "3"], "subdivide part 1"),
+])
+def test_generate_names_a_k2_part(files, capsys, argv, part):
+    # these printed the edge profile's "edge_facet_profile requires at least
+    # 2 edges"
+    k2 = files["dir"] / "k2.txt"
+    k2.write_text("0 1\n")
+    code = main(["generate"] + [str(k2) if a == "k2" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"input error: {part} is K2: a construction part needs at least 2 edges\n"
+
+
 def test_sweep_cross_validate_of_indep_equivalence_is_input_error(capsys):
     # the three-way sweep has no oracle side: the flag was ignored and the
     # sweep reported 0 mismatches
@@ -327,7 +343,9 @@ def test_check_base_over_the_subset_guard_exit2(tmp_path, capsys):
     code = main(["check", "base", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "guard exceeded: subset enumeration guarded at 24 vertices\n"
+    assert captured.err == (
+        "guard exceeded: subset enumeration guarded at 24 vertices, graph has 25\n"
+    )
 
 
 def test_stuck_decomposition_of_a_positive_exit5(files, capsys, monkeypatch):
@@ -378,7 +396,9 @@ def test_check_indep_long_cycle_exit2(tmp_path, capsys):
     code = main(["check", "indep", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("guard exceeded: induced_cycles")
+    assert captured.err == (
+        "guard exceeded: subset enumeration guarded at 24 vertices, graph has 30\n"
+    )
 
 
 @pytest.mark.parametrize("argv, want", [

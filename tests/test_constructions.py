@@ -97,6 +97,17 @@ def test_collide(k4, c3):
         collide(k4, 0, c3, 0)
 
 
+def test_a_k2_part_is_a_construction_error(k2, k4, c3):
+    # K2's point polytope forces no weight on its edge; the edge profile's
+    # ValueError used to leak out of all three constructions
+    with pytest.raises(ConstructionError, match=r"^collide part 2 is K2: "):
+        collide(k4, 0, k2, 0)
+    with pytest.raises(ConstructionError, match=r"^glue part 1 is K2: "):
+        glue([(k2, 0), (c3, 0)], 3)
+    with pytest.raises(ConstructionError, match=r"^subdivide part 1 is K2: "):
+        subdivide(k2, 0, 3)
+
+
 def test_attach_cycle(k2, c4):
     assert is_isomorphic(attach_cycle(k2, 0, 3), c4)
     assert is_isomorphic(attach_cycle(k2, 0, 2), cycle(3))

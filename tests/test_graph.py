@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -282,6 +283,51 @@ def test_chordless_cycles(k4, c5_chord):
     assert sorted(len(c) for c in induced_cycles(k4)) == [3, 3, 3, 3]
     assert sorted(len(c) for c in induced_cycles(c5_chord)) == [3, 4]
     assert len(induced_cycles(cycle(6))) == 1
+
+
+def _induced_cycles_by_subsets(G):
+    """Reference: test every vertex subset for all degrees 2 and connectivity,
+    by size, then lexicographically, and walk each cycle the way
+    induced_cycles does."""
+    cycles = []
+    for r in range(3, G.n + 1):
+        for S in itertools.combinations(G.sorted_vertices, r):
+            sset = set(S)
+            local_adj = {v: [w for _, w in G.adjacency[v] if w in sset] for v in S}
+            if any(len(nb) != 2 for nb in local_adj.values()):
+                continue
+            order = [S[0], local_adj[S[0]][0]]
+            while True:
+                a, b = order[-2], order[-1]
+                nxt = local_adj[b][0] if local_adj[b][0] != a else local_adj[b][1]
+                if nxt == order[0]:
+                    break
+                order.append(nxt)
+            if len(order) == r:  # one cycle through all of S: G[S] is connected
+                cycles.append(tuple(order))
+    return cycles
+
+
+def _random_simple_graphs(per_size, max_vertices, seed):
+    """per_size simple graphs of each size 3..max_vertices, with shuffled
+    string labels, vertex order and edge order, each at its own edge density."""
+    rng = random.Random(seed)
+    for n in [n for n in range(3, max_vertices + 1) for _ in range(per_size)]:
+        labels = [f"v{i}" for i in range(n)]
+        rng.shuffle(labels)
+        p = rng.uniform(0.1, 0.5)
+        pairs = [(a, b) for a, b in itertools.combinations(labels, 2) if rng.random() < p]
+        rng.shuffle(pairs)
+        yield Multigraph.build(labels, [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs])
+
+
+def test_induced_cycles_match_the_subset_walk():
+    # the bit tables find the same chordless cycles as a loop over every
+    # subset, in the same order, each walked from the same start the same way
+    graphs = two_connected_graphs(7) + list(_random_simple_graphs(2, 16, seed=20261019))
+    for G in graphs:
+        assert induced_cycles(G) == _induced_cycles_by_subsets(G), G.edges
+    assert max(G.n for G in graphs) == 16
 
 
 def test_k4_minor():

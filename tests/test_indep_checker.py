@@ -6,6 +6,7 @@ import pytest
 
 from conftest import complete, cycle
 from gorcheck import indepck
+from gorcheck.baseck import Witness
 from gorcheck.construct import (
     AttachCycle,
     BlowUp,
@@ -109,11 +110,25 @@ def test_indep_verdict_bridges():
 
 def test_indep_verdict_guards_the_chordless_cycle_walk():
     # C30 passes the K4-minor test, so its witness search reaches the 2^n
-    # subset walk of induced_cycles; the vertex guard stops it at once
+    # subset tables behind induced_cycles; the subset guard stops it before
+    # any table is built
     t0 = time.perf_counter()
-    with pytest.raises(GuardExceeded, match="guarded at 20 vertices, graph has 30"):
+    with pytest.raises(GuardExceeded, match="guarded at 24 vertices, graph has 30"):
         indep_verdict(cycle(30))
     assert time.perf_counter() - t0 < 1
+
+
+def test_chordless_cycle_witness_reaches_the_subset_guard():
+    # the witness search answers up to the 24-vertex subset guard: C22's one
+    # chordless cycle is all of it, of length 22 where delta + 1 = 3
+    t0 = time.perf_counter()
+    witness = indep_verdict(cycle(22)).witness
+    assert time.perf_counter() - t0 < 1
+    assert witness == Witness("wrong_chordless_cycle", lhs=22, rhs=3)
+    with pytest.raises(
+        GuardExceeded, match=r"^subset enumeration guarded at 24 vertices, graph has 25$"
+    ):
+        indep_verdict(cycle(25))
 
 
 def test_simple_gorenstein_only_at_two(c3):

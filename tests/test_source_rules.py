@@ -146,6 +146,33 @@ def test_one_union_find():
     assert found == []
 
 
+def test_one_subset_kernel():
+    # graph._subset_kernel's bit tables are the package's one subset
+    # enumerator: no module walks itertools' combinations, the chordless
+    # cycles' own vertex guard is gone, and one function holds the text of
+    # the one subset guard
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    imports = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and "itertools" in [a.name for a in node.names])
+        or (isinstance(node, ast.ImportFrom) and node.module == "itertools")
+    ]
+    assert imports == []
+    assert [name for name, tree in trees.items() if "CYCLE_GUARD_VERTICES" in _names(tree)] == []
+    holders = [
+        f"{name}:{fn.name}"
+        for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant) and "subset enumeration" in str(node.value)
+    ]
+    assert holders == ["graph.py:check_subset_guard"]
+
+
 def test_a_multigraph_is_its_vertices_and_edges():
     # equality and hashing do not depend on how a graph was made: contracting
     # a triangle to a point leaves no trace of the loop it dropped
