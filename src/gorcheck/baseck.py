@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import InternalContradiction, NotTwoConnected, SimpleGraphRequired, WeightConflict
 from .flats import good_flats, indecomposable_flats, block_count_after_contraction, induced_edge_ids
-from .graph import Multigraph, blocks, check_subset_guard, is_two_connected, low_link, normalize
+from .graph import Multigraph, blocks, is_two_connected, low_link, normalize
 
 
 class AllDeltas:
@@ -204,7 +204,10 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
     are wildcards.  delta is None when every block is a wildcard (the polytope
     is a point, Gorenstein at every index).  construct.decompose decides the
     blocks at each common candidate delta in turn, and a Gorenstein verdict
-    keeps their certificates; check_spade only names a stuck block's flat.
+    keeps their certificates; check_spade only names a stuck block's flat,
+    the one place a block over SUBSET_GUARD_VERTICES raises GuardExceeded.
+    A positive wins at its smallest common delta: a block built at delta >=
+    3 has at least |V| heavy edges, so 2 is no candidate and it has one.
     """
     from .construct import Seed, decompose  # construct imports this module
 
@@ -225,7 +228,6 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
     for delta in sorted(common):
         certs = []
         for b in blks:
-            check_subset_guard(b.n)
             cert, witness = (Seed("k2"), None) if b.n == 2 else decompose(b, delta)
             if witness is not None:
                 first_witness = first_witness or witness

@@ -327,10 +327,12 @@ def cmd_sweep(args) -> int:
         (i, list(g.edges), args.kind, args.cross_validate)
         for i, g in enumerate(graphs)
     ]
-    if args.jobs > 1:
+    # a pool forks all its workers at the first submit: only those that can work
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, payloads))
     else:
         rows = [_sweep_one(p) for p in payloads]

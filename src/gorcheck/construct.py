@@ -307,9 +307,10 @@ def _edge_ref(rep: Multigraph, a, b) -> EdgeRef:
     return EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a)
 
 
-def _step(G: Multigraph, delta: int):
-    """One decomposition step of a part G: (step, the parts it splits G
-    into, in child order).  A seed splits G into no parts.
+def _step(G: Multigraph, light, delta: int):
+    """One decomposition step of a part G with weight-1 edges light (None
+    for the input: weight_function reads them off its profile): (step, the
+    parts it splits G into, in child order, each with its light set).
 
     Every part is 2-connected and simple: decompose's input is, and each
     step's parts are again (a Collide part gains the edge its separating
@@ -318,10 +319,16 @@ def _step(G: Multigraph, delta: int):
     n = m, and K4 exactly when n = 4 and m = 6; check_vertex_map proves the
     finished certificate all the same.
 
-    Every step meets its construction's hypothesis, so a finished run is a
-    proof: a Glue part is connected off uv, so uv weighs delta-1 there (or
-    weight_function raises WeightConflict), and Subdivide checks its edge
-    weighs 1.  A stuck part raises InternalContradiction or WeightConflict.
+    A part inherits its weights: an edge it keeps has the same two profile
+    flags there as in G, which is the 2-sum of the Glue parts along uv, or
+    the Subdivide part with one other edge subdivided.  Once the edge a step
+    makes has its flags read, every step meets its construction's hypothesis
+    and a finished run is a proof: a Glue part is connected off uv, so uv
+    weighs delta-1 there unless its deletion keeps the part 2-connected too
+    (WeightConflict), and the edge v0 vs a Subdivide part gains weighs 1
+    exactly when its deletion, rest, is 2-connected and its contraction is
+    not: vs cuts rest - v0.  A stuck part raises InternalContradiction or
+    WeightConflict.
     """
     if delta == 2:
         pair = _separating_pair(G)
@@ -334,7 +341,7 @@ def _step(G: Multigraph, delta: int):
         parts = _split(G, pair, 2)
         if G.has_edge(*pair):
             raise InternalContradiction("separating pair joined by an edge")
-        return Step(Node("collide"), 2, pair), [part.with_edge(*pair)[0] for part in parts]
+        return Step(Node("collide"), 2, pair), [(part.with_edge(*pair)[0], None) for part in parts]
 
     if G.n == G.m:
         if G.n != delta:
@@ -348,14 +355,15 @@ def _step(G: Multigraph, delta: int):
             walk.append(next(w for _, w in G.adjacency[walk[-1]] if w != walk[-2]))
         return Step(Node("seed", seed="cycle", n=G.n), new=tuple(walk)), []
 
-    w = weight_function(G, delta)
-    light = sorted(
-        (eid for eid, wt in w.items() if wt == 1),
-        key=lambda e: (tuple(sorted(label_key(x) for x in G.endpoints(e))), e),
-    )
+    if light is None:
+        light = {eid for eid, wt in weight_function(G, delta).items() if wt == 1}
     if light:
-        pair = tuple(sorted(G.endpoints(light[0]), key=label_key))
-        return Step(Node("glue", delta=delta), delta - 1, pair), _split(G, pair, delta - 1)
+        uv = min(light, key=lambda e: (tuple(sorted(label_key(x) for x in G.endpoints(e))), e))
+        pair = tuple(sorted(G.endpoints(uv), key=label_key))
+        parts = [(p, light.intersection(p.edge_by_id) - {uv}) for p in _split(G, pair, delta - 1)]
+        if any(is_two_connected(p.without_edges((uv,))) for p, _ in parts):
+            raise WeightConflict(uv, delta)
+        return Step(Node("glue", delta=delta), delta - 1, pair), parts
 
     candidates = [e for e in ears(G).ears if e.length == delta - 1]
     if not candidates:
@@ -368,11 +376,12 @@ def _step(G: Multigraph, delta: int):
         raise InternalContradiction(
             "ear endpoints are adjacent; its replacement would not be simple"
         )
-    shrunk, new = G.without_vertices(ear.inner).with_edge(v0, vs)
-    if weight_function(shrunk, delta)[new] != 1:
+    rest = G.without_vertices(ear.inner)
+    if not (is_two_connected(rest) and vs in low_link(rest, skip=v0).cut_vertices):
         raise InternalContradiction(f"an ear shrinks to an edge of weight {delta - 1}, not 1")
-    # the new path's inner vertices run from v0 to vs
-    return Step(Node("subdivide", delta=delta), 1, (v0, vs), ear.inner), [shrunk]
+    shrunk, new = rest.with_edge(v0, vs)
+    # the new path's inner vertices run from v0 to vs; G has no light edge here
+    return Step(Node("subdivide", delta=delta), 1, (v0, vs), ear.inner), [(shrunk, {new})]
 
 
 def _split(G: Multigraph, pair, want: int) -> list:
@@ -460,10 +469,10 @@ def decompose(G: Multigraph, delta: int):
     last child first, which makes the steps, read backwards, the post-order
     build wants.
     """
-    steps, parts = [], [G]
+    steps, parts = [], [(G, None)]  # each part with its light set
     try:
         while parts:
-            step, split = _step(parts.pop(), delta)
+            step, split = _step(*parts.pop(), delta)
             steps.append(step)
             parts += split
     except (InternalContradiction, WeightConflict) as stuck:

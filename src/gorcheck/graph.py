@@ -333,14 +333,6 @@ def blocks(G: Multigraph) -> list:
 # -- vertex subsets --------------------------------------------------------
 
 
-def check_subset_guard(n: int) -> None:
-    """GuardExceeded when a graph on n vertices is too large for the subset tables."""
-    if n > SUBSET_GUARD_VERTICES:
-        raise GuardExceeded(
-            f"subset enumeration guarded at {SUBSET_GUARD_VERTICES} vertices, graph has {n}"
-        )
-
-
 def _subset_kernel(G: Multigraph) -> tuple:
     """Connectivity of every induced subgraph of G at once, as three big integers.
 
@@ -352,10 +344,13 @@ def _subset_kernel(G: Multigraph) -> tuple:
     2-connected (an edge for |S| = 2), and of cycles when G[S] is a chordless
     cycle, i.e. connected with every member adjacent to exactly two others.
     Loops and parallel edges are ignored: neither changes connectivity.
-    Memory is about 2n integers of 2^n bits.
+    Memory is about 2n integers of 2^n bits, hence SUBSET_GUARD_VERTICES.
     """
-    check_subset_guard(G.n)
     n = G.n
+    if n > SUBSET_GUARD_VERTICES:
+        raise GuardExceeded(
+            f"subset enumeration guarded at {SUBSET_GUARD_VERTICES} vertices, graph has {n}"
+        )
     index = {v: i for i, v in enumerate(G.sorted_vertices)}
     nbrs = [set() for _ in range(n)]
     for _, u, v in G.edges:

@@ -63,14 +63,15 @@ def check_chordal_k4free(H: Multigraph, delta: int) -> Optional[Witness]:
     cycle, so any excess chordless cycle (e.g. the three 4-cycles of K_{2,3},
     whose rank is 2) betrays a graph that is not constructible.  K2 passes
     vacuously.  The minor check runs first, so K4 itself reports
-    k4_minor_found rather than its wrong triangles.
+    k4_minor_found rather than its wrong triangles.  A block with |V| = |E|
+    is a cycle, its own one chordless cycle: no subset table is built.
     """
     _require_simple_block(H)
     if delta < 2:
         raise ValueError("delta must be >= 2")
     if not is_k4_minor_free(H):
         return Witness("k4_minor_found")
-    cycles = induced_cycles(H)
+    cycles = [H.vertices] if H.n == H.m else induced_cycles(H)
     for cyc in cycles:
         if len(cyc) != delta + 1:
             return Witness("wrong_chordless_cycle", lhs=len(cyc), rhs=delta + 1)

@@ -7,6 +7,7 @@ from gorcheck.errors import GuardExceeded
 from gorcheck.graph import Multigraph
 from gorcheck.oracle import FACET_VERTEX_GUARD, polytope_of
 from gorcheck.smallgraphs import two_connected_graphs
+from ladder import positive
 
 
 def cycle(n, labels=None):
@@ -20,6 +21,31 @@ def complete(n):
     return Multigraph.build(
         range(n), [(a, b) for a in range(n) for b in range(a + 1, n)]
     )
+
+
+def ladder_positive(kind, n, seed=0):
+    """ladder.positive as (graph, delta, ids of its weight-1 edges)."""
+    vertices, edges, delta, light = positive(kind, n, seed)
+    return Multigraph.build(vertices, edges), delta, light
+
+
+def cycle_with_chord(n):
+    """C_n plus the chord 0 -- n//2: no cycle block, so its chordless cycles
+    come from the subset tables."""
+    return cycle(n).with_edge(0, n // 2)[0]
+
+
+def stuck_past_the_guard():
+    """A 29-vertex block that does not decompose at its one candidate delta,
+    4: the atlas graph 0-1 0-3 0-4 1-2 2-3 3-4, a flat_equality_violated
+    case, with six Glue steps of two 3-edge paths each, every one on a
+    heavy edge of the last."""
+    pairs = [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]
+    u, v, n = 1, 2, 5
+    for _ in range(6):
+        pairs += [(u, n), (n, n + 1), (n + 1, v), (u, n + 2), (n + 2, n + 3), (n + 3, v)]
+        u, v, n = n, n + 1, n + 4
+    return Multigraph.build(range(n), pairs)
 
 
 def random_multigraphs(count, seed):

@@ -1,0 +1,116 @@
+"""Seeded base-polytope positives of any size, with their weights tracked.
+
+Nothing here imports gorcheck: each positive is built by the paper's
+constructions, so the delta it was built for and its weight-1 ("light")
+edges follow from the construction theorems alone, with no 2-connectivity
+test.  The tests compare the checkers with them; BENCH_20.json times
+`gorcheck certify base` on them.
+
+A positive is (vertices, edges, delta, light): vertex labels, a list of
+(u, v) pairs and the indexes of its light edges in that list.  Three kinds:
+- delta >= 3: C_delta, grown at random by Glue (delta-2 fresh C_delta on a
+  heavy edge, which becomes light) and Subdivide (a light edge becomes a
+  path of delta-1 heavy edges)
+- delta = 2: a chain of K4s joined by Collide, every edge light
+- "chain": the in-order delta = 3 chain, labels and edge order unshuffled
+
+    python tests/ladder.py KIND N [SEED]
+
+prints the positive of KIND (2, 3, 4, ... or chain) with about N vertices
+as an edge list.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+
+def grown(rng, delta: int, n: int):
+    """(n', edges, light) for delta >= 3, with n <= n' < n + (delta-2)^2."""
+    edges = [(i, (i + 1) % delta) for i in range(delta)]
+    light, size = set(), delta
+    while size < n:
+        if light and rng.random() < 0.5:
+            i = rng.choice(sorted(light))
+            u, v = edges[i]
+            path = [u, *range(size, size + delta - 2), v]
+            edges[i] = (u, path[1])
+            edges += list(zip(path[1:], path[2:]))
+            light.remove(i)
+            size += delta - 2
+        else:
+            i = rng.choice([j for j in range(len(edges)) if j not in light])
+            u, v = edges[i]
+            for _ in range(delta - 2):
+                path = [u, *range(size, size + delta - 2), v]
+                edges += list(zip(path, path[1:]))
+                size += delta - 2
+            light.add(i)
+    return size, edges, light
+
+
+def k4_chain(rng, n: int):
+    """(n', edges, light) for delta = 2: K4, then Collide with a fresh K4 on
+    a random edge until there are n' >= n vertices."""
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    size = 4
+    while size < n:
+        u, v = edges.pop(rng.randrange(len(edges)))
+        x, y = size, size + 1
+        edges += [(u, x), (u, y), (v, x), (v, y), (x, y)]
+        size += 2
+    return size, edges, set(range(len(edges)))
+
+
+def in_order_chain(rounds: int):
+    """(n, edges, light) for the delta = 3 chain: C3, then `rounds` times glue
+    a triangle on the newest edge and subdivide the edge it was glued on;
+    3 + 2 * rounds vertices, every edge heavy."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    a, b, n = 1, 2, 3
+    for _ in range(rounds):
+        edges.remove((a, b))
+        edges += [(a, n), (n, b), (a, n + 1), (n + 1, b)]
+        a, n = n + 1, n + 2
+    return n, edges, set()
+
+
+def relabel(rng, n: int, edges, light):
+    """Random vertex labels, edge order and orientation; light follows its edges."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    order = list(range(len(edges)))
+    rng.shuffle(order)
+    out = []
+    for i in order:
+        u, v = edges[i]
+        out.append((perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]))
+    return perm, out, {k for k, i in enumerate(order) if i in light}
+
+
+def positive(kind, n: int, seed: int = 0):
+    """The positive of kind (a delta, or "chain") with about n vertices."""
+    if kind == "chain":
+        size, edges, light = in_order_chain(max(0, (n - 2) // 2))
+        return list(range(size)), edges, 3, light
+    rng = random.Random(seed)
+    vertices, edges, light = relabel(rng, *(k4_chain(rng, n) if kind == 2 else grown(rng, kind, n)))
+    return vertices, edges, kind, light
+
+
+def with_chord(rng, vertices, edges):
+    """edges plus one edge between two non-adjacent vertices, or None."""
+    present = {frozenset(e) for e in edges}
+    pairs = [
+        (a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]
+        if frozenset((a, b)) not in present
+    ]
+    return edges + [rng.choice(pairs)] if pairs else None
+
+
+if __name__ == "__main__":
+    kind, n = sys.argv[1], int(sys.argv[2])
+    seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
+    _, edges, _, _ = positive(kind if kind == "chain" else int(kind), n, seed)
+    sys.stdout.write("".join(f"{u} {v}\n" for u, v in edges))

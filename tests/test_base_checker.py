@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
-from conftest import complete, cycle, random_multigraphs
+from conftest import complete, cycle, ladder_positive, random_multigraphs, stuck_past_the_guard
+from gorcheck import baseck
 from gorcheck.baseck import (
     ALL_DELTAS,
     AllDeltas,
@@ -246,7 +248,31 @@ def test_decomposition_decides_as_the_good_flat_system_on_the_atlas():
     assert (len(graphs), positives) == (1245, 372)
 
 
+def test_one_edge_profile_per_block(monkeypatch):
+    # the decomposition's parts inherit their weights, so base_verdict reads
+    # one profile per block however many parts the block splits into
+    real = baseck.edge_facet_profile
+    profiled = []
+    monkeypatch.setattr(baseck, "edge_facet_profile", lambda G: profiled.append(G) or real(G))
+    two_c4s = Multigraph.build(range(8), [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4),
+                                          (4, 5), (5, 6), (6, 7), (7, 4)])
+    graphs = [(two_c4s, 4, 2)]  # and the bridge 3-4, a K2 block
+    for kind in (2, 3, 4, "chain"):
+        for n in (10, 22, 60):
+            G, delta, _ = ladder_positive(kind, n, seed=n)
+            graphs.append((G, delta, 1))
+    for G, delta, profiles in graphs:
+        profiled.clear()
+        assert base_verdict(G).delta == delta
+        assert len(profiled) == profiles, (G.n, delta, len(profiled))
+
+
 def test_base_verdict_guards_large_blocks():
-    # a block over the subset guard trips it before it is decided
-    with pytest.raises(GuardExceeded, match="guarded at 24 vertices"):
-        base_verdict(cycle(25))
+    # a stuck block over the subset guard trips it where check_spade would
+    # name its flat, after a polynomial decomposition
+    t0 = time.perf_counter()
+    with pytest.raises(
+        GuardExceeded, match=r"^subset enumeration guarded at 24 vertices, graph has 29$"
+    ):
+        base_verdict(stuck_past_the_guard())
+    assert time.perf_counter() - t0 < 1

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import complete, cycle
+from conftest import complete, cycle, cycle_with_chord, ladder_positive, stuck_past_the_guard
 from gorcheck import baseck, construct, indepck
 from gorcheck.cli import main
 from gorcheck.construct import (
@@ -338,20 +338,44 @@ def test_certify_g5(files, capsys):
 
 
 def test_check_base_over_the_subset_guard_exit2(tmp_path, capsys):
-    path = tmp_path / "c25.txt"
-    path.write_text(format_edge_list(cycle(25)))
+    path = tmp_path / "stuck29.txt"
+    path.write_text(format_edge_list(stuck_past_the_guard()))
     code = main(["check", "base", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == (
-        "guard exceeded: subset enumeration guarded at 24 vertices, graph has 25\n"
+        "guard exceeded: subset enumeration guarded at 24 vertices, graph has 29\n"
     )
+
+
+def test_check_base_c26(tmp_path, capsys):
+    # a positive block over the subset guard decides by decomposition
+    path = tmp_path / "c26.txt"
+    path.write_text(format_edge_list(cycle(26)))
+    code, out = run(capsys, "check", "base", str(path))
+    doc = json.loads(out)
+    assert code == 0 and (doc["status"], doc["delta"]) == ("gorenstein", 26)
+
+
+@pytest.mark.parametrize("kind", [2, 3, 4, "chain"])
+def test_certify_base_ladder_positives_in_polynomial_time(tmp_path, capsys, kind):
+    # about 200 vertices, the 201-vertex in-order chain among them: no
+    # subset table and one edge profile per block
+    G, delta, _ = ladder_positive(kind, 200, seed=200)
+    path = tmp_path / "ladder.txt"
+    path.write_text(format_edge_list(G))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "certify", "base", str(path))
+    assert time.perf_counter() - t0 < 1
+    doc = json.loads(out)
+    assert code == 0 and (doc["status"], doc["delta"]) == ("gorenstein", delta)
+    assert doc["input"]["vertices"] == G.n >= 200
 
 
 def test_stuck_decomposition_of_a_positive_exit5(files, capsys, monkeypatch):
     # K4 satisfies the good-flat equalities, so a stuck decomposition is not
     # a negative verdict but a contradiction
-    def stuck(G, delta):
+    def stuck(G, light, delta):
         raise InternalContradiction("stuck")
 
     monkeypatch.setattr(construct, "_step", stuck)
@@ -391,8 +415,8 @@ def test_certify_emits_a_deep_certificate(files, capsys, monkeypatch):
 
 
 def test_check_indep_long_cycle_exit2(tmp_path, capsys):
-    path = tmp_path / "c30.txt"
-    path.write_text(format_edge_list(cycle(30)))
+    path = tmp_path / "c30chord.txt"
+    path.write_text(format_edge_list(cycle_with_chord(30)))
     code = main(["check", "indep", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -509,6 +533,38 @@ def test_sweep_jobs_deterministic(files, capsys):
     _, out2 = run(capsys, "sweep", "--max-vertices", "4", "--kind", "base",
                   "--jobs", "2")
     assert json.loads(out1) == json.loads(out2)
+
+
+def test_sweep_starts_no_more_workers_than_it_can_use(capsys, monkeypatch):
+    # a process pool forks all its workers at the first submit, so --jobs is
+    # capped by the graphs to sweep and the CPUs, and one worker is no pool;
+    # the fake pool records its size and runs in process
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    argv = ["sweep", "--max-vertices", "4", "--kind", "base"]  # 5 graphs
+    _, want = run(capsys, *argv)
+    for cpus, jobs, made in [(64, 100000, [5]), (3, 100000, [3]), (1, 8, []), (None, 8, []),
+                             (64, 1, [])]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        code, out = run(capsys, *argv, "--jobs", str(jobs))
+        assert (code, out, sizes) == (0, want, made), (cpus, jobs)
 
 
 def test_sweep_guard(files, capsys):

@@ -1,10 +1,11 @@
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import complete, cycle
+from conftest import complete, cycle, ladder_positive
 from gorcheck import construct
 from gorcheck.baseck import base_verdict, check_spade, weight_function
 from gorcheck.construct import (
@@ -33,6 +34,7 @@ from gorcheck.errors import ConstructionError, InternalContradiction
 from gorcheck.graph import Multigraph, blow_up_factor, components, is_isomorphic
 from gorcheck.indepck import indep_verdict
 from gorcheck.smallgraphs import two_connected_graphs
+from ladder import in_order_chain, with_chord
 
 
 def test_replay_seeds():
@@ -163,17 +165,17 @@ def test_decompose_rejects_negative(c5_chord):
 
 def test_decompose_checks_the_subdivided_edge_weight(monkeypatch, k4_minus_e):
     # G5 is Subdivide-rooted: its 2-ear shrinks to the weight-1 edge of K4-e.
-    # The first weight lookup on that K4-e, the Subdivide check's before the
-    # child is split, misreports every edge as heavy.
+    # A low-link pass that finds no cut vertex in rest - v0 makes that edge
+    # contract to a 2-connected graph, so it reads as heavy.
     G5 = subdivide(k4_minus_e, 0, 3)
     assert decompose_base(G5, 3)[-1].op == "subdivide"
-    real = construct.weight_function
+    real = construct.low_link
 
-    def misreport_on_four_vertices(G, delta):
-        w = real(G, delta)
-        return {e: delta - 1 for e in w} if G.n == 4 else w
+    def no_cut_vertex_off_a_vertex(G, skip=None):
+        ll = real(G, skip)
+        return ll if skip is None else ll._replace(cut_vertices=frozenset())
 
-    monkeypatch.setattr(construct, "weight_function", misreport_on_four_vertices)
+    monkeypatch.setattr(construct, "low_link", no_cut_vertex_off_a_vertex)
     with pytest.raises(InternalContradiction, match="weight 2, not 1"):
         decompose_base(G5, 3)
 
@@ -237,23 +239,11 @@ def test_decompose_deep_collide_chain(monkeypatch):
     assert replay(cert) == rep
 
 
-def _in_order_chain(rounds):
-    """A delta=3 chain with in-order labels: C3, then `rounds` times glue a
-    triangle on the newest edge and subdivide the edge it was glued on;
-    3 + 2 * rounds vertices."""
-    edges = [(0, 1), (1, 2), (0, 2)]
-    a, b, n = 1, 2, 3
-    for _ in range(rounds):
-        edges.remove((a, b))
-        edges += [(a, n), (n, b), (a, n + 1), (n + 1, b)]
-        a, n = n + 1, n + 2
-    return Multigraph.build(range(n), edges)
-
-
 def test_decompose_does_not_recurse_along_a_deep_chain():
     # the decomposition is a loop over a work stack, so its depth does not
     # follow the input's: 50 frames above the caller's are enough at any size
-    G = _in_order_chain(49)
+    n, edges, _ = in_order_chain(49)
+    G = Multigraph.build(range(n), edges)
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
@@ -265,6 +255,55 @@ def test_decompose_does_not_recurse_along_a_deep_chain():
         sys.setrecursionlimit(limit)
     assert G.n == 101 and cert[-1].op == "subdivide"
     assert replay(cert).m == G.m
+
+
+def _decomposition_inputs():
+    """Simple graphs base_verdict decomposes: the atlas up to 7 vertices, the
+    simple graphs of the benchmark pools, and ladder positives up to 24
+    vertices, each with a one-chord negative; the ladder ones come with
+    their delta and weight-1 edges, the others with None."""
+    out = [(G, None) for G in two_connected_graphs(7, min_vertices=3)]
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+    for name in ("base-certify", "indep-certify", "oracle-xval"):
+        for item in json.loads((corpus / f"{name}.json").read_text())["items"]:
+            vertices, edges = item["graph"]
+            G = Multigraph.build(vertices, [tuple(e) for e in edges])
+            if G.is_simple():
+                out.append((G, None))
+    rng = random.Random(20261019)
+    for kind in (2, 3, 4, 5, "chain"):
+        for n in range(5, 25):
+            G, delta, light = ladder_positive(kind, n, seed=n)
+            if G.n <= 24:
+                out.append((G, (delta, light)))
+                chorded = with_chord(rng, list(G.vertices), [(u, v) for _, u, v in G.edges])
+                if chorded is not None:
+                    out.append((Multigraph.build(G.vertices, chorded), None))
+    return out
+
+
+def test_parts_inherit_their_weights(monkeypatch):
+    # a part's weight-1 edges come down from its parent, not from its own
+    # profile; at every part of every decomposition base_verdict runs, they
+    # are the ones weight_function reads off the part
+    real = construct._step
+    parts = []
+
+    def spy(G, light, delta):
+        if light is not None:
+            assert light == {e for e, w in weight_function(G, delta).items() if w == 1}, G.edges
+            parts.append(G.n == G.m)
+        return real(G, light, delta)
+
+    monkeypatch.setattr(construct, "_step", spy)
+    for G, built in _decomposition_inputs():
+        if built is not None:  # the ladder tracks the weights it builds with
+            delta, light = built
+            assert light == {e for e, w in weight_function(G, delta).items() if w == 1}
+            assert base_verdict(G).delta == delta
+        else:
+            base_verdict(G)
+    assert parts.count(False) > 700 and parts.count(True) > 1100  # non-cycle and cycle parts
 
 
 def _check_every_node(cert, delta):
@@ -366,7 +405,7 @@ def test_random_certificate_closure():
         delta = rng.randint(2, 5)
         cert = random_cert(rng, rng.randint(1, 3), delta)
         G = replay(cert)
-        while G.n > 14:  # good_flats walks all 2^n vertex subsets
+        while G.n > 40:  # keeps the run short
             cert = random_cert(rng, 1, delta)
             G = replay(cert)
         if rng.random() < 0.3:
@@ -376,10 +415,9 @@ def test_random_certificate_closure():
             H = replay(AttachCycle(m + 1, Seed("k2"), EdgeRef(0)))
             vi = indep_verdict(blow_up(H, m))
             assert vi.is_gorenstein and vi.delta == m + 1
-        if G.n <= 12:
-            v = base_verdict(G)
-            assert v.is_gorenstein and v.delta == delta, (cert, v.status)
-        else:
+        v = base_verdict(G)
+        assert v.is_gorenstein and v.delta == delta, (cert, v.status)
+        if G.n <= 14:  # good_flats walks all 2^n vertex subsets
             assert check_spade(G, delta) is None
         checked += 1
     assert checked == 200

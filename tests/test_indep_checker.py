@@ -4,7 +4,7 @@ import time
 import networkx as nx
 import pytest
 
-from conftest import complete, cycle
+from conftest import complete, cycle, cycle_with_chord
 from gorcheck import indepck
 from gorcheck.baseck import Witness
 from gorcheck.construct import (
@@ -109,26 +109,28 @@ def test_indep_verdict_bridges():
 
 
 def test_indep_verdict_guards_the_chordless_cycle_walk():
-    # C30 passes the K4-minor test, so its witness search reaches the 2^n
-    # subset tables behind induced_cycles; the subset guard stops it before
-    # any table is built
+    # C30 plus a chord passes the K4-minor test and is no cycle block, so its
+    # witness search reaches the 2^n subset tables behind induced_cycles;
+    # the subset guard stops it before any table is built
     t0 = time.perf_counter()
     with pytest.raises(GuardExceeded, match="guarded at 24 vertices, graph has 30"):
-        indep_verdict(cycle(30))
+        indep_verdict(cycle_with_chord(30))
     assert time.perf_counter() - t0 < 1
 
 
 def test_chordless_cycle_witness_reaches_the_subset_guard():
-    # the witness search answers up to the 24-vertex subset guard: C22's one
-    # chordless cycle is all of it, of length 22 where delta + 1 = 3
-    t0 = time.perf_counter()
-    witness = indep_verdict(cycle(22)).witness
-    assert time.perf_counter() - t0 < 1
-    assert witness == Witness("wrong_chordless_cycle", lhs=22, rhs=3)
+    # a cycle block is its one chordless cycle, at any length and blown up,
+    # of length n where delta + 1 = m + 2; other blocks answer up to the
+    # 24-vertex subset guard
+    for n, m in [(22, 1), (50, 1), (400, 1), (40, 2)]:
+        t0 = time.perf_counter()
+        witness = indep_verdict(blow_up(cycle(n), m)).witness
+        assert time.perf_counter() - t0 < 1, n
+        assert witness == Witness("wrong_chordless_cycle", lhs=n, rhs=m + 2)
     with pytest.raises(
         GuardExceeded, match=r"^subset enumeration guarded at 24 vertices, graph has 25$"
     ):
-        indep_verdict(cycle(25))
+        indep_verdict(cycle_with_chord(25))
 
 
 def test_simple_gorenstein_only_at_two(c3):

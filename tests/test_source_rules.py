@@ -170,7 +170,7 @@ def test_one_subset_kernel():
         for node in ast.walk(fn)
         if isinstance(node, ast.Constant) and "subset enumeration" in str(node.value)
     ]
-    assert holders == ["graph.py:check_subset_guard"]
+    assert holders == ["graph.py:_subset_kernel"]
 
 
 def test_a_multigraph_is_its_vertices_and_edges():
