@@ -7,11 +7,18 @@ repr are flat tuple operations at any depth.  Replay is deterministic:
 every node's output uses canonical integer vertex labels and re-assigned edge
 ids, so an edge reference (id plus orientation flag) inside a node always
 refers to the replayed child, keeping certificates self-contained.
+
+A node's replay state is (n, pairs): vertices 0..n-1 and the sorted list
+of its edges as (low, high) pairs, an edge's id being its index there.
+Each state is used once, by its parent: Subdivide and AttachCycle extend
+their child's list in place, with bisect, and a Multigraph is built only
+for the root.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from typing import NamedTuple, Optional
 
 from .baseck import check_spade, weight_function
@@ -93,43 +100,50 @@ def BlowUp(child: tuple, m: int) -> tuple:
 # -- replay ------------------------------------------------------------------
 
 
-def _finish(n: int, pairs) -> Multigraph:
-    """The graph on 0..n-1 with the given pairs, each as (low, high), sorted
-    and numbered 0..m-1: edge ids depend only on the edge multiset."""
-    return Multigraph.build(range(n), sorted((a, b) if a <= b else (b, a) for a, b in pairs))
+def _graph(n: int, pairs: list) -> Multigraph:
+    """The replayed graph of a replay state: vertices 0..n-1, edge i = pairs[i]."""
+    return Multigraph(tuple(range(n)), tuple((i, a, b) for i, (a, b) in enumerate(pairs)))
 
 
-def _oriented(G: Multigraph, ref: EdgeRef):
-    if ref.edge_id not in G.edge_by_id:
+def _sorted_pairs(pairs) -> list:
+    return sorted((a, b) if a <= b else (b, a) for a, b in pairs)
+
+
+def _oriented(state, ref: EdgeRef):
+    pairs = state[1]
+    if not 0 <= ref.edge_id < len(pairs):
         raise ConstructionError(f"certificate references missing edge {ref.edge_id}")
-    u, v = G.endpoints(ref.edge_id)
+    u, v = pairs[ref.edge_id]
     return (v, u) if ref.flipped else (u, v)
 
 
-def _merge_along(graphs, oriented_edges, drop_merged_edge: bool):
+def _merge_along(states, oriented_edges, drop_merged_edge: bool):
     """Disjoint union with one oriented edge per part identified into a single edge.
 
     The parts' other vertices are numbered part by part, each part's in
     increasing order, and the identified ends u, v become n-2 and n-1.
-    Returns (graph, embeddings) where embeddings[i] maps part i's vertex
+    Returns (state, embeddings) where embeddings[i] maps part i's vertex
     labels into the result.
     """
     embeddings, n = [], 0
-    for g, (_, u, v) in zip(graphs, oriented_edges):
-        others = [x for x in range(g.n) if x != u and x != v]
+    for (size, _), (_, u, v) in zip(states, oriented_edges):
+        others = [x for x in range(size) if x != u and x != v]
         embeddings.append(dict(zip(others, range(n, n + len(others)))))
         n += len(others)
     pairs = [] if drop_merged_edge else [(n, n + 1)]
-    for g, emb, (eid, u, v) in zip(graphs, embeddings, oriented_edges):
+    for (_, part), emb, (eid, u, v) in zip(states, embeddings, oriented_edges):
         emb[u], emb[v] = n, n + 1
-        pairs += [(emb[a], emb[b]) for e, a, b in g.edges if e != eid]
-    return _finish(n + 2, pairs), embeddings
+        pairs += [(emb[a], emb[b]) for e, (a, b) in enumerate(part) if e != eid]
+    return (n + 2, _sorted_pairs(pairs)), embeddings
 
 
 def replay_step(node: Node, reps: list):
-    """Replay one node from its replayed children, each labelled 0..n-1 as
-    its output is; returns (graph, child embedding maps).  A one-child step
-    numbers its new vertices after its child's, so it embeds by the identity."""
+    """Replay one node from its children's replay states, (n, sorted
+    pairs) each, so edge ids depend only on the edge multiset; returns
+    (state, child embedding maps).  A one-child step keeps its child's
+    labels and numbers its new vertices after them: it embeds by the
+    identity and returns None for the maps.  Subdivide and AttachCycle
+    extend the child's pair list in place, so a child is used once."""
     op = node.op
     if op == "seed":
         if node.seed == "cycle":
@@ -142,7 +156,7 @@ def replay_step(node: Node, reps: list):
             n, pairs = 2, [(0, 1)]
         else:
             raise ConstructionError(f"unknown seed kind {node.seed!r}")
-        return _finish(n, pairs), []
+        return (n, _sorted_pairs(pairs)), []
 
     if op in ("glue", "collide"):
         is_glue = op == "glue"
@@ -150,17 +164,16 @@ def replay_step(node: Node, reps: list):
         if len(reps) != want or len(node.refs) != want:
             what = f"glue at delta={node.delta}" if is_glue else "collide"
             raise ConstructionError(f"{what} needs exactly {want} children")
-        oriented = [(r.edge_id,) + _oriented(g, r) for g, r in zip(reps, node.refs)]
+        oriented = [(r.edge_id,) + _oriented(st, r) for st, r in zip(reps, node.refs)]
         return _merge_along(reps, oriented, drop_merged_edge=not is_glue)
 
     if op not in ("subdivide", "attach_cycle", "blow_up"):
         raise ConstructionError(f"unknown certificate op {op!r}")
-    (rep,) = reps
-    identity = [{x: x for x in rep.vertices}]
+    ((n, pairs),) = reps
     if op == "blow_up":
         if node.m < 1:
             raise ConstructionError("blow-up multiplicity must be >= 1")
-        return _finish(rep.n, [(a, b) for _, a, b in rep.edges for _ in range(node.m)]), identity
+        return (n, [p for p in pairs for _ in range(node.m)]), None
 
     # Subdivide replaces the referenced edge by a path of delta-1 edges (the
     # identity at delta=2); AttachCycle adds a path of delta edges beside it
@@ -168,24 +181,30 @@ def replay_step(node: Node, reps: list):
     if node.delta < 2:
         raise ConstructionError(f"{'attach_cycle' if attach else 'subdivide'} needs delta >= 2")
     (ref,) = node.refs
-    u, v = _oriented(rep, ref)
-    chain = [u, *range(rep.n, rep.n + node.delta - 2 + attach), v]
-    pairs = [(a, b) for e, a, b in rep.edges if attach or e != ref.edge_id]
-    pairs.extend(zip(chain, chain[1:]))
-    return _finish(rep.n + len(chain) - 2, pairs), identity
+    u, v = _oriented(reps[0], ref)
+    chain = [u, *range(n, n + node.delta - 2 + attach), v]
+    if not attach:
+        del pairs[ref.edge_id]
+    for a, b in zip(chain, chain[1:]):
+        insort(pairs, (a, b) if a <= b else (b, a))
+    return (n + len(chain) - 2, pairs), None
 
 
 def replay_detail(cert: tuple):
     """Replay a certificate; returns (graph, child embedding maps) of its root.
 
-    One forward pass over the nodes: a child's replayed graph is dropped
-    once its parent has used it, so a chain holds one graph at a time.
+    One forward pass over the nodes: a child's replay state is dropped
+    once its parent has used it, so a chain holds one state at a time, and
+    the graph is built once, at the root.
     """
-    pending = {}  # node index -> replayed graph no parent has used yet
+    pending = {}  # node index -> replay state no parent has used yet
     for i, node in enumerate(cert):
-        result = replay_step(node, [pending.pop(k) for k in node.children])
-        pending[i] = result[0]
-    return result
+        kids = [pending.pop(k) for k in node.children]
+        state, embeds = replay_step(node, kids)
+        pending[i] = state
+    if embeds is None:
+        embeds = [{x: x for x in range(kids[0][0])}]
+    return _graph(*state), embeds
 
 
 def replay(cert: tuple) -> Multigraph:
@@ -275,14 +294,24 @@ def blow_up(H: Multigraph, m: int) -> Multigraph:
 
 
 def _forward(graphs, step: Node) -> Multigraph:
-    """Replay one step on the graphs relabelled to replay labels: 0..n-1 in
-    sorted_vertices order, edge ids kept.  The step names no children, since
-    replay_step reads only the replayed ones."""
-    reps = []
-    for G in graphs:
+    """Replay one step on the graphs relabelled to replay labels, 0..n-1 in
+    sorted_vertices order: each graph's pairs sorted, and each ref, an
+    unflipped input edge id, moved to its edge's rank there, flipped when
+    the edge's stored ends run high to low.  The step names no children,
+    since replay_step reads only the replayed ones."""
+    reps, refs = [], list(step.refs)
+    for k, G in enumerate(graphs):
         lab = {x: i for i, x in enumerate(G.sorted_vertices)}
-        reps.append(Multigraph(tuple(range(G.n)), tuple((e, lab[u], lab[v]) for e, u, v in G.edges)))
-    return replay_step(step, reps)[0]
+        ranked = sorted(
+            (min(lab[u], lab[v]), max(lab[u], lab[v]), eid, lab[u] > lab[v]) for eid, u, v in G.edges
+        )
+        reps.append((G.n, [(a, b) for a, b, _, _ in ranked]))
+        if refs:
+            rank = {eid: (i, flip) for i, (_, _, eid, flip) in enumerate(ranked)}
+            if refs[k].edge_id not in rank:
+                raise ConstructionError(f"certificate references missing edge {refs[k].edge_id}")
+            refs[k] = EdgeRef(*rank[refs[k].edge_id])
+    return _graph(*replay_step(step._replace(refs=tuple(refs)), reps)[0])
 
 
 # -- decomposition (inverse construction) ------------------------------------
@@ -299,12 +328,14 @@ class Step(NamedTuple):
     new: tuple = ()  # a seed's vertices, or a new path's inner ones, in replay-label order
 
 
-def _edge_ref(rep: Multigraph, a, b) -> EdgeRef:
-    """Reference to the edge ab of a replayed child, oriented from a to b."""
-    eid = rep.edge_between(a, b)
-    if eid is None:
+def _edge_ref(state, a, b) -> EdgeRef:
+    """Reference to the edge ab of a replayed child, oriented from a to b:
+    the first of its copies in the child's sorted pairs."""
+    pairs, pair = state[1], (a, b) if a <= b else (b, a)
+    eid = bisect_left(pairs, pair)
+    if eid == len(pairs) or pairs[eid] != pair:
         raise InternalContradiction("replayed child lost a referenced edge")
-    return EdgeRef(eid, flipped=rep.endpoints(eid)[0] != a)
+    return EdgeRef(eid, flipped=a > b)
 
 
 def _step(G: Multigraph, light, delta: int):
@@ -415,29 +446,31 @@ def build(steps) -> tuple:
 
     One replay_step per node fills in its children and refs, and the map
     from the input's vertices to replay labels is composed as it goes.  A
-    step with at most one child keeps its child's labels and numbers its
-    new vertices after them, so the child's map is extended in place; the
-    caller's check_vertex_map proves the composed map.
+    node's replay state (replay_step's (n, sorted pairs)) is used once, by
+    its parent, which may extend it in place; the graph is built once, at
+    the root.  A step with at most one child keeps its child's labels and
+    numbers its new vertices after them, so the child's map is extended in
+    place; the caller's check_vertex_map proves the composed map.
     """
-    nodes, pending = [], []  # (index, map, replay) of each node no parent has taken yet
+    nodes, pending = [], []  # (index, map, state) of each node no parent has taken yet
     for step in steps:
         kids = pending[len(pending) - step.arity:]
         del pending[len(pending) - step.arity:]
         refs = ()
         if step.ends:
             a, b = step.ends
-            refs = tuple(_edge_ref(r, vm[a], vm[b]) for _, vm, r in kids)
+            refs = tuple(_edge_ref(st, vm[a], vm[b]) for _, vm, st in kids)
         node = step.node._replace(children=tuple(i for i, _, _ in kids), refs=refs)
-        rep, embeds = replay_step(node, [r for _, _, r in kids])
+        state, embeds = replay_step(node, [st for _, _, st in kids])
         if len(kids) > 1:
             vmap = {x: emb[y] for (_, vm, _), emb in zip(kids, embeds) for x, y in vm.items()}
         else:
-            vmap, base = (kids[0][1], kids[0][2].n) if kids else ({}, 0)
+            vmap, base = (kids[0][1], kids[0][2][0]) if kids else ({}, 0)
             vmap.update((x, base + j) for j, x in enumerate(step.new))
-        pending.append((len(nodes), vmap, rep))
+        pending.append((len(nodes), vmap, state))
         nodes.append(node)
-    ((_, vmap, rep),) = pending
-    return tuple(nodes), vmap, rep
+    ((_, vmap, state),) = pending
+    return tuple(nodes), vmap, _graph(*state)
 
 
 def check_vertex_map(G: Multigraph, vmap: dict, rep: Multigraph) -> None:

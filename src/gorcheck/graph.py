@@ -521,38 +521,35 @@ def induced_cycles(G: Multigraph) -> list:
 
 
 def _sp_reducible(block: Multigraph) -> bool:
-    """Series-parallel reduction of a single block down to K2 (or smaller)."""
-    # edge multiset keyed by endpoint pair; loops dropped immediately
-    count: dict = {}
+    """Series-parallel reduction of a single block down to K2 (or smaller).
+
+    A worklist of the vertices of degree at most 2: each is deleted, and one
+    of degree 2 joins its two neighbours by an edge (parallel classes merge,
+    loops drop).  No reduction raises a degree, so a queued vertex stays
+    reducible until it is taken, and a reduction queues each neighbour it
+    leaves at degree 2 or less.  The order does not change the answer: both reductions take minors, so a K4-minor-free graph stays
+    one and always has a vertex of degree at most 2, and a K4 minor (a K4
+    subdivision, as K4 is cubic) survives every reduction.
+    """
+    adj = {v: set() for v in block.vertices}
     for _, u, v in block.edges:
         if u != v:
-            count[frozenset((u, v))] = 1  # parallel classes merge on entry
-    verts = set(block.vertices)
-    changed = True
-    while changed:
-        changed = False
-        deg: dict = {v: 0 for v in verts}
-        for pair in count:
-            for v in pair:
-                deg[v] += 1
-        for v in sorted(verts, key=label_key):
-            if deg[v] <= 1:
-                for pair in [p for p in count if v in p]:
-                    del count[pair]
-                verts.discard(v)
-                changed = True
-                break
-            if deg[v] == 2:
-                a, b = sorted((x for p in count if v in p for x in p if x != v),
-                              key=label_key)
-                for pair in [p for p in count if v in p]:
-                    del count[pair]
-                verts.discard(v)
-                if a != b:
-                    count[frozenset((a, b))] = 1
-                changed = True
-                break
-    return len(verts) <= 2
+            adj[u].add(v)
+            adj[v].add(u)
+    work = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while work:
+        v = work.pop()
+        if v not in adj:
+            continue
+        nbrs = adj.pop(v)
+        for w in nbrs:
+            adj[w].discard(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+        work += (w for w in nbrs if len(adj[w]) <= 2)
+    return len(adj) <= 2
 
 
 def is_k4_minor_free(G: Multigraph) -> bool:

@@ -11,6 +11,7 @@ characterizations, kept for the sweeps and the tests.
 
 from __future__ import annotations
 
+import heapq
 from typing import NamedTuple, Optional
 
 from .baseck import Witness
@@ -21,10 +22,10 @@ from .graph import (
     Multigraph,
     blocks,
     blow_up_factor,
-    ears,
     induced_cycles,
     is_k4_minor_free,
     is_two_connected,
+    label_key,
     normalize,
 )
 
@@ -95,36 +96,71 @@ def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[tuple]:
     is built forward from K2, one replay step per attached path, together
     with the map V(H) -> replay labels, which is checked exactly (bijection,
     edge multiset) before returning.
+
+    The peel runs on a mutable adjacency, each vertex's neighbours in H's
+    adjacency order, with a heap of the removable runs.  A run's key is its
+    path's label-key tuple read from its smaller end, which is the key the
+    sorted ear list of graph.ears orders by, so the heap's least current run
+    is the first removable ear of that list: each step takes the ear a full
+    rescan would take.  A run stays current while its inner vertices keep
+    degree 2 and its ends do not: a peel changes only its own ends' degrees,
+    so the runs it makes pass through an end that drops to degree 2, and
+    only those are walked and pushed.
     """
     _require_simple_block(H)
     if delta < 2:
         raise ValueError("delta must be >= 2")
+    adj = {v: dict.fromkeys(w for _, w in H.adjacency[v]) for v in H.vertices}
+
+    def run_through(x):
+        """Key of the maximal run of degree-2 vertices through x if it has
+        delta-1 inner vertices and adjacent ends, else None."""
+        sides = []
+        for cur in adj[x]:  # walk each way, at most delta steps
+            prev, side = x, []
+            while len(adj[cur]) == 2 and len(side) < delta:
+                side.append(cur)
+                prev, cur = cur, next(w for w in adj[cur] if w != prev)
+            sides.append((side, cur))
+        (left, a), (right, b) = sides
+        inner = [*reversed(left), x, *right]
+        if len(inner) != delta - 1 or len(adj[a]) == 2 or len(adj[b]) == 2 or b not in adj[a]:
+            return None  # too long, a cycle, or ends that are not adjacent
+        key = tuple(map(label_key, (a, *inner, b)))
+        return min(key, key[::-1])
+
+    heap = [key for key in map(run_through, (v for v in adj if len(adj[v]) == 2)) if key]
+    heapq.heapify(heap)
     peeled = []  # ear paths (u, inner..., v) in peel order: last attached first
-    G = H
-    while not (G.n == 2 and G.m == 1):
-        scan = ears(G)
-        if scan.is_cycle:
-            if G.n != delta + 1:
+    n, m = H.n, H.m
+    while not (n == 2 and m == 1):
+        if n == m:  # a cycle: G stays 2-connected
+            if n != delta + 1:
                 return None
             # walk the whole cycle: its two ends are adjacent
-            path = [G.sorted_vertices[0]]
-            while len(path) < G.n:
-                path.append(next(w for _, w in G.adjacency[path[-1]] if w not in path[-2:]))
+            path = [min(adj, key=label_key)]
+            while len(path) < n:
+                path.append(next(w for w in adj[path[-1]] if w not in path[-2:]))
         else:
-            path = next(
-                (
-                    e.path for e in scan.ears
-                    if e.length == delta and G.has_edge(e.path[0], e.path[-1])
-                ),
-                None,
-            )
-            if path is None:
+            while heap:
+                path = [k[1] for k in heapq.heappop(heap)]
+                current = all(len(adj.get(x, ())) == 2 for x in path[1:-1])
+                if current and len(adj[path[0]]) != 2 and len(adj[path[-1]]) != 2:
+                    break
+            else:
                 return None
         peeled.append(path)
-        G = G.without_vertices(path[1:-1])
+        for x in path[1:-1]:
+            for w in adj.pop(x):
+                del adj[w][x]
+        n, m = n - len(path) + 2, m - len(path) + 1
+        for end in (path[0], path[-1]):
+            key = run_through(end) if len(adj[end]) == 2 else None
+            if key:
+                heapq.heappush(heap, key)
 
     # build replays it forward from K2, one attach_cycle step per peeled path
-    steps = [Step(Node("seed", seed="k2"), new=G.sorted_vertices)]
+    steps = [Step(Node("seed", seed="k2"), new=tuple(sorted(adj, key=label_key)))]
     steps += [
         Step(Node("attach_cycle", delta=delta), 1, (path[0], path[-1]), path[1:-1])
         for path in reversed(peeled)

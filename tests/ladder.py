@@ -1,10 +1,11 @@
-"""Seeded base-polytope positives of any size, with their weights tracked.
+"""Seeded base- and independence-polytope positives of any size.
 
 Nothing here imports gorcheck: each positive is built by the paper's
 constructions, so the delta it was built for and its weight-1 ("light")
 edges follow from the construction theorems alone, with no 2-connectivity
 test.  The tests compare the checkers with them; BENCH_20.json times
-`gorcheck certify base` on them.
+`gorcheck certify base` on them, and BENCH_21.json `indep_verdict` on the
+attach-cycle trees.
 
 A positive is (vertices, edges, delta, light): vertex labels, a list of
 (u, v) pairs and the indexes of its light edges in that list.  Three kinds:
@@ -14,10 +15,14 @@ A positive is (vertices, edges, delta, light): vertex labels, a list of
 - delta = 2: a chain of K4s joined by Collide, every edge light
 - "chain": the in-order delta = 3 chain, labels and edge order unshuffled
 
+An independence positive (kind "attach<delta>", delta >= 2) is the
+(delta-1)-fold blow-up of an attach-cycle tree: K2, then paths of delta
+edges attached to random edges, relabelled at random.
+
     python tests/ladder.py KIND N [SEED]
 
-prints the positive of KIND (2, 3, 4, ... or chain) with about N vertices
-as an edge list.
+prints the positive of KIND (2, 3, 4, ..., chain, or attach2, attach3, ...)
+with about N vertices as an edge list.
 """
 
 from __future__ import annotations
@@ -99,6 +104,29 @@ def positive(kind, n: int, seed: int = 0):
     return vertices, edges, kind, light
 
 
+def attach_tree(rng, delta: int, n: int):
+    """(n', edges) for an independence positive: K2, then a path of delta
+    edges between the ends of a random edge until there are n' >= n
+    vertices."""
+    edges, size = [(0, 1)], 2
+    while size < n:
+        u, v = rng.choice(edges)
+        path = [u, *range(size, size + delta - 1), v]
+        edges += list(zip(path, path[1:]))
+        size += delta - 1
+    return size, edges
+
+
+def attach_positive(delta: int, n: int, seed: int = 0):
+    """(vertices, edges, delta): the (delta-1)-fold blow-up of an
+    attach-cycle tree with about n vertices, whose independence polytope is
+    Gorenstein at delta."""
+    rng = random.Random(seed)
+    size, edges = attach_tree(rng, delta, n)
+    vertices, edges, _ = relabel(rng, size, [e for e in edges for _ in range(delta - 1)], set())
+    return vertices, edges, delta
+
+
 def with_chord(rng, vertices, edges):
     """edges plus one edge between two non-adjacent vertices, or None."""
     present = {frozenset(e) for e in edges}
@@ -112,5 +140,8 @@ def with_chord(rng, vertices, edges):
 if __name__ == "__main__":
     kind, n = sys.argv[1], int(sys.argv[2])
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
-    _, edges, _, _ = positive(kind if kind == "chain" else int(kind), n, seed)
+    if kind.startswith("attach"):
+        _, edges, _ = attach_positive(int(kind[len("attach"):]), n, seed)
+    else:
+        _, edges, _, _ = positive(kind if kind == "chain" else int(kind), n, seed)
     sys.stdout.write("".join(f"{u} {v}\n" for u, v in edges))

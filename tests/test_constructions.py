@@ -194,15 +194,13 @@ def _collide_chain(rng, levels):
     """A delta=2 chain: K4, then `levels` Collide steps each adding a K4 on a
     random edge; 4 + 2 * levels vertices, relabelled at random."""
     k4 = Seed("k4")
-    cert, rep = k4, replay(k4)
+    cert, m = k4, 6
     for _ in range(levels):
-        kids = [(cert, rep), (k4, replay(k4))]
+        kids = [(cert, m), (k4, 6)]
         rng.shuffle(kids)
-        refs = tuple(
-            EdgeRef(rng.choice(sorted(r.edge_by_id)), rng.random() < 0.5) for _, r in kids
-        )
-        cert = Collide(tuple(c for c, _ in kids), refs)
-        rep = construct.replay_step(cert[-1], [r for _, r in kids])[0]
+        refs = tuple(EdgeRef(rng.choice(range(size)), rng.random() < 0.5) for _, size in kids)
+        cert, m = Collide(tuple(c for c, _ in kids), refs), m + 4
+    rep = replay(cert)
     labels = list(range(rep.n))
     rng.shuffle(labels)
     return Multigraph.build(labels, [(labels[u], labels[v]) for _, u, v in rep.edges])
@@ -313,8 +311,8 @@ def _check_every_node(cert, delta):
     good-flat check at all; it checks the step hypotheses the paper's
     construction theorems need, so this oracle checks the theorems too."""
     reps = []  # replayed graph of every node, in certificate order
-    for node in cert:
-        reps.append(construct.replay_step(node, [reps[k] for k in node.children])[0])
+    for i, node in enumerate(cert):
+        reps.append(replay(cert[: i + 1]))  # node i is the last one replayed
         d = 2 if node.op == "collide" else delta
         for k, ref in zip(node.children, node.refs):
             assert check_spade(reps[k], d) is None, (node, cert[k])
@@ -464,9 +462,9 @@ def test_deep_certificate_roundtrip():
 
 
 def test_replay_deep_chain():
-    # a 1,200-deep AttachCycle chain, far past the recursion limit
-    G = replay(_attach_chain(1200))
-    assert (G.n, G.m) == (2 + 1200, 1 + 2 * 1200)
+    # a 10,000-deep AttachCycle chain, far past the recursion limit
+    G = replay(_attach_chain(10_000))
+    assert (G.n, G.m) == (2 + 10_000, 1 + 2 * 10_000)
 
 
 K2 = {"op": "seed", "seed": "k2"}

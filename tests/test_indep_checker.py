@@ -11,14 +11,18 @@ from gorcheck.construct import (
     AttachCycle,
     BlowUp,
     EdgeRef,
+    Node,
     Seed,
+    Step,
     blow_up,
+    build,
+    check_vertex_map,
     replay,
     replay_detail,
     replay_matches,
 )
 from gorcheck.errors import GuardExceeded, InternalContradiction
-from gorcheck.graph import Multigraph, induced_cycles, is_two_connected, label_key
+from gorcheck.graph import Multigraph, ears, induced_cycles, is_two_connected, label_key
 from gorcheck.indepck import (
     check_chordal_k4free,
     check_club,
@@ -26,6 +30,7 @@ from gorcheck.indepck import (
     recognize_cycle_construction,
 )
 from gorcheck.smallgraphs import two_connected_graphs
+from ladder import attach_positive
 
 
 def test_check_club_examples(k4_minus_e, c4, c3):
@@ -206,6 +211,42 @@ def _recognize_by_backtracking(H, delta):
     return got[0] if got is not None else None
 
 
+def _recognize_by_rescan(H, delta):
+    """Reference peel: rescan every ear with graph.ears after each step and
+    take the first removable one of the sorted list, on a new graph each
+    time; the certificate is built and checked as the checker builds it."""
+    peeled = []
+    G = H
+    while not (G.n == 2 and G.m == 1):
+        scan = ears(G)
+        if scan.is_cycle:
+            if G.n != delta + 1:
+                return None
+            path = [G.sorted_vertices[0]]
+            while len(path) < G.n:
+                path.append(next(w for _, w in G.adjacency[path[-1]] if w not in path[-2:]))
+        else:
+            path = next(
+                (
+                    e.path for e in scan.ears
+                    if e.length == delta and G.has_edge(e.path[0], e.path[-1])
+                ),
+                None,
+            )
+            if path is None:
+                return None
+        peeled.append(path)
+        G = G.without_vertices(path[1:-1])
+    steps = [Step(Node("seed", seed="k2"), new=G.sorted_vertices)]
+    steps += [
+        Step(Node("attach_cycle", delta=delta), 1, (path[0], path[-1]), path[1:-1])
+        for path in reversed(peeled)
+    ]
+    cert, vmap, rep = build(steps)
+    check_vertex_map(H, vmap, rep)
+    return cert
+
+
 def _random_attach_chain(rng, delta, steps):
     """K2 plus `steps` (delta+1)-cycles attached to random edges.
 
@@ -304,3 +345,42 @@ def test_indep_verdict_witness_comes_from_chordal_check(k4, monkeypatch):
     monkeypatch.setattr(indepck, "check_chordal_k4free", lambda H, delta: None)
     with pytest.raises(InternalContradiction):
         indep_verdict(k4)
+
+
+def test_peel_matches_the_rescan():
+    # the worklist peel takes the ear a full rescan takes at every step, so
+    # the certificates are equal, not only both present: every 2-connected
+    # graph up to 7 vertices at delta = 2..8, random chains up to 148 steps
+    # and each with one chord (never constructible)
+    for H in two_connected_graphs(7):
+        for delta in range(2, 9):
+            assert recognize_cycle_construction(H, delta) == _recognize_by_rescan(H, delta)
+    rng = random.Random(20261021)
+    for _ in range(60):
+        delta = rng.randint(2, 6)
+        H = _random_attach_chain(rng, delta, rng.randint(1, 148 // (delta - 1)))
+        for G in (H, _with_random_chord(rng, H)):
+            if G is not None:
+                got = recognize_cycle_construction(G, delta)
+                assert got == _recognize_by_rescan(G, delta), (delta, G.edges)
+                assert (got is None) == (G is not H)
+
+
+def test_attach_tree_of_5000_vertices(monkeypatch):
+    # a 5,000-vertex delta = 2 ladder positive answers Gorenstein, and its
+    # certificate's vertex map is checked exactly against the block
+    vertices, edges, _ = attach_positive(2, 5000, seed=5000)
+    G = Multigraph.build(vertices, edges)
+    checked = []
+    real = indepck.check_vertex_map
+
+    def spy(H, vmap, rep):
+        real(H, vmap, rep)
+        checked.append(rep)
+
+    monkeypatch.setattr(indepck, "check_vertex_map", spy)
+    v = indep_verdict(G)
+    assert (v.status, v.delta, v.multiplicity) == ("gorenstein", 2, 1)
+    ((cert,), (rep,)) = v.certificates, checked
+    assert (rep.n, rep.m) == (G.n, G.m) == (5000, 1 + 2 * 4998)
+    assert replay(cert) == rep

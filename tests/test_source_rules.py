@@ -173,6 +173,14 @@ def test_one_subset_kernel():
     assert holders == ["graph.py:_subset_kernel"]
 
 
+def test_the_peel_rescans_no_ears():
+    # recognize_cycle_construction peels on one mutable adjacency with a
+    # heap of removable runs; a call to graph.ears or a graph copy per step
+    # makes it quadratic again
+    tree = ast.parse((PACKAGE / "indepck.py").read_text(), filename="indepck.py")
+    assert _names(tree) & {"ears", "without_vertices"} == set()
+
+
 def test_a_multigraph_is_its_vertices_and_edges():
     # equality and hashing do not depend on how a graph was made: contracting
     # a triangle to a point leaves no trace of the loop it dropped
