@@ -208,6 +208,13 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
     the one place a block over SUBSET_GUARD_VERTICES raises GuardExceeded.
     A positive wins at its smallest common delta: a block built at delta >=
     3 has at least |V| heavy edges, so 2 is no candidate and it has one.
+
+    delta = 2 is tried first, before any block's edge profile: 2 is a
+    candidate of a non-K2 block exactly when m = 2(n-1), so when every
+    non-K2 block has that count, 2 is the least common candidate and the
+    loop would try it first anyway.  The Collide peel decides it without a
+    profile, and only a block it fails sends the verdict on to the
+    candidate sets and the deltas above 2, with the first witness kept.
     """
     from .construct import Seed, decompose  # construct imports this module
 
@@ -217,22 +224,32 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
             "base checker requires a simple graph; use the oracle for multigraphs"
         )
     blks = blocks(G)
-    candidates = [candidate_deltas(b) for b in blks]
-    real = [c for c in candidates if not isinstance(c, AllDeltas)]
-    if not real:
+    big = [b for b in blks if b.n > 2]
+    if not big:
         return BaseVerdict("gorenstein", None, certificates=(Seed("k2"),) * len(blks))
-    common = frozenset.intersection(*real)
-    if not common:
-        return BaseVerdict("not_gorenstein", None, Witness("no_candidate_delta"))
-    first_witness = None
-    for delta in sorted(common):
+
+    def certificates_at(delta):
+        """(the blocks' certificates, None) at delta, or (None, the first
+        stuck block's witness)."""
         certs = []
         for b in blks:
             cert, witness = (Seed("k2"), None) if b.n == 2 else decompose(b, delta)
             if witness is not None:
-                first_witness = first_witness or witness
-                break
+                return None, witness
             certs.append(cert)
-        else:
-            return BaseVerdict("gorenstein", delta, certificates=tuple(certs))
+        return tuple(certs), None
+
+    first_witness = None
+    if all(b.m == 2 * (b.n - 1) for b in big):
+        certs, first_witness = certificates_at(2)
+        if first_witness is None:
+            return BaseVerdict("gorenstein", 2, certificates=certs)
+    common = frozenset.intersection(*map(candidate_deltas, big))
+    if not common:
+        return BaseVerdict("not_gorenstein", None, Witness("no_candidate_delta"))
+    for delta in sorted(common - {2}):  # 2 is common only if it was tried
+        certs, witness = certificates_at(delta)
+        if witness is None:
+            return BaseVerdict("gorenstein", delta, certificates=certs)
+        first_witness = first_witness or witness
     return BaseVerdict("not_gorenstein", None, first_witness)

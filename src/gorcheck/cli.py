@@ -145,6 +145,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # normality_probe raises the same, but only after the polytope, its
+    # facets, the Gorenstein search and h* are built
+    if args.normality is not None and args.normality < 2:
+        raise ValueError("kmax must be >= 2")
     from .oracle import FACET_VERTEX_GUARD, gorenstein_search, hstar, normality_probe, polytope_of
 
     G = _load_graph(args.file)

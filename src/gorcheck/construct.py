@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
+from collections import deque
 from typing import NamedTuple, Optional
 
 from .baseck import check_spade, weight_function
@@ -338,17 +339,75 @@ def _edge_ref(state, a, b) -> EdgeRef:
     return EdgeRef(eid, flipped=a > b)
 
 
+def _collide_peel(G: Multigraph) -> list:
+    """The steps of G's decomposition at delta = 2, in the post-order build
+    wants, by peeling Collides off; InternalContradiction when the peel
+    stops short of K4.
+
+    A peel takes two adjacent vertices x, y of degree 3 whose other
+    neighbours are the same two vertices u, v, with u and v not adjacent;
+    it deletes x and y and adds the edge uv.  {u, v} is a separating pair,
+    one of its components being {x, y}, so a peel is a split at that pair
+    into the parts G[x, y, u, v] + uv, which is K4, and G - {x, y} + uv: G
+    is their Collide along uv.  The peel stops when no such pair is left
+    (K4 has none), and G decomposes when four vertices remain and they form
+    K4; a peel keeps m - 2(n-1), so that takes m = 2(n-1).  The certificate
+    is the peel order read backwards: a K4 seed for the four, then per peel
+    a K4 seed on x, y, u, v and a collide with ends (u, v) of the rest and
+    that seed.  decompose checks its vertex map like any other, and sends a
+    stuck peel to check_spade, which names the violated flat or leaves the
+    contradiction standing, so a peel that stopped early could not turn a
+    positive into a negative verdict.
+
+    The peel runs on a mutable adjacency, each vertex's neighbours in G's
+    adjacency order, with a worklist of vertices of degree 3 seeded in
+    G.vertices order, so no step depends on hash order.  A peel changes
+    only the degrees and neighbours of u and v, and the pairs it makes
+    contain u or v, which go back on the worklist at degree 3.
+    """
+    adj = {v: dict.fromkeys(w for _, w in G.adjacency[v]) for v in G.vertices}
+    work = deque(v for v in G.vertices if len(adj[v]) == 3)
+    peeled = []  # (u, v, x, y) in peel order: the last Collide first
+    while work:
+        x = work.popleft()
+        if len(adj.get(x, ())) != 3:
+            continue  # peeled, or its degree has changed since it was queued
+        for y in adj[x]:
+            u, v = (w for w in adj[x] if w != y)
+            if len(adj[y]) == 3 and u in adj[y] and v in adj[y] and v not in adj[u]:
+                break
+        else:
+            continue
+        for z in (x, y):
+            for w in adj.pop(z):
+                del adj[w][z]
+        adj[u][v] = adj[v][u] = None
+        u, v = sorted((u, v), key=label_key)
+        peeled.append((u, v, x, y))
+        work.extend(w for w in (u, v) if len(adj[w]) == 3)
+    if len(adj) != 4 or any(len(nbrs) != 3 for nbrs in adj.values()):
+        raise InternalContradiction(
+            f"the Collide peel stops at {len(adj)} vertices, not at K4"
+        )
+    k4 = Node("seed", seed="k4")
+    steps = [Step(k4, new=tuple(sorted(adj, key=label_key)))]
+    for u, v, x, y in reversed(peeled):
+        steps.append(Step(k4, new=tuple(sorted((u, v, x, y), key=label_key))))
+        steps.append(Step(Node("collide"), 2, (u, v)))
+    return steps
+
+
 def _step(G: Multigraph, light, delta: int):
-    """One decomposition step of a part G with weight-1 edges light (None
-    for the input: weight_function reads them off its profile): (step, the
-    parts it splits G into, in child order, each with its light set).
+    """One decomposition step at delta >= 3 of a part G with weight-1 edges
+    light (None for the input: weight_function reads them off its profile):
+    (step, the parts it splits G into, in child order, each with its light
+    set).
 
     Every part is 2-connected and simple: decompose's input is, and each
-    step's parts are again (a Collide part gains the edge its separating
-    pair lacks, a Glue part keeps the one edge uv, and a Subdivide part
-    trades an ear for an edge its ends lack).  So G is a cycle exactly when
-    n = m, and K4 exactly when n = 4 and m = 6; check_vertex_map proves the
-    finished certificate all the same.
+    step's parts are again (a Glue part keeps the one edge uv, and a
+    Subdivide part trades an ear for an edge its ends lack).  So G is a
+    cycle exactly when n = m; check_vertex_map proves the finished
+    certificate all the same.
 
     A part inherits its weights: an edge it keeps has the same two profile
     flags there as in G, which is the 2-sum of the Glue parts along uv, or
@@ -361,19 +420,6 @@ def _step(G: Multigraph, light, delta: int):
     not: vs cuts rest - v0.  A stuck part raises InternalContradiction or
     WeightConflict.
     """
-    if delta == 2:
-        pair = _separating_pair(G)
-        if pair is None:
-            if not (G.n == 4 and G.m == 6):
-                raise InternalContradiction(
-                    "a 3-connected graph satisfying the delta=2 equalities must be K4"
-                )
-            return Step(Node("seed", seed="k4"), new=G.sorted_vertices), []
-        parts = _split(G, pair, 2)
-        if G.has_edge(*pair):
-            raise InternalContradiction("separating pair joined by an edge")
-        return Step(Node("collide"), 2, pair), [(part.with_edge(*pair)[0], None) for part in parts]
-
     if G.n == G.m:
         if G.n != delta:
             raise InternalContradiction(
@@ -425,19 +471,6 @@ def _split(G: Multigraph, pair, want: int) -> list:
             f"separating pair leaves {len(comps)} components, expected {want}"
         )
     return [G.induced(set(comp).union(pair)) for comp in comps]
-
-
-def _separating_pair(G: Multigraph):
-    """First (a, b) in sorted_vertices order, a before b, that separates a
-    2-connected G, or None.  G-a is connected, so {a, b} separates G exactly
-    when b is a cut vertex of G-a: one low-link pass per vertex a."""
-    verts = G.sorted_vertices
-    for i, a in enumerate(verts[:-1]):
-        cuts = low_link(G, skip=a).cut_vertices
-        b = next((b for b in verts[i + 1:] if b in cuts), None)
-        if b is not None:
-            return a, b
-    return None
 
 
 def build(steps) -> tuple:
@@ -497,23 +530,27 @@ def decompose(G: Multigraph, delta: int):
     decomposition runs check_spade, to name the violated good flat; if it
     finds none, the stuck state stands as InternalContradiction.
 
-    A work stack of parts replaces recursion: the steps are taken root
-    first, and each step's parts are pushed in child order and so taken
-    last child first, which makes the steps, read backwards, the post-order
-    build wants.
+    At delta = 2 the steps come from _collide_peel.  Above it, a work stack
+    of parts replaces recursion: the steps are taken root first, and each
+    step's parts are pushed in child order and so taken last child first,
+    which makes the steps, read backwards, the post-order build wants.
     """
-    steps, parts = [], [(G, None)]  # each part with its light set
     try:
-        while parts:
-            step, split = _step(*parts.pop(), delta)
-            steps.append(step)
-            parts += split
+        if delta == 2:
+            steps = _collide_peel(G)
+        else:
+            steps, parts = [], [(G, None)]  # each part with its light set
+            while parts:
+                step, split = _step(*parts.pop(), delta)
+                steps.append(step)
+                parts += split
+            steps.reverse()
     except (InternalContradiction, WeightConflict) as stuck:
         witness = check_spade(G, delta)
         if witness is None:
             raise InternalContradiction(str(stuck)) from stuck
         return None, witness
-    cert, vmap, rep = build(reversed(steps))
+    cert, vmap, rep = build(steps)
     check_vertex_map(G, vmap, rep)
     return cert, None
 

@@ -19,6 +19,10 @@ An independence positive (kind "attach<delta>", delta >= 2) is the
 (delta-1)-fold blow-up of an attach-cycle tree: K2, then paths of delta
 edges attached to random edges, relabelled at random.
 
+with_chord (one added non-edge) and edge_swap (one edge moved to a
+non-edge) make negatives from a positive's edges; an edge swap can, rarely,
+stay positive.
+
     python tests/ladder.py KIND N [SEED]
 
 prints the positive of KIND (2, 3, 4, ..., chain, or attach2, attach3, ...)
@@ -135,6 +139,15 @@ def with_chord(rng, vertices, edges):
         if frozenset((a, b)) not in present
     ]
     return edges + [rng.choice(pairs)] if pairs else None
+
+
+def edge_swap(rng, vertices, edges):
+    """with_chord, then one random edge of edges deleted, or None: the
+    vertex and edge counts stay, so a delta = 2 positive keeps m = 2(n-1)."""
+    out = with_chord(rng, vertices, edges)
+    if out is not None:
+        del out[rng.randrange(len(edges))]
+    return out
 
 
 if __name__ == "__main__":

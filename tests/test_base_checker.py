@@ -4,7 +4,7 @@ import time
 import pytest
 
 from conftest import complete, cycle, ladder_positive, random_multigraphs, stuck_past_the_guard
-from gorcheck import baseck
+from gorcheck import baseck, construct
 from gorcheck.baseck import (
     ALL_DELTAS,
     AllDeltas,
@@ -20,6 +20,7 @@ from gorcheck.construct import Seed, decompose_base
 from gorcheck.errors import GuardExceeded, SimpleGraphRequired, WeightConflict
 from gorcheck.graph import Multigraph, blocks, normalize
 from gorcheck.smallgraphs import two_connected_graphs
+from ladder import edge_swap
 from test_graph import _is_two_connected_reference
 
 
@@ -250,21 +251,27 @@ def test_decomposition_decides_as_the_good_flat_system_on_the_atlas():
 
 def test_one_edge_profile_per_block(monkeypatch):
     # the decomposition's parts inherit their weights, so base_verdict reads
-    # one profile per block however many parts the block splits into
-    real = baseck.edge_facet_profile
-    profiled = []
-    monkeypatch.setattr(baseck, "edge_facet_profile", lambda G: profiled.append(G) or real(G))
+    # one profile per block however many parts the block splits into; a
+    # delta=2 positive reads none, since the Collide peel decides it first,
+    # and a block with m = 2(n-1) reads its profile only once the peel fails
+    events = []
+    real, real_peel = baseck.edge_facet_profile, construct._collide_peel
+    monkeypatch.setattr(baseck, "edge_facet_profile", lambda G: events.append("profile") or real(G))
+    monkeypatch.setattr(construct, "_collide_peel", lambda G: events.append("peel") or real_peel(G))
     two_c4s = Multigraph.build(range(8), [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4),
                                           (4, 5), (5, 6), (6, 7), (7, 4)])
-    graphs = [(two_c4s, 4, 2)]  # and the bridge 3-4, a K2 block
+    graphs = [(two_c4s, 4, ["profile"] * 2)]  # and the bridge 3-4, a K2 block
     for kind in (2, 3, 4, "chain"):
         for n in (10, 22, 60):
             G, delta, _ = ladder_positive(kind, n, seed=n)
-            graphs.append((G, delta, 1))
-    for G, delta, profiles in graphs:
-        profiled.clear()
+            graphs.append((G, delta, ["peel"] if delta == 2 else ["profile"]))
+    G, _, _ = ladder_positive(2, 16, seed=16)
+    swapped = edge_swap(random.Random(16), list(G.vertices), [(u, v) for _, u, v in G.edges])
+    graphs.append((Multigraph.build(G.vertices, swapped), None, ["peel", "profile"]))
+    for G, delta, want in graphs:
+        events.clear()
         assert base_verdict(G).delta == delta
-        assert len(profiled) == profiles, (G.n, delta, len(profiled))
+        assert events == want, (G.n, delta, events)
 
 
 def test_base_verdict_guards_large_blocks():

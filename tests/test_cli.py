@@ -107,12 +107,19 @@ def test_oracle_hstar_reaches_k5_minus_an_edge(files, capsys):
 
 
 @pytest.mark.parametrize("kmax", ["1", "0"])
-def test_oracle_normality_below_two_is_input_error(files, capsys, kmax):
-    # 0 is a value out of range, not "no probe"
-    code = main(["oracle", "base", files["c3"], "--normality", kmax])
-    err = capsys.readouterr().err
-    assert code == 4
-    assert err.startswith("input error:") and "Traceback" not in err
+def test_oracle_normality_below_two_is_input_error(files, capsys, monkeypatch, kmax):
+    # 0 is a value out of range, not "no probe"; the range is checked before
+    # the polytope is built, not by normality_probe after h* is computed
+    import gorcheck.oracle as oracle
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("polytope_of ran before --normality was checked")
+
+    monkeypatch.setattr(oracle, "polytope_of", unreachable)
+    code = main(["oracle", "base", files["c3"], "--hstar", "--normality", kmax])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "input error: kmax must be >= 2\n"
 
 
 @pytest.mark.parametrize("length", ["0", "1"])
@@ -357,11 +364,16 @@ def test_check_base_c26(tmp_path, capsys):
     assert code == 0 and (doc["status"], doc["delta"]) == ("gorenstein", 26)
 
 
-@pytest.mark.parametrize("kind", [2, 3, 4, "chain"])
-def test_certify_base_ladder_positives_in_polynomial_time(tmp_path, capsys, kind):
+@pytest.mark.parametrize(
+    "kind, n",
+    [pytest.param(kind, 200, id=str(kind)) for kind in (2, 3, 4, "chain")]
+    + [pytest.param(2, 800, id="2-800")],
+)
+def test_certify_base_ladder_positives_in_polynomial_time(tmp_path, capsys, kind, n):
     # about 200 vertices, the 201-vertex in-order chain among them: no
-    # subset table and one edge profile per block
-    G, delta, _ = ladder_positive(kind, 200, seed=200)
+    # subset table and one edge profile per block; at delta = 2 no profile
+    # at all, so 800 vertices fit in the same second
+    G, delta, _ = ladder_positive(kind, n, seed=n)
     path = tmp_path / "ladder.txt"
     path.write_text(format_edge_list(G))
     t0 = time.perf_counter()
@@ -369,16 +381,44 @@ def test_certify_base_ladder_positives_in_polynomial_time(tmp_path, capsys, kind
     assert time.perf_counter() - t0 < 1
     doc = json.loads(out)
     assert code == 0 and (doc["status"], doc["delta"]) == ("gorenstein", delta)
-    assert doc["input"]["vertices"] == G.n >= 200
+    assert doc["input"]["vertices"] == G.n >= n
+
+
+def test_certify_base_delta2_does_not_depend_on_hash_order(tmp_path):
+    # string labels hash differently in every process unless PYTHONHASHSEED
+    # fixes them; the Collide peel's worklist and adjacency keep the input's
+    # order, so two hash seeds print the same certificate
+    import re
+    import subprocess
+
+    import gorcheck
+
+    G, _, _ = ladder_positive(2, 40, seed=40)
+    path = tmp_path / "strings.txt"
+    path.write_text("".join(f"v{u} v{v}\n" for _, u, v in G.edges))
+    src = os.path.dirname(os.path.dirname(gorcheck.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gorcheck.cli", "certify", "base", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0', proc.stdout))
+    doc = json.loads(outs[0])
+    assert (doc["delta"], doc["input"]["vertices"]) == (2, G.n)
+    assert outs[0] == outs[1]
 
 
 def test_stuck_decomposition_of_a_positive_exit5(files, capsys, monkeypatch):
-    # K4 satisfies the good-flat equalities, so a stuck decomposition is not
+    # K4 satisfies the good-flat equalities, so a stuck Collide peel is not
     # a negative verdict but a contradiction
-    def stuck(G, light, delta):
+    def stuck(G):
         raise InternalContradiction("stuck")
 
-    monkeypatch.setattr(construct, "_step", stuck)
+    monkeypatch.setattr(construct, "_collide_peel", stuck)
     code = main(["check", "base", files["k4"]])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""

@@ -31,10 +31,10 @@ from gorcheck.construct import (
     subdivide,
 )
 from gorcheck.errors import ConstructionError, InternalContradiction
-from gorcheck.graph import Multigraph, blow_up_factor, components, is_isomorphic
+from gorcheck.graph import Multigraph, blocks, blow_up_factor, components, is_isomorphic, low_link
 from gorcheck.indepck import indep_verdict
 from gorcheck.smallgraphs import two_connected_graphs
-from ladder import in_order_chain, with_chord
+from ladder import edge_swap, in_order_chain, with_chord
 
 
 def test_replay_seeds():
@@ -180,6 +180,48 @@ def test_decompose_checks_the_subdivided_edge_weight(monkeypatch, k4_minus_e):
         decompose_base(G5, 3)
 
 
+def _separating_pair(G):
+    """Reference: the first (a, b) in sorted_vertices order, a before b,
+    that separates a 2-connected G, or None.  G-a is connected, so {a, b}
+    separates G exactly when b is a cut vertex of G-a: one low-link pass
+    per vertex a."""
+    verts = G.sorted_vertices
+    for i, a in enumerate(verts[:-1]):
+        cuts = low_link(G, skip=a).cut_vertices
+        b = next((b for b in verts[i + 1:] if b in cuts), None)
+        if b is not None:
+            return a, b
+    return None
+
+
+def _decompose_by_pairs(G):
+    """Reference for the delta=2 peel: decompose(G, 2) by splitting each
+    part at its first separating pair, the two parts each gaining the edge
+    the pair lacks, down to 3-connected parts that must be K4.  (cert,
+    None), or (None, check_spade's witness) when a part gets stuck."""
+    steps, parts = [], [G]
+    try:
+        while parts:
+            part = parts.pop()
+            pair = _separating_pair(part)
+            if pair is None:
+                if not (part.n == 4 and part.m == 6):
+                    raise InternalContradiction("a 3-connected part that is not K4")
+                seed = construct.Node("seed", seed="k4")
+                steps.append(construct.Step(seed, new=part.sorted_vertices))
+                continue
+            split = construct._split(part, pair, 2)
+            if part.has_edge(*pair):
+                raise InternalContradiction("separating pair joined by an edge")
+            steps.append(construct.Step(construct.Node("collide"), 2, pair))
+            parts += [p.with_edge(*pair)[0] for p in split]
+    except InternalContradiction:
+        return None, check_spade(G, 2)
+    cert, vmap, rep = construct.build(reversed(steps))
+    construct.check_vertex_map(G, vmap, rep)
+    return cert, None
+
+
 def _separating_pair_by_components(G):
     """Reference: the scan the delta=2 step ran before the low-link pass,
     components(G-{a,b}) for every vertex pair in sorted_vertices order."""
@@ -212,15 +254,14 @@ def test_separating_pair_matches_the_pair_scan():
     graphs += [_collide_chain(rng, rng.randint(1, 60)) for _ in range(40)]
     separated = 0
     for G in graphs:
-        pair = construct._separating_pair(G)
+        pair = _separating_pair(G)
         assert pair == _separating_pair_by_components(G), G.edges
         separated += pair is not None
     assert separated > 300
 
 
 def test_decompose_deep_collide_chain(monkeypatch):
-    # 100 Collide levels, 204 vertices: the pair search is one low-link pass
-    # per vertex instead of a components() call per vertex pair
+    # 100 Collide levels, 204 vertices, peeled off one K4 at a time
     G = _collide_chain(random.Random(100), 100)
     checked = []
     real = construct.check_vertex_map
@@ -278,6 +319,32 @@ def _decomposition_inputs():
                 if chorded is not None:
                     out.append((Multigraph.build(G.vertices, chorded), None))
     return out
+
+
+def test_collide_peel_agrees_with_the_split_at_the_first_pair():
+    # over every input of _decomposition_inputs and delta=2 ladder edge swaps
+    # up to 22 vertices, every block decomposes at delta=2 by the peel
+    # exactly when it does by splitting at the first separating pair, with
+    # the same witness when it does not; every peel certificate replays onto
+    # its block under the checked vertex map
+    graphs = [G for G, _ in _decomposition_inputs()]
+    rng = random.Random(20261019)
+    for n in range(6, 23, 2):
+        for seed in range(3):
+            G, _, _ = ladder_positive(2, n, seed=100 * n + seed)
+            swapped = edge_swap(rng, list(G.vertices), [(u, v) for _, u, v in G.edges])
+            graphs.append(Multigraph.build(G.vertices, swapped))
+    decided = []
+    for b in (b for G in graphs for b in blocks(G) if b.n > 2):
+        cert, witness = construct.decompose(b, 2)
+        ref_cert, ref_witness = _decompose_by_pairs(b)
+        assert (cert is None, witness) == (ref_cert is None, ref_witness), b.edges
+        if cert is not None:
+            peeled, vmap, rep = construct.build(construct._collide_peel(b))
+            construct.check_vertex_map(b, vmap, rep)
+            assert peeled == cert
+        decided.append(cert is not None)
+    assert decided.count(True) > 200 and decided.count(False) > 1400
 
 
 def test_parts_inherit_their_weights(monkeypatch):

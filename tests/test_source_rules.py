@@ -106,10 +106,27 @@ def test_base_side_decides_by_decomposition_only():
 
 
 def test_one_low_link_routine():
-    # is_two_connected, blocks, is_connected, the edge profile and the
-    # separating-pair search all read one low-link pass; a function that
-    # binds a `low` mapping of its own is a second 2-connectivity DFS
+    # is_two_connected, blocks, is_connected and the edge profile all read
+    # one low-link pass; a function that binds a `low` mapping of its own is
+    # a second 2-connectivity DFS
     assert _binders("low") == ["graph.py:low_link"]
+
+
+def test_delta2_decides_by_the_collide_peel():
+    # a delta = 2 block is decided by peeling Collides off, with no edge
+    # profile and no low-link pass; the search for the first separating
+    # pair, one low-link pass per vertex at every level, is a test reference
+    found = [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if "_separating_pair" in _names(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    tree = ast.parse((PACKAGE / "construct.py").read_text(), filename="construct.py")
+    (peel,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_collide_peel"
+    ]
+    assert _names(peel) & {"low_link", "edge_facet_profile"} == set()
 
 
 def _binders(name: str) -> list:
