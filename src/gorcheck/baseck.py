@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import InternalContradiction, NotTwoConnected, SimpleGraphRequired, WeightConflict
 from .flats import good_flats, indecomposable_flats, block_count_after_contraction, induced_edge_ids
-from .graph import Multigraph, blocks, is_two_connected, low_link, normalize
+from .graph import Multigraph, _sp_reducible, blocks, is_two_connected, low_link, normalize
 
 
 class AllDeltas:
@@ -63,19 +63,35 @@ class BaseVerdict(NamedTuple):
 
 
 def _require_block(G: Multigraph):
+    """A graph whose edges get weights: 2-connected, simple, >= 2 edges."""
     if not is_two_connected(G):
         raise NotTwoConnected("checker operations require a 2-connected graph")
     if not G.is_simple():
         raise SimpleGraphRequired(
             "base checker requires a simple graph; use the oracle for multigraphs"
         )
+    if G.m < 2:
+        raise ValueError("edge_facet_profile requires at least 2 edges")
 
 
 def edge_facet_profile(G: Multigraph) -> dict:
     """Per edge: (deletion stays 2-connected, contraction stays 2-connected).
 
-    One low-link pass of G-x per vertex x gives both flags, because G is
-    2-connected, so G-x and G-e are connected (n >= 3 here):
+    On a K4-minor-free block exactly one flag holds, and the series-parallel
+    reduction reads it off (graph._sp_reducible); a block with a K4 minor
+    takes one low-link pass per vertex (_profile_by_passes).
+    """
+    _require_block(G)
+    light = _sp_reducible(G)
+    if light is None:
+        return _profile_by_passes(G)
+    return {eid: (eid in light, eid not in light) for eid in sorted(G.edge_by_id)}
+
+
+def _profile_by_passes(G: Multigraph) -> dict:
+    """edge_facet_profile by one low-link pass of G-x per vertex x, which
+    gives both flags, because G is 2-connected, so G-x and G-e are
+    connected (n >= 3 here):
     - G-e has a cut vertex x exactly when e is a bridge of G-x for some x
       outside e, since (G-e)-x = (G-x)-e.
     - G/e is 2-connected exactly when G-{u,v} is connected, e = uv, since
@@ -84,9 +100,6 @@ def edge_facet_profile(G: Multigraph) -> dict:
     For a 2-connected simple graph with >= 2 edges at least one flag holds
     for every edge; both flags failing is an internal contradiction.
     """
-    _require_block(G)
-    if G.m < 2:
-        raise ValueError("edge_facet_profile requires at least 2 edges")
     passes = {x: low_link(G, skip=x) for x in G.vertices}
     bridged = set().union(*(ll.bridges for ll in passes.values()))
     profile = {}
@@ -120,13 +133,17 @@ def weight_function(G: Multigraph, delta: int) -> dict:
 
     An edge whose deletion and contraction are both 2-connected is forced to
     weight 1 and to weight delta-1 simultaneously, which is consistent only
-    for delta = 2.
+    for delta = 2.  At delta = 2 every weight is 1, so no profile is read;
+    G is checked as edge_facet_profile checks it.
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
+    if delta == 2:
+        _require_block(G)
+        return dict.fromkeys(sorted(G.edge_by_id), 1)
     weights = {}
     for eid, (del_ok, con_ok) in sorted(_profile(G).items()):
-        if del_ok and con_ok and delta != 2:
+        if del_ok and con_ok:
             raise WeightConflict(eid, delta)
         weights[eid] = 1 if del_ok else delta - 1
     return weights
@@ -215,6 +232,12 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
     loop would try it first anyway.  The Collide peel decides it without a
     profile, and only a block it fails sends the verdict on to the
     candidate sets and the deltas above 2, with the first witness kept.
+
+    K4 minors split the two: C_delta is series-parallel, and Glue (a 2-sum)
+    and Subdivide keep a graph K4-minor-free (Duffin 1965), while Collide
+    keeps every K4 seed as a K4 subdivision.  So a block with a K4 minor is
+    Gorenstein only at delta = 2, and a K4-minor-free block only at delta
+    >= 3, decided on the profile its series-parallel reduction reads.
     """
     from .construct import Seed, decompose  # construct imports this module
 

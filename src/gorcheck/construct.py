@@ -25,16 +25,7 @@ from typing import NamedTuple, Optional
 from .baseck import check_spade, weight_function
 from .errors import ConstructionError, GuardExceeded, InternalContradiction, WeightConflict
 from .flats import good_flats
-from .graph import (
-    Multigraph,
-    blocks,
-    components,
-    ears,
-    is_isomorphic,
-    is_two_connected,
-    label_key,
-    low_link,
-)
+from .graph import Multigraph, blocks, is_isomorphic, is_two_connected, label_key
 
 SCHEMA = "gorcheck.cert/2"
 
@@ -397,80 +388,110 @@ def _collide_peel(G: Multigraph) -> list:
     return steps
 
 
-def _step(G: Multigraph, light, delta: int):
-    """One decomposition step at delta >= 3 of a part G with weight-1 edges
-    light (None for the input: weight_function reads them off its profile):
-    (step, the parts it splits G into, in child order, each with its light
-    set).
+def _cycle_seed(ring) -> Step:
+    """The cycle seed on ring's vertices, given in cycle order: walked from
+    its least label, via its least neighbour."""
+    i = min(range(len(ring)), key=lambda j: label_key(ring[j]))
+    walk = min(ring[i:] + ring[:i], ring[i::-1] + ring[:i:-1], key=lambda w: label_key(w[1]))
+    return Step(Node("seed", seed="cycle", n=len(ring)), new=tuple(walk))
 
-    Every part is 2-connected and simple: decompose's input is, and each
-    step's parts are again (a Glue part keeps the one edge uv, and a
-    Subdivide part trades an ear for an edge its ends lack).  So G is a
-    cycle exactly when n = m; check_vertex_map proves the finished
-    certificate all the same.
 
-    A part inherits its weights: an edge it keeps has the same two profile
-    flags there as in G, which is the 2-sum of the Glue parts along uv, or
-    the Subdivide part with one other edge subdivided.  Once the edge a step
-    makes has its flags read, every step meets its construction's hypothesis
-    and a finished run is a proof: a Glue part is connected off uv, so uv
-    weighs delta-1 there unless its deletion keeps the part 2-connected too
-    (WeightConflict), and the edge v0 vs a Subdivide part gains weighs 1
-    exactly when its deletion, rest, is 2-connected and its contraction is
-    not: vs cuts rest - v0.  A stuck part raises InternalContradiction or
-    WeightConflict.
+def _glue_peel(G: Multigraph, delta: int) -> list:
+    """The steps of G's decomposition at delta >= 3, in the post-order build
+    wants, by peeling Glues and Subdivides off; InternalContradiction when
+    the peel stops short of C_delta, WeightConflict from G's weights.
+
+    A run is a maximal path a, x_1 .. x_(delta-2), b whose inner vertices
+    have degree 2 and whose edges are heavy, with ends a != b of other
+    degrees.  A reverse Subdivide takes a run whose ends are not adjacent:
+    its inner vertices go and the edge ab comes in, light.  A reverse Glue
+    takes delta-2 runs joining the ends of a light edge ab: their inner
+    vertices go and ab turns heavy.  G decomposes when the peel ends at
+    C_delta with every edge heavy, and the certificate is the peel read
+    backwards: that cycle's seed, then per step a subdivide with ends
+    (a, b), or a cycle seed per glued run and a glue with the rest as child
+    0.  It is a proof.  Read forward from the all-heavy seed, each step
+    gives its new edges the weights the peel gave them (path edges heavy, a
+    glued edge light) and keeps every other edge's flags, so each step
+    meets its hypothesis (a Subdivide target weighs 1, a glued edge delta-1
+    in every part), and check_vertex_map proves that the replay is G.
+
+    The peel runs on a mutable adjacency, each vertex's neighbours in G's
+    adjacency order, with a worklist of vertices of degree 2 seeded in
+    G.vertices order, so no step depends on hash order.  No step raises a
+    degree, so a walked path changes only when an end drops to degree 2,
+    which queues it, and a heavy edge between ends stays.  Each run is
+    taken when it is found, and a map from end pairs to their runs holds
+    those waiting at a light edge for a Glue.
     """
-    if G.n == G.m:
-        if G.n != delta:
-            raise InternalContradiction(
-                f"a cycle satisfying the equalities at delta={delta} must be a "
-                f"{delta}-cycle, got C{G.n}"
-            )
-        walk = [min(G.vertices, key=label_key)]
-        walk.append(min((w for _, w in G.adjacency[walk[0]]), key=label_key))
-        while len(walk) < G.n:
-            walk.append(next(w for _, w in G.adjacency[walk[-1]] if w != walk[-2]))
-        return Step(Node("seed", seed="cycle", n=G.n), new=tuple(walk)), []
+    adj = {v: dict.fromkeys(w for _, w in G.adjacency[v]) for v in G.vertices}
+    weights = {} if G.n == G.m else weight_function(G, delta)  # a cycle's edges are all heavy
+    light = {frozenset(G.endpoints(e)) for e, wt in weights.items() if wt == 1}
+    runs = {}  # frozenset({a, b}) of a light edge -> the runs waiting there
+    walked = set()  # vertices walked through; degree 2 until deleted
+    work = deque(v for v in G.vertices if len(adj[v]) == 2)
+    peeled = []  # (run, runs glued or None) in peel order: the last step first
 
-    if light is None:
-        light = {eid for eid, wt in weight_function(G, delta).items() if wt == 1}
-    if light:
-        uv = min(light, key=lambda e: (tuple(sorted(label_key(x) for x in G.endpoints(e))), e))
-        pair = tuple(sorted(G.endpoints(uv), key=label_key))
-        parts = [(p, light.intersection(p.edge_by_id) - {uv}) for p in _split(G, pair, delta - 1)]
-        if any(is_two_connected(p.without_edges((uv,))) for p, _ in parts):
-            raise WeightConflict(uv, delta)
-        return Step(Node("glue", delta=delta), delta - 1, pair), parts
+    def run_through(x):
+        """The run through x, read from its smaller end, or None."""
+        sides = []
+        for cur in adj[x]:  # walk each way, at most delta steps
+            prev, side = x, []
+            while len(adj[cur]) == 2 and cur != x and len(side) < delta:
+                side.append(cur)
+                prev, cur = cur, next(w for w in adj[cur] if w != prev)
+            sides.append((side, cur))
+        (left, a), (right, b) = sides
+        walked.update(left, right, (x,))
+        path = (a, *reversed(left), x, *right, b)
+        if len(path) != delta or a == b or len(adj[a]) == 2 or len(adj[b]) == 2 or any(
+            frozenset(e) in light for e in zip(path, path[1:])
+        ):
+            return None  # too long, too short, a cycle, or with a light edge
+        return path if label_key(a) < label_key(b) else path[::-1]
 
-    candidates = [e for e in ears(G).ears if e.length == delta - 1]
-    if not candidates:
+    while work:
+        x = work.popleft()
+        if len(adj.get(x, ())) != 2 or x in walked:
+            continue
+        run = run_through(x)
+        if run is None:
+            continue
+        a, b = run[0], run[-1]
+        pair = frozenset((a, b))
+        if b not in adj[a]:
+            glued = None
+            light.add(pair)
+            adj[a][b] = adj[b][a] = None
+        elif pair in light:  # a Glue turns ab heavy, so no more than delta-2 wait
+            runs.setdefault(pair, []).append(run)
+            if len(runs[pair]) < delta - 2:
+                continue
+            glued = sorted(runs.pop(pair), key=lambda r: tuple(map(label_key, r)))
+            light.discard(pair)
+        else:
+            continue  # ends joined by a heavy edge
+        for r in glued or [run]:
+            for z in r[1:-1]:
+                for w in adj.pop(z):
+                    del adj[w][z]
+        peeled.append((run, glued))
+        work.extend(w for w in (a, b) if len(adj[w]) == 2)
+    if len(adj) != delta or light or any(len(nbrs) != 2 for nbrs in adj.values()):
         raise InternalContradiction(
-            f"no ({delta - 1})-ear in an all-heavy graph that is not a {delta}-cycle"
+            f"the Glue/Subdivide peel stops at {len(adj)} vertices, not at an all-heavy C{delta}"
         )
-    ear = candidates[0]
-    v0, vs = ear.path[0], ear.path[-1]
-    if G.has_edge(v0, vs):
-        raise InternalContradiction(
-            "ear endpoints are adjacent; its replacement would not be simple"
-        )
-    rest = G.without_vertices(ear.inner)
-    if not (is_two_connected(rest) and vs in low_link(rest, skip=v0).cut_vertices):
-        raise InternalContradiction(f"an ear shrinks to an edge of weight {delta - 1}, not 1")
-    shrunk, new = rest.with_edge(v0, vs)
-    # the new path's inner vertices run from v0 to vs; G has no light edge here
-    return Step(Node("subdivide", delta=delta), 1, (v0, vs), ear.inner), [(shrunk, {new})]
-
-
-def _split(G: Multigraph, pair, want: int) -> list:
-    """The parts of G at a separating pair: for each component of G - pair,
-    in components order, the subgraph G induces on it and the pair;
-    InternalContradiction unless there are want of them."""
-    comps = components(G.without_vertices(pair))
-    if len(comps) != want:
-        raise InternalContradiction(
-            f"separating pair leaves {len(comps)} components, expected {want}"
-        )
-    return [G.induced(set(comp).union(pair)) for comp in comps]
+    ring = [next(iter(adj))]
+    while len(ring) < delta:
+        ring.append(next(w for w in adj[ring[-1]] if w not in ring[-2:]))
+    steps = [_cycle_seed(ring)]
+    for run, glued in reversed(peeled):
+        if glued is None:
+            steps.append(Step(Node("subdivide", delta=delta), 1, (run[0], run[-1]), run[1:-1]))
+        else:
+            steps += [_cycle_seed(list(r)) for r in glued]
+            steps.append(Step(Node("glue", delta=delta), delta - 1, (run[0], run[-1])))
+    return steps
 
 
 def build(steps) -> tuple:
@@ -530,21 +551,11 @@ def decompose(G: Multigraph, delta: int):
     decomposition runs check_spade, to name the violated good flat; if it
     finds none, the stuck state stands as InternalContradiction.
 
-    At delta = 2 the steps come from _collide_peel.  Above it, a work stack
-    of parts replaces recursion: the steps are taken root first, and each
-    step's parts are pushed in child order and so taken last child first,
-    which makes the steps, read backwards, the post-order build wants.
+    The steps come from _collide_peel at delta = 2 and from _glue_peel
+    above it.
     """
     try:
-        if delta == 2:
-            steps = _collide_peel(G)
-        else:
-            steps, parts = [], [(G, None)]  # each part with its light set
-            while parts:
-                step, split = _step(*parts.pop(), delta)
-                steps.append(step)
-                parts += split
-            steps.reverse()
+        steps = _collide_peel(G) if delta == 2 else _glue_peel(G, delta)
     except (InternalContradiction, WeightConflict) as stuck:
         witness = check_spade(G, delta)
         if witness is None:

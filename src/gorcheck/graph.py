@@ -309,8 +309,11 @@ def is_two_connected(G: Multigraph) -> bool:
     """Connected, >= 2 vertices, no cut vertex.
 
     K2 and the 2-cycle count as 2-connected; a single vertex never does.
-    Loops and parallel edges never change the answer.
+    Loops and parallel edges never change the answer.  A block from
+    blocks() records that it is, and needs no pass.
     """
+    if G.__dict__.get("_two_connected"):
+        return True
     if G.n < 2:
         return False
     ll = low_link(G)
@@ -327,6 +330,7 @@ def blocks(G: Multigraph) -> list:
         edges = tuple((eid,) + G.edge_by_id[eid] for eid in comp)
         vs = {x for _, u, v in edges for x in (u, v)}
         result.append(Multigraph(tuple(sorted(vs, key=label_key)), edges))
+        result[-1].__dict__["_two_connected"] = True
     return result
 
 
@@ -426,67 +430,6 @@ def _vertex_sets(G: Multigraph, table: int) -> list:
     return [tuple(verts[i] for i in idx) for idx in masks]
 
 
-# -- ears ------------------------------------------------------------------
-
-
-class Ear(NamedTuple):
-    """Path whose inner vertices have degree 2 in the host graph."""
-
-    path: tuple  # vertex sequence (v_0, ..., v_s)
-    edge_ids: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.path) - 1
-
-    @property
-    def inner(self) -> tuple:
-        return self.path[1:-1]
-
-
-class EarScan(NamedTuple):
-    is_cycle: bool
-    ears: tuple
-
-
-def ears(G: Multigraph) -> EarScan:
-    """All maximal ears of a 2-connected graph, pairwise edge-disjoint.
-
-    A cycle has no ears in this sense and is flagged via is_cycle instead.
-    Only ears with at least one inner vertex (length >= 2) are reported.
-    """
-    deg = {v: G.degree(v) for v in G.vertices}
-    if all(d == 2 for d in deg.values()):
-        return EarScan(is_cycle=True, ears=())
-    used_edges: set = set()
-    found = []
-    anchors = [v for v in G.sorted_vertices if deg[v] != 2]
-    for a in anchors:
-        for eid, w in sorted(G.adjacency[a]):
-            if eid in used_edges or deg[w] != 2:
-                continue
-            path = [a, w]
-            eids = [eid]
-            prev_eid, cur = eid, w
-            while deg[cur] == 2:
-                nxt = next(
-                    (e, x) for e, x in sorted(G.adjacency[cur]) if e != prev_eid
-                )
-                prev_eid, cur = nxt
-                path.append(cur)
-                eids.append(prev_eid)
-            if any(e in used_edges for e in eids):
-                continue
-            used_edges.update(eids)
-            keyed = tuple(label_key(v) for v in path)
-            if tuple(reversed(keyed)) < keyed:
-                path.reverse()
-                eids.reverse()
-            found.append(Ear(tuple(path), tuple(eids)))
-    found.sort(key=lambda e: tuple(label_key(v) for v in e.path))
-    return EarScan(is_cycle=False, ears=tuple(found))
-
-
 # -- cycles ----------------------------------------------------------------
 
 
@@ -520,22 +463,36 @@ def induced_cycles(G: Multigraph) -> list:
 # -- K4 minors -------------------------------------------------------------
 
 
-def _sp_reducible(block: Multigraph) -> bool:
-    """Series-parallel reduction of a single block down to K2 (or smaller).
+def _sp_reducible(block: Multigraph) -> Optional[set]:
+    """Series-parallel reduction of a block: the ids of its light edges, or
+    None when the reduction gets stuck, which it does exactly when the
+    block has a K4 minor.
 
     A worklist of the vertices of degree at most 2: each is deleted, and one
-    of degree 2 joins its two neighbours by an edge (parallel classes merge,
-    loops drop).  No reduction raises a degree, so a queued vertex stays
-    reducible until it is taken, and a reduction queues each neighbour it
-    leaves at degree 2 or less.  The order does not change the answer: both reductions take minors, so a K4-minor-free graph stays
-    one and always has a vertex of degree at most 2, and a K4 minor (a K4
-    subdivision, as K4 is cubic) survives every reduction.
+    of degree 2 joins its two neighbours by an edge (a series merge); when
+    they are already adjacent the two edges merge at once (a parallel merge).
+    No reduction raises a degree, so a queued vertex stays reducible until it
+    is taken, and a reduction queues each neighbour it leaves at degree 2 or
+    less.  The order does not change whether it gets stuck: both reductions
+    take minors, so a K4-minor-free graph stays one and always has a vertex
+    of degree at most 2, and a K4 minor (a K4 subdivision, as K4 is cubic)
+    survives every reduction.
+
+    In a 2-connected simple block, an input edge uv is light exactly when
+    it is merged in parallel while more than two vertices remain, and heavy
+    otherwise.  Such a merge means that {u, v} separates the block (the
+    merged branch from a vertex left), and when {u, v} separates, u and v
+    keep a neighbour on each side until one side shrinks to an edge uv,
+    which merges with uv at once.  A separating {u, v} leaves uv's deletion
+    2-connected and not its contraction; any other pair leaves the
+    contraction 2-connected, and then not the deletion, or two disjoint
+    u-v paths and a path between them would make a K4 subdivision with uv.
     """
-    adj = {v: set() for v in block.vertices}
-    for _, u, v in block.edges:
+    adj = {v: {} for v in block.vertices}  # neighbour -> input edge id, None once merged
+    for eid, u, v in block.edges:
         if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u][v] = adj[v][u] = None if v in adj[u] else eid
+    light = set()
     work = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while work:
         v = work.pop()
@@ -543,18 +500,19 @@ def _sp_reducible(block: Multigraph) -> bool:
             continue
         nbrs = adj.pop(v)
         for w in nbrs:
-            adj[w].discard(v)
+            del adj[w][v]
         if len(nbrs) == 2:
             a, b = nbrs
-            adj[a].add(b)
-            adj[b].add(a)
+            if adj[a].get(b) is not None and len(adj) > 2:
+                light.add(adj[a][b])
+            adj[a][b] = adj[b][a] = None
         work += (w for w in nbrs if len(adj[w]) <= 2)
-    return len(adj) <= 2
+    return light if len(adj) <= 2 else None
 
 
 def is_k4_minor_free(G: Multigraph) -> bool:
     """True iff G has no K4 minor; series-parallel reduction per block."""
-    return all(_sp_reducible(b) for b in blocks(G))
+    return all(_sp_reducible(b) is not None for b in blocks(G))
 
 
 # -- matroid bases and independent sets ------------------------------------
@@ -626,7 +584,8 @@ class BlowUpFactor(NamedTuple):
 
 
 def blow_up_factor(G: Multigraph) -> Optional[BlowUpFactor]:
-    """Factor G as the m-fold parallel blow-up of a simple graph, if uniform."""
+    """Factor G as the m-fold parallel blow-up of a simple graph, if
+    uniform; a block's base graph keeps its 2-connectivity record."""
     if G.m == 0:
         raise ValueError("blow_up_factor requires at least one edge")
     if any(u == v for _, u, v in G.edges):
@@ -641,6 +600,8 @@ def blow_up_factor(G: Multigraph) -> Optional[BlowUpFactor]:
             G.parallel_classes, key=lambda p: tuple(sorted(label_key(x) for x in p))
         )],
     )
+    if G.__dict__.get("_two_connected"):
+        H.__dict__["_two_connected"] = True
     return BlowUpFactor(m, H)
 
 

@@ -99,9 +99,9 @@ def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[tuple]:
 
     The peel runs on a mutable adjacency, each vertex's neighbours in H's
     adjacency order, with a heap of the removable runs.  A run's key is its
-    path's label-key tuple read from its smaller end, which is the key the
-    sorted ear list of graph.ears orders by, so the heap's least current run
-    is the first removable ear of that list: each step takes the ear a full
+    path's label-key tuple read from its smaller end, which is the key a
+    sorted list of every ear orders by, so the heap's least current run is
+    the first removable ear of that list: each step takes the ear a full
     rescan would take.  A run stays current while its inner vertices keep
     degree 2 and its ends do not: a peel changes only its own ends' degrees,
     so the runs it makes pass through an end that drops to degree 2, and

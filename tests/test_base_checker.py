@@ -18,7 +18,7 @@ from gorcheck.baseck import (
 )
 from gorcheck.construct import Seed, decompose_base
 from gorcheck.errors import GuardExceeded, SimpleGraphRequired, WeightConflict
-from gorcheck.graph import Multigraph, blocks, normalize
+from gorcheck.graph import Multigraph, _sp_reducible, blocks, normalize
 from gorcheck.smallgraphs import two_connected_graphs
 from ladder import edge_swap
 from test_graph import _is_two_connected_reference
@@ -251,27 +251,85 @@ def test_decomposition_decides_as_the_good_flat_system_on_the_atlas():
 
 def test_one_edge_profile_per_block(monkeypatch):
     # the decomposition's parts inherit their weights, so base_verdict reads
-    # one profile per block however many parts the block splits into; a
-    # delta=2 positive reads none, since the Collide peel decides it first,
-    # and a block with m = 2(n-1) reads its profile only once the peel fails
+    # one profile per block however many parts the block splits into: one
+    # series-parallel reduction on a K4-minor-free block, and the per-vertex
+    # passes only after a reduction that gets stuck; a delta=2 positive
+    # reads none, since the Collide peel decides it first, and a block with
+    # m = 2(n-1) reads its profile only once the peel fails
     events = []
-    real, real_peel = baseck.edge_facet_profile, construct._collide_peel
-    monkeypatch.setattr(baseck, "edge_facet_profile", lambda G: events.append("profile") or real(G))
-    monkeypatch.setattr(construct, "_collide_peel", lambda G: events.append("peel") or real_peel(G))
+    real_sp, real_passes = baseck._sp_reducible, baseck._profile_by_passes
+    real_peel = construct._collide_peel
+    for module, name, event, real in (
+        (baseck, "_sp_reducible", "reduction", real_sp),
+        (baseck, "_profile_by_passes", "passes", real_passes),
+        (construct, "_collide_peel", "peel", real_peel),
+    ):
+        monkeypatch.setattr(module, name, lambda G, e=event, f=real: events.append(e) or f(G))
     two_c4s = Multigraph.build(range(8), [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4),
                                           (4, 5), (5, 6), (6, 7), (7, 4)])
-    graphs = [(two_c4s, 4, ["profile"] * 2)]  # and the bridge 3-4, a K2 block
+    graphs = [(two_c4s, 4, ["reduction"] * 2)]  # and the bridge 3-4, a K2 block
     for kind in (2, 3, 4, "chain"):
         for n in (10, 22, 60):
             G, delta, _ = ladder_positive(kind, n, seed=n)
-            graphs.append((G, delta, ["peel"] if delta == 2 else ["profile"]))
+            graphs.append((G, delta, ["peel"] if delta == 2 else ["reduction"]))
     G, _, _ = ladder_positive(2, 16, seed=16)
     swapped = edge_swap(random.Random(16), list(G.vertices), [(u, v) for _, u, v in G.edges])
-    graphs.append((Multigraph.build(G.vertices, swapped), None, ["peel", "profile"]))
+    graphs.append((Multigraph.build(G.vertices, swapped), None, ["peel", "reduction", "passes"]))
     for G, delta, want in graphs:
         events.clear()
         assert base_verdict(G).delta == delta
         assert events == want, (G.n, delta, events)
+
+
+def test_reduction_profile_matches_the_per_vertex_passes():
+    # on every K4-minor-free block of the atlas up to 7 vertices, the pools
+    # and the ladder, with one-chord negatives, the profile read off the
+    # series-parallel reduction is the one the per-vertex passes compute
+    from test_constructions import _agreement_inputs
+
+    checked = 0
+    for G in _agreement_inputs():
+        for b in blocks(G):
+            if b.m >= 2 and _sp_reducible(b) is not None:
+                assert edge_facet_profile(b) == baseck._profile_by_passes(b), b.edges
+                checked += 1
+    assert checked > 700
+
+
+def test_delta2_weights_read_no_profile(monkeypatch):
+    # every weight is 1 at delta = 2, so a 30-vertex delta=2 edge swap, whose
+    # Collide peel gets stuck, reaches the subset guard without a profile
+    def no_profile(G):
+        raise AssertionError("edge_facet_profile called")
+
+    monkeypatch.setattr(baseck, "edge_facet_profile", no_profile)
+    G, _, _ = ladder_positive(2, 30, seed=30)
+    swapped = edge_swap(random.Random(30), list(G.vertices), [(u, v) for _, u, v in G.edges])
+    with pytest.raises(
+        GuardExceeded, match=r"^subset enumeration guarded at 24 vertices, graph has 30$"
+    ):
+        base_verdict(Multigraph.build(G.vertices, swapped))
+    with pytest.raises(ValueError, match="at least 2 edges"):
+        weight_function(Multigraph.build(range(2), [(0, 1)]), 2)
+
+
+def test_blocks_carry_their_two_connectivity(monkeypatch):
+    # blocks() records that each block is 2-connected, and blow_up_factor
+    # hands the record on, so the checkers run one low-link pass, the one
+    # in blocks(), on a delta=3 positive and on an attach-cycle tree
+    from gorcheck import graph, indepck
+    from ladder import attach_positive
+
+    calls = []
+    real = graph.low_link
+    for module in (graph, baseck):
+        monkeypatch.setattr(module, "low_link", lambda *a, **k: calls.append(1) or real(*a, **k))
+    G, delta, _ = ladder_positive(3, 200, seed=200)
+    assert base_verdict(G).delta == delta and len(calls) == 1
+    calls.clear()
+    vertices, edges, delta = attach_positive(3, 200, seed=200)
+    assert indepck.indep_verdict(Multigraph.build(vertices, edges)).delta == delta
+    assert len(calls) == 1
 
 
 def test_base_verdict_guards_large_blocks():

@@ -367,12 +367,14 @@ def test_check_base_c26(tmp_path, capsys):
 @pytest.mark.parametrize(
     "kind, n",
     [pytest.param(kind, 200, id=str(kind)) for kind in (2, 3, 4, "chain")]
-    + [pytest.param(2, 800, id="2-800")],
+    + [pytest.param(kind, n, id=f"{kind}-{n}") for kind, n in ((2, 800), (3, 800), ("chain", 801))],
 )
 def test_certify_base_ladder_positives_in_polynomial_time(tmp_path, capsys, kind, n):
     # about 200 vertices, the 201-vertex in-order chain among them: no
-    # subset table and one edge profile per block; at delta = 2 no profile
-    # at all, so 800 vertices fit in the same second
+    # subset table and at most one edge profile per block, read off one
+    # series-parallel reduction; at delta = 2 no profile at all, and no
+    # low-link pass but the one in blocks(), so 800 vertices fit in the
+    # same second
     G, delta, _ = ladder_positive(kind, n, seed=n)
     path = tmp_path / "ladder.txt"
     path.write_text(format_edge_list(G))
@@ -384,16 +386,16 @@ def test_certify_base_ladder_positives_in_polynomial_time(tmp_path, capsys, kind
     assert doc["input"]["vertices"] == G.n >= n
 
 
-def test_certify_base_delta2_does_not_depend_on_hash_order(tmp_path):
-    # string labels hash differently in every process unless PYTHONHASHSEED
-    # fixes them; the Collide peel's worklist and adjacency keep the input's
-    # order, so two hash seeds print the same certificate
+def _certify_under_two_hash_seeds(tmp_path, kind):
+    """certify base on the 40-vertex ladder positive of kind, string
+    labelled, under PYTHONHASHSEED 1 and 2: its delta, its vertex count and
+    the two outputs, elapsed times zeroed."""
     import re
     import subprocess
 
     import gorcheck
 
-    G, _, _ = ladder_positive(2, 40, seed=40)
+    G, delta, _ = ladder_positive(kind, 40, seed=40)
     path = tmp_path / "strings.txt"
     path.write_text("".join(f"v{u} v{v}\n" for _, u, v in G.edges))
     src = os.path.dirname(os.path.dirname(gorcheck.__file__))
@@ -408,8 +410,23 @@ def test_certify_base_delta2_does_not_depend_on_hash_order(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0', proc.stdout))
     doc = json.loads(outs[0])
-    assert (doc["delta"], doc["input"]["vertices"]) == (2, G.n)
-    assert outs[0] == outs[1]
+    assert (doc["delta"], doc["input"]["vertices"]) == (delta, G.n)
+    return outs
+
+
+def test_certify_base_delta2_does_not_depend_on_hash_order(tmp_path):
+    # string labels hash differently in every process unless PYTHONHASHSEED
+    # fixes them; the Collide peel's worklist and adjacency keep the input's
+    # order, so two hash seeds print the same certificate
+    first, second = _certify_under_two_hash_seeds(tmp_path, 2)
+    assert first == second
+
+
+def test_certify_base_delta3_does_not_depend_on_hash_order(tmp_path):
+    # so do the Glue/Subdivide peel's: its light pairs are a set, read only
+    # by membership, and its runs are sorted by label key
+    first, second = _certify_under_two_hash_seeds(tmp_path, 3)
+    assert first == second
 
 
 def test_stuck_decomposition_of_a_positive_exit5(files, capsys, monkeypatch):

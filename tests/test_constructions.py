@@ -7,7 +7,7 @@ import pytest
 
 from conftest import complete, cycle, ladder_positive
 from gorcheck import construct
-from gorcheck.baseck import base_verdict, check_spade, weight_function
+from gorcheck.baseck import base_verdict, candidate_deltas, check_spade, weight_function
 from gorcheck.construct import (
     AttachCycle,
     BlowUp,
@@ -30,11 +30,21 @@ from gorcheck.construct import (
     replay_matches,
     subdivide,
 )
-from gorcheck.errors import ConstructionError, InternalContradiction
-from gorcheck.graph import Multigraph, blocks, blow_up_factor, components, is_isomorphic, low_link
+from gorcheck.errors import ConstructionError, InternalContradiction, WeightConflict
+from gorcheck.graph import (
+    Multigraph,
+    blocks,
+    blow_up_factor,
+    components,
+    is_isomorphic,
+    is_two_connected,
+    label_key,
+    low_link,
+)
 from gorcheck.indepck import indep_verdict
 from gorcheck.smallgraphs import two_connected_graphs
 from ladder import edge_swap, in_order_chain, with_chord
+from test_graph import ears
 
 
 def test_replay_seeds():
@@ -163,21 +173,98 @@ def test_decompose_rejects_negative(c5_chord):
         decompose_base(c5_chord, 4)
 
 
+def _step(G, light, delta):
+    """Reference: one decomposition step at delta >= 3 of a part G with
+    weight-1 edges light (None for the input: weight_function reads them
+    off its profile): (step, the parts it splits G into, in child order,
+    each with its light set).  Each step splits at the least light edge,
+    into the components of G minus its ends, or shrinks the first
+    (delta-1)-ear of a full ears rescan to an edge.
+
+    A part inherits its weights: an edge it keeps has the same two profile
+    flags there as in G, which is the 2-sum of the Glue parts along uv, or
+    the Subdivide part with one other edge subdivided.  A Glue part is
+    connected off uv, so uv weighs delta-1 there unless its deletion keeps
+    the part 2-connected too (WeightConflict), and the edge v0 vs a
+    Subdivide part gains weighs 1 exactly when its deletion, rest, is
+    2-connected and its contraction is not: vs cuts rest - v0.
+    """
+    if G.n == G.m:
+        if G.n != delta:
+            raise InternalContradiction(f"C{G.n} is no {delta}-cycle")
+        walk = [min(G.vertices, key=label_key)]
+        walk.append(min((w for _, w in G.adjacency[walk[0]]), key=label_key))
+        while len(walk) < G.n:
+            walk.append(next(w for _, w in G.adjacency[walk[-1]] if w != walk[-2]))
+        return construct.Step(construct.Node("seed", seed="cycle", n=G.n), new=tuple(walk)), []
+
+    if light is None:
+        light = {eid for eid, wt in weight_function(G, delta).items() if wt == 1}
+    if light:
+        uv = min(light, key=lambda e: (tuple(sorted(label_key(x) for x in G.endpoints(e))), e))
+        pair = tuple(sorted(G.endpoints(uv), key=label_key))
+        parts = [(p, light.intersection(p.edge_by_id) - {uv}) for p in _split(G, pair, delta - 1)]
+        if any(is_two_connected(p.without_edges((uv,))) for p, _ in parts):
+            raise WeightConflict(uv, delta)
+        return construct.Step(construct.Node("glue", delta=delta), delta - 1, pair), parts
+
+    candidates = [e for e in ears(G).ears if e.length == delta - 1]
+    if not candidates:
+        raise InternalContradiction(f"no ({delta - 1})-ear in an all-heavy graph")
+    ear = candidates[0]
+    v0, vs = ear.path[0], ear.path[-1]
+    if G.has_edge(v0, vs):
+        raise InternalContradiction("ear endpoints are adjacent")
+    rest = G.without_vertices(ear.inner)
+    if not (is_two_connected(rest) and vs in low_link(rest, skip=v0).cut_vertices):
+        raise InternalContradiction(f"an ear shrinks to an edge of weight {delta - 1}, not 1")
+    shrunk, new = rest.with_edge(v0, vs)
+    step = construct.Step(construct.Node("subdivide", delta=delta), 1, (v0, vs), ear.inner)
+    return step, [(shrunk, {new})]
+
+
+def _split(G, pair, want):
+    """Reference: the parts of G at a separating pair, one per component of
+    G - pair in components order, each with the pair; InternalContradiction
+    unless there are want of them."""
+    comps = components(G.without_vertices(pair))
+    if len(comps) != want:
+        raise InternalContradiction(f"{len(comps)} components at a separating pair, not {want}")
+    return [G.induced(set(comp).union(pair)) for comp in comps]
+
+
+def _decompose_by_steps(G, delta):
+    """Reference for the Glue/Subdivide peel: decompose(G, delta) at delta
+    >= 3 by a work stack of _step parts, root first; (cert, None), or
+    (None, check_spade's witness) when a part gets stuck."""
+    steps, parts = [], [(G, None)]
+    try:
+        while parts:
+            step, split = _step(*parts.pop(), delta)
+            steps.append(step)
+            parts += split
+    except (InternalContradiction, WeightConflict):
+        return None, check_spade(G, delta)
+    cert, vmap, rep = construct.build(reversed(steps))
+    construct.check_vertex_map(G, vmap, rep)
+    return cert, None
+
+
 def test_decompose_checks_the_subdivided_edge_weight(monkeypatch, k4_minus_e):
     # G5 is Subdivide-rooted: its 2-ear shrinks to the weight-1 edge of K4-e.
     # A low-link pass that finds no cut vertex in rest - v0 makes that edge
-    # contract to a 2-connected graph, so it reads as heavy.
+    # contract to a 2-connected graph, so the reference step reads it as heavy.
     G5 = subdivide(k4_minus_e, 0, 3)
-    assert decompose_base(G5, 3)[-1].op == "subdivide"
-    real = construct.low_link
+    assert _decompose_by_steps(G5, 3)[0][-1].op == "subdivide"
+    real = low_link
 
     def no_cut_vertex_off_a_vertex(G, skip=None):
         ll = real(G, skip)
         return ll if skip is None else ll._replace(cut_vertices=frozenset())
 
-    monkeypatch.setattr(construct, "low_link", no_cut_vertex_off_a_vertex)
+    monkeypatch.setattr(sys.modules[__name__], "low_link", no_cut_vertex_off_a_vertex)
     with pytest.raises(InternalContradiction, match="weight 2, not 1"):
-        decompose_base(G5, 3)
+        _step(G5, None, 3)
 
 
 def _separating_pair(G):
@@ -210,7 +297,7 @@ def _decompose_by_pairs(G):
                 seed = construct.Node("seed", seed="k4")
                 steps.append(construct.Step(seed, new=part.sorted_vertices))
                 continue
-            split = construct._split(part, pair, 2)
+            split = _split(part, pair, 2)
             if part.has_edge(*pair):
                 raise InternalContradiction("separating pair joined by an edge")
             steps.append(construct.Step(construct.Node("collide"), 2, pair))
@@ -349,9 +436,10 @@ def test_collide_peel_agrees_with_the_split_at_the_first_pair():
 
 def test_parts_inherit_their_weights(monkeypatch):
     # a part's weight-1 edges come down from its parent, not from its own
-    # profile; at every part of every decomposition base_verdict runs, they
-    # are the ones weight_function reads off the part
-    real = construct._step
+    # profile; at every part of the reference decomposition of every block
+    # base_verdict decides at delta >= 3, they are the ones weight_function
+    # reads off the part
+    real = _step
     parts = []
 
     def spy(G, light, delta):
@@ -360,15 +448,50 @@ def test_parts_inherit_their_weights(monkeypatch):
             parts.append(G.n == G.m)
         return real(G, light, delta)
 
-    monkeypatch.setattr(construct, "_step", spy)
+    monkeypatch.setattr(sys.modules[__name__], "_step", spy)
     for G, built in _decomposition_inputs():
+        delta = base_verdict(G).delta
         if built is not None:  # the ladder tracks the weights it builds with
-            delta, light = built
-            assert light == {e for e, w in weight_function(G, delta).items() if w == 1}
-            assert base_verdict(G).delta == delta
-        else:
-            base_verdict(G)
+            light = {e for e, w in weight_function(G, built[0]).items() if w == 1}
+            assert (delta, light) == built
+        if delta is not None and delta > 2:
+            for b in (b for b in blocks(G) if b.n > 2):
+                assert _decompose_by_steps(b, delta)[0] is not None, b.edges
     assert parts.count(False) > 700 and parts.count(True) > 1100  # non-cycle and cycle parts
+
+
+def _agreement_inputs():
+    """_decomposition_inputs and ladder positives at delta = 3, 4, 5 and
+    the chain up to 150 vertices, each with a one-chord negative."""
+    out = [G for G, _ in _decomposition_inputs()]
+    rng = random.Random(20261020)
+    for kind in (3, 4, 5, "chain"):
+        for n in (40, 80, 150):
+            G, _, _ = ladder_positive(kind, n, seed=n)
+            out.append(G)
+            chorded = with_chord(rng, list(G.vertices), [(u, v) for _, u, v in G.edges])
+            out.append(Multigraph.build(G.vertices, chorded))
+    return out
+
+
+def test_glue_peel_agrees_with_the_step_reference():
+    # every block of every agreement input, at each of its candidate deltas
+    # above 2: the peel decomposes it exactly when the _step work stack
+    # does, with the same witness when it does not, and every peel
+    # certificate replays onto its block under the checked vertex map
+    decided = []
+    for G in _agreement_inputs():
+        for b in (b for b in blocks(G) if b.n > 2):
+            for delta in sorted(candidate_deltas(b) - {2}):
+                cert, witness = construct.decompose(b, delta)
+                ref_cert, ref_witness = _decompose_by_steps(b, delta)
+                assert (cert is None, witness) == (ref_cert is None, ref_witness), (b.edges, delta)
+                if cert is not None:
+                    peeled, vmap, rep = construct.build(construct._glue_peel(b, delta))
+                    construct.check_vertex_map(b, vmap, rep)
+                    assert peeled == cert
+                decided.append(cert is not None)
+    assert decided.count(True) > 500 and decided.count(False) > 100
 
 
 def _check_every_node(cert, delta):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -12,7 +13,6 @@ from gorcheck.graph import (
     blocks,
     blow_up_factor,
     components,
-    ears,
     format_edge_list,
     induced_cycles,
     is_isomorphic,
@@ -266,6 +266,67 @@ def test_components():
 def test_contract(k4):
     contracted, _ = k4.contract([0])
     assert contracted.n == 3 and contracted.m == 5  # K4/e keeps parallel edges
+
+
+class Ear(NamedTuple):
+    """Path whose inner vertices have degree 2 in the host graph."""
+
+    path: tuple  # vertex sequence (v_0, ..., v_s)
+    edge_ids: tuple
+
+    @property
+    def length(self) -> int:
+        return len(self.path) - 1
+
+    @property
+    def inner(self) -> tuple:
+        return self.path[1:-1]
+
+
+class EarScan(NamedTuple):
+    is_cycle: bool
+    ears: tuple
+
+
+def ears(G: Multigraph) -> EarScan:
+    """Reference: all maximal ears of a 2-connected graph, pairwise
+    edge-disjoint, by a full scan; the peels keep their runs up to date
+    instead of rescanning.
+
+    A cycle has no ears in this sense and is flagged via is_cycle instead.
+    Only ears with at least one inner vertex (length >= 2) are reported,
+    each read from its smaller end, sorted by label-key path.
+    """
+    deg = {v: G.degree(v) for v in G.vertices}
+    if all(d == 2 for d in deg.values()):
+        return EarScan(is_cycle=True, ears=())
+    used_edges: set = set()
+    found = []
+    anchors = [v for v in G.sorted_vertices if deg[v] != 2]
+    for a in anchors:
+        for eid, w in sorted(G.adjacency[a]):
+            if eid in used_edges or deg[w] != 2:
+                continue
+            path = [a, w]
+            eids = [eid]
+            prev_eid, cur = eid, w
+            while deg[cur] == 2:
+                nxt = next(
+                    (e, x) for e, x in sorted(G.adjacency[cur]) if e != prev_eid
+                )
+                prev_eid, cur = nxt
+                path.append(cur)
+                eids.append(prev_eid)
+            if any(e in used_edges for e in eids):
+                continue
+            used_edges.update(eids)
+            keyed = tuple(label_key(v) for v in path)
+            if tuple(reversed(keyed)) < keyed:
+                path.reverse()
+                eids.reverse()
+            found.append(Ear(tuple(path), tuple(eids)))
+    found.sort(key=lambda e: tuple(label_key(v) for v in e.path))
+    return EarScan(is_cycle=False, ears=tuple(found))
 
 
 def test_ears():

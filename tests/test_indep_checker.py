@@ -22,7 +22,7 @@ from gorcheck.construct import (
     replay_matches,
 )
 from gorcheck.errors import GuardExceeded, InternalContradiction
-from gorcheck.graph import Multigraph, ears, induced_cycles, is_two_connected, label_key
+from gorcheck.graph import Multigraph, induced_cycles, is_two_connected, label_key
 from gorcheck.indepck import (
     check_chordal_k4free,
     check_club,
@@ -31,6 +31,7 @@ from gorcheck.indepck import (
 )
 from gorcheck.smallgraphs import two_connected_graphs
 from ladder import attach_positive
+from test_graph import ears
 
 
 def test_check_club_examples(k4_minus_e, c4, c3):

@@ -12,9 +12,10 @@ import pytest
 from conftest import complete, cycle
 from gorcheck.baseck import BaseVerdict, Witness, base_verdict, candidate_deltas
 from gorcheck.flats import GoodFlat
-from gorcheck.graph import BlowUpFactor, Ear, EarScan, Multigraph
+from gorcheck.graph import BlowUpFactor, Multigraph
 from gorcheck.indepck import IndepVerdict
 from gorcheck.oracle import Facet, GorensteinWitness, HStarVector, polytope_of
+from test_graph import Ear, EarScan
 
 C3_REPR = "Multigraph(vertices=(0, 1, 2), edges=((0, 0, 1), (1, 1, 2), (2, 0, 2)))"
 EAR_REPR = "Ear(path=('a', 'x', 'c'), edge_ids=(4, 5))"

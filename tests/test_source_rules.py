@@ -129,6 +129,26 @@ def test_delta2_decides_by_the_collide_peel():
     assert _names(peel) & {"low_link", "edge_facet_profile"} == set()
 
 
+def test_glue_peel_runs_no_low_link_pass():
+    # a delta >= 3 block is decided by peeling Glues and Subdivides off one
+    # mutable adjacency, with the weights the series-parallel reduction
+    # read; the per-part steps (_step, _split) and the ear rescan (ears)
+    # are test references
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = [
+        f"{name}:{ident}"
+        for name, tree in trees.items()
+        for ident in sorted(_names(tree) & {"_step", "_split", "ears"})
+    ]
+    assert found == []
+    (peel,) = [
+        node for node in trees["construct.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_glue_peel"
+    ]
+    assert _names(peel) & {"low_link", "is_two_connected", "edge_facet_profile"} == set()
+
+
 def _binders(name: str) -> list:
     """module:function for each top-level function or method whose
     assignments bind `name`, as a plain name or subscripted."""
