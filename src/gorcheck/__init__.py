@@ -15,8 +15,8 @@ _EXPORTS = {
         "check_heart", "check_spade", "edge_facet_profile", "weight_function",
     ),
     "construct": (
-        "AttachCycle", "BlowUp", "Collide", "EdgeRef", "Glue", "Node", "Seed",
-        "Subdivide", "attach_cycle", "blow_up", "cert_from_json", "cert_to_json",
+        "AttachCycle", "BlowUp", "Collide", "Glue", "Node", "Seed", "Subdivide",
+        "attach_cycle", "blow_up", "cert_from_json", "cert_to_json",
         "collide", "decompose_base", "glue", "replay", "replay_matches", "subdivide",
     ),
     "errors": (

@@ -249,14 +249,18 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
     blks = blocks(G)
     big = [b for b in blks if b.n > 2]
     if not big:
-        return BaseVerdict("gorenstein", None, certificates=(Seed("k2"),) * len(blks))
+        certs = tuple(Seed("k2", b.sorted_vertices) for b in blks)
+        return BaseVerdict("gorenstein", None, certificates=certs)
 
     def certificates_at(delta):
         """(the blocks' certificates, None) at delta, or (None, the first
         stuck block's witness)."""
         certs = []
         for b in blks:
-            cert, witness = (Seed("k2"), None) if b.n == 2 else decompose(b, delta)
+            if b.n == 2:
+                cert, witness = Seed("k2", b.sorted_vertices), None
+            else:
+                cert, witness = decompose(b, delta)
             if witness is not None:
                 return None, witness
             certs.append(cert)

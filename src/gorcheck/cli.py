@@ -198,11 +198,12 @@ def cmd_certify(args) -> int:
         body = {
             "status": v.status,
             "delta": v.delta,
-            # each vertex map was checked exactly where the verdict built its
-            # certificate (construct.decompose, recognize_cycle_construction),
-            # which raises InternalContradiction on a mismatch
+            # each certificate's replay was checked to be its block exactly
+            # where the verdict built it (construct.decompose,
+            # recognize_cycle_construction), which raises
+            # InternalContradiction on a mismatch
             "certificates": [
-                {**cert_to_dict(cert), "replay_matched": True, "replay_check": "vertex_map"}
+                {**cert_to_dict(cert), "replay_matched": True, "replay_check": "exact"}
                 for cert in v.certificates
             ],
         }
@@ -230,7 +231,7 @@ def cmd_generate(args) -> int:
         if args.cycle is not None and args.k4:
             raise ValueError("--cycle and --k4 are mutually exclusive")
         if args.cycle is not None:
-            G = replay(Seed("cycle", args.cycle))
+            G = replay(Seed("cycle", range(args.cycle)))
         elif args.k4:
             G = replay(Seed("k4"))
         else:

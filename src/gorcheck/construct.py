@@ -1,24 +1,25 @@
 """Generative operations, replayable certificates, and their inverses.
 
 A certificate is a tuple of construction steps in post-order, the root last:
-the gorcheck.cert/2 node list itself, in memory as on disk.  Each Node is
+the gorcheck.cert/3 node list itself, in memory as on disk.  Each Node is
 flat, naming its children by their indexes in the tuple, so ==, hash and
-repr are flat tuple operations at any depth.  Replay is deterministic:
-every node's output uses canonical integer vertex labels and re-assigned edge
-ids, so an edge reference (id plus orientation flag) inside a node always
-refers to the replayed child, keeping certificates self-contained.
+repr are flat tuple operations at any depth.  Every node names vertices of
+the graph it builds, the input's own labels: a seed its vertices, a glue or
+collide the shared edge (a, b), a subdivide or attach_cycle its new path
+(a, x.., b).  So a certificate is checked against its input by replaying it
+and comparing vertex sets and edge multisets, with no vertex map.
 
-A node's replay state is (n, pairs): vertices 0..n-1 and the sorted list
-of its edges as (low, high) pairs, an edge's id being its index there.
-Each state is used once, by its parent: Subdivide and AttachCycle extend
-their child's list in place, with bisect, and a Multigraph is built only
-for the root.
+A node's replay state is (vertex set, edge counts): the set of its labels
+and a dict from each edge, the frozenset of its ends, to its multiplicity.  Each
+state is used once, by its parent, which changes it in place: a one-child
+step extends its child's, and glue and collide merge the smaller children
+into the largest, so a replay is one forward pass, and a Multigraph is built
+only for the root.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
 from collections import deque
 from typing import NamedTuple, Optional
 
@@ -27,26 +28,18 @@ from .errors import ConstructionError, GuardExceeded, InternalContradiction, Wei
 from .flats import good_flats
 from .graph import Multigraph, blocks, is_isomorphic, is_two_connected, label_key
 
-SCHEMA = "gorcheck.cert/2"
-
-
-class EdgeRef(NamedTuple):
-    """Edge of a replayed child: id plus whether the stored endpoint order is reversed."""
-
-    edge_id: int
-    flipped: bool = False
+SCHEMA = "gorcheck.cert/3"
 
 
 class Node(NamedTuple):
-    """One construction step; the fields are the gorcheck.cert/2 keys, and
+    """One construction step; the fields are the gorcheck.cert/3 keys, and
     children (child on disk) are indexes of earlier nodes."""
 
     op: str  # "seed" | "glue" | "subdivide" | "collide" | "attach_cycle" | "blow_up"
     children: tuple = ()
-    refs: tuple = ()  # one EdgeRef per child; none for seed and blow_up
+    labels: tuple = ()  # a seed's vertices, an edge (a, b) or a path (a, x.., b)
     delta: Optional[int] = None
     seed: Optional[str] = None  # "cycle" | "k4" | "k2"
-    n: Optional[int] = None  # cycle length
     m: Optional[int] = None  # blow-up multiplicity
 
 
@@ -64,144 +57,184 @@ def _join(certs, op: str, **fields) -> tuple:
     return nodes + (Node(op, tuple(kids), **fields),)
 
 
+SEED_SIZES = {"k2": 2, "k4": 4}
+
+
 # the steps by name: each returns a certificate, that step over its children
-def Seed(kind: str, n: Optional[int] = None) -> tuple:
-    return (Node("seed", seed=kind, n=n),)
+def Seed(kind: str, vertices=None) -> tuple:
+    """A seed on the given vertices, in cycle order for a cycle; K2 and K4
+    default to 0, 1 (, 2, 3)."""
+    if vertices is None:
+        vertices = range(SEED_SIZES.get(kind, 0))
+    return (Node("seed", labels=tuple(vertices), seed=kind),)
 
 
-def Glue(delta: int, children, refs) -> tuple:
-    return _join(children, "glue", refs=tuple(refs), delta=delta)
+def Glue(delta: int, children, edge) -> tuple:
+    return _join(children, "glue", labels=tuple(edge), delta=delta)
 
 
-def Subdivide(delta: int, child: tuple, ref: EdgeRef) -> tuple:
-    return _join((child,), "subdivide", refs=(ref,), delta=delta)
+def Subdivide(delta: int, child: tuple, path) -> tuple:
+    return _join((child,), "subdivide", labels=tuple(path), delta=delta)
 
 
-def Collide(children, refs) -> tuple:
-    return _join(children, "collide", refs=tuple(refs))
+def Collide(children, edge) -> tuple:
+    return _join(children, "collide", labels=tuple(edge))
 
 
-def AttachCycle(delta: int, child: tuple, ref: EdgeRef) -> tuple:
-    return _join((child,), "attach_cycle", refs=(ref,), delta=delta)
+def AttachCycle(delta: int, child: tuple, path) -> tuple:
+    return _join((child,), "attach_cycle", labels=tuple(path), delta=delta)
 
 
 def BlowUp(child: tuple, m: int) -> tuple:
     return _join((child,), "blow_up", m=m)
 
 
+def post_order(nodes) -> tuple:
+    """The certificate of nodes listed in post-order without their children:
+    each node takes as children the last nodes no node has taken yet, as
+    many as its op has (delta-1 for a glue, 2 for a collide)."""
+    cert, free = [], []
+    for node in nodes:
+        arity = {"seed": 0, "glue": (node.delta or 0) - 1, "collide": 2}.get(node.op, 1)
+        kids = tuple(free[len(free) - arity:])
+        del free[len(free) - arity:]
+        free.append(len(cert))
+        cert.append(node._replace(children=kids))
+    return tuple(cert)
+
+
 # -- replay ------------------------------------------------------------------
 
 
-def _graph(n: int, pairs: list) -> Multigraph:
-    """The replayed graph of a replay state: vertices 0..n-1, edge i = pairs[i]."""
-    return Multigraph(tuple(range(n)), tuple((i, a, b) for i, (a, b) in enumerate(pairs)))
+def _edge_counts(pairs, counts=None) -> dict:
+    """counts, a new dict by default, with the edge of each pair added."""
+    counts = {} if counts is None else counts
+    for e in map(frozenset, pairs):
+        counts[e] = counts.get(e, 0) + 1
+    return counts
 
 
-def _sorted_pairs(pairs) -> list:
-    return sorted((a, b) if a <= b else (b, a) for a, b in pairs)
+def _drop(counts: dict, e: frozenset, k: int) -> None:
+    counts[e] -= k
+    if not counts[e]:
+        del counts[e]
 
 
-def _oriented(state, ref: EdgeRef):
-    pairs = state[1]
-    if not 0 <= ref.edge_id < len(pairs):
-        raise ConstructionError(f"certificate references missing edge {ref.edge_id}")
-    u, v = pairs[ref.edge_id]
-    return (v, u) if ref.flipped else (u, v)
+def _graph(vertices, edges: dict) -> Multigraph:
+    """The Multigraph of a replay state: its vertices in label order, and
+    its edges, ends in label order (a loop's frozenset holds one), sorted,
+    with ids 0..m-1."""
+    pairs = []
+    for e, count in edges.items():
+        keys = [label_key(x) for x in e]
+        pairs += [(min(keys), max(keys))] * count
+    pairs.sort()
+    return Multigraph(
+        tuple(sorted(vertices, key=label_key)),
+        tuple((i, u[1], v[1]) for i, (u, v) in enumerate(pairs)),
+    )
 
 
-def _merge_along(states, oriented_edges, drop_merged_edge: bool):
-    """Disjoint union with one oriented edge per part identified into a single edge.
-
-    The parts' other vertices are numbered part by part, each part's in
-    increasing order, and the identified ends u, v become n-2 and n-1.
-    Returns (state, embeddings) where embeddings[i] maps part i's vertex
-    labels into the result.
-    """
-    embeddings, n = [], 0
-    for (size, _), (_, u, v) in zip(states, oriented_edges):
-        others = [x for x in range(size) if x != u and x != v]
-        embeddings.append(dict(zip(others, range(n, n + len(others)))))
-        n += len(others)
-    pairs = [] if drop_merged_edge else [(n, n + 1)]
-    for (_, part), emb, (eid, u, v) in zip(states, embeddings, oriented_edges):
-        emb[u], emb[v] = n, n + 1
-        pairs += [(emb[a], emb[b]) for e, (a, b) in enumerate(part) if e != eid]
-    return (n + 2, _sorted_pairs(pairs)), embeddings
-
-
-def replay_step(node: Node, reps: list):
-    """Replay one node from its children's replay states, (n, sorted
-    pairs) each, so edge ids depend only on the edge multiset; returns
-    (state, child embedding maps).  A one-child step keeps its child's
-    labels and numbers its new vertices after them: it embeds by the
-    identity and returns None for the maps.  Subdivide and AttachCycle
-    extend the child's pair list in place, so a child is used once."""
-    op = node.op
+def replay_step(node: Node, kids: list):
+    """The replay state of node from its children's, which it changes in
+    place; ConstructionError when the step is not a construction."""
+    op, labels = node.op, node.labels
     if op == "seed":
-        if node.seed == "cycle":
-            if node.n is None or node.n < 2:
+        size, kind = len(labels), node.seed
+        if kind == "cycle":
+            if size < 2:
                 raise ConstructionError("cycle seed needs length >= 2")
-            n, pairs = node.n, [(i, (i + 1) % node.n) for i in range(node.n)]
-        elif node.seed == "k4":
-            n, pairs = 4, [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        elif node.seed == "k2":
-            n, pairs = 2, [(0, 1)]
+            pairs = zip(labels, labels[1:] + labels[:1])
+        elif kind in SEED_SIZES:
+            if size != SEED_SIZES[kind]:
+                raise ConstructionError(f"{kind} seed needs {SEED_SIZES[kind]} vertices")
+            pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
         else:
-            raise ConstructionError(f"unknown seed kind {node.seed!r}")
-        return (n, _sorted_pairs(pairs)), []
+            raise ConstructionError(f"unknown seed kind {kind!r}")
+        if len(set(labels)) != size:
+            raise ConstructionError("seed repeats a vertex")
+        return set(labels), _edge_counts(pairs)
 
-    if op in ("glue", "collide"):
-        is_glue = op == "glue"
-        want = node.delta - 1 if is_glue else 2
-        if len(reps) != want or len(node.refs) != want:
-            what = f"glue at delta={node.delta}" if is_glue else "collide"
-            raise ConstructionError(f"{what} needs exactly {want} children")
-        oriented = [(r.edge_id,) + _oriented(st, r) for st, r in zip(reps, node.refs)]
-        return _merge_along(reps, oriented, drop_merged_edge=not is_glue)
-
-    if op not in ("subdivide", "attach_cycle", "blow_up"):
-        raise ConstructionError(f"unknown certificate op {op!r}")
-    ((n, pairs),) = reps
     if op == "blow_up":
         if node.m < 1:
             raise ConstructionError("blow-up multiplicity must be >= 1")
-        return (n, [p for p in pairs for _ in range(node.m)]), None
+        ((vertices, edges),) = kids
+        return vertices, {e: count * node.m for e, count in edges.items()}
 
-    # Subdivide replaces the referenced edge by a path of delta-1 edges (the
+    if op in ("glue", "collide"):
+        is_glue = op == "glue"
+        if is_glue and node.delta < 3:
+            raise ConstructionError("glue is a delta > 2 construction")
+        want = node.delta - 1 if is_glue else 2
+        if len(kids) != want:
+            what = f"glue at delta={node.delta}" if is_glue else "collide"
+            raise ConstructionError(f"{what} needs exactly {want} children")
+        ab = _child_edge(kids, *labels)
+        kids = sorted(kids, key=lambda state: len(state[0]), reverse=True)
+        vertices, edges = kids[0]
+        for others, more in kids[1:]:  # the smaller children into the largest
+            shared = [x for x in others if x in vertices and x not in ab]
+            if shared:
+                raise ConstructionError(f"{op} children share the vertex {shared[0]!r}")
+            vertices |= others
+            for e, count in more.items():
+                edges[e] = edges.get(e, 0) + count
+        # the children's copies of ab become one edge (glue) or none (collide)
+        _drop(edges, ab, want - is_glue)
+        return vertices, edges
+
+    if op not in ("subdivide", "attach_cycle"):
+        raise ConstructionError(f"unknown certificate op {op!r}")
+    # Subdivide replaces the edge ab by its path of delta-1 edges (the
     # identity at delta=2); AttachCycle adds a path of delta edges beside it
     attach = op == "attach_cycle"
     if node.delta < 2:
-        raise ConstructionError(f"{'attach_cycle' if attach else 'subdivide'} needs delta >= 2")
-    (ref,) = node.refs
-    u, v = _oriented(reps[0], ref)
-    chain = [u, *range(n, n + node.delta - 2 + attach), v]
+        raise ConstructionError(f"{op} needs delta >= 2")
+    if len(labels) != node.delta + attach:
+        need = node.delta + attach
+        raise ConstructionError(f"{op} at delta={node.delta} needs {need} path vertices")
+    ((vertices, edges),) = kids
+    ab = _child_edge(kids, labels[0], labels[-1])
+    inner = labels[1:-1]
+    if len(set(inner)) != len(inner) or not vertices.isdisjoint(inner):
+        raise ConstructionError(f"{op} path runs through a vertex it does not add")
     if not attach:
-        del pairs[ref.edge_id]
-    for a, b in zip(chain, chain[1:]):
-        insort(pairs, (a, b) if a <= b else (b, a))
-    return (n + len(chain) - 2, pairs), None
+        _drop(edges, ab, 1)
+    vertices.update(inner)
+    return vertices, _edge_counts(zip(labels, labels[1:]), edges)
 
 
-def replay_detail(cert: tuple):
-    """Replay a certificate; returns (graph, child embedding maps) of its root.
+def _child_edge(kids, a, b) -> frozenset:
+    """The edge ab, which every child must have; else ConstructionError."""
+    ab = frozenset((a, b))
+    if any(ab not in edges for _, edges in kids):
+        raise ConstructionError(f"a child lacks the edge ({a!r}, {b!r})")
+    return ab
 
-    One forward pass over the nodes: a child's replay state is dropped
-    once its parent has used it, so a chain holds one state at a time, and
-    the graph is built once, at the root.
-    """
+
+def _replay_state(cert: tuple):
+    """The replay state of the certificate's last node: one forward pass, a
+    child's state dropped once its parent has used it."""
     pending = {}  # node index -> replay state no parent has used yet
     for i, node in enumerate(cert):
-        kids = [pending.pop(k) for k in node.children]
-        state, embeds = replay_step(node, kids)
-        pending[i] = state
-    if embeds is None:
-        embeds = [{x: x for x in range(kids[0][0])}]
-    return _graph(*state), embeds
+        pending[i] = state = replay_step(node, [pending.pop(k) for k in node.children])
+    return state
 
 
 def replay(cert: tuple) -> Multigraph:
-    """Deterministic reconstruction of the graph a certificate describes."""
-    return replay_detail(cert)[0]
+    """The graph a certificate describes, in its own labels."""
+    return _graph(*_replay_state(cert))
+
+
+def check_replay(G: Multigraph, cert: tuple) -> None:
+    """InternalContradiction unless cert replays to G exactly: the same
+    vertex set and the same edge multiset."""
+    try:
+        vertices, edges = _replay_state(cert)
+    except ConstructionError as bad:
+        raise InternalContradiction(f"certificate does not replay: {bad}") from bad
+    if vertices != set(G.vertices) or edges != _edge_counts((u, v) for _, u, v in G.edges):
+        raise InternalContradiction("certificate replays to another graph than its block")
 
 
 # -- forward construction operations ----------------------------------------
@@ -246,8 +279,7 @@ def glue(parts, delta: int) -> Multigraph:
         w = _weights_of_part(g, delta, f"glue part {i}")
         if w[eid] != delta - 1:
             raise ConstructionError(f"glued edge {eid} has weight {w[eid]}, needs {delta - 1}")
-    refs = tuple(EdgeRef(eid) for _, eid in parts)
-    return _forward([g for g, _ in parts], Node("glue", refs=refs, delta=delta))
+    return _forward(Node("glue", delta=delta), parts)
 
 
 def subdivide(G: Multigraph, eid: int, delta: int) -> Multigraph:
@@ -257,14 +289,14 @@ def subdivide(G: Multigraph, eid: int, delta: int) -> Multigraph:
         raise ConstructionError(f"subdivision target {eid} has weight {w[eid]}, needs 1")
     if delta == 2:
         return G
-    return _forward([G], Node("subdivide", refs=(EdgeRef(eid),), delta=delta))
+    return _forward(Node("subdivide", delta=delta), [(G, eid)])
 
 
 def collide(G1: Multigraph, e1: int, G2: Multigraph, e2: int) -> Multigraph:
     """Glue two graphs along the given edges, then remove the identified edge."""
     for i, g in enumerate((G1, G2), 1):
         _weights_of_part(g, 2, f"collide part {i}")
-    return _forward([G1, G2], Node("collide", refs=(EdgeRef(e1), EdgeRef(e2))))
+    return _forward(Node("collide"), [(G1, e1), (G2, e2)])
 
 
 def attach_cycle(H: Multigraph, eid: int, delta: int) -> Multigraph:
@@ -277,63 +309,49 @@ def attach_cycle(H: Multigraph, eid: int, delta: int) -> Multigraph:
         raise ConstructionError("attach_cycle requires a simple graph")
     if eid not in H.edge_by_id:
         raise KeyError(f"unknown edge id {eid}")
-    return _forward([H], Node("attach_cycle", refs=(EdgeRef(eid),), delta=delta))
+    return _forward(Node("attach_cycle", delta=delta), [(H, eid)])
 
 
 def blow_up(H: Multigraph, m: int) -> Multigraph:
     """Replace every edge by m parallel copies; replay_step refuses m < 1."""
-    return _forward([H], Node("blow_up", m=m))
+    return _forward(Node("blow_up", m=m), [(H, None)])
 
 
-def _forward(graphs, step: Node) -> Multigraph:
-    """Replay one step on the graphs relabelled to replay labels, 0..n-1 in
-    sorted_vertices order: each graph's pairs sorted, and each ref, an
-    unflipped input edge id, moved to its edge's rank there, flipped when
-    the edge's stored ends run high to low.  The step names no children,
-    since replay_step reads only the replayed ones."""
-    reps, refs = [], list(step.refs)
-    for k, G in enumerate(graphs):
-        lab = {x: i for i, x in enumerate(G.sorted_vertices)}
-        ranked = sorted(
-            (min(lab[u], lab[v]), max(lab[u], lab[v]), eid, lab[u] > lab[v]) for eid, u, v in G.edges
-        )
-        reps.append((G.n, [(a, b) for a, b, _, _ in ranked]))
-        if refs:
-            rank = {eid: (i, flip) for i, (_, _, eid, flip) in enumerate(ranked)}
-            if refs[k].edge_id not in rank:
-                raise ConstructionError(f"certificate references missing edge {refs[k].edge_id}")
-            refs[k] = EdgeRef(*rank[refs[k].edge_id])
-    return _graph(*replay_step(step._replace(refs=tuple(refs)), reps)[0])
+def _forward(step: Node, parts) -> Multigraph:
+    """Replay step on the parts, (graph, edge id or None) each, relabelled
+    to integers: each part's vertices numbered part by part in
+    sorted_vertices order, but for glued ends, which become N-2 (each
+    edge's first stored end) and N-1.  A path of a one-part step runs from
+    the edge's first stored end to its second through the next free
+    integers."""
+    glued = len(parts) > 1
+    top = sum(G.n - 2 for G, _ in parts)  # where glued ends go
+    states, labels, start = [], (), 0
+    for G, eid in parts:
+        lab = {}
+        if eid is not None:
+            if eid not in G.edge_by_id:
+                raise ConstructionError(f"certificate references missing edge {eid}")
+            u, v = G.endpoints(eid)
+            if glued:
+                lab, labels = {u: top, v: top + 1}, (top, top + 1)
+        for x in G.sorted_vertices:
+            if x not in lab:
+                lab[x], start = start, start + 1
+        states.append((set(lab.values()), _edge_counts((lab[a], lab[b]) for _, a, b in G.edges)))
+    if not glued and eid is not None:
+        new = step.delta - 2 + (step.op == "attach_cycle")  # the path's inner vertices
+        labels = (lab[u], *range(start, start + new), lab[v])
+    return _graph(*replay_step(step._replace(labels=labels), states))
 
 
 # -- decomposition (inverse construction) ------------------------------------
 
 
-class Step(NamedTuple):
-    """One construction step of a part, before build places it in the
-    certificate: its node without children or refs, and what build needs
-    to fill those in and to map the part's vertices to replay labels."""
-
-    node: Node
-    arity: int = 0  # how many parts the step splits its part into
-    ends: tuple = ()  # (a, b): each child's ref names its copy of the edge ab
-    new: tuple = ()  # a seed's vertices, or a new path's inner ones, in replay-label order
-
-
-def _edge_ref(state, a, b) -> EdgeRef:
-    """Reference to the edge ab of a replayed child, oriented from a to b:
-    the first of its copies in the child's sorted pairs."""
-    pairs, pair = state[1], (a, b) if a <= b else (b, a)
-    eid = bisect_left(pairs, pair)
-    if eid == len(pairs) or pairs[eid] != pair:
-        raise InternalContradiction("replayed child lost a referenced edge")
-    return EdgeRef(eid, flipped=a > b)
-
-
 def _collide_peel(G: Multigraph) -> list:
-    """The steps of G's decomposition at delta = 2, in the post-order build
-    wants, by peeling Collides off; InternalContradiction when the peel
-    stops short of K4.
+    """The nodes of G's decomposition at delta = 2, in post-order without
+    their children, by peeling Collides off; InternalContradiction when the
+    peel stops short of K4.
 
     A peel takes two adjacent vertices x, y of degree 3 whose other
     neighbours are the same two vertices u, v, with u and v not adjacent;
@@ -345,7 +363,7 @@ def _collide_peel(G: Multigraph) -> list:
     K4; a peel keeps m - 2(n-1), so that takes m = 2(n-1).  The certificate
     is the peel order read backwards: a K4 seed for the four, then per peel
     a K4 seed on x, y, u, v and a collide with ends (u, v) of the rest and
-    that seed.  decompose checks its vertex map like any other, and sends a
+    that seed.  decompose checks its replay like any other, and sends a
     stuck peel to check_spade, which names the violated flat or leaves the
     contradiction standing, so a peel that stopped early could not turn a
     positive into a negative verdict.
@@ -380,26 +398,26 @@ def _collide_peel(G: Multigraph) -> list:
         raise InternalContradiction(
             f"the Collide peel stops at {len(adj)} vertices, not at K4"
         )
-    k4 = Node("seed", seed="k4")
-    steps = [Step(k4, new=tuple(sorted(adj, key=label_key)))]
+    nodes = [Node("seed", labels=tuple(sorted(adj, key=label_key)), seed="k4")]
     for u, v, x, y in reversed(peeled):
-        steps.append(Step(k4, new=tuple(sorted((u, v, x, y), key=label_key))))
-        steps.append(Step(Node("collide"), 2, (u, v)))
-    return steps
+        nodes.append(Node("seed", labels=tuple(sorted((u, v, x, y), key=label_key)), seed="k4"))
+        nodes.append(Node("collide", labels=(u, v)))
+    return nodes
 
 
-def _cycle_seed(ring) -> Step:
+def _cycle_seed(ring) -> Node:
     """The cycle seed on ring's vertices, given in cycle order: walked from
     its least label, via its least neighbour."""
     i = min(range(len(ring)), key=lambda j: label_key(ring[j]))
     walk = min(ring[i:] + ring[:i], ring[i::-1] + ring[:i:-1], key=lambda w: label_key(w[1]))
-    return Step(Node("seed", seed="cycle", n=len(ring)), new=tuple(walk))
+    return Node("seed", labels=tuple(walk), seed="cycle")
 
 
 def _glue_peel(G: Multigraph, delta: int) -> list:
-    """The steps of G's decomposition at delta >= 3, in the post-order build
-    wants, by peeling Glues and Subdivides off; InternalContradiction when
-    the peel stops short of C_delta, WeightConflict from G's weights.
+    """The nodes of G's decomposition at delta >= 3, in post-order without
+    their children, by peeling Glues and Subdivides off;
+    InternalContradiction when the peel stops short of C_delta,
+    WeightConflict from G's weights.
 
     A run is a maximal path a, x_1 .. x_(delta-2), b whose inner vertices
     have degree 2 and whose edges are heavy, with ends a != b of other
@@ -408,13 +426,13 @@ def _glue_peel(G: Multigraph, delta: int) -> list:
     takes delta-2 runs joining the ends of a light edge ab: their inner
     vertices go and ab turns heavy.  G decomposes when the peel ends at
     C_delta with every edge heavy, and the certificate is the peel read
-    backwards: that cycle's seed, then per step a subdivide with ends
-    (a, b), or a cycle seed per glued run and a glue with the rest as child
-    0.  It is a proof.  Read forward from the all-heavy seed, each step
+    backwards: that cycle's seed, then per step a subdivide along the run,
+    or a cycle seed per glued run and a glue at (a, b) with the rest as
+    child 0.  It is a proof.  Read forward from the all-heavy seed, each step
     gives its new edges the weights the peel gave them (path edges heavy, a
     glued edge light) and keeps every other edge's flags, so each step
     meets its hypothesis (a Subdivide target weighs 1, a glued edge delta-1
-    in every part), and check_vertex_map proves that the replay is G.
+    in every part), and check_replay proves that the replay is G.
 
     The peel runs on a mutable adjacency, each vertex's neighbours in G's
     adjacency order, with a worklist of vertices of degree 2 seeded in
@@ -484,92 +502,41 @@ def _glue_peel(G: Multigraph, delta: int) -> list:
     ring = [next(iter(adj))]
     while len(ring) < delta:
         ring.append(next(w for w in adj[ring[-1]] if w not in ring[-2:]))
-    steps = [_cycle_seed(ring)]
+    nodes = [_cycle_seed(ring)]
     for run, glued in reversed(peeled):
         if glued is None:
-            steps.append(Step(Node("subdivide", delta=delta), 1, (run[0], run[-1]), run[1:-1]))
+            nodes.append(Node("subdivide", labels=run, delta=delta))
         else:
-            steps += [_cycle_seed(list(r)) for r in glued]
-            steps.append(Step(Node("glue", delta=delta), delta - 1, (run[0], run[-1])))
-    return steps
-
-
-def build(steps) -> tuple:
-    """(certificate, vertex map, replayed graph) from steps in post-order:
-    each step's children come before it, in child order, and the root last.
-
-    One replay_step per node fills in its children and refs, and the map
-    from the input's vertices to replay labels is composed as it goes.  A
-    node's replay state (replay_step's (n, sorted pairs)) is used once, by
-    its parent, which may extend it in place; the graph is built once, at
-    the root.  A step with at most one child keeps its child's labels and
-    numbers its new vertices after them, so the child's map is extended in
-    place; the caller's check_vertex_map proves the composed map.
-    """
-    nodes, pending = [], []  # (index, map, state) of each node no parent has taken yet
-    for step in steps:
-        kids = pending[len(pending) - step.arity:]
-        del pending[len(pending) - step.arity:]
-        refs = ()
-        if step.ends:
-            a, b = step.ends
-            refs = tuple(_edge_ref(st, vm[a], vm[b]) for _, vm, st in kids)
-        node = step.node._replace(children=tuple(i for i, _, _ in kids), refs=refs)
-        state, embeds = replay_step(node, [st for _, _, st in kids])
-        if len(kids) > 1:
-            vmap = {x: emb[y] for (_, vm, _), emb in zip(kids, embeds) for x, y in vm.items()}
-        else:
-            vmap, base = (kids[0][1], kids[0][2][0]) if kids else ({}, 0)
-            vmap.update((x, base + j) for j, x in enumerate(step.new))
-        pending.append((len(nodes), vmap, state))
-        nodes.append(node)
-    ((_, vmap, state),) = pending
-    return tuple(nodes), vmap, _graph(*state)
-
-
-def check_vertex_map(G: Multigraph, vmap: dict, rep: Multigraph) -> None:
-    """InternalContradiction unless vmap is a bijection V(G) -> V(rep) that
-    carries the edges of G exactly onto those of rep, parallel edges counted."""
-    onto = set(vmap.values()) == set(rep.vertices)
-    if vmap.keys() != set(G.vertices) or not onto or rep.n != G.n:
-        raise InternalContradiction(
-            "certificate vertex map is not a bijection onto the replayed graph"
-        )
-    # both sides are now in replay labels, ints, so the two edge multisets
-    # compare as sorted lists of (low, high) pairs
-    mapped = ((vmap[u], vmap[v]) for _, u, v in G.edges)
-    mapped = sorted((a, b) if a <= b else (b, a) for a, b in mapped)
-    if mapped != sorted((a, b) if a <= b else (b, a) for _, a, b in rep.edges):
-        raise InternalContradiction(
-            "certificate vertex map does not carry the input's edges onto the replay"
-        )
+            nodes += [_cycle_seed(list(r)) for r in glued]
+            nodes.append(Node("glue", labels=(run[0], run[-1]), delta=delta))
+    return nodes
 
 
 def decompose(G: Multigraph, delta: int):
     """(certificate, None) if a 2-connected simple G decomposes at delta,
-    else (None, witness).  The vertex map is checked exactly.  Only a stuck
+    else (None, witness).  The replay is checked exactly.  Only a stuck
     decomposition runs check_spade, to name the violated good flat; if it
     finds none, the stuck state stands as InternalContradiction.
 
-    The steps come from _collide_peel at delta = 2 and from _glue_peel
+    The nodes come from _collide_peel at delta = 2 and from _glue_peel
     above it.
     """
     try:
-        steps = _collide_peel(G) if delta == 2 else _glue_peel(G, delta)
+        nodes = _collide_peel(G) if delta == 2 else _glue_peel(G, delta)
     except (InternalContradiction, WeightConflict) as stuck:
         witness = check_spade(G, delta)
         if witness is None:
             raise InternalContradiction(str(stuck)) from stuck
         return None, witness
-    cert, vmap, rep = build(steps)
-    check_vertex_map(G, vmap, rep)
+    cert = post_order(nodes)
+    check_replay(G, cert)
     return cert, None
 
 
 def decompose_base(G: Multigraph, delta: int) -> tuple:
     """Certificate for a 2-connected simple graph satisfying the equalities at delta.
 
-    Replaying it yields G up to the vertex map decompose checks; an input
+    Replaying it yields G exactly, as decompose checks; an input
     that does not decompose raises ConstructionError naming the violated flat.
     """
     if not is_two_connected(G):
@@ -621,17 +588,16 @@ def replay_matches(cert: tuple, G: Multigraph) -> tuple:
 
 
 def _node_to_dict(node: Node) -> dict:
-    """One node of the /2 list, keys in the order the format lists them."""
+    """One node of the /3 list, keys in the order the format lists them."""
     op = node.op
     if op == "seed":
-        return {"op": op, "seed": node.seed, **({} if node.n is None else {"n": node.n})}
+        return {"op": op, "seed": node.seed, "vertices": list(node.labels)}
     if op == "blow_up":
         return {"op": op, "m": node.m, "child": node.children[0]}
     out = {"op": op} if op == "collide" else {"op": op, "delta": node.delta}
-    refs = [{"edge": r.edge_id, "flip": r.flipped} for r in node.refs]
     if op in ("glue", "collide"):
-        return {**out, "children": list(node.children), "refs": refs}
-    return {**out, "child": node.children[0], "ref": refs[0]}
+        return {**out, "children": list(node.children), "edge": list(node.labels)}
+    return {**out, "child": node.children[0], "path": list(node.labels)}
 
 
 def cert_to_dict(cert: tuple) -> dict:
@@ -650,10 +616,15 @@ def _field(d: dict, key: str, kind: type):
     return value
 
 
-def _ref_from_dict(r) -> EdgeRef:
-    if type(r) is not dict:
-        raise ConstructionError("certificate edge reference is missing or not an object")
-    return EdgeRef(_field(r, "edge", int), _field(r, "flip", bool) if "flip" in r else False)
+def _labels(d: dict, key: str) -> tuple:
+    """d[key], a list of vertex labels, each an int or a string, as a tuple;
+    an edge has two.  Else ConstructionError."""
+    labels = _field(d, key, list)
+    if any(type(x) not in (int, str) for x in labels) or (key == "edge" and len(labels) != 2):
+        raise ConstructionError(
+            f"certificate field {key!r} is not a list of int or string labels of the right length"
+        )
+    return tuple(labels)
 
 
 def cert_from_dict(doc: dict) -> tuple:
@@ -681,19 +652,14 @@ def cert_from_dict(doc: dict) -> tuple:
             raise ConstructionError("certificate node is not an object")
         op = d.get("op")
         if op == "seed":
-            seed = _field(d, "seed", str)
-            node = Node(op, seed=seed, n=_field(d, "n", int) if "n" in d else None)
+            node = Node(op, labels=_labels(d, "vertices"), seed=_field(d, "seed", str))
         elif op in ("glue", "collide"):
             children = tuple(take(i) for i in _field(d, "children", list))
-            refs = tuple(_ref_from_dict(r) for r in _field(d, "refs", list))
-            node = Node(op, children, refs, None if op == "collide" else _field(d, "delta", int))
+            delta = None if op == "collide" else _field(d, "delta", int)
+            node = Node(op, children, _labels(d, "edge"), delta)
         elif op in ("subdivide", "attach_cycle"):
-            node = Node(
-                op,
-                delta=_field(d, "delta", int),
-                children=(take(d.get("child")),),
-                refs=(_ref_from_dict(d.get("ref")),),
-            )
+            delta = _field(d, "delta", int)
+            node = Node(op, (take(d.get("child")),), _labels(d, "path"), delta)
         elif op == "blow_up":
             node = Node(op, children=(take(d.get("child")),), m=_field(d, "m", int))
         else:

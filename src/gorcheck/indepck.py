@@ -15,7 +15,7 @@ import heapq
 from typing import NamedTuple, Optional
 
 from .baseck import Witness
-from .construct import BlowUp, Node, Step, build, check_vertex_map
+from .construct import BlowUp, Node, check_replay, post_order
 from .errors import InternalContradiction, NotTwoConnected
 from .flats import indecomposable_flats, induced_edge_ids
 from .graph import (
@@ -92,10 +92,10 @@ def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[tuple]:
     takes.  Let L be the path attached last and R any other removable ear:
     both are maximal runs of degree-2 vertices, so they are disjoint and R
     stays removable in H-L; by induction H-R = attach(H-L-R, L), except when
-    H-L is C_{delta+1}, and then H-R is C_{delta+1} as well.  The certificate
-    is built forward from K2, one replay step per attached path, together
-    with the map V(H) -> replay labels, which is checked exactly (bijection,
-    edge multiset) before returning.
+    H-L is C_{delta+1}, and then H-R is C_{delta+1} as well.  The certificate,
+    in H's labels, is a K2 seed on the two vertices left and one
+    attach_cycle node per peeled path, the last peeled first; its replay is
+    checked to be H exactly before returning.
 
     The peel runs on a mutable adjacency, each vertex's neighbours in H's
     adjacency order, with a heap of the removable runs.  A run's key is its
@@ -159,14 +159,10 @@ def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[tuple]:
             if key:
                 heapq.heappush(heap, key)
 
-    # build replays it forward from K2, one attach_cycle step per peeled path
-    steps = [Step(Node("seed", seed="k2"), new=tuple(sorted(adj, key=label_key)))]
-    steps += [
-        Step(Node("attach_cycle", delta=delta), 1, (path[0], path[-1]), path[1:-1])
-        for path in reversed(peeled)
-    ]
-    cert, vmap, rep = build(steps)
-    check_vertex_map(H, vmap, rep)
+    nodes = [Node("seed", labels=tuple(sorted(adj, key=label_key)), seed="k2")]
+    nodes += [Node("attach_cycle", labels=tuple(path), delta=delta) for path in reversed(peeled)]
+    cert = post_order(nodes)
+    check_replay(H, cert)
     return cert
 
 
@@ -193,9 +189,9 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
     InternalContradiction.  A Gorenstein verdict keeps each block's checked
     certificate, wrapped in BlowUp when m > 1: the block is its base graph
     with every edge m-fold, and so is the BlowUp's replay of the base
-    graph's replay, under the same vertex map.  A graph with no edge left
-    after normalize has a point polytope, Gorenstein at every index: delta
-    and m are None, as in base_verdict's all-wildcard verdict.
+    graph's replay.  A graph with no edge left after normalize has a point
+    polytope, Gorenstein at every index: delta and m are None, as in
+    base_verdict's all-wildcard verdict.
     """
     G = normalize(G)
     blks = blocks(G)

@@ -242,7 +242,7 @@ def test_decomposition_decides_as_the_good_flat_system_on_the_atlas():
             blks = blocks(normalize(G))
             assert len(v.certificates) == len(blks)
             for cert, b in zip(v.certificates, blks):
-                want = Seed("k2") if b.n == 2 else decompose_base(b, v.delta)
+                want = Seed("k2", b.sorted_vertices) if b.n == 2 else decompose_base(b, v.delta)
                 assert cert == want, G.edges
         else:
             assert v.certificates == ()

@@ -11,7 +11,6 @@ from gorcheck import baseck, construct, indepck
 from gorcheck.cli import main
 from gorcheck.construct import (
     AttachCycle,
-    EdgeRef,
     Seed,
     blow_up,
     cert_from_dict,
@@ -264,31 +263,23 @@ def test_internal_contradiction_exit5(files, capsys, monkeypatch):
 
 
 def test_certify_replay_mismatch_exit5(files, capsys, monkeypatch):
-    # the vertex-map check where each certificate is built catches a
-    # corrupted map (base: the C3 seed's, which build returns as it stands)
-    # or a corrupted replay (indep)
-    real_build, real_step = construct.build, construct.replay_step
+    # the exact replay check where each certificate is built catches a
+    # corrupted node: the root's first label moved to a vertex the block
+    # lacks (base: the C3 seed's; indep: the path of C4's attach_cycle)
+    real = construct.post_order
 
-    def build_with_two_seed_vertices_merged(steps):
-        cert, vmap, rep = real_build(steps)
-        if cert[-1].op == "seed":
-            order = sorted(vmap, key=vmap.get)
-            vmap = {**vmap, order[0]: vmap[order[1]]}
-        return cert, vmap, rep
+    def one_label_wrong(nodes):
+        cert = real(nodes)
+        root = cert[-1]
+        return cert[:-1] + (root._replace(labels=("nowhere", *root.labels[1:])),)
 
-    def step_losing_an_edge(node, reps):
-        rep, embeds = real_step(node, reps)
-        if node.op == "attach_cycle":
-            rep = (rep[0], rep[1][1:])  # a replay state: (n, sorted pairs)
-        return rep, embeds
-
-    monkeypatch.setattr(construct, "build", build_with_two_seed_vertices_merged)
-    monkeypatch.setattr(construct, "replay_step", step_losing_an_edge)
+    monkeypatch.setattr(construct, "post_order", one_label_wrong)
+    monkeypatch.setattr(indepck, "post_order", one_label_wrong)
     for kind, name in [("base", "c3"), ("indep", "dc4")]:
         code = main(["certify", kind, files[name]])
         captured = capsys.readouterr()
         assert code == 5 and captured.out == "", kind
-        assert captured.err.startswith("internal contradiction: certificate vertex map")
+        assert captured.err.startswith("internal contradiction: certificate"), captured.err
         assert captured.err.count("\n") == 1, captured.err
 
 
@@ -298,9 +289,10 @@ def _four_pentagons():
 
 
 def _doubled_attach_chain():
-    cert = Seed("k2")
-    for _ in range(5):  # each 4-cycle attached to the newest edge
-        cert = AttachCycle(3, cert, EdgeRef(replay(cert).m - 1))
+    cert, (a, b) = Seed("k2"), (0, 1)
+    for x in range(2, 12, 2):  # each 4-cycle attached to the newest edge
+        cert = AttachCycle(3, cert, (a, x, x + 1, b))
+        a, b = x, x + 1
     return blow_up(replay(cert), 2)  # 12 vertices
 
 
@@ -308,14 +300,14 @@ def _doubled_attach_chain():
     "kind, G, delta", [("base", _four_pentagons(), 5), ("indep", _doubled_attach_chain(), 3)]
 )
 def test_certify_checks_the_vertex_map_beyond_ten_vertices(tmp_path, capsys, kind, G, delta):
-    # isomorphism by brute force stops at 10 vertices; the vertex map does not
+    # isomorphism by brute force stops at 10 vertices; the exact replay check does not
     path = tmp_path / "g.txt"
     path.write_text(format_edge_list(G))
     code, out = run(capsys, "certify", kind, str(path))
     doc = json.loads(out)
     assert code == 0 and doc["delta"] == delta and G.n > 10
     (cert,) = doc["certificates"]
-    assert (cert["replay_matched"], cert["replay_check"]) == (True, "vertex_map")
+    assert (cert["replay_matched"], cert["replay_check"]) == (True, "exact")
     assert replay_matches(cert_from_dict(cert), G)[0]
 
 
@@ -336,7 +328,7 @@ def test_certify_g5(files, capsys):
     doc = json.loads(out)
     assert code == 0 and doc["delta"] == 3
     (entry,) = doc["certificates"]
-    assert entry["schema"] == "gorcheck.cert/2" and entry["replay_matched"] is True
+    assert entry["schema"] == "gorcheck.cert/3" and entry["replay_matched"] is True
     root = entry["nodes"][-1]  # post-order: the root comes last
     assert root["op"] == "subdivide" and entry["nodes"][root["child"]]["op"] == "glue"
     # the report entry parses as it stands and replays back to the input graph
@@ -367,14 +359,17 @@ def test_check_base_c26(tmp_path, capsys):
 @pytest.mark.parametrize(
     "kind, n",
     [pytest.param(kind, 200, id=str(kind)) for kind in (2, 3, 4, "chain")]
-    + [pytest.param(kind, n, id=f"{kind}-{n}") for kind, n in ((2, 800), (3, 800), ("chain", 801))],
+    + [
+        pytest.param(kind, n, id=f"{kind}-{n}")
+        for kind, n in ((2, 800), (3, 800), ("chain", 801), (2, 3200), (3, 3200), ("chain", 3201))
+    ],
 )
 def test_certify_base_ladder_positives_in_polynomial_time(tmp_path, capsys, kind, n):
     # about 200 vertices, the 201-vertex in-order chain among them: no
     # subset table and at most one edge profile per block, read off one
     # series-parallel reduction; at delta = 2 no profile at all, and no
-    # low-link pass but the one in blocks(), so 800 vertices fit in the
-    # same second
+    # low-link pass but the one in blocks(), and a replay that merges the
+    # smaller part into the larger, so 3,200 vertices fit in the same second
     G, delta, _ = ladder_positive(kind, n, seed=n)
     path = tmp_path / "ladder.txt"
     path.write_text(format_edge_list(G))
@@ -461,8 +456,8 @@ def test_certify_emits_a_deep_certificate(files, capsys, monkeypatch):
     # the flat node list has no depth limit: a verdict holding a 2,000-deep
     # AttachCycle chain is reported whole, and the entry reads back
     cert = Seed("k2")
-    for _ in range(2000):
-        cert = AttachCycle(2, cert, EdgeRef(0))
+    for x in range(2, 2002):
+        cert = AttachCycle(2, cert, (0, x, 1))
     verdict = indepck.IndepVerdict("gorenstein", 2, 1, (), certificates=(cert,))
     monkeypatch.setattr(indepck, "indep_verdict", lambda G: verdict)
     code, out = run(capsys, "certify", "indep", files["c3"])
@@ -708,7 +703,7 @@ def test_importing_the_cli_loads_only_the_parser_layers():
 _PUBLIC = {
     "baseck": "ALL_DELTAS BaseVerdict Witness base_verdict"
               " candidate_deltas check_heart check_spade edge_facet_profile weight_function",
-    "construct": "AttachCycle BlowUp Collide EdgeRef Glue Node Seed Subdivide attach_cycle"
+    "construct": "AttachCycle BlowUp Collide Glue Node Seed Subdivide attach_cycle"
                  " blow_up cert_from_json cert_to_json collide decompose_base glue replay"
                  " replay_matches subdivide",
     "errors": "ConstructionError GorcheckError GuardExceeded InternalContradiction"

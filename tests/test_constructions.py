@@ -12,7 +12,6 @@ from gorcheck.construct import (
     AttachCycle,
     BlowUp,
     Collide,
-    EdgeRef,
     Glue,
     Seed,
     Subdivide,
@@ -48,9 +47,11 @@ from test_graph import ears
 
 
 def test_replay_seeds():
-    assert is_isomorphic(replay(Seed("cycle", 5)), cycle(5))
+    assert is_isomorphic(replay(Seed("cycle", range(5))), cycle(5))
     assert is_isomorphic(replay(Seed("k4")), complete(4))
     assert replay(Seed("k2")).m == 1
+    # a label-free K2 seed stays an isomorphism match for any K2 block
+    assert replay_matches(Seed("k2"), Multigraph.build("xy", [("y", "x")]))[0]
 
 
 def test_glue_c3_c3_is_k4_minus_e(c3, k4_minus_e):
@@ -151,21 +152,25 @@ def test_forward_constructions_use_replay_labels():
 
 
 def test_decompose_named(k4, k4_minus_e):
-    assert decompose_base(k4, 2) == Seed("k4")
-    c3 = Seed("cycle", 3)
-    glued = Glue(3, (c3, c3), (EdgeRef(0), EdgeRef(0)))
+    # every node names vertices of the input: K4-e is the triangles abd
+    # and abc glued at ab; G5, made by subdividing ab (0 1) with 4, is the
+    # triangles 014 and 013 glued at 01, with 01 subdivided by 2
+    assert decompose_base(k4, 2) == Seed("k4", range(4))
+    glued = Glue(3, (Seed("cycle", "abd"), Seed("cycle", "abc")), "ab")
     assert decompose_base(k4_minus_e, 3) == glued
     G5 = subdivide(k4_minus_e, 0, 3)
+    assert sorted(G5.edge_by_id.values()) == [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
     cert5 = decompose_base(G5, 3)
-    assert cert5 == Subdivide(3, glued, EdgeRef(4))
-    assert replay_matches(cert5, G5) == (True, "isomorphism")
+    glued5 = Glue(3, (Seed("cycle", (0, 1, 4)), Seed("cycle", (0, 1, 3))), (0, 1))
+    assert cert5 == Subdivide(3, glued5, (0, 2, 1))
+    assert replay(cert5) == G5
 
 
 def test_decompose_collide(k4):
     G = collide(k4, 0, k4, 0)
     cert = decompose_base(G, 2)
-    assert cert == Collide((Seed("k4"), Seed("k4")), (EdgeRef(5), EdgeRef(5)))
-    assert replay_matches(cert, G)[0]
+    assert cert == Collide((Seed("k4", (2, 3, 4, 5)), Seed("k4", (0, 1, 4, 5))), (4, 5))
+    assert replay(cert) == G
 
 
 def test_decompose_rejects_negative(c5_chord):
@@ -196,7 +201,7 @@ def _step(G, light, delta):
         walk.append(min((w for _, w in G.adjacency[walk[0]]), key=label_key))
         while len(walk) < G.n:
             walk.append(next(w for _, w in G.adjacency[walk[-1]] if w != walk[-2]))
-        return construct.Step(construct.Node("seed", seed="cycle", n=G.n), new=tuple(walk)), []
+        return construct.Node("seed", labels=tuple(walk), seed="cycle"), []
 
     if light is None:
         light = {eid for eid, wt in weight_function(G, delta).items() if wt == 1}
@@ -206,7 +211,7 @@ def _step(G, light, delta):
         parts = [(p, light.intersection(p.edge_by_id) - {uv}) for p in _split(G, pair, delta - 1)]
         if any(is_two_connected(p.without_edges((uv,))) for p, _ in parts):
             raise WeightConflict(uv, delta)
-        return construct.Step(construct.Node("glue", delta=delta), delta - 1, pair), parts
+        return construct.Node("glue", labels=pair, delta=delta), parts
 
     candidates = [e for e in ears(G).ears if e.length == delta - 1]
     if not candidates:
@@ -219,8 +224,7 @@ def _step(G, light, delta):
     if not (is_two_connected(rest) and vs in low_link(rest, skip=v0).cut_vertices):
         raise InternalContradiction(f"an ear shrinks to an edge of weight {delta - 1}, not 1")
     shrunk, new = rest.with_edge(v0, vs)
-    step = construct.Step(construct.Node("subdivide", delta=delta), 1, (v0, vs), ear.inner)
-    return step, [(shrunk, {new})]
+    return construct.Node("subdivide", labels=ear.path, delta=delta), [(shrunk, {new})]
 
 
 def _split(G, pair, want):
@@ -245,8 +249,8 @@ def _decompose_by_steps(G, delta):
             parts += split
     except (InternalContradiction, WeightConflict):
         return None, check_spade(G, delta)
-    cert, vmap, rep = construct.build(reversed(steps))
-    construct.check_vertex_map(G, vmap, rep)
+    cert = construct.post_order(reversed(steps))
+    construct.check_replay(G, cert)
     return cert, None
 
 
@@ -294,18 +298,17 @@ def _decompose_by_pairs(G):
             if pair is None:
                 if not (part.n == 4 and part.m == 6):
                     raise InternalContradiction("a 3-connected part that is not K4")
-                seed = construct.Node("seed", seed="k4")
-                steps.append(construct.Step(seed, new=part.sorted_vertices))
+                steps.append(construct.Node("seed", labels=part.sorted_vertices, seed="k4"))
                 continue
             split = _split(part, pair, 2)
             if part.has_edge(*pair):
                 raise InternalContradiction("separating pair joined by an edge")
-            steps.append(construct.Step(construct.Node("collide"), 2, pair))
+            steps.append(construct.Node("collide", labels=pair))
             parts += [p.with_edge(*pair)[0] for p in split]
     except InternalContradiction:
         return None, check_spade(G, 2)
-    cert, vmap, rep = construct.build(reversed(steps))
-    construct.check_vertex_map(G, vmap, rep)
+    cert = construct.post_order(reversed(steps))
+    construct.check_replay(G, cert)
     return cert, None
 
 
@@ -322,13 +325,12 @@ def _separating_pair_by_components(G):
 def _collide_chain(rng, levels):
     """A delta=2 chain: K4, then `levels` Collide steps each adding a K4 on a
     random edge; 4 + 2 * levels vertices, relabelled at random."""
-    k4 = Seed("k4")
-    cert, m = k4, 6
-    for _ in range(levels):
-        kids = [(cert, m), (k4, 6)]
+    cert = Seed("k4")
+    for n in range(4, 4 + 2 * levels, 2):
+        _, a, b = rng.choice(replay(cert).edges)
+        kids = [cert, Seed("k4", (a, b, n, n + 1))]
         rng.shuffle(kids)
-        refs = tuple(EdgeRef(rng.choice(range(size)), rng.random() < 0.5) for _, size in kids)
-        cert, m = Collide(tuple(c for c, _ in kids), refs), m + 4
+        cert = Collide(kids, (a, b))
     rep = replay(cert)
     labels = list(range(rep.n))
     rng.shuffle(labels)
@@ -351,18 +353,18 @@ def test_decompose_deep_collide_chain(monkeypatch):
     # 100 Collide levels, 204 vertices, peeled off one K4 at a time
     G = _collide_chain(random.Random(100), 100)
     checked = []
-    real = construct.check_vertex_map
+    real = construct.check_replay
 
-    def spy(H, vmap, rep):
-        real(H, vmap, rep)
-        checked.append((H, rep))
+    def spy(H, cert):
+        real(H, cert)
+        checked.append((H, cert))
 
-    monkeypatch.setattr(construct, "check_vertex_map", spy)
+    monkeypatch.setattr(construct, "check_replay", spy)
     cert = decompose_base(G, 2)
     assert cert[-1].op == "collide"
-    ((H, rep),) = checked
-    assert H is G and (rep.n, rep.m) == (G.n, G.m) == (204, 6 + 4 * 100)
-    assert replay(cert) == rep
+    assert checked == [(G, cert)] and (G.n, G.m) == (204, 6 + 4 * 100)
+    rep = replay(cert)
+    assert set(rep.vertices) == set(G.vertices) and rep.m == G.m
 
 
 def test_decompose_does_not_recurse_along_a_deep_chain():
@@ -412,8 +414,8 @@ def test_collide_peel_agrees_with_the_split_at_the_first_pair():
     # over every input of _decomposition_inputs and delta=2 ladder edge swaps
     # up to 22 vertices, every block decomposes at delta=2 by the peel
     # exactly when it does by splitting at the first separating pair, with
-    # the same witness when it does not; every peel certificate replays onto
-    # its block under the checked vertex map
+    # the same witness when it does not; every peel certificate replays to
+    # its block exactly
     graphs = [G for G, _ in _decomposition_inputs()]
     rng = random.Random(20261019)
     for n in range(6, 23, 2):
@@ -427,9 +429,7 @@ def test_collide_peel_agrees_with_the_split_at_the_first_pair():
         ref_cert, ref_witness = _decompose_by_pairs(b)
         assert (cert is None, witness) == (ref_cert is None, ref_witness), b.edges
         if cert is not None:
-            peeled, vmap, rep = construct.build(construct._collide_peel(b))
-            construct.check_vertex_map(b, vmap, rep)
-            assert peeled == cert
+            construct.check_replay(b, cert)
         decided.append(cert is not None)
     assert decided.count(True) > 200 and decided.count(False) > 1400
 
@@ -478,7 +478,7 @@ def test_glue_peel_agrees_with_the_step_reference():
     # every block of every agreement input, at each of its candidate deltas
     # above 2: the peel decomposes it exactly when the _step work stack
     # does, with the same witness when it does not, and every peel
-    # certificate replays onto its block under the checked vertex map
+    # certificate replays to its block exactly
     decided = []
     for G in _agreement_inputs():
         for b in (b for b in blocks(G) if b.n > 2):
@@ -487,29 +487,28 @@ def test_glue_peel_agrees_with_the_step_reference():
                 ref_cert, ref_witness = _decompose_by_steps(b, delta)
                 assert (cert is None, witness) == (ref_cert is None, ref_witness), (b.edges, delta)
                 if cert is not None:
-                    peeled, vmap, rep = construct.build(construct._glue_peel(b, delta))
-                    construct.check_vertex_map(b, vmap, rep)
-                    assert peeled == cert
+                    construct.check_replay(b, cert)
                 decided.append(cert is not None)
     assert decided.count(True) > 500 and decided.count(False) > 100
 
 
 def _check_every_node(cert, delta):
     """Per-node oracle: every child replays to a graph satisfying the
-    good-flat equalities, and each referenced edge has the weight its node
-    needs (delta-1 for Glue, 1 for Subdivide).  Decomposition runs no
+    good-flat equalities, and the edge ab each node names has the weight the
+    node needs there (delta-1 for Glue, 1 for Subdivide).  Decomposition runs no
     good-flat check at all; it checks the step hypotheses the paper's
     construction theorems need, so this oracle checks the theorems too."""
     reps = []  # replayed graph of every node, in certificate order
     for i, node in enumerate(cert):
         reps.append(replay(cert[: i + 1]))  # node i is the last one replayed
         d = 2 if node.op == "collide" else delta
-        for k, ref in zip(node.children, node.refs):
+        for k in node.children:
             assert check_spade(reps[k], d) is None, (node, cert[k])
+            ab = reps[k].edge_between(node.labels[0], node.labels[-1])
             if node.op == "glue":
-                assert weight_function(reps[k], d)[ref.edge_id] == d - 1
+                assert weight_function(reps[k], d)[ab] == d - 1
             elif node.op == "subdivide":
-                assert weight_function(reps[k], d)[ref.edge_id] == 1
+                assert weight_function(reps[k], d)[ab] == 1
 
 
 def test_decompose_completeness_small():
@@ -530,60 +529,77 @@ def test_decompose_completeness_small():
 @pytest.mark.parametrize(
     "G, delta, corrupt",
     [
-        # K4: two vertices sent to one label, so the map is not a bijection
-        (complete(4), 2, lambda vmap: {**vmap, 0: vmap[1]}),
-        # C5: a bijection, but swapping two non-adjacent vertices moves edges
-        (cycle(5), 5, lambda vmap: {**vmap, 0: vmap[2], 2: vmap[0]}),
+        # K4: one vertex listed twice, so the seed is no K4
+        (complete(4), 2, lambda labels: (labels[0], labels[0], *labels[2:])),
+        # C5: its vertices, but two non-adjacent ones swapped moves edges
+        (cycle(5), 5, lambda labels: (labels[2], labels[1], labels[0], *labels[3:])),
     ],
     ids=["k4-not-bijective", "c5-edges-moved"],
 )
 def test_decompose_rejects_a_corrupted_vertex_map(monkeypatch, G, delta, corrupt):
-    # both certificates are a single seed, so build's map is the seed's
-    real = construct.build
+    # both certificates are a single seed, whose vertex list places the
+    # input's vertices; a wrong one fails the exact replay check
+    real = construct.post_order
 
-    def corrupted_seed(steps):
-        cert, vmap, rep = real(steps)
-        return cert, corrupt(vmap), rep
+    def corrupted_seed(nodes):
+        (node,) = real(nodes)
+        return (node._replace(labels=corrupt(node.labels)),)
 
-    monkeypatch.setattr(construct, "build", corrupted_seed)
-    with pytest.raises(InternalContradiction, match="vertex map"):
+    monkeypatch.setattr(construct, "post_order", corrupted_seed)
+    with pytest.raises(InternalContradiction, match="^certificate"):
         decompose_base(G, delta)
 
 
-def random_cert(rng, depth, delta):
-    """Random certificate of bounded depth; base kinds for delta, indep via attach."""
+def _renamed(cert, names):
+    """cert with every label x in names replaced by names[x]."""
+    return tuple(
+        nd._replace(labels=tuple(names.get(x, x) for x in nd.labels)) for nd in cert
+    )
+
+
+def random_cert(rng, depth, delta, fresh=None):
+    """Random certificate of bounded depth; base kinds for delta, indep via
+    attach.  Its labels are ints drawn from fresh, so the parts of a glue or
+    collide share only the edge they are renamed to meet at."""
+    fresh = fresh if fresh is not None else iter(range(10**9))
     if depth == 0 or rng.random() < 0.3:
         if delta == 2:
-            return Seed("k4")
-        return Seed("cycle", delta)
-    if delta == 2:
-        kids = [random_cert(rng, depth - 1, 2) for _ in range(2)]
-        refs = []
+            return Seed("k4", [next(fresh) for _ in range(4)])
+        return Seed("cycle", [next(fresh) for _ in range(delta)])
+
+    def meeting(kids, weight):
+        """kids renamed to meet at one new edge ab, each at an edge picked
+        from those of the given weight (any edge when weight is None)."""
+        a, b = next(fresh), next(fresh)
+        out = []
         for c in kids:
             rep = replay(c)
-            # collide needs a glued edge; any edge of a spade-positive graph works
-            refs.append(EdgeRef(rng.choice(sorted(rep.edge_by_id))))
-        return Collide(tuple(kids), tuple(refs))
+            if weight is None:
+                # collide needs a glued edge; any edge of a spade-positive graph works
+                ids = sorted(rep.edge_by_id)
+            else:
+                ids = [e for e, wt in weight_function(rep, delta).items() if wt == weight]
+            u, v = rep.endpoints(rng.choice(ids))
+            out.append(_renamed(c, {u: a, v: b}))
+        return out, (a, b)
+
+    if delta == 2:
+        kids, edge = meeting([random_cert(rng, depth - 1, 2, fresh) for _ in range(2)], None)
+        return Collide(kids, edge)
     kind = rng.choice(["glue", "subdivide"])
     if kind == "glue":
-        kids = [random_cert(rng, depth - 1, delta) for _ in range(delta - 1)]
-        refs = []
-        for c in kids:
-            rep = replay(c)
-            heavy = [
-                e for e, wt in weight_function(rep, delta).items()
-                if wt == delta - 1
-            ]
-            refs.append(EdgeRef(rng.choice(heavy)))
-        return Glue(delta, tuple(kids), tuple(refs))
-    child = random_cert(rng, depth - 1, delta)
+        kids = [random_cert(rng, depth - 1, delta, fresh) for _ in range(delta - 1)]
+        kids, edge = meeting(kids, delta - 1)
+        return Glue(delta, kids, edge)
+    child = random_cert(rng, depth - 1, delta, fresh)
     rep = replay(child)
     light = [
         e for e, wt in weight_function(rep, delta).items() if wt == 1
     ]
     if not light:
         return child  # seeds have no weight-1 edge to subdivide
-    return Subdivide(delta, child, EdgeRef(rng.choice(light)))
+    u, v = rep.endpoints(rng.choice(light))
+    return Subdivide(delta, child, (u, *(next(fresh) for _ in range(delta - 2)), v))
 
 
 def test_random_certificate_closure():
@@ -598,9 +614,9 @@ def test_random_certificate_closure():
             G = replay(cert)
         if rng.random() < 0.3:
             m = rng.randint(2, 3)
-            v = indep_verdict(blow_up(replay(Seed("cycle", m)), m))
+            v = indep_verdict(blow_up(replay(Seed("cycle", range(m))), m))
             # independence-side closure: blow-ups of attach chains
-            H = replay(AttachCycle(m + 1, Seed("k2"), EdgeRef(0)))
+            H = replay(AttachCycle(m + 1, Seed("k2"), (0, *range(2, m + 2), 1)))
             vi = indep_verdict(blow_up(H, m))
             assert vi.is_gorenstein and vi.delta == m + 1
         v = base_verdict(G)
@@ -619,6 +635,9 @@ def test_cert_json_roundtrip(k4_minus_e):
     for schema in ("bogus/9", "gorcheck.cert/1"):
         with pytest.raises(ConstructionError):
             cert_from_json(json.dumps({"schema": schema, "root": {"op": "seed", "seed": "k2"}}))
+    # no /2 reader is kept: its edge ids pointed into renumbered replays
+    with pytest.raises(ConstructionError, match="unsupported certificate schema"):
+        cert_from_json(json.dumps({"schema": "gorcheck.cert/2", "nodes": [{"op": "seed"}]}))
 
 
 def test_fingerprint_large_replay():
@@ -633,8 +652,8 @@ def test_fingerprint_large_replay():
 
 def _attach_chain(depth):
     cert = Seed("k2")
-    for _ in range(depth):
-        cert = AttachCycle(2, cert, EdgeRef(0))
+    for x in range(2, depth + 2):
+        cert = AttachCycle(2, cert, (0, x, 1))
     return cert
 
 
@@ -657,25 +676,25 @@ def test_replay_deep_chain():
     assert (G.n, G.m) == (2 + 10_000, 1 + 2 * 10_000)
 
 
-K2 = {"op": "seed", "seed": "k2"}
+K2 = {"op": "seed", "seed": "k2", "vertices": [0, 1]}
 
 
 def _attach(child):
-    return {"op": "attach_cycle", "delta": 2, "child": child, "ref": {"edge": 0}}
+    return {"op": "attach_cycle", "delta": 2, "child": child, "path": [0, 2, 1]}
 
 
 @pytest.mark.parametrize(
-    "node",  # the "nodes" field of a /2 document whose only fault is named
+    "node",  # the "nodes" field of a /3 document whose only fault is named
     [
-        [{"op": "subdivide", "delta": 3}],  # no child, no ref
-        [{"op": "glue", "children": []}],  # no delta, no refs
-        [K2, {"op": "attach_cycle", "delta": 3, "child": 0, "ref": {"flip": True}}],
-        [{"op": "glue", "delta": 3, "children": "x", "refs": []}],
+        [{"op": "subdivide", "delta": 3}],  # no child, no path
+        [{"op": "glue", "children": []}],  # no delta, no edge
+        [K2, {"op": "attach_cycle", "delta": 3, "child": 0}],  # no path
+        [{"op": "glue", "delta": 3, "children": "x", "edge": [0, 1]}],
         [_attach(1), K2],  # child index points forward
         [K2, _attach(2)],  # out of range
         [K2, _attach(-1)],  # negative
         [K2, _attach(0), _attach(0)],  # taken twice
-        [K2, {"op": "collide", "children": [0, 0], "refs": [{"edge": 0}] * 2}],
+        [K2, {"op": "collide", "children": [0, 0], "edge": [0, 1]}],
         [K2, _attach("0")],  # not an int
         [K2, _attach(True)],
         [K2, _attach(0.0)],
@@ -686,9 +705,87 @@ def _attach(child):
         [K2, K2, _attach(1)],
         [K2, 5],  # a node that is not an object
         [{"op": "contract", "child": 0}],  # unknown op
-        [K2, {**_attach(0), "ref": {"edge": 0, "flip": "no"}}],  # flip not a bool
+        [K2, {**_attach(0), "path": [0, True, 1]}],  # a label that is a bool
+        [{**K2, "vertices": [0, 1.0]}],  # a float
+        [{**K2, "vertices": [0, [1]]}],  # a list
+        [{**K2, "vertices": "01"}],  # not a list
+        [K2, {**K2, "vertices": [0, 3]}, {"op": "collide", "children": [0, 1], "edge": [0]}],
     ],
 )
 def test_cert_from_dict_malformed(node):
     with pytest.raises(ConstructionError):
-        cert_from_dict({"schema": "gorcheck.cert/2", "nodes": node})
+        cert_from_dict({"schema": "gorcheck.cert/3", "nodes": node})
+
+
+def _cycle(*vertices):
+    return {"op": "seed", "seed": "cycle", "vertices": list(vertices)}
+
+
+def _k4(*vertices):
+    return {"op": "seed", "seed": "k4", "vertices": list(vertices)}
+
+
+def _glue3(a, b):
+    return {"op": "glue", "delta": 3, "children": [0, 1], "edge": [a, b]}
+
+
+@pytest.mark.parametrize(
+    "nodes",  # a /3 document that parses, whose one step is no construction
+    [
+        # glue parts that overlap: both triangles hold 2
+        [_cycle(0, 1, 2), _cycle(0, 1, 2), _glue3(0, 1)],
+        # collide children that share a third vertex, 2
+        [_k4(0, 1, 2, 3), _k4(0, 1, 2, 4), {"op": "collide", "children": [0, 1], "edge": [0, 1]}],
+        # a glue edge that one child lacks: 034 has no edge 01
+        [_cycle(0, 1, 2), _cycle(0, 3, 4), _glue3(0, 1)],
+        # a subdivide path through a vertex the child has
+        [_cycle(0, 1, 2), {"op": "subdivide", "delta": 3, "child": 0, "path": [0, 2, 1]}],
+        # an attach_cycle path that repeats its new vertex
+        [K2, {"op": "attach_cycle", "delta": 3, "child": 0, "path": [0, 2, 2, 1]}],
+        # a subdivide path one vertex too long for delta = 3
+        [_cycle(0, 1, 2), {"op": "subdivide", "delta": 3, "child": 0, "path": [0, 3, 4, 1]}],
+        # a seed that lists a vertex twice
+        [_cycle(0, 1, 0)],
+        [{**K2, "vertices": [0, 0]}],
+    ],
+    ids=[
+        "glue-parts-overlap", "collide-children-share-a-vertex", "glue-edge-missing",
+        "subdivide-through-a-vertex", "attach-repeats-a-vertex", "path-too-long",
+        "cycle-repeats-a-vertex", "k2-repeats-a-vertex",
+    ],
+)
+def test_replay_refuses_a_step_that_is_no_construction(nodes):
+    cert = cert_from_dict({"schema": "gorcheck.cert/3", "nodes": nodes})
+    with pytest.raises(ConstructionError):
+        replay(cert)
+
+
+def test_replay_refuses_a_glue_below_delta_3():
+    # the forward glue refuses delta < 3, and so does replay: a one-child
+    # glue at delta = 2 over C3 used to replay as C3 itself
+    glue2 = {"op": "glue", "delta": 2, "children": [0], "edge": [0, 1]}
+    cert = cert_from_dict({"schema": "gorcheck.cert/3", "nodes": [_cycle(0, 1, 2), glue2]})
+    with pytest.raises(ConstructionError, match="delta > 2"):
+        replay(cert)
+
+
+def test_a_k4_seed_is_its_four_vertices():
+    # no count field is read: a k4 seed lists its four vertices, and a list
+    # of another length is refused
+    cert = cert_from_dict({"schema": "gorcheck.cert/3", "nodes": [{**_k4(0, 1, 2, 3), "n": 7}]})
+    assert replay(cert) == complete(4)
+    for vertices in ([0, 1, 2], [0, 1, 2, 3, 4]):
+        cert = cert_from_dict({"schema": "gorcheck.cert/3", "nodes": [_k4(*vertices)]})
+        with pytest.raises(ConstructionError, match="k4 seed needs 4 vertices"):
+            replay(cert)
+
+
+def test_a_cycle_seed_is_as_large_as_its_vertex_list():
+    # a length field would be unbounded (n = 10**9 once parsed and would have
+    # replayed 10**9 pairs); a /3 cycle is its vertex list, and a seed
+    # without one does not parse
+    huge = {"op": "seed", "seed": "cycle", "n": 10**9}
+    with pytest.raises(ConstructionError, match="'vertices'"):
+        cert_from_dict({"schema": "gorcheck.cert/3", "nodes": [huge]})
+    cert = cert_from_dict({"schema": "gorcheck.cert/3", "nodes": [{**huge, "vertices": [0, 1, 2]}]})
+    assert (replay(cert).n, replay(cert).m) == (3, 3)

@@ -38,7 +38,7 @@ def test_no_raise_of_the_base_error_class():
 
 
 def test_isomorphism_oracles_stay_off_the_production_path():
-    # every certificate is checked by its exact vertex map where it is built;
+    # every certificate's replay is checked to be its block where it is built;
     # replay_matches and the isomorphism routines behind it are test and
     # benchmark oracles, and the checkers and the CLI do not call them
     oracles = {"replay_matches", "fingerprint", "is_isomorphic"}
@@ -147,6 +147,38 @@ def test_glue_peel_runs_no_low_link_pass():
         if isinstance(node, ast.FunctionDef) and node.name == "_glue_peel"
     ]
     assert _names(peel) & {"low_link", "is_two_connected", "edge_facet_profile"} == set()
+
+
+def test_replay_keeps_the_input_labels(monkeypatch):
+    # a certificate names the input's own vertices, so replay renumbers
+    # nothing and no vertex map is composed or checked: none of the names
+    # of that machinery is left in the package, and one forward pass over
+    # vertex sets and edge counts builds a Multigraph for the root alone
+    gone = ("EdgeRef", "_merge_along", "_edge_ref", "check_vertex_map", "replay_detail")
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in gone
+        if name in path.read_text()
+    ]
+    assert found == []
+    from gorcheck import construct
+
+    built = []
+
+    class Counted(Multigraph):
+        def __new__(cls, *args):
+            built.append(args)
+            return Multigraph.__new__(cls, *args)
+
+    monkeypatch.setattr(construct, "Multigraph", Counted)
+    cert = construct.Seed("cycle", range(4))
+    for x in range(4, 40, 2):
+        cert = construct.AttachCycle(3, cert, (0, x, x + 1, 1))
+    k4 = construct.Seed("k4", (0, 1, 40, 41))
+    cert = construct.BlowUp(construct.Collide((cert, k4), (0, 1)), 2)
+    G = construct.replay(cert)
+    assert len(built) == 1 and (G.n, G.m) == (42, 2 * (4 + 3 * 18 - 2 + 6))
 
 
 def _binders(name: str) -> list:
