@@ -29,7 +29,7 @@ from .errors import (
     SimpleGraphRequired,
     WeightConflict,
 )
-from .graph import Multigraph, blocks, format_edge_list, normalize, parse_graph
+from .graph import DEFAULT_GUARD, Multigraph, blocks, format_edge_list, normalize, parse_graph
 
 # Every command parses with .graph and main maps .errors to exit codes; the
 # other layers are imported inside the commands that run them, so a process
@@ -231,6 +231,10 @@ def cmd_generate(args) -> int:
         if args.cycle is not None and args.k4:
             raise ValueError("--cycle and --k4 are mutually exclusive")
         if args.cycle is not None:
+            if args.cycle > DEFAULT_GUARD:  # before Seed lists its labels
+                raise GuardExceeded(
+                    f"cycle seed guarded at {DEFAULT_GUARD} vertices; asked for {args.cycle}"
+                )
             G = replay(Seed("cycle", range(args.cycle)))
         elif args.k4:
             G = replay(Seed("k4"))

@@ -25,8 +25,7 @@ from typing import NamedTuple, Optional
 
 from .baseck import check_spade, weight_function
 from .errors import ConstructionError, GuardExceeded, InternalContradiction, WeightConflict
-from .flats import good_flats
-from .graph import Multigraph, blocks, is_isomorphic, is_two_connected, label_key
+from .graph import DEFAULT_GUARD, Multigraph, is_two_connected, label_key
 
 SCHEMA = "gorcheck.cert/3"
 
@@ -123,7 +122,11 @@ def _drop(counts: dict, e: frozenset, k: int) -> None:
 def _graph(vertices, edges: dict) -> Multigraph:
     """The Multigraph of a replay state: its vertices in label order, and
     its edges, ends in label order (a loop's frozenset holds one), sorted,
-    with ids 0..m-1."""
+    with ids 0..m-1.  GuardExceeded, before any edge is built, for more
+    than DEFAULT_GUARD edges."""
+    m = sum(edges.values())
+    if m > DEFAULT_GUARD:
+        raise GuardExceeded(f"replay guarded at {DEFAULT_GUARD} edges; this one has {m}")
     pairs = []
     for e, count in edges.items():
         keys = [label_key(x) for x in e]
@@ -235,6 +238,20 @@ def check_replay(G: Multigraph, cert: tuple) -> None:
         raise InternalContradiction(f"certificate does not replay: {bad}") from bad
     if vertices != set(G.vertices) or edges != _edge_counts((u, v) for _, u, v in G.edges):
         raise InternalContradiction("certificate replays to another graph than its block")
+
+
+def replay_matches(cert: tuple, G: Multigraph) -> tuple:
+    """(matched, "isomorphism"): whether pairing the replay's vertices with
+    G's, both in label order, renames the replay's edge multiset to G's.  A
+    True answer comes with that isomorphism.  For a certificate in G's
+    labels it is check_replay's test, and a label-free Seed("k2") or
+    Seed("k4") pairs with any K2 or K4."""
+    vertices, edges = _replay_state(cert)
+    if len(vertices) != G.n:
+        return False, "isomorphism"
+    pair = dict(zip(sorted(vertices, key=label_key), G.sorted_vertices))
+    renamed = {frozenset(map(pair.__getitem__, e)): count for e, count in edges.items()}
+    return renamed == _edge_counts((u, v) for _, u, v in G.edges), "isomorphism"
 
 
 # -- forward construction operations ----------------------------------------
@@ -549,39 +566,6 @@ def decompose_base(G: Multigraph, delta: int) -> tuple:
             f"input fails the good-flat equalities at delta={delta}: {viol.as_dict()}"
         )
     return cert
-
-
-# -- fingerprints and replay checks ------------------------------------------
-
-
-def fingerprint(G: Multigraph) -> tuple:
-    """Invariant summary for graphs too large for brute-force isomorphism."""
-    blks = blocks(G)
-    flat_census = None
-    if is_two_connected(G) and G.n <= 16:
-        flat_census = tuple(
-            sorted((len(f.S), len(f.induced_edges)) for f in good_flats(G))
-        )
-    return (
-        G.n,
-        G.m,
-        tuple(sorted(G.degree(v) for v in G.vertices)),
-        tuple(sorted((b.n, b.m) for b in blks)),
-        flat_census,
-    )
-
-
-def replay_matches(cert: tuple, G: Multigraph) -> tuple:
-    """Compare replay(cert) with G; returns (matched, method).
-
-    Brute-force isomorphism up to 10 vertices, invariant fingerprint beyond
-    (reported via method = "fingerprint").
-    """
-    H = replay(cert)
-    try:
-        return is_isomorphic(H, G), "isomorphism"
-    except GuardExceeded:
-        return fingerprint(H) == fingerprint(G), "fingerprint"
 
 
 # -- serialization ------------------------------------------------------------

@@ -603,72 +603,3 @@ def blow_up_factor(G: Multigraph) -> Optional[BlowUpFactor]:
     if G.__dict__.get("_two_connected"):
         H.__dict__["_two_connected"] = True
     return BlowUpFactor(m, H)
-
-
-# -- isomorphism ------------------------------------------------------------
-
-
-def _adj_mult(G: Multigraph) -> dict:
-    out: dict = {v: {} for v in G.vertices}
-    for _, u, v in G.edges:
-        out[u][v] = out[u].get(v, 0) + 1
-        if u != v:
-            out[v][u] = out[v].get(u, 0) + 1
-    return out
-
-
-def is_isomorphic(G1: Multigraph, G2: Multigraph, guard: int = 10) -> bool:
-    """Brute-force multigraph isomorphism, guarded at `guard` vertices."""
-    if G1.n != G2.n or G1.m != G2.m:
-        return False
-    if G1.n > guard:
-        raise GuardExceeded(f"isomorphism guarded at {guard} vertices")
-    inv1 = sorted(
-        (sorted(len(c) for c in G1.parallel_classes.values()),
-         sorted(G1.degree(v) for v in G1.vertices))
-    )
-    inv2 = sorted(
-        (sorted(len(c) for c in G2.parallel_classes.values()),
-         sorted(G2.degree(v) for v in G2.vertices))
-    )
-    if inv1 != inv2:
-        return False
-    a1, a2 = _adj_mult(G1), _adj_mult(G2)
-    vs1 = sorted(G1.vertices, key=lambda v: (-G1.degree(v), label_key(v)))
-    by_deg: dict = {}
-    for v in G2.vertices:
-        by_deg.setdefault(G2.degree(v), []).append(v)
-
-    mapping: dict = {}
-    used: set = set()
-
-    def rec(i: int) -> bool:
-        if i == len(vs1):
-            return True
-        v = vs1[i]
-        for w in sorted(by_deg.get(G1.degree(v), []), key=label_key):
-            if w in used:
-                continue
-            ok = True
-            for x, cnt in a1[v].items():
-                if x in mapping and a2[w].get(mapping[x], 0) != cnt:
-                    ok = False
-                    break
-            if ok:
-                # reverse direction: mapped neighbors of w must match
-                for x, cnt in a2[w].items():
-                    pre = [y for y in mapping if mapping[y] == x]
-                    if pre and a1[v].get(pre[0], 0) != cnt:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if rec(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return rec(0)

@@ -1,6 +1,7 @@
 import random
 from functools import cache
 
+import networkx as nx
 import pytest
 
 from gorcheck.errors import GuardExceeded
@@ -20,6 +21,31 @@ def cycle(n, labels=None):
 def complete(n):
     return Multigraph.build(
         range(n), [(a, b) for a in range(n) for b in range(a + 1, n)]
+    )
+
+
+def isomorphic(G1, G2):
+    """networkx VF2 on MultiGraphs, exact.
+
+    Nodes carry colour-refinement labels, which every isomorphism preserves;
+    they only prune the search, which is otherwise slow on the many
+    interchangeable paths of an attach-cycle graph.
+    """
+    def convert(G):
+        M = nx.MultiGraph()
+        M.add_nodes_from(G.vertices)
+        M.add_edges_from((u, v) for _, u, v in G.edges)
+        color = {v: M.degree(v) for v in M}
+        for _ in range(3):
+            color = {
+                v: hash((color[v], tuple(sorted(color[w] for w in M.neighbors(v)))))
+                for v in M
+            }
+        nx.set_node_attributes(M, color, "color")
+        return M
+
+    return nx.is_isomorphic(
+        convert(G1), convert(G2), node_match=lambda a, b: a["color"] == b["color"]
     )
 
 

@@ -172,6 +172,22 @@ def test_generate_names_a_k2_part(files, capsys, argv, part):
     assert captured.err == f"input error: {part} is K2: a construction part needs at least 2 edges\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["seed", "--cycle", "1000000000"], "cycle seed guarded at 1000000 vertices; asked for"),
+    (["blowup", "k2", "--m", "1000000000"], "replay guarded at 1000000 edges; this one has"),
+])
+def test_generate_refuses_a_graph_over_the_guard(files, capsys, argv, what):
+    # refused before any label or edge copy is built, so in well under a second
+    k2 = files["dir"] / "k2.txt"
+    k2.write_text("0 1\n")
+    start = time.perf_counter()
+    code = main(["generate"] + [str(k2) if a == "k2" else a for a in argv])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"guard exceeded: {what} 1000000000\n"
+
+
 def test_sweep_cross_validate_of_indep_equivalence_is_input_error(capsys):
     # the three-way sweep has no oracle side: the flag was ignored and the
     # sweep reported 0 mismatches
@@ -300,7 +316,8 @@ def _doubled_attach_chain():
     "kind, G, delta", [("base", _four_pentagons(), 5), ("indep", _doubled_attach_chain(), 3)]
 )
 def test_certify_checks_the_vertex_map_beyond_ten_vertices(tmp_path, capsys, kind, G, delta):
-    # isomorphism by brute force stops at 10 vertices; the exact replay check does not
+    # the exact replay check has no size limit; the certificate names the
+    # vertices certify read, the file's string labels, not G's integers
     path = tmp_path / "g.txt"
     path.write_text(format_edge_list(G))
     code, out = run(capsys, "certify", kind, str(path))
@@ -308,7 +325,7 @@ def test_certify_checks_the_vertex_map_beyond_ten_vertices(tmp_path, capsys, kin
     assert code == 0 and doc["delta"] == delta and G.n > 10
     (cert,) = doc["certificates"]
     assert (cert["replay_matched"], cert["replay_check"]) == (True, "exact")
-    assert replay_matches(cert_from_dict(cert), G)[0]
+    assert replay_matches(cert_from_dict(cert), parse_graph(path.read_text()))[0]
 
 
 @pytest.mark.parametrize("kind", ["base", "indep"])

@@ -1,11 +1,12 @@
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import complete, cycle, ladder_positive
+from conftest import complete, cycle, isomorphic, ladder_positive
 from gorcheck import construct
 from gorcheck.baseck import base_verdict, candidate_deltas, check_spade, weight_function
 from gorcheck.construct import (
@@ -21,34 +22,33 @@ from gorcheck.construct import (
     cert_from_json,
     cert_to_dict,
     cert_to_json,
+    check_replay,
     collide,
     decompose_base,
-    fingerprint,
     glue,
     replay,
     replay_matches,
     subdivide,
 )
-from gorcheck.errors import ConstructionError, InternalContradiction, WeightConflict
+from gorcheck.errors import ConstructionError, GuardExceeded, InternalContradiction, WeightConflict
 from gorcheck.graph import (
     Multigraph,
     blocks,
     blow_up_factor,
     components,
-    is_isomorphic,
     is_two_connected,
     label_key,
     low_link,
 )
-from gorcheck.indepck import indep_verdict
+from gorcheck.indepck import indep_verdict, recognize_cycle_construction
 from gorcheck.smallgraphs import two_connected_graphs
-from ladder import edge_swap, in_order_chain, with_chord
+from ladder import attach_positive, edge_swap, in_order_chain, with_chord
 from test_graph import ears
 
 
 def test_replay_seeds():
-    assert is_isomorphic(replay(Seed("cycle", range(5))), cycle(5))
-    assert is_isomorphic(replay(Seed("k4")), complete(4))
+    assert isomorphic(replay(Seed("cycle", range(5))), cycle(5))
+    assert isomorphic(replay(Seed("k4")), complete(4))
     assert replay(Seed("k2")).m == 1
     # a label-free K2 seed stays an isomorphism match for any K2 block
     assert replay_matches(Seed("k2"), Multigraph.build("xy", [("y", "x")]))[0]
@@ -56,10 +56,10 @@ def test_replay_seeds():
 
 def test_glue_c3_c3_is_k4_minus_e(c3, k4_minus_e):
     G = glue([(c3, 0), (c3, 0)], 3)
-    assert is_isomorphic(G, k4_minus_e)
+    assert isomorphic(G, k4_minus_e)
     # edge-order independence
     G2 = glue([(c3, 1), (c3, 2)], 3)
-    assert is_isomorphic(G, G2)
+    assert isomorphic(G, G2)
     assert check_spade(G, 3) is None
 
 
@@ -122,8 +122,8 @@ def test_a_k2_part_is_a_construction_error(k2, k4, c3):
 
 
 def test_attach_cycle(k2, c4):
-    assert is_isomorphic(attach_cycle(k2, 0, 3), c4)
-    assert is_isomorphic(attach_cycle(k2, 0, 2), cycle(3))
+    assert isomorphic(attach_cycle(k2, 0, 3), c4)
+    assert isomorphic(attach_cycle(k2, 0, 2), cycle(3))
     G = attach_cycle(c4, 0, 3)
     assert (G.n, G.m) == (6, 7)
 
@@ -132,7 +132,7 @@ def test_blow_up_roundtrip(c4):
     doubled = blow_up(c4, 2)
     assert doubled.m == 8
     f = blow_up_factor(doubled)
-    assert f.multiplicity == 2 and is_isomorphic(f.base_graph, c4)
+    assert f.multiplicity == 2 and isomorphic(f.base_graph, c4)
     assert blow_up(c4, 1).m == c4.m
 
 
@@ -641,13 +641,45 @@ def test_cert_json_roundtrip(k4_minus_e):
 
 
 def test_fingerprint_large_replay():
-    # 4 pentagons glued along one edge: 14 vertices, beyond the isomorphism guard
+    # 4 pentagons glued along one edge: 14 vertices, matched edge by edge
     c5g = cycle(5)
     G = glue([(c5g, 0)] * 4, 5)
     cert = decompose_base(G, 5)
-    matched, method = replay_matches(cert, G)
-    assert matched and method == "fingerprint"
-    assert fingerprint(G)[0] == 14
+    assert G.n == 14
+    assert replay_matches(cert, G) == (True, "isomorphism")
+
+
+def test_replay_matches_is_exact():
+    # C18 plus the chord (0, 9) is two C10s on an edge, constructible at
+    # delta = 9; with the chord (0, 5) it has the same size and degrees but
+    # is another graph
+    A = cycle(18).with_edge(0, 9)[0]
+    B = cycle(18).with_edge(0, 5)[0]
+    cert = recognize_cycle_construction(A, 9)
+    assert replay_matches(cert, A) == (True, "isomorphism")
+    assert replay_matches(cert, B) == (False, "isomorphism")
+    # a cycle seed pairs its labels with the graph's, not any cyclic order
+    assert not replay_matches(Seed("cycle", range(5)), cycle(5, [0, 2, 4, 1, 3]))[0]
+    # a label-free K2 seed matches any K2
+    assert replay_matches(Seed("k2"), Multigraph.build("xy", [("x", "y")]))[0]
+    vertices, edges, _ = attach_positive(2, 10000, seed=10000)
+    G = Multigraph.build(vertices, edges)
+    cert = recognize_cycle_construction(G, 2)
+    start = time.perf_counter()
+    assert replay_matches(cert, G)[0]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_replay_refuses_a_graph_over_the_guard(k2):
+    # the replay state of a 10^9-fold blow-up is one count per edge; only
+    # the Multigraph would hold every copy
+    cert = BlowUp(Seed("k2"), 10**9)
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match=r"^replay guarded at 1000000 edges; this one has 1000000000$"):
+        replay(cert)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(InternalContradiction, match="another graph"):
+        check_replay(k2, cert)
 
 
 def _attach_chain(depth):

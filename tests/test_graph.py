@@ -15,7 +15,6 @@ from gorcheck.graph import (
     components,
     format_edge_list,
     induced_cycles,
-    is_isomorphic,
     is_k4_minor_free,
     is_connected,
     is_two_connected,
@@ -501,16 +500,6 @@ def test_blow_up_factor():
     assert f.multiplicity == 2 and f.base_graph.m == 3
     uneven = Multigraph.build(range(3), [(0, 1), (0, 1), (1, 2), (0, 2)])
     assert blow_up_factor(uneven) is None
-
-
-def test_isomorphism(k4):
-    relabeled = Multigraph.build("wxyz", [
-        ("w", "x"), ("w", "y"), ("w", "z"), ("x", "y"), ("x", "z"), ("y", "z")
-    ])
-    assert is_isomorphic(k4, relabeled)
-    assert not is_isomorphic(k4, cycle(4))
-    with pytest.raises(GuardExceeded):
-        is_isomorphic(cycle(12), cycle(12))
 
 
 def test_atlas_enumeration_counts():

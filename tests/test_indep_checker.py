@@ -1,10 +1,9 @@
 import random
 import time
 
-import networkx as nx
 import pytest
 
-from conftest import complete, cycle, cycle_with_chord
+from conftest import complete, cycle, cycle_with_chord, isomorphic
 from gorcheck import indepck
 from gorcheck.baseck import Witness
 from gorcheck.construct import (
@@ -260,31 +259,6 @@ def _with_random_chord(rng, H):
     return H.with_edge(*rng.choice(pairs))[0] if pairs else None
 
 
-def _isomorphic(G1, G2):
-    """networkx VF2 on MultiGraphs, exact.
-
-    Nodes carry colour-refinement labels, which every isomorphism preserves;
-    they only prune the search, which is otherwise slow on the many
-    interchangeable paths of an attach-cycle graph.
-    """
-    def convert(G):
-        M = nx.MultiGraph()
-        M.add_nodes_from(G.vertices)
-        M.add_edges_from((u, v) for _, u, v in G.edges)
-        color = {v: M.degree(v) for v in M}
-        for _ in range(3):
-            color = {
-                v: hash((color[v], tuple(sorted(color[w] for w in M.neighbors(v)))))
-                for v in M
-            }
-        nx.set_node_attributes(M, color, "color")
-        return M
-
-    return nx.is_isomorphic(
-        convert(G1), convert(G2), node_match=lambda a, b: a["color"] == b["color"]
-    )
-
-
 def test_greedy_matches_backtracking_atlas():
     # every 2-connected graph up to 7 vertices, delta = 2..8
     for H in two_connected_graphs(7):
@@ -308,7 +282,7 @@ def test_greedy_matches_backtracking_random_chains():
         cert = recognize_cycle_construction(H, delta)
         assert (cert[0].op, cert[0].seed) == ("seed", "k2")
         assert [(nd.op, nd.delta) for nd in cert[1:]] == [("attach_cycle", delta)] * steps
-        assert _isomorphic(replay(cert), H), (delta, H.edges)
+        assert isomorphic(replay(cert), H), (delta, H.edges)
         small = _random_attach_chain(rng, delta, rng.randint(1, 9 // (delta - 1)))
         chord = _with_random_chord(rng, small)
         for G in (small, chord):
@@ -317,7 +291,7 @@ def test_greedy_matches_backtracking_random_chains():
             got = recognize_cycle_construction(G, delta)
             assert (got is None) == (_recognize_by_backtracking(G, delta) is None), G.edges
             if got is not None:
-                assert _isomorphic(replay(got), G)
+                assert isomorphic(replay(got), G)
             compared += 1
     assert compared > 100
 
