@@ -199,8 +199,8 @@ def cmd_certify(args) -> int:
             "status": v.status,
             "delta": v.delta,
             # each certificate's replay was checked to be its block exactly
-            # where the verdict built it (construct.decompose,
-            # recognize_cycle_construction), which raises
+            # where the verdict built it (construct.decompose, or
+            # indep_verdict for each base graph), which raises
             # InternalContradiction on a mismatch
             "certificates": [
                 {**cert_to_dict(cert), "replay_matched": True, "replay_check": "exact"}

@@ -363,6 +363,54 @@ def _forward(step: Node, parts) -> Multigraph:
 
 
 # -- decomposition (inverse construction) ------------------------------------
+# Each peel undoes construction steps on one mutable adjacency, with a
+# worklist seeded in the graph's vertex order, so no step depends on hash
+# order; the peel read backwards is the certificate, checked by the caller.
+
+
+def _adjacency(G: Multigraph) -> dict:
+    """The peels' mutable adjacency: each vertex's neighbours as dict keys,
+    in G's adjacency order."""
+    return {v: dict.fromkeys(w for _, w in G.adjacency[v]) for v in G.vertices}
+
+
+def _delete(adj: dict, vertices) -> None:
+    """Delete the vertices from adj, with their edges."""
+    for z in vertices:
+        for w in adj.pop(z):
+            del adj[w][z]
+
+
+def _run(adj: dict, x, limit: int, walked: set) -> Optional[tuple]:
+    """The maximal run of degree-2 vertices through x, whose inner vertices
+    join walked: the path (a, .., x, .., b) between its ends, read from the
+    smaller.  Each way is walked at most limit steps and stops if it comes
+    back to x.  None when x is deleted, walked or not of degree 2, and when
+    the walk leaves an end of degree 2 or a == b."""
+    if len(adj.get(x, ())) != 2 or x in walked:
+        return None
+    sides = []
+    for cur in adj[x]:
+        prev, side = x, []
+        while len(adj[cur]) == 2 and cur != x and len(side) < limit:
+            side.append(cur)
+            prev, cur = cur, next(w for w in adj[cur] if w != prev)
+        sides.append((side, cur))
+    (left, a), (right, b) = sides
+    walked.update(left, right, (x,))
+    if a == b or len(adj[a]) == 2 or len(adj[b]) == 2:
+        return None
+    path = (a, *reversed(left), x, *right, b)
+    return path if label_key(a) < label_key(b) else path[::-1]
+
+
+def _ring(adj: dict) -> list:
+    """The vertices of adj, a cycle, in cycle order: from its least label,
+    to that vertex's first neighbour first."""
+    ring = [min(adj, key=label_key)]
+    while len(ring) < len(adj):
+        ring.append(next(w for w in adj[ring[-1]] if w not in ring[-2:]))
+    return ring
 
 
 def _collide_peel(G: Multigraph) -> list:
@@ -385,13 +433,11 @@ def _collide_peel(G: Multigraph) -> list:
     contradiction standing, so a peel that stopped early could not turn a
     positive into a negative verdict.
 
-    The peel runs on a mutable adjacency, each vertex's neighbours in G's
-    adjacency order, with a worklist of vertices of degree 3 seeded in
-    G.vertices order, so no step depends on hash order.  A peel changes
-    only the degrees and neighbours of u and v, and the pairs it makes
-    contain u or v, which go back on the worklist at degree 3.
+    The worklist holds vertices of degree 3.  A peel changes only the
+    degrees and neighbours of u and v, and the pairs it makes contain u or
+    v, which go back on the worklist at degree 3.
     """
-    adj = {v: dict.fromkeys(w for _, w in G.adjacency[v]) for v in G.vertices}
+    adj = _adjacency(G)
     work = deque(v for v in G.vertices if len(adj[v]) == 3)
     peeled = []  # (u, v, x, y) in peel order: the last Collide first
     while work:
@@ -404,9 +450,7 @@ def _collide_peel(G: Multigraph) -> list:
                 break
         else:
             continue
-        for z in (x, y):
-            for w in adj.pop(z):
-                del adj[w][z]
+        _delete(adj, (x, y))
         adj[u][v] = adj[v][u] = None
         u, v = sorted((u, v), key=label_key)
         peeled.append((u, v, x, y))
@@ -451,47 +495,24 @@ def _glue_peel(G: Multigraph, delta: int) -> list:
     meets its hypothesis (a Subdivide target weighs 1, a glued edge delta-1
     in every part), and check_replay proves that the replay is G.
 
-    The peel runs on a mutable adjacency, each vertex's neighbours in G's
-    adjacency order, with a worklist of vertices of degree 2 seeded in
-    G.vertices order, so no step depends on hash order.  No step raises a
-    degree, so a walked path changes only when an end drops to degree 2,
-    which queues it, and a heavy edge between ends stays.  Each run is
-    taken when it is found, and a map from end pairs to their runs holds
-    those waiting at a light edge for a Glue.
+    The worklist holds vertices of degree 2, and a walked-vertex set skips
+    those a run was already walked through.  No step raises a degree, so a
+    walked path changes only when an end drops to degree 2, which queues
+    it, and a heavy edge between ends stays.  Each run is taken when it is
+    found, and a map from end pairs to their runs holds those waiting at a
+    light edge for a Glue.
     """
-    adj = {v: dict.fromkeys(w for _, w in G.adjacency[v]) for v in G.vertices}
+    adj = _adjacency(G)
     weights = {} if G.n == G.m else weight_function(G, delta)  # a cycle's edges are all heavy
     light = {frozenset(G.endpoints(e)) for e, wt in weights.items() if wt == 1}
     runs = {}  # frozenset({a, b}) of a light edge -> the runs waiting there
     walked = set()  # vertices walked through; degree 2 until deleted
     work = deque(v for v in G.vertices if len(adj[v]) == 2)
     peeled = []  # (run, runs glued or None) in peel order: the last step first
-
-    def run_through(x):
-        """The run through x, read from its smaller end, or None."""
-        sides = []
-        for cur in adj[x]:  # walk each way, at most delta steps
-            prev, side = x, []
-            while len(adj[cur]) == 2 and cur != x and len(side) < delta:
-                side.append(cur)
-                prev, cur = cur, next(w for w in adj[cur] if w != prev)
-            sides.append((side, cur))
-        (left, a), (right, b) = sides
-        walked.update(left, right, (x,))
-        path = (a, *reversed(left), x, *right, b)
-        if len(path) != delta or a == b or len(adj[a]) == 2 or len(adj[b]) == 2 or any(
-            frozenset(e) in light for e in zip(path, path[1:])
-        ):
-            return None  # too long, too short, a cycle, or with a light edge
-        return path if label_key(a) < label_key(b) else path[::-1]
-
     while work:
-        x = work.popleft()
-        if len(adj.get(x, ())) != 2 or x in walked:
-            continue
-        run = run_through(x)
-        if run is None:
-            continue
+        run = _run(adj, work.popleft(), delta, walked)
+        if run is None or len(run) != delta or any(frozenset(e) in light for e in zip(run, run[1:])):
+            continue  # too long, too short, a cycle, or with a light edge
         a, b = run[0], run[-1]
         pair = frozenset((a, b))
         if b not in adj[a]:
@@ -507,19 +528,14 @@ def _glue_peel(G: Multigraph, delta: int) -> list:
         else:
             continue  # ends joined by a heavy edge
         for r in glued or [run]:
-            for z in r[1:-1]:
-                for w in adj.pop(z):
-                    del adj[w][z]
+            _delete(adj, r[1:-1])
         peeled.append((run, glued))
         work.extend(w for w in (a, b) if len(adj[w]) == 2)
     if len(adj) != delta or light or any(len(nbrs) != 2 for nbrs in adj.values()):
         raise InternalContradiction(
             f"the Glue/Subdivide peel stops at {len(adj)} vertices, not at an all-heavy C{delta}"
         )
-    ring = [next(iter(adj))]
-    while len(ring) < delta:
-        ring.append(next(w for w in adj[ring[-1]] if w not in ring[-2:]))
-    nodes = [_cycle_seed(ring)]
+    nodes = [_cycle_seed(_ring(adj))]
     for run, glued in reversed(peeled):
         if glued is None:
             nodes.append(Node("subdivide", labels=run, delta=delta))
@@ -527,6 +543,49 @@ def _glue_peel(G: Multigraph, delta: int) -> list:
             nodes += [_cycle_seed(list(r)) for r in glued]
             nodes.append(Node("glue", labels=(run[0], run[-1]), delta=delta))
     return nodes
+
+
+def _attach_peel(H: Multigraph, delta: int) -> Optional[tuple]:
+    """The certificate of a simple 2-connected H's construction from K2 by
+    attaching (delta+1)-cycles, its replay unchecked, or None when H has
+    none.
+
+    A peel removes the inner vertices of a removable run: a maximal run of
+    delta-1 vertices of degree 2 whose ends are adjacent.  When none is
+    left, C_{delta+1} peels down to K2, and H is constructible exactly when
+    the peel reaches K2, whichever run each step takes.  Let L be the path
+    attached last and R any other removable run: both are maximal runs of
+    degree-2 vertices, so they are disjoint and R stays removable in H-L;
+    by induction H-R = attach(H-L-R, L), except when H-L is C_{delta+1},
+    and then H-R is C_{delta+1} as well.  The certificate, in H's labels,
+    is a K2 seed on the two vertices left and one attach_cycle node per
+    peeled path, the last peeled first.
+
+    The worklist holds vertices of degree 2, and a walked-vertex set skips
+    those a run was already walked through.  A peel adds no edge and
+    changes only its ends' degrees, so a run changes only by growing
+    through an end that drops to degree 2, and re-queuing that end finds
+    every run that becomes removable.
+    """
+    adj = _adjacency(H)
+    walked = set()  # vertices walked through; degree 2 until deleted
+    work = deque(v for v in H.vertices if len(adj[v]) == 2)
+    peeled = []  # paths (a, inner.., b) in peel order: the last attached first
+    while work:
+        path = _run(adj, work.popleft(), delta, walked)
+        if path is None or len(path) != delta + 1 or path[-1] not in adj[path[0]]:
+            continue  # too long, too short, a cycle, or ends that are not adjacent
+        _delete(adj, path[1:-1])
+        peeled.append(path)
+        work.extend(w for w in (path[0], path[-1]) if len(adj[w]) == 2)
+    if len(adj) == delta + 1 and all(len(nbrs) == 2 for nbrs in adj.values()):
+        peeled.append(tuple(_ring(adj)))  # C_{delta+1}, whose ends are adjacent
+        _delete(adj, peeled[-1][1:-1])
+    if len(adj) != 2:
+        return None
+    nodes = [Node("seed", labels=tuple(sorted(adj, key=label_key)), seed="k2")]
+    nodes += [Node("attach_cycle", labels=path, delta=delta) for path in reversed(peeled)]
+    return post_order(nodes)
 
 
 def decompose(G: Multigraph, delta: int):

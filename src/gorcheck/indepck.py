@@ -3,19 +3,20 @@
 A graph qualifies exactly when it is the uniform (delta-1)-fold parallel
 blow-up of a simple graph whose 2-connected blocks are all built from K2 by
 repeatedly attaching (delta+1)-cycles to edges.  indep_verdict decides each
-block by peeling such cycles off greedily (recognize_cycle_construction) and
-explains a failing block with the chordality witness of check_chordal_k4free.
+block's base graph by peeling such cycles off in any order
+(construct._attach_peel; recognize_cycle_construction adds the input checks),
+checks the replay, and explains a failing block with the chordality witness
+of check_chordal_k4free.
 The flat equalities (check_club) and the chordality test are equivalent
 characterizations, kept for the sweeps and the tests.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import NamedTuple, Optional
 
 from .baseck import Witness
-from .construct import BlowUp, Node, check_replay, post_order
+from .construct import BlowUp, _attach_peel, check_replay
 from .errors import InternalContradiction, NotTwoConnected
 from .flats import indecomposable_flats, induced_edge_ids
 from .graph import (
@@ -25,7 +26,6 @@ from .graph import (
     induced_cycles,
     is_k4_minor_free,
     is_two_connected,
-    label_key,
     normalize,
 )
 
@@ -85,84 +85,17 @@ def check_chordal_k4free(H: Multigraph, delta: int) -> Optional[Witness]:
 def recognize_cycle_construction(H: Multigraph, delta: int) -> Optional[tuple]:
     """Certificate building H from K2 by attaching (delta+1)-cycles, or None.
 
-    Greedy peel: while the graph is not K2, remove the inner vertices of one
-    maximal ear with delta-1 inner vertices and adjacent end vertices; a cycle
-    peels only when it is C_{delta+1}, and then down to K2.  H is
-    constructible exactly when the peel reaches K2, whichever ear each step
-    takes.  Let L be the path attached last and R any other removable ear:
-    both are maximal runs of degree-2 vertices, so they are disjoint and R
-    stays removable in H-L; by induction H-R = attach(H-L-R, L), except when
-    H-L is C_{delta+1}, and then H-R is C_{delta+1} as well.  The certificate,
-    in H's labels, is a K2 seed on the two vertices left and one
-    attach_cycle node per peeled path, the last peeled first; its replay is
-    checked to be H exactly before returning.
-
-    The peel runs on a mutable adjacency, each vertex's neighbours in H's
-    adjacency order, with a heap of the removable runs.  A run's key is its
-    path's label-key tuple read from its smaller end, which is the key a
-    sorted list of every ear orders by, so the heap's least current run is
-    the first removable ear of that list: each step takes the ear a full
-    rescan would take.  A run stays current while its inner vertices keep
-    degree 2 and its ends do not: a peel changes only its own ends' degrees,
-    so the runs it makes pass through an end that drops to degree 2, and
-    only those are walked and pushed.
+    H must be simple (else ValueError) and 2-connected (else
+    NotTwoConnected), and delta >= 2.  The certificate comes from
+    construct._attach_peel, in H's labels, and its replay is checked to be
+    H exactly before returning.
     """
     _require_simple_block(H)
     if delta < 2:
         raise ValueError("delta must be >= 2")
-    adj = {v: dict.fromkeys(w for _, w in H.adjacency[v]) for v in H.vertices}
-
-    def run_through(x):
-        """Key of the maximal run of degree-2 vertices through x if it has
-        delta-1 inner vertices and adjacent ends, else None."""
-        sides = []
-        for cur in adj[x]:  # walk each way, at most delta steps
-            prev, side = x, []
-            while len(adj[cur]) == 2 and len(side) < delta:
-                side.append(cur)
-                prev, cur = cur, next(w for w in adj[cur] if w != prev)
-            sides.append((side, cur))
-        (left, a), (right, b) = sides
-        inner = [*reversed(left), x, *right]
-        if len(inner) != delta - 1 or len(adj[a]) == 2 or len(adj[b]) == 2 or b not in adj[a]:
-            return None  # too long, a cycle, or ends that are not adjacent
-        key = tuple(map(label_key, (a, *inner, b)))
-        return min(key, key[::-1])
-
-    heap = [key for key in map(run_through, (v for v in adj if len(adj[v]) == 2)) if key]
-    heapq.heapify(heap)
-    peeled = []  # ear paths (u, inner..., v) in peel order: last attached first
-    n, m = H.n, H.m
-    while not (n == 2 and m == 1):
-        if n == m:  # a cycle: G stays 2-connected
-            if n != delta + 1:
-                return None
-            # walk the whole cycle: its two ends are adjacent
-            path = [min(adj, key=label_key)]
-            while len(path) < n:
-                path.append(next(w for w in adj[path[-1]] if w not in path[-2:]))
-        else:
-            while heap:
-                path = [k[1] for k in heapq.heappop(heap)]
-                current = all(len(adj.get(x, ())) == 2 for x in path[1:-1])
-                if current and len(adj[path[0]]) != 2 and len(adj[path[-1]]) != 2:
-                    break
-            else:
-                return None
-        peeled.append(path)
-        for x in path[1:-1]:
-            for w in adj.pop(x):
-                del adj[w][x]
-        n, m = n - len(path) + 2, m - len(path) + 1
-        for end in (path[0], path[-1]):
-            key = run_through(end) if len(adj[end]) == 2 else None
-            if key:
-                heapq.heappush(heap, key)
-
-    nodes = [Node("seed", labels=tuple(sorted(adj, key=label_key)), seed="k2")]
-    nodes += [Node("attach_cycle", labels=tuple(path), delta=delta) for path in reversed(peeled)]
-    cert = post_order(nodes)
-    check_replay(H, cert)
+    cert = _attach_peel(H, delta)
+    if cert is not None:
+        check_replay(H, cert)
     return cert
 
 
@@ -219,8 +152,8 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
     m = mults.pop()
     delta = m + 1
     certs = []
-    for _, H in per_block:
-        cert = recognize_cycle_construction(H, delta)
+    for _, H in per_block:  # simple by construction, 2-connected by its block's record
+        cert = _attach_peel(H, delta)
         if cert is None:
             witness = check_chordal_k4free(H, delta)
             if witness is None:
@@ -229,5 +162,6 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
                     f"chordal and K4-minor-free"
                 )
             return IndepVerdict("not_gorenstein", None, m, per_block, witness)
+        check_replay(H, cert)
         certs.append(BlowUp(cert, m) if m > 1 else cert)
     return IndepVerdict("gorenstein", delta, m, per_block, certificates=tuple(certs))

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import complete, cycle, cycle_with_chord, ladder_positive, stuck_past_the_guard
+from ladder import attach_positive
 from gorcheck import baseck, construct, indepck
 from gorcheck.cli import main
 from gorcheck.construct import (
@@ -19,7 +20,7 @@ from gorcheck.construct import (
     replay_matches,
 )
 from gorcheck.errors import InternalContradiction
-from gorcheck.graph import format_edge_list, parse_graph
+from gorcheck.graph import Multigraph, format_edge_list, parse_graph
 
 K4 = "a b\na c\na d\nb c\nb d\nc d\n"
 C3 = "1 2\n2 3\n3 1\n"
@@ -281,7 +282,8 @@ def test_internal_contradiction_exit5(files, capsys, monkeypatch):
 def test_certify_replay_mismatch_exit5(files, capsys, monkeypatch):
     # the exact replay check where each certificate is built catches a
     # corrupted node: the root's first label moved to a vertex the block
-    # lacks (base: the C3 seed's; indep: the path of C4's attach_cycle)
+    # lacks (base: the C3 seed's; indep: the path of C4's attach_cycle).
+    # Every peel's certificate goes through construct.post_order.
     real = construct.post_order
 
     def one_label_wrong(nodes):
@@ -290,7 +292,6 @@ def test_certify_replay_mismatch_exit5(files, capsys, monkeypatch):
         return cert[:-1] + (root._replace(labels=("nowhere", *root.labels[1:])),)
 
     monkeypatch.setattr(construct, "post_order", one_label_wrong)
-    monkeypatch.setattr(indepck, "post_order", one_label_wrong)
     for kind, name in [("base", "c3"), ("indep", "dc4")]:
         code = main(["certify", kind, files[name]])
         captured = capsys.readouterr()
@@ -399,15 +400,20 @@ def test_certify_base_ladder_positives_in_polynomial_time(tmp_path, capsys, kind
 
 
 def _certify_under_two_hash_seeds(tmp_path, kind):
-    """certify base on the 40-vertex ladder positive of kind, string
-    labelled, under PYTHONHASHSEED 1 and 2: its delta, its vertex count and
-    the two outputs, elapsed times zeroed."""
+    """certify on the 40-vertex positive of kind, string labelled, under
+    PYTHONHASHSEED 1 and 2: base on the ladder positive of a ladder kind,
+    indep on the blown-up attach-cycle tree of "attach<delta>".  Its delta,
+    its vertex count and the two outputs, elapsed times zeroed."""
     import re
     import subprocess
 
     import gorcheck
 
-    G, delta, _ = ladder_positive(kind, 40, seed=40)
+    if str(kind).startswith("attach"):
+        vertices, edges, delta = attach_positive(int(kind[len("attach"):]), 40, seed=40)
+        polytope, G = "indep", Multigraph.build(vertices, edges)
+    else:
+        polytope, (G, delta, _) = "base", ladder_positive(kind, 40, seed=40)
     path = tmp_path / "strings.txt"
     path.write_text("".join(f"v{u} v{v}\n" for _, u, v in G.edges))
     src = os.path.dirname(os.path.dirname(gorcheck.__file__))
@@ -416,7 +422,7 @@ def _certify_under_two_hash_seeds(tmp_path, kind):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
-            [sys.executable, "-m", "gorcheck.cli", "certify", "base", str(path)],
+            [sys.executable, "-m", "gorcheck.cli", "certify", polytope, str(path)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -439,6 +445,30 @@ def test_certify_base_delta3_does_not_depend_on_hash_order(tmp_path):
     # by membership, and its runs are sorted by label key
     first, second = _certify_under_two_hash_seeds(tmp_path, 3)
     assert first == second
+
+
+@pytest.mark.parametrize("kind", ["attach2", "attach3"])
+def test_certify_indep_does_not_depend_on_hash_order(tmp_path, kind):
+    # and so do the independence peel's, on a tree blown up at delta = 3:
+    # blocks, blow-up factors and the peel all keep the input's order
+    first, second = _certify_under_two_hash_seeds(tmp_path, kind)
+    assert first == second
+
+
+def test_verdict_digest_runs():
+    # tests/digest.py hashes every verdict of a family, both kinds; two
+    # runs agree, and the certificates change the digest
+    import digest
+
+    graphs = digest.atlas(4)
+    assert len(graphs) == 14  # 18 atlas graphs up to 4 vertices, 4 of them edgeless
+    plain = digest.digest(graphs)
+    assert plain == digest.digest(graphs) != digest.digest(graphs, certs=True)
+    base, indep = map(json.loads, digest.record(graphs[0], False).split("\n"))
+    assert base == {"kind": "base", "status": "gorenstein", "delta": None, "m": None,
+                    "witness": None}
+    assert indep == {"kind": "indep", "status": "gorenstein", "delta": 2, "m": 1,
+                     "witness": None}
 
 
 def test_stuck_decomposition_of_a_positive_exit5(files, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from gorcheck.construct import (
     replay,
     replay_matches,
 )
-from gorcheck.errors import GuardExceeded, InternalContradiction
+from gorcheck.errors import GuardExceeded, InternalContradiction, NotTwoConnected
 from gorcheck.graph import Multigraph, induced_cycles, is_two_connected, label_key
 from gorcheck.indepck import (
     check_chordal_k4free,
@@ -306,22 +306,28 @@ def test_indep_verdict_witness_comes_from_chordal_check(k4, monkeypatch):
 
 
 def test_peel_matches_the_rescan():
-    # the worklist peel takes the ear a full rescan takes at every step, so
-    # the certificates are equal, not only both present: every 2-connected
+    # the worklist peel takes the removable runs in its own order, so it
+    # agrees with a full rescan on which inputs are constructible, and each
+    # of its certificates replays to its input exactly: every 2-connected
     # graph up to 7 vertices at delta = 2..8, random chains up to 148 steps
     # and each with one chord (never constructible)
+    def agree(G, delta):
+        got = recognize_cycle_construction(G, delta)
+        assert (got is None) == (_recognize_by_rescan(G, delta) is None), (delta, G.edges)
+        if got is not None:
+            check_replay(G, got)
+        return got
+
     for H in two_connected_graphs(7):
         for delta in range(2, 9):
-            assert recognize_cycle_construction(H, delta) == _recognize_by_rescan(H, delta)
+            agree(H, delta)
     rng = random.Random(20261021)
     for _ in range(60):
         delta = rng.randint(2, 6)
         H = _random_attach_chain(rng, delta, rng.randint(1, 148 // (delta - 1)))
         for G in (H, _with_random_chord(rng, H)):
             if G is not None:
-                got = recognize_cycle_construction(G, delta)
-                assert got == _recognize_by_rescan(G, delta), (delta, G.edges)
-                assert (got is None) == (G is not H)
+                assert (agree(G, delta) is None) == (G is not H)
 
 
 def test_attach_tree_of_5000_vertices(monkeypatch):
@@ -343,3 +349,18 @@ def test_attach_tree_of_5000_vertices(monkeypatch):
     assert checked_cert is cert and (H.n, H.m) == (G.n, G.m) == (5000, 1 + 2 * 4998)
     rep = replay(cert)
     assert set(rep.vertices) == set(G.vertices) and rep.m == G.m
+
+
+def test_the_verdict_checks_no_base_graph_again(c4):
+    # a block's base graph is simple by construction and 2-connected by its
+    # block's record, so the verdict peels it without the public checks,
+    # which would build its parallel classes again; the public function
+    # keeps both checks
+    vertices, edges, _ = attach_positive(2, 10000, seed=10000)
+    v = indep_verdict(Multigraph.build(vertices, edges))
+    assert v.status == "gorenstein" and len(v.per_block) == 1
+    assert all("parallel_classes" not in H.__dict__ for _, H in v.per_block)
+    with pytest.raises(ValueError, match="simple"):
+        recognize_cycle_construction(blow_up(c4, 2), 3)
+    with pytest.raises(NotTwoConnected):
+        recognize_cycle_construction(Multigraph.build(range(3), [(0, 1), (1, 2)]), 2)

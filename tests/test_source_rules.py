@@ -183,23 +183,34 @@ def test_replay_keeps_the_input_labels(monkeypatch):
     assert len(built) == 1 and (G.n, G.m) == (42, 2 * (4 + 3 * 18 - 2 + 6))
 
 
-def _binders(name: str) -> list:
-    """module:function for each top-level function or method whose
-    assignments bind `name`, as a plain name or subscripted."""
-    found = []
+def _functions():
+    """(module, def) for each top-level function and method of the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
             functions += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
-        for fn in functions:
-            targets = [
-                t for node in ast.walk(fn) if isinstance(node, (ast.Assign, ast.AnnAssign))
-                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
-            ]
-            if any(isinstance(n, ast.Name) and n.id == name for t in targets for n in ast.walk(t)):
-                found.append(f"{path.name}:{fn.name}")
-    return found
+        yield from ((path.name, fn) for fn in functions)
+
+
+def _holders(match) -> list:
+    """module:function for each top-level function or method with a node,
+    nested functions' included, that match accepts."""
+    return [f"{name}:{fn.name}" for name, fn in _functions() if any(map(match, ast.walk(fn)))]
+
+
+def _binders(name: str) -> list:
+    """module:function for each top-level function or method whose
+    assignments bind `name`, as a plain name or subscripted."""
+
+    def binds(node):
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        return any(isinstance(n, ast.Name) and n.id == name for t in targets for n in ast.walk(t))
+
+    return _holders(binds)
 
 
 def test_one_union_find():
@@ -245,11 +256,61 @@ def test_one_subset_kernel():
 
 
 def test_the_peel_rescans_no_ears():
-    # recognize_cycle_construction peels on one mutable adjacency with a
-    # heap of removable runs; a call to graph.ears or a graph copy per step
-    # makes it quadratic again
-    tree = ast.parse((PACKAGE / "indepck.py").read_text(), filename="indepck.py")
-    assert _names(tree) & {"ears", "without_vertices"} == set()
+    # the independence peel (construct._attach_peel, which
+    # recognize_cycle_construction runs) works on one mutable adjacency with
+    # a worklist of degree-2 vertices; a call to graph.ears or a graph copy
+    # per step makes it quadratic again
+    for module in ("indepck.py", "construct.py"):
+        tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+        assert _names(tree) & {"ears", "without_vertices"} == set()
+
+
+def test_one_run_walker():
+    # the three peels share construct's one mutable adjacency and one walker
+    # of degree-2 runs.  The independence peel keeps no heap: exact replay
+    # proves a certificate in any peel order.  No peel carries a run walk or
+    # an adjacency of its own.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    imports = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and "heapq" in [a.name for a in node.names])
+        or (isinstance(node, ast.ImportFrom) and node.module == "heapq")
+    ]
+    assert imports == []
+    nested = [
+        f"{name}:{inner.lineno}"
+        for name, tree in trees.items()
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for inner in ast.walk(fn)
+        if inner is not fn and isinstance(inner, ast.FunctionDef) and inner.name == "run_through"
+    ]
+    assert nested == []
+
+    def builds_adjacency(node):
+        # dict.fromkeys(... G.adjacency[v]): a vertex's neighbours as dict keys
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "fromkeys"
+            and getattr(node.func.value, "id", None) == "dict"
+            and "adjacency" in set().union(*map(_names, node.args))
+        )
+
+    def walks_a_run(node):
+        # while len(adj[cur]) == 2 ...: a walk along vertices of degree 2
+        return isinstance(node, ast.While) and any(
+            isinstance(cmp, ast.Compare)
+            and getattr(cmp.left, "func", None) is not None
+            and getattr(cmp.left.func, "id", None) == "len"
+            and [type(op) for op in cmp.ops] == [ast.Eq]
+            and [getattr(c, "value", None) for c in cmp.comparators] == [2]
+            for cmp in ast.walk(node.test)
+        )
+
+    assert _holders(builds_adjacency) == ["construct.py:_adjacency"]
+    assert _holders(walks_a_run) == ["construct.py:_run"]
 
 
 def test_a_multigraph_is_its_vertices_and_edges():
