@@ -520,50 +520,55 @@ def is_k4_minor_free(G: Multigraph) -> bool:
 
 def bases_and_forests(
     G: Multigraph, kind: str, guard: int = DEFAULT_GUARD
-) -> Iterator[frozenset]:
+) -> Iterator[int]:
     """Enumerate spanning forests ("spanning_trees") or all forests ("forests").
 
     spanning_trees yields all maximal forests (one spanning tree per
     component); forests yields every acyclic edge subset including the empty
-    one.  Raises GuardExceeded past `guard` yields.
+    one.  Each forest is an int edge mask whose bit j is G's j-th smallest
+    edge id.  The walk takes each edge before leaving it out, so the masks
+    come in decreasing lexicographic order of their 0/1 vectors
+    (x_0, ..., x_{m-1}), x_j being bit j.  Raises GuardExceeded past `guard`
+    yields.
     """
     if kind not in ("spanning_trees", "forests"):
         raise ValueError(f"kind must be 'spanning_trees' or 'forests', got {kind!r}")
-    edges = sorted(G.edges)
+    index = {v: i for i, v in enumerate(G.vertices)}
+    ends = [(index[u], index[v]) for _, u, v in sorted(G.edges)]
+    m = len(ends)
     target = G.n - low_link(G).components  # rank of E: edges in a spanning forest
     trees = kind == "spanning_trees"
-    # the package's one union-find: by size without path compression, so
-    # that a union can be rolled back when the walk leaves its edge
-    parent = {v: v for v in G.vertices}
-    size = {v: 1 for v in G.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    chosen: list = []
-    count = 0
+    # the package's one union-find, over vertex indexes: by size without path
+    # compression, so that a union can be rolled back when the walk leaves
+    # its edge
+    parent = list(range(G.n))
+    size = [1] * G.n
+    joined: list = []  # the root each chosen edge hung below another
+    mask = count = 0
     # depth-first over edge indexes, taking each edge before leaving it out:
-    # an entry is the next edge index to decide, or (ru, rv, i), the union
-    # edge i made, to roll back before deciding i+1 without it
+    # an entry is the next edge index i to decide, or ~i after edge i made a
+    # union, to roll back before deciding i+1 without it
     stack: list = [0]
     while stack:
         i = stack.pop()
-        if type(i) is tuple:
-            ru, rv, i = i
-            chosen.pop()
+        if i < 0:
+            i = ~i
+            rv = joined.pop()
+            size[parent[rv]] -= size[rv]
             parent[rv] = rv
-            size[ru] -= size[rv]
+            mask ^= 1 << i
             stack.append(i + 1)
-        elif (len(chosen) == target) if trees else (i == len(edges)):
+        elif (len(joined) == target) if trees else (i == m):
             count += 1
             if count > guard:
                 raise GuardExceeded(f"more than {guard} {'spanning forests' if trees else 'forests'}")
-            yield frozenset(chosen)
-        elif i < len(edges) and (not trees or len(chosen) + len(edges) - i >= target):
-            eid, u, v = edges[i]
-            ru, rv = find(u), find(v)
+            yield mask
+        elif i < m and (not trees or len(joined) + m - i >= target):
+            ru, rv = ends[i]
+            while parent[ru] != ru:
+                ru = parent[ru]
+            while parent[rv] != rv:
+                rv = parent[rv]
             if ru == rv:
                 stack.append(i + 1)
                 continue
@@ -571,8 +576,9 @@ def bases_and_forests(
                 ru, rv = rv, ru
             parent[rv] = ru
             size[ru] += size[rv]
-            chosen.append(eid)
-            stack += [(ru, rv, i), i + 1]
+            joined.append(rv)
+            mask |= 1 << i
+            stack += [~i, i + 1]
 
 
 # -- blow-ups ---------------------------------------------------------------

@@ -3,20 +3,20 @@
 Everything here is arbitrary-precision: integer Hermite-normal-form bases,
 fraction-free Gauss-Jordan elimination over integer rows, and an exact
 double-description computation of the extreme rays of a dual cone.  Fractions
-appear only as the final quotients that solve_unique and invert return.  No
-floating point anywhere.
+appear only as the final quotients that solve_unique and invert return, and
+only those two import them.  No floating point anywhere.
 
 lattice_coords grows an HNF basis one generator at a time instead of running
 hnf_rows over every generator at once.  The row-style HNF of a lattice is
 unique, and the grown basis generates the same lattice as all the generators,
 so the two bases are equal row for row.  Every coordinate vector is still read
 off the final basis by an exact reduction that raises when a vector is not in
-the lattice.
+the lattice, except once the basis is the identity, where every integer
+vector is its own coordinate vector.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Optional
@@ -107,7 +107,10 @@ def lattice_coords(vectors) -> tuple:
     vectors reduced before the last growth have to be reduced again against
     the final basis.  Every coordinate vector comes from an exact reduction
     against the final basis, which raises ValueError when a vector is not in
-    its lattice.
+    its lattice.  The one exception: a grown basis of full rank whose pivots
+    are all 1 is the identity, since the HNF of Z^n is unique, and then every
+    vector is its own coordinate vector: coords holds the vectors themselves,
+    with nothing left to reduce.
     """
     basis: list = []
     rows: list = []
@@ -123,6 +126,8 @@ def lattice_coords(vectors) -> tuple:
             for row in basis:
                 p = next(j for j, x in enumerate(row) if x)
                 rows.append((p, row[p], [(j, row[j]) for j in range(p + 1, len(row)) if row[j]]))
+            if len(rows) == len(vectors[i]) and all(a == 1 for _, a, _ in rows):
+                return basis, list(vectors)
             pivots = {p for p, _, _ in rows}
             free = [j for j in range(len(vectors[i])) if j not in pivots]
             stale = i + 1
@@ -169,6 +174,8 @@ def solve_unique(rows, rhs) -> Optional[list]:
     Returns the Fraction solution vector, None when inconsistent, and raises
     ValueError when the system is underdetermined.
     """
+    from fractions import Fraction
+
     ncols = len(rows[0]) if rows else 0
     mat = [list(r) + [b] for r, b in zip(rows, rhs)]
     pivots = _eliminate(mat, ncols)
@@ -181,6 +188,8 @@ def solve_unique(rows, rhs) -> Optional[list]:
 
 def invert(rows) -> list:
     """Exact inverse of a square integer matrix (Fraction entries)."""
+    from fractions import Fraction
+
     n = len(rows)
     mat = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     if len(_eliminate(mat, n)) < n:

@@ -105,9 +105,19 @@ class LatticePolytope:
 
 
 def _polytope_from_vertices(kind: str, verts: list, graph=None) -> LatticePolytope:
-    verts = sorted(set(tuple(v) for v in verts))
+    return _polytope_of_sorted(kind, sorted(set(tuple(v) for v in verts)), graph)
+
+
+def _polytope_of_sorted(kind: str, verts: list, graph=None) -> LatticePolytope:
+    """The polytope of verts, distinct integer tuples in increasing order.
+
+    The lattice comes from the differences from the first vertex, which for
+    an independence polytope is 0: the vertices are then their own
+    differences.
+    """
     v0 = verts[0]
-    basis, coords = lattice_coords([[a - b for a, b in zip(v, v0)] for v in verts])
+    diffs = [[a - b for a, b in zip(v, v0)] for v in verts] if any(v0) else verts
+    basis, coords = lattice_coords(diffs)
     # saturation: the HNF of the differences has all pivots 1 exactly when the
     # affine lattice equals the full ambient lattice restricted to the hull
     saturated = all(
@@ -125,24 +135,34 @@ def _polytope_from_vertices(kind: str, verts: list, graph=None) -> LatticePolyto
     )
 
 
+# "0" -> byte 0, "1" -> byte 1: a binary numeral read as a 0/1 vector
+_BINARY_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def polytope_of(G: Multigraph, kind: str, guard: int = 10**6) -> LatticePolytope:
-    """B(M(G)) or P(M(G)) as an explicit lattice polytope."""
+    """B(M(G)) or P(M(G)) as an explicit lattice polytope.
+
+    Each forest's edge mask from bases_and_forests is written out as one
+    binary numeral, low bit first, and read as the bytes of its 0/1 vertex.
+    The masks come in decreasing lexicographic order of their vertices, so
+    the reversed list is already sorted.
+    """
     G = normalize(G)
     if kind == "base":
-        sets = bases_and_forests(G, "spanning_trees", guard=guard)
+        masks = bases_and_forests(G, "spanning_trees", guard=guard)
     elif kind == "independence":
-        sets = bases_and_forests(G, "forests", guard=guard)
+        masks = bases_and_forests(G, "forests", guard=guard)
     else:
         raise ValueError(f"unknown polytope kind {kind!r}")
-    order = sorted(G.edge_by_id)
-    pos = {eid: i for i, eid in enumerate(order)}
-    verts = []
-    for s in sets:
-        vec = [0] * len(order)
-        for eid in s:
-            vec[pos[eid]] = 1
-        verts.append(tuple(vec))
-    return _polytope_from_vertices(kind, verts, G)
+    m = G.m
+    if m == 0:
+        # format(0, "00b") is "0": an edgeless graph's one forest is the point ()
+        verts = [() for _ in masks]
+    else:
+        spec = f"0{m}b"
+        verts = [tuple(format(s, spec)[::-1].encode().translate(_BINARY_BYTES)) for s in masks]
+        verts.reverse()
+    return _polytope_of_sorted(kind, verts, G)
 
 
 def product_polytope(parts) -> LatticePolytope:

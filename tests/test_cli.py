@@ -84,6 +84,19 @@ def test_oracle_c3(files, capsys):
     assert doc["hstar"] == {"coefficients": [1], "palindromic": True}
 
 
+@pytest.mark.parametrize("kind", ["base", "indep"])
+def test_oracle_on_a_loop_only_graph(tmp_path, capsys, kind):
+    # no edge once the loop goes: the polytope is the point () of R^0
+    path = tmp_path / "loop.txt"
+    path.write_text("0 0\n")
+    code, out = run(capsys, "oracle", kind, str(path), "--hstar")
+    doc = json.loads(out)
+    assert code == 0 and (doc["status"], doc["delta"]) == ("gorenstein", 1)
+    assert doc["witness_point"] == []
+    assert doc["polytope"] == {"vertices": 1, "dim": 0, "facets": 1, "lattice_saturated": True}
+    assert doc["hstar"] == {"coefficients": [1], "palindromic": True}
+
+
 def test_oracle_c5_chord_hstar(files, capsys):
     code, out = run(capsys, "oracle", "base", files["c5chord"], "--hstar", "--normality", "2")
     doc = json.loads(out)
@@ -724,7 +737,8 @@ def _loaded_modules(statement, *argv):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["oracle", "base", "k4"], {"baseck", "construct", "flats", "indepck", "smallgraphs"}),
+    (["oracle", "base", "k4"],
+     {"baseck", "construct", "flats", "indepck", "smallgraphs", "fractions"}),
     (["check", "base", "k4"], {"oracle", "linalg", "indepck", "smallgraphs", "fractions"}),
     (["certify", "base", "k4"], {"oracle", "linalg", "indepck", "smallgraphs", "fractions"}),
     (["check", "indep", "k4"], {"oracle", "linalg"}),

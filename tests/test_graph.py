@@ -483,6 +483,87 @@ def test_enumeration_guard(k4):
         list(bases_and_forests(k4, "spanning_trees", guard=5))
 
 
+def _forests_by_frozensets(G, kind, guard=10**6):
+    """Reference: the walk bases_and_forests replaced, a rollback union-find
+    over label dicts that yields each forest as a frozenset of edge ids."""
+    edges = sorted(G.edges)
+    target = G.n - low_link(G).components
+    trees = kind == "spanning_trees"
+    parent = {v: v for v in G.vertices}
+    size = {v: 1 for v in G.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    chosen: list = []
+    count = 0
+    stack: list = [0]
+    while stack:
+        i = stack.pop()
+        if type(i) is tuple:
+            ru, rv, i = i
+            chosen.pop()
+            parent[rv] = rv
+            size[ru] -= size[rv]
+            stack.append(i + 1)
+        elif (len(chosen) == target) if trees else (i == len(edges)):
+            count += 1
+            if count > guard:
+                raise GuardExceeded(f"more than {guard} {'spanning forests' if trees else 'forests'}")
+            yield frozenset(chosen)
+        elif i < len(edges) and (not trees or len(chosen) + len(edges) - i >= target):
+            eid, u, v = edges[i]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                stack.append(i + 1)
+                continue
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            chosen.append(eid)
+            stack += [(ru, rv, i), i + 1]
+
+
+def forest_walk_cases():
+    """Graphs for the forest walk's reference tests: every 2-connected atlas
+    graph up to 6 vertices, a multigraph, a disconnected graph with a
+    parallel edge, a loop-only graph, and seeded small multigraphs with loops
+    and mixed labels."""
+    return [
+        *two_connected_graphs(6),
+        Multigraph.build(range(3), [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (0, 1)]),
+        Multigraph.build(range(7), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (3, 5)]),
+        Multigraph.build([0], [(0, 0)]),
+        *(G for G in random_multigraphs(60, seed=27) if G.m <= 10),
+    ]
+
+
+def test_forest_masks_match_the_frozenset_walk():
+    # bit j of a mask is the j-th smallest edge id; the walk takes each edge
+    # before leaving it out, so the 0/1 vectors strictly decrease
+    for G in forest_walk_cases():
+        col = {eid: j for j, eid in enumerate(sorted(G.edge_by_id))}
+        for kind in ("spanning_trees", "forests"):
+            masks = list(bases_and_forests(G, kind))
+            assert masks == [
+                sum(1 << col[eid] for eid in s) for s in _forests_by_frozensets(G, kind)
+            ], (G.edges, kind)
+            vectors = [[mask >> j & 1 for j in range(G.m)] for mask in masks]
+            assert all(a > b for a, b in zip(vectors, vectors[1:])), (G.edges, kind)
+
+
+def test_enumeration_guard_trips_after_guard_yields(k4):
+    for kind, what, guard in (("spanning_trees", "spanning forests", 15), ("forests", "forests", 37)):
+        walk = bases_and_forests(k4, kind, guard=guard)
+        assert len([next(walk) for _ in range(guard)]) == guard
+        with pytest.raises(GuardExceeded, match=f"^more than {guard} {what}$"):
+            next(walk)
+        assert len(list(bases_and_forests(k4, kind, guard=guard + 1))) == guard + 1
+
+
 def test_union_find_users_match_components():
     # contract merges each class into components()' smallest label: check it
     # on graphs with loops, parallel edges and mixed labels

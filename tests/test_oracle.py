@@ -8,7 +8,7 @@ import pytest
 from conftest import complete, cycle, guarded_atlas_polytopes
 from gorcheck.construct import blow_up
 from gorcheck.errors import GuardExceeded, InternalContradiction
-from gorcheck.graph import Multigraph
+from gorcheck.graph import Multigraph, normalize
 import gorcheck.linalg as linalg
 import gorcheck.oracle as oracle
 from gorcheck.linalg import (
@@ -36,6 +36,7 @@ from gorcheck.oracle import (
 )
 from gorcheck.smallgraphs import two_connected_graphs
 from test_acceptance import _hstar_family
+from test_graph import _forests_by_frozensets, forest_walk_cases
 
 
 def test_hnf_basics(monkeypatch):
@@ -124,6 +125,48 @@ def test_lattice_coords_match_full_hnf():
         unsaturated += any(p > 1 for p in pivots)
         assert lattice_coords(points) == _lattice_by_full_hnf(points), points
     assert unsaturated >= 100, unsaturated
+
+
+def _polytope_by_frozensets(G, kind):
+    """Reference: the route polytope_of replaced, as (vertices, dim,
+    lattice_basis, vertex_coords, lattice_saturated).  Each frozenset forest
+    is set into a zero vector, the vectors are sorted, and the lattice is
+    hnf_rows over every difference from the first vertex."""
+    G = normalize(G)
+    walk = "spanning_trees" if kind == "base" else "forests"
+    pos = {eid: i for i, eid in enumerate(sorted(G.edge_by_id))}
+    verts = []
+    for s in _forests_by_frozensets(G, walk):
+        vec = [0] * len(pos)
+        for eid in s:
+            vec[pos[eid]] = 1
+        verts.append(tuple(vec))
+    verts = sorted(set(verts))
+    basis, coords = _lattice_by_full_hnf([[a - b for a, b in zip(v, verts[0])] for v in verts])
+    saturated = all(next(x for x in row if x) == 1 for row in basis)
+    return (tuple(verts), len(basis), tuple(map(tuple, basis)), tuple(map(tuple, coords)),
+            saturated)
+
+
+def test_polytope_of_matches_the_frozenset_route():
+    # every atlas graph up to 6 vertices, the polytopes over the facet guard
+    # included, and the multigraph, disconnected, loop-only and seeded cases
+    # of the forest walk's reference test
+    for G in forest_walk_cases():
+        for kind in ("base", "independence"):
+            P = polytope_of(G, kind)
+            got = (P.vertices, P.dim, P.lattice_basis, P.vertex_coords, P.lattice_saturated)
+            assert got == _polytope_by_frozensets(G, kind), (G.edges, kind)
+            assert (P.kind, P.ambient_dim, P.graph) == (kind, normalize(G).m, normalize(G))
+
+
+def test_an_edgeless_graph_is_the_point_polytope():
+    # format(0, "00b") is "0": the one forest of a loop-only graph is (), not (0,)
+    for G in (Multigraph.build([0], [(0, 0)]), Multigraph.build([0, 1], [])):
+        for kind in ("base", "independence"):
+            P = polytope_of(G, kind)
+            assert (P.vertices, P.dim, P.ambient_dim) == (((),), 0, 0)
+            assert gorenstein_search(P) == (1, ())
 
 
 def test_primitive():
