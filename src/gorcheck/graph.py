@@ -545,9 +545,10 @@ def bases_and_forests(
     size = [1] * G.n
     joined: list = []  # the root each chosen edge hung below another
     mask = count = 0
-    # depth-first over edge indexes, taking each edge before leaving it out:
-    # an entry is the next edge index i to decide, or ~i after edge i made a
-    # union, to roll back before deciding i+1 without it
+    # depth-first over edge indexes, taking each edge before leaving it out
+    # and stepping over one that closes a cycle (for spanning forests, only
+    # while the edges left can complete one); an entry ~i rolls back edge i's
+    # union before the walk goes on to i+1 without it
     stack: list = [0]
     while stack:
         i = stack.pop()
@@ -557,28 +558,28 @@ def bases_and_forests(
             size[parent[rv]] -= size[rv]
             parent[rv] = rv
             mask ^= 1 << i
-            stack.append(i + 1)
-        elif (len(joined) == target) if trees else (i == m):
-            count += 1
-            if count > guard:
-                raise GuardExceeded(f"more than {guard} {'spanning forests' if trees else 'forests'}")
-            yield mask
-        elif i < m and (not trees or len(joined) + m - i >= target):
+            i += 1
+        while not trees or len(joined) + m - i >= target:
+            if (len(joined) == target) if trees else (i == m):
+                count += 1
+                if count > guard:
+                    raise GuardExceeded(f"more than {guard} {'spanning forests' if trees else 'forests'}")
+                yield mask
+                break
             ru, rv = ends[i]
             while parent[ru] != ru:
                 ru = parent[ru]
             while parent[rv] != rv:
                 rv = parent[rv]
-            if ru == rv:
-                stack.append(i + 1)
-                continue
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            joined.append(rv)
-            mask |= 1 << i
-            stack += [~i, i + 1]
+            if ru != rv:
+                if size[ru] < size[rv]:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                size[ru] += size[rv]
+                joined.append(rv)
+                mask |= 1 << i
+                stack.append(~i)
+            i += 1
 
 
 # -- blow-ups ---------------------------------------------------------------

@@ -20,7 +20,7 @@ over FACET_VERTEX_GUARD vertices.
 from __future__ import annotations
 
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple, Optional
 
 from .errors import GuardExceeded, InternalContradiction, NotTwoConnected
@@ -438,50 +438,76 @@ def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:
     return None
 
 
-def _point_intervals(P: LatticePolytope, k: int, node_guard: int, interior: bool):
-    """Lattice points of k*P (dim >= 1) in lex order: prefix + (x,) for first <= x <= last.
+def _walk_tables(P: LatticePolytope):
+    """_point_intervals' tables at k = 1, which the walk over kP scales by k.
 
-    Branch and bound over the box spanned by the vertices: a node fixes a
-    prefix of the coordinates and survives when every facet can still be
-    satisfied with the free coordinates at their best box corner.  Each node
-    carries every facet's slack (its partial sum plus that best case), so the
-    children of a surviving node that survive form one integer interval, cut
-    out by one division per facet.  Every child counts against node_guard,
-    pruned or not.  With interior, every slack starts 1 lower, so a point
-    survives exactly when every facet value is >= 1.
+    Each facet's root slack (b plus its best cases), and per coordinate i
+    the box lo_i..hi_i and, over the facets live at i (all at i = 0, then
+    those nonzero at or past i), their best cases, their cut lists, and
+    which of them stay live at i + 1.
     """
     facets = P.require_facets()
-    d = P.dim
-    lo = [k * min(c[i] for c in P.vertex_coords) for i in range(d)]
-    hi = [k * max(c[i] for c in P.vertex_coords) for i in range(d)]
-    # cols[i][f] = a_f[i]; best[i][f] is facet f's best case at coordinate i
-    cols = [[f.a[i] for f in facets] for i in range(d)]
-    best = [[a * (hi[i] if a > 0 else lo[i]) for a in cols[i]] for i in range(d)]
-    lower = [[(j, a) for j, a in enumerate(cols[i]) if a > 0] for i in range(d)]
-    upper = [[(j, -a) for j, a in enumerate(cols[i]) if a < 0] for i in range(d)]
-    slack = [f.b * k + sum(b) - interior for f, b in zip(facets, zip(*best))]
+    lo = list(map(min, zip(*P.vertex_coords)))
+    hi = list(map(max, zip(*P.vertex_coords)))
+    levels, live = [], range(len(facets))
+    for i in range(P.dim):
+        col = [facets[j].a[i] for j in live]
+        stay = [p for p, j in enumerate(live) if any(facets[j].a[i + 1:])]
+        levels.append((
+            lo[i], hi[i], [a * (hi[i] if a > 0 else lo[i]) for a in col],
+            [(p, a) for p, a in enumerate(col) if a > 0],
+            [(p, -a) for p, a in enumerate(col) if a < 0],
+            [(p, col[p]) for p in stay],
+        ))
+        live = [live[p] for p in stay]
+    return [f.b + sum(a * (h if a > 0 else l) for a, l, h in zip(f.a, lo, hi)) for f in facets], levels
+
+
+def _point_intervals(P: LatticePolytope, k: int, node_guard: int, interior: bool,
+                     merge: bool, tables=None):
+    """Lattice points of k*P (dim >= 1), level by level, as (tag, first, last) intervals.
+
+    Branch and bound over the box spanned by the vertices: a node fixes a
+    prefix of the coordinates and survives while every facet's slack (its
+    partial sum plus the best box corner of the free coordinates) is >= 0;
+    its surviving children form one interval, cut by one division per facet.
+    A facet that is zero past the prefix is settled and never cuts again,
+    so a node's depth and its live facets' slacks fix its completions.
+    With merge, a level's nodes with equal live slacks are one state, tagged
+    with its number of prefixes; without, each prefix is a state tagged with
+    itself, and the intervals come in lex order.  Every child of a state
+    counts against node_guard, pruned or not, checked as each level starts.
+    With interior, every slack starts 1 lower: a point survives when every
+    facet value is >= 1.
+    """
+    root, levels = tables or _walk_tables(P)
+    slack = tuple(k * r - interior for r in root)
     nodes = 1  # the root
-    stack = [((), slack)] if min(slack) >= 0 else []
-    while stack and nodes <= node_guard:
-        prefix, slack = stack.pop()
-        i = len(prefix)
-        nodes += hi[i] - lo[i] + 1
-        # slack without coordinate i's best case: child x survives facet f
-        # exactly when rest[f] + a_f[i] x >= 0
-        rest = [s - b for s, b in zip(slack, best[i])]
-        first = max([lo[i]] + [-(rest[j] // a) for j, a in lower[i]])
-        last = min([hi[i]] + [rest[j] // a for j, a in upper[i]])
-        if i == d - 1:
-            yield prefix, first, last
-            continue
-        col = cols[i]
-        for x in range(last, first - 1, -1):
-            stack.append((prefix + (x,), [r + a * x for r, a in zip(rest, col)]))
-    if nodes > node_guard:
-        raise GuardExceeded(
-            f"lattice points of {'the interior of ' if interior else ''}{k}P: "
-            f"guarded at {node_guard} nodes (reached {nodes})"
-        )
+    level = [(slack, 1 if merge else ())] if min(slack) >= 0 else []
+    d = len(levels)
+    for i, (lo, hi, best, lower, upper, keep) in enumerate(levels):
+        lo, hi, best = k * lo, k * hi, [k * b for b in best]
+        nodes += len(level) * (hi - lo + 1)
+        if nodes > node_guard:
+            raise GuardExceeded(f"lattice points of {'the interior of ' if interior else ''}{k}P: "
+                                f"guarded at {node_guard} nodes (reached {nodes})")
+        children = {} if merge else []
+        for slack, tag in level:
+            # slack without coordinate i's best case: child x survives facet
+            # p exactly when rest[p] + a_p[i] x >= 0
+            rest = [s - b for s, b in zip(slack, best)]
+            first = max([lo] + [-(rest[p] // a) for p, a in lower])
+            last = min([hi] + [rest[p] // a for p, a in upper])
+            if i == d - 1:
+                yield tag, first, last
+                continue
+            for x in range(first, last + 1):
+                child = tuple([rest[p] + a * x for p, a in keep])
+                if merge:
+                    children[child] = children.get(child, 0) + tag
+                else:
+                    children.append((child, tag + (x,)))
+        level = children.items() if merge else children
 
 
 def lattice_points(P: LatticePolytope, k: int, node_guard: int = POINT_NODE_GUARD):
@@ -490,17 +516,17 @@ def lattice_points(P: LatticePolytope, k: int, node_guard: int = POINT_NODE_GUAR
         raise ValueError("k must be >= 0")
     if P.dim == 0:
         return [()]
-    intervals = _point_intervals(P, k, node_guard, False)
+    intervals = _point_intervals(P, k, node_guard, False, False)
     return [prefix + (x,) for prefix, first, last in intervals for x in range(first, last + 1)]
 
 
-def _count_points(P: LatticePolytope, k: int, interior=False, node_guard=POINT_NODE_GUARD):
+def _count_points(P: LatticePolytope, k: int, interior=False, node_guard=POINT_NODE_GUARD, tables=None):
     """The number of lattice points of k*P, or of its relative interior."""
     if P.dim == 0:
         # a point is its own relative interior, except at k = 0
         return 0 if interior and k == 0 else 1
-    intervals = _point_intervals(P, k, node_guard, interior)
-    return sum(max(last - first + 1, 0) for _, first, last in intervals)
+    intervals = _point_intervals(P, k, node_guard, interior, True, tables)
+    return sum(mult * max(last - first + 1, 0) for mult, first, last in intervals)
 
 
 def hstar(P: LatticePolytope) -> HStarVector:
@@ -512,13 +538,16 @@ def hstar(P: LatticePolytope) -> HStarVector:
     Ehrhart-Macdonald reciprocity (Ehrhart 1967; Macdonald 1971),
     L(-k) = (-1)^d L°(k), so h* read backwards is the binomial transform of
     L° (with L°(0) = 0) that gives h* from L.  With b = floor(d/2) and
-    a = d - b, h*_0..h*_b come from L(0..b) and h*_(b+1)..h*_d from L°(1..a);
-    for odd d the top dilate is an interior count, whose walk prunes sooner.
+    a = d - b, h*_0..h*_b come from L(0..b) and h*_(b+1)..h*_d from L°(1..a).
+    Each count merges the walk's nodes by the slacks of the facets still live
+    (see _point_intervals), so its node guard counts the children of each
+    merged state, not of every prefix; the walk's tables serve every dilate.
     """
     d = P.dim
     a, b = d - d // 2, d // 2
-    closed = [_count_points(P, k) for k in range(b + 1)]
-    interior = [0] + [_count_points(P, k, interior=True) for k in range(1, a + 1)]
+    tables = _walk_tables(P)
+    closed = [_count_points(P, k, tables=tables) for k in range(b + 1)]
+    interior = [0] + [_count_points(P, k, True, tables=tables) for k in range(1, a + 1)]
 
     def transform(counts, j):
         return sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))

@@ -119,6 +119,40 @@ def test_oracle_hstar_reaches_k5_minus_an_edge(files, capsys):
     assert doc["elapsed_s"] < 3
 
 
+def test_oracle_hstar_reaches_c9_independence(files, capsys):
+    # dim 9: 4P lies in the box [0, 4]^9, whose 2,441,406 prefixes the
+    # count walked one by one; merged by their live facet slacks, the count
+    # walks 766 nodes
+    path = files["dir"] / "c9.txt"
+    path.write_text("".join(f"{i} {(i + 1) % 9}\n" for i in range(9)))
+    start = time.perf_counter()
+    code, out = run(capsys, "oracle", "indep", str(path), "--hstar")
+    elapsed = time.perf_counter() - start
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["hstar"]["coefficients"] == [1, 501, 14608, 88234, 156190, 88234, 14608, 502, 1]
+    assert elapsed < 1
+
+
+def test_oracle_hstar_reaches_the_doubled_k4(files, capsys):
+    # 128 spanning trees, dim 11: walked prefix by prefix, the count of 5P
+    # alone visits 8,818,483 nodes, close to the 10**7-node guard; merged by
+    # their live facet slacks they are 22,777 states
+    path = files["dir"] / "k4x2.txt"
+    path.write_text("".join(f"{a} {b} 2\n" for a in range(4) for b in range(a + 1, 4)))
+    start = time.perf_counter()
+    code, out = run(capsys, "oracle", "base", str(path), "--hstar")
+    elapsed = time.perf_counter() - start
+    doc = json.loads(out)
+    assert code == 0 and elapsed < 1
+    assert (doc["polytope"]["vertices"], doc["polytope"]["dim"]) == (128, 11)
+    assert doc["status"] == "not_gorenstein"
+    assert doc["hstar"] == {
+        "coefficients": [1, 116, 2410, 14400, 29684, 22032, 5434, 328, 1],
+        "palindromic": False,
+    }
+
+
 @pytest.mark.parametrize("kmax", ["1", "0"])
 def test_oracle_normality_below_two_is_input_error(files, capsys, monkeypatch, kmax):
     # 0 is a value out of range, not "no probe"; the range is checked before

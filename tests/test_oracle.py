@@ -373,14 +373,66 @@ def test_lattice_point_guard_trips_at_recursion_node_count():
         with pytest.raises(GuardExceeded, match=f"reached {nodes}"):
             lattice_points(P, 2, node_guard=nodes - 1)
         assert lattice_points(P, 2, node_guard=nodes) == points, (G.edges, kind)
-        # the count walks the same nodes as the list
-        message = rf"lattice points of 2P: guarded at {nodes - 1} nodes \(reached {nodes}\)"
+        # the count merges nodes, so it walks no more of them than the list;
+        # it trips one below its own total, which the message names
+        total = _count_node_total(P, 2)
+        assert total <= nodes, (G.edges, kind)
+        message = rf"lattice points of 2P: guarded at {total - 1} nodes \(reached {total}\)"
         with pytest.raises(GuardExceeded, match=message):
-            _count_points(P, 2, node_guard=nodes - 1)
-        assert _count_points(P, 2, node_guard=nodes) == len(points), (G.edges, kind)
+            _count_points(P, 2, node_guard=total - 1)
+        assert _count_points(P, 2, node_guard=total) == len(points), (G.edges, kind)
     # B(K4) is Gorenstein of codegree 2: the interior of 2P is one point
     with pytest.raises(GuardExceeded, match=r"lattice points of the interior of 2P: guarded at 1 nodes"):
         _count_points(polytope_of(complete(4), "base"), 2, interior=True, node_guard=1)
+
+
+def _count_node_total(P, k, interior=False):
+    """The nodes the merged count of kP walks: the least guard it passes at."""
+    lo, hi = 0, oracle.POINT_NODE_GUARD
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            _count_points(P, k, interior, node_guard=mid)
+            hi = mid
+        except GuardExceeded:
+            lo = mid + 1
+    return lo
+
+
+def _count_by_prefixes(P, k, interior=False, node_guard=oracle.POINT_NODE_GUARD):
+    """Reference: the depth-first count that visits every lattice prefix of kP.
+
+    Each node carries every facet's slack (its partial sum plus the best box
+    corner of the free coordinates), and the surviving children of a node
+    form one interval; no two prefixes share a node.
+    """
+    facets = P.require_facets()
+    d = P.dim
+    if d == 0:
+        return 0 if interior and k == 0 else 1
+    lo = [k * min(c[i] for c in P.vertex_coords) for i in range(d)]
+    hi = [k * max(c[i] for c in P.vertex_coords) for i in range(d)]
+    cols = [[f.a[i] for f in facets] for i in range(d)]
+    best = [[a * (hi[i] if a > 0 else lo[i]) for a in cols[i]] for i in range(d)]
+    lower = [[(j, a) for j, a in enumerate(cols[i]) if a > 0] for i in range(d)]
+    upper = [[(j, -a) for j, a in enumerate(cols[i]) if a < 0] for i in range(d)]
+    slack = [f.b * k + sum(b) - interior for f, b in zip(facets, zip(*best))]
+    count, nodes = 0, 1
+    stack = [(0, slack)] if min(slack) >= 0 else []
+    while stack and nodes <= node_guard:
+        i, slack = stack.pop()
+        nodes += hi[i] - lo[i] + 1
+        rest = [s - b for s, b in zip(slack, best[i])]
+        first = max([lo[i]] + [-(rest[j] // a) for j, a in lower[i]])
+        last = min([hi[i]] + [rest[j] // a for j, a in upper[i]])
+        if i == d - 1:
+            count += max(last - first + 1, 0)
+            continue
+        for x in range(last, first - 1, -1):
+            stack.append((i + 1, [r + a * x for r, a in zip(rest, cols[i])]))
+    if nodes > node_guard:
+        raise GuardExceeded(f"prefix count of {k}P: reached {nodes} nodes")
+    return count
 
 
 def _hstar_by_direct_counts(P):
@@ -422,6 +474,33 @@ def test_hstar_matches_direct_counts():
     assert {P.dim for P in polytopes} == set(range(7))
     for P in polytopes:
         assert hstar(P).coefficients == _hstar_by_direct_counts(P), P.vertices
+
+
+def test_merged_counts_match_the_prefix_walk():
+    cases = [(P, range(4)) for P in _reciprocity_polytopes()]
+    cases += [
+        (polytope_of(cycle(7), "independence"), range(3)),
+        (polytope_of(complete(5).without_edges([9]), "base"), range(3)),
+    ]
+    assert (cases[-1][0].dim, len(cases[-1][0].vertices)) == (8, 75)
+    for P, ks in cases:
+        for k in ks:
+            for interior in (False, True):
+                assert _count_points(P, k, interior) == _count_by_prefixes(P, k, interior), (
+                    P.vertices, k, interior
+                )
+
+
+def test_count_merges_the_prefixes_of_p_c9():
+    # 4P of P(C9) is 0 <= x <= 4 with sum(x) <= 32: every prefix of length
+    # <= 8 in the box survives, so the list walk and _count_by_prefixes visit
+    # 1 + 5 + ... + 5^9 = 2,441,406 nodes, while the count merges prefixes
+    # with the same live slacks into under 1,000.  The points are the box
+    # but the 220 with sum(4 - x) <= 3
+    P = polytope_of(cycle(9), "independence")
+    assert _count_points(P, 4, node_guard=999) == 5**9 - comb(12, 9)
+    with pytest.raises(GuardExceeded, match=r"reached 3906\)"):
+        lattice_points(P, 4, node_guard=999)
 
 
 def test_interior_count_matches_filtered_points():
