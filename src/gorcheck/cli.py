@@ -155,8 +155,8 @@ def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     kind = "independence" if args.kind == "indep" else "base"
     # every report needs facets: stop at the first vertex over
-    # FACET_VERTEX_GUARD, which both facet routes refuse, before the lattice
-    # basis and the coordinates are built
+    # FACET_VERTEX_GUARD, which both facet routes refuse, before the block
+    # lattice is read and proved and the coordinates are built
     P = polytope_of(G, kind, guard=FACET_VERTEX_GUARD)
     facets = P.require_facets()
     witness = gorenstein_search(P)

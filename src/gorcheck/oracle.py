@@ -1,9 +1,12 @@
 """Exact lattice-polytope oracle: the ground truth the checkers are tested against.
 
 Polytopes are built straight from their definition (indicator vectors of
-spanning forests / forests), the affine lattice is computed from vertex
-differences, and the Gorenstein witness, Ehrhart counts, h*-vector, and
-normality probe all work in exact integer arithmetic.
+spanning forests / forests), and the Gorenstein witness, Ehrhart counts,
+h*-vector, and normality probe all work in exact integer arithmetic.  The
+affine lattice is read off the graph's blocks and proved on the forests
+(_block_lattice), and a product's is the direct sum of its parts'; no
+Hermite normal form is computed.  The general HNF of the vertex
+differences is the reference the tests check these lattices against.
 
 Facets come by one of two exact routes, picked by what the polytope holds.  A
 polytope that polytope_of built keeps its graph, and facets_from_flats reads
@@ -20,14 +23,14 @@ over FACET_VERTEX_GUARD vertices.
 from __future__ import annotations
 
 from math import comb
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import GuardExceeded, InternalContradiction, NotTwoConnected
 from .graph import (
     Multigraph, bases_and_forests, is_two_connected, low_link, normalize,
 )
-from .linalg import _eliminate, dual_extreme_rays, lattice_coords, primitive
+from .linalg import _eliminate, dual_extreme_rays, primitive
 
 FACET_VERTEX_GUARD = 512
 POINT_NODE_GUARD = 10**7
@@ -71,7 +74,10 @@ class LatticePolytope:
         self.dim = dim
         self.lattice_basis = lattice_basis  # HNF rows: the affine lattice of differences
         self.vertex_coords = vertex_coords  # lattice coordinates relative to vertices[0]
-        self.lattice_saturated = lattice_saturated  # affine lattice == ambient one on the hull
+        # affine lattice == ambient one on the hull: True for every graph
+        # polytope and so for every product of them, since each HNF pivot
+        # of a block lattice is 1
+        self.lattice_saturated = lattice_saturated
         self.facets: Optional[tuple] = facets
         # the loop-free graph whose forests are the vertices; ambient
         # coordinate j is its j-th smallest edge id.  None for a polytope
@@ -104,39 +110,57 @@ class LatticePolytope:
         return self.facets
 
 
-def _polytope_from_vertices(kind: str, verts: list, graph=None) -> LatticePolytope:
-    return _polytope_of_sorted(kind, sorted(set(tuple(v) for v in verts)), graph)
-
-
-def _polytope_of_sorted(kind: str, verts: list, graph=None) -> LatticePolytope:
-    """The polytope of verts, distinct integer tuples in increasing order.
-
-    The lattice comes from the differences from the first vertex, which for
-    an independence polytope is 0: the vertices are then their own
-    differences.
-    """
-    v0 = verts[0]
-    diffs = [[a - b for a, b in zip(v, v0)] for v in verts] if any(v0) else verts
-    basis, coords = lattice_coords(diffs)
-    # saturation: the HNF of the differences has all pivots 1 exactly when the
-    # affine lattice equals the full ambient lattice restricted to the hull
-    saturated = all(
-        row[next(i for i, x in enumerate(row) if x)] == 1 for row in basis
-    )
-    return LatticePolytope(
-        kind=kind,
-        ambient_dim=len(v0),
-        vertices=tuple(verts),
-        dim=len(basis),
-        lattice_basis=tuple(tuple(r) for r in basis),
-        vertex_coords=tuple(tuple(c) for c in coords),
-        lattice_saturated=saturated,
-        graph=graph,
-    )
-
-
 # "0" -> byte 0, "1" -> byte 1: a binary numeral read as a 0/1 vector
 _BINARY_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _block_lattice(G: Multigraph, kind: str, masks: list) -> list:
+    """The lattice of differences of the forests in masks, read off G's blocks and proved.
+
+    The components of a loopless cycle matroid are its blocks, and the
+    lattice of B(M) is the direct sum over the components E_i of
+    {x in Z^(E_i) : sum x = 0} (Edmonds 1970; Feichtner-Sturmfels 2005),
+    so dim B(M) = |E| - c; that of P(M) is Z^E.  Returns the basis as
+    sorted (pivot, last) column pairs, row i being e_pivot - e_last: for
+    B(M), each block with edge columns j_1 < ... < j_k gives a row for each
+    j < j_k with last = j_k, and for P(M) each column j gives a unit row,
+    with last = m standing for no column.  Every pivot is 1 and no pivot is
+    another row's last column, so this is the row-style HNF.  It is proved
+    on masks alone, and a failed proof raises InternalContradiction.  For
+    P(M), 0 and every unit vector are listed.  For B(M), the blocks cover
+    every edge and every forest has the same number of edges in each block,
+    so every difference lies in the lattice, and each row is the difference
+    of two listed forests.
+    """
+    m = G.m
+    listed = set(masks)
+    if kind == "independence":
+        if 0 not in listed or any(1 << j not in listed for j in range(m)):
+            raise InternalContradiction("the empty forest or a single edge is not listed")
+        return [(j, m) for j in range(m)]
+    col = {eid: j for j, eid in enumerate(sorted(G.edge_by_id))}
+    ends, covered = [], 0
+    for block in low_link(G).blocks:
+        cols = sorted(col[eid] for eid in block)
+        last = cols[-1]
+        inside = sum(1 << j for j in cols)
+        covered |= inside
+        size = (masks[0] & inside).bit_count()
+        if any((s & inside).bit_count() != size for s in masks):
+            raise InternalContradiction(
+                f"two spanning forests differ in their edge count on the block of column {last}"
+            )
+        for j in cols[:-1]:
+            pair = 1 << j | 1 << last
+            if not any(s & pair == 1 << j and s ^ pair in listed for s in masks):
+                raise InternalContradiction(
+                    f"no two spanning forests differ by e_{j} - e_{last}"
+                )
+            ends.append((j, last))
+    if covered != (1 << m) - 1:
+        raise InternalContradiction("the blocks do not cover every edge")
+    ends.sort()
+    return ends
 
 
 def polytope_of(G: Multigraph, kind: str, guard: int = 10**6) -> LatticePolytope:
@@ -145,13 +169,16 @@ def polytope_of(G: Multigraph, kind: str, guard: int = 10**6) -> LatticePolytope
     Each forest's edge mask from bases_and_forests is written out as one
     binary numeral, low bit first, and read as the bytes of its 0/1 vertex.
     The masks come in decreasing lexicographic order of their vertices, so
-    the reversed list is already sorted.
+    the reversed list is already sorted.  The lattice comes from
+    _block_lattice; a vertex's coordinates are its differences from the
+    first vertex at the pivot columns, and for P(M), whose first vertex is
+    0 and whose basis is the identity, the vertex itself.
     """
     G = normalize(G)
     if kind == "base":
-        masks = bases_and_forests(G, "spanning_trees", guard=guard)
+        masks = list(bases_and_forests(G, "spanning_trees", guard=guard))
     elif kind == "independence":
-        masks = bases_and_forests(G, "forests", guard=guard)
+        masks = list(bases_and_forests(G, "forests", guard=guard))
     else:
         raise ValueError(f"unknown polytope kind {kind!r}")
     m = G.m
@@ -162,15 +189,41 @@ def polytope_of(G: Multigraph, kind: str, guard: int = 10**6) -> LatticePolytope
         spec = f"0{m}b"
         verts = [tuple(format(s, spec)[::-1].encode().translate(_BINARY_BYTES)) for s in masks]
         verts.reverse()
-    return _polytope_of_sorted(kind, verts, G)
+    ends = _block_lattice(G, kind, masks)
+    basis = []
+    for p, last in ends:
+        row = [0] * (m + 1)
+        row[p], row[last] = 1, -1
+        basis.append(tuple(row[:m]))
+    if kind == "independence":
+        coords = verts
+    else:
+        at = [(p, verts[0][p]) for p, _ in ends]
+        coords = [tuple([v[p] - x for p, x in at]) for v in verts]
+    return LatticePolytope(
+        kind, m, tuple(verts), len(ends), tuple(basis), tuple(coords), True, graph=G
+    )
 
 
 def product_polytope(parts) -> LatticePolytope:
-    """Cartesian product with concatenated coordinates."""
-    verts = [()]
+    """Cartesian product with concatenated coordinates.
+
+    The differences of the product's vertices generate the direct sum of
+    the parts' lattices, whose HNF is the block-diagonal one of the parts'
+    bases; the coordinates concatenate too.  Each part's vertices are
+    sorted, so the nested loop lists the product's in lexicographic order.
+    """
+    verts, coords, basis, width = [()], [()], [], 0
     for p in parts:
         verts = [v + w for v in verts for w in p.vertices]
-    return _polytope_from_vertices("product", verts)
+        coords = [c + d for c in coords for d in p.vertex_coords]
+        basis = [row + (0,) * p.ambient_dim for row in basis]
+        basis += [(0,) * width + row for row in p.lattice_basis]
+        width += p.ambient_dim
+    return LatticePolytope(
+        "product", width, tuple(verts), len(basis), tuple(basis), tuple(coords),
+        all(p.lattice_saturated for p in parts),
+    )
 
 
 def facets_bruteforce(P: LatticePolytope) -> tuple:
@@ -193,13 +246,22 @@ def _facet_guard(P: LatticePolytope) -> None:
         )
 
 
-def _lattice_facet(P: LatticePolytope, u, c: int = 0) -> Facet:
+def _basis_ends(P: LatticePolytope) -> list:
+    """The (pivot, last) pairs of _block_lattice, read back off a graph polytope's basis."""
+    m = P.ambient_dim
+    return [(row.index(1), row.index(-1) if -1 in row else m) for row in P.lattice_basis]
+
+
+def _lattice_facet(P: LatticePolytope, ends, u, c: int = 0) -> Facet:
     """The ambient functional u . x + c as a primitive Facet in P's lattice coordinates.
 
     At height t a point of the cone is x = t origin + sum_i coords_i basis_i,
-    so the functional reads a_i = u . basis_i and b = u . origin + c.
+    so the functional reads a_i = u . basis_i and b = u . origin + c.  Row i
+    of a graph polytope's basis is e_p - e_last for the pair ends[i], so
+    a_i = u_p - u_last, where u_m = 0 stands for no column.
     """
-    a = tuple(sum(map(mul, u, row)) for row in P.lattice_basis)
+    u = [*u, 0]
+    a = tuple(u[p] - u[last] for p, last in ends)
     b = sum(map(mul, u, P.origin)) + c
     vec = primitive(a + (b,))
     return Facet(vec[:-1], vec[-1])
@@ -360,6 +422,7 @@ def facets_from_flats(P: LatticePolytope) -> tuple:
         if not any(tight & other == tight for other in kept):
             kept.append(tight)
     out = []
+    ends = _basis_ends(P)
     for tight in kept:
         if not _reaches_rank(columns, tight, P.vertex_coords, P.dim - 1):
             raise InternalContradiction(
@@ -367,7 +430,7 @@ def facets_from_flats(P: LatticePolytope) -> tuple:
                 f"affine rank below {P.dim - 1}: a facet is missing from the flats"
             )
         sign, mask, c = faces[tight]
-        out.append(_lattice_facet(P, [sign * (mask >> j & 1) for j in range(m)], c))
+        out.append(_lattice_facet(P, ends, [sign * (mask >> j & 1) for j in range(m)], c))
     return tuple(sorted(out))
 
 
@@ -404,7 +467,8 @@ def facets_from_cor33(G: Multigraph, P: Optional[LatticePolytope] = None) -> tup
         for eid in flat.induced_edges:
             u[pos[eid]] -= rank
         functionals.append(u)
-    return tuple(sorted(_lattice_facet(P, u) for u in functionals))
+    ends = _basis_ends(P)
+    return tuple(sorted(_lattice_facet(P, ends, u) for u in functionals))
 
 
 def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:

@@ -305,7 +305,7 @@ def test_oracle_over_the_facet_guard_stops_before_the_lattice(tmp_path, capsys, 
     import gorcheck.oracle as oracle
 
     calls = []
-    monkeypatch.setattr(oracle, "lattice_coords", lambda vectors: calls.append(vectors))
+    monkeypatch.setattr(oracle, "_block_lattice", lambda *args: calls.append(args))
     path = tmp_path / "k6.txt"
     path.write_text(format_edge_list(complete(6)))
     code = main(["oracle", "indep", str(path)])

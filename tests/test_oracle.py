@@ -1,7 +1,7 @@
 import itertools
 import random
 from functools import cache
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -11,18 +11,12 @@ from gorcheck.errors import GuardExceeded, InternalContradiction
 from gorcheck.graph import Multigraph, normalize
 import gorcheck.linalg as linalg
 import gorcheck.oracle as oracle
-from gorcheck.linalg import (
-    dual_extreme_rays,
-    hnf_rows,
-    lattice_coords,
-    primitive,
-    solve_unique,
-)
+import lattice_reference
+from gorcheck.linalg import dual_extreme_rays, primitive, solve_unique
 from gorcheck.oracle import (
     Facet,
     GorensteinWitness,
     _count_points,
-    _polytope_from_vertices,
     _reaches_rank,
     facets_bruteforce,
     facets_from_cor33,
@@ -35,6 +29,7 @@ from gorcheck.oracle import (
     product_polytope,
 )
 from gorcheck.smallgraphs import two_connected_graphs
+from lattice_reference import _polytope_from_vertices, hnf_rows, lattice_coords
 from test_acceptance import _hstar_family
 from test_graph import _forests_by_frozensets, forest_walk_cases
 
@@ -51,7 +46,7 @@ def test_hnf_basics(monkeypatch):
     assert lattice_coords([[0, 0], [0, 0]]) == ([], [[], []])
     # every coordinate is read by an exact reduction: a basis that misses a
     # vector raises instead of returning wrong coordinates
-    monkeypatch.setattr(linalg, "hnf_rows", lambda rows: hnf_rows(rows[:-1]))
+    monkeypatch.setattr(lattice_reference, "hnf_rows", lambda rows: hnf_rows(rows[:-1]))
     with pytest.raises(ValueError, match="vector not in lattice"):
         lattice_coords([[2, 0], [1, 0]])
 
@@ -104,6 +99,22 @@ def test_lattice_coords_match_full_hnf():
             _assert_lattice_matches_full_hnf(P)
             sizes.append(len(P.vertices))
     assert len(sizes) == 142 and max(sizes) > 1000
+    # a seeded sample of the 7-vertex atlas, and multigraphs with several
+    # blocks: a 2-cycle, bridges only, and disconnected graphs
+    seven = [G for G in two_connected_graphs(7) if G.n == 7]
+    assert len(seven) == 468
+    dims = set()
+    for G in random.Random(29).sample(seven, 40) + [
+        Multigraph.build(range(2), [(0, 1), (0, 1)]),
+        Multigraph.build(range(5), [(0, 1), (1, 2), (1, 3), (3, 4)]),
+        Multigraph.build(range(7), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (3, 5)]),
+        Multigraph.build(range(8), [(0, 1), (0, 1), (1, 2), (2, 3), (3, 1), (4, 5), (6, 7), (6, 7)]),
+    ]:
+        for kind in ("base", "independence"):
+            P = polytope_of(G, kind, guard=10**5)
+            _assert_lattice_matches_full_hnf(P)
+            dims.add((kind, P.dim, P.ambient_dim))
+    assert {("base", 0, 4), ("base", 4, 8), ("independence", 4, 4)} <= dims
     # the product polytopes with facet coefficients beyond {-1, 0, 1}
     for verts in [
         [(0, 0), (1, 0), (0, 1), (3, 5)],
@@ -125,6 +136,58 @@ def test_lattice_coords_match_full_hnf():
         unsaturated += any(p > 1 for p in pivots)
         assert lattice_coords(points) == _lattice_by_full_hnf(points), points
     assert unsaturated >= 100, unsaturated
+
+
+def test_block_lattice_proof_refuses_a_wrong_forest_list(monkeypatch):
+    # the lattice is proved on the forests listed: a list whose differences
+    # miss a basis row, or leave the block lattice, raises instead of
+    # returning a wrong dim or basis
+    real = oracle.bases_and_forests
+
+    def one_tree(G, kind, guard):
+        return [next(real(G, kind, guard=guard))]
+
+    monkeypatch.setattr(oracle, "bases_and_forests", one_tree)
+    with pytest.raises(InternalContradiction, match=r"differ by e_0 - e_2"):
+        polytope_of(cycle(3), "base")
+
+    def with_a_non_spanning_forest(G, kind, guard):
+        return [*real(G, kind, guard=guard), 0b11]
+
+    monkeypatch.setattr(oracle, "bases_and_forests", with_a_non_spanning_forest)
+    with pytest.raises(InternalContradiction, match="edge count on the block of column 5"):
+        polytope_of(complete(4), "base")
+
+    def without_one_edge(G, kind, guard):
+        return [s for s in real(G, kind, guard=guard) if s != 0b10]
+
+    monkeypatch.setattr(oracle, "bases_and_forests", without_one_edge)
+    with pytest.raises(InternalContradiction, match="a single edge is not listed"):
+        polytope_of(cycle(3), "independence")
+
+
+def test_product_lattice_is_the_direct_sum():
+    # the product's basis, coordinates and vertex order equal the HNF route
+    # over its vertices: base x base, base x independence, point parts, a
+    # part whose lattice is not saturated, and no part at all
+    c3, k2, path = cycle(3), complete(2), Multigraph.build(range(3), [(0, 1), (1, 2)])
+    unsaturated = _polytope_from_vertices("product", [(0, 0), (2, 0), (0, 2)])
+    assert not unsaturated.lattice_saturated
+    cases = [
+        [polytope_of(c3, "base"), polytope_of(k2, "base")],
+        [polytope_of(c3, "base"), polytope_of(k2, "independence")],
+        [polytope_of(path, "base"), polytope_of(c3, "independence"), polytope_of(path, "base")],
+        [polytope_of(complete(4), "base"), unsaturated, polytope_of(c3, "independence")],
+        [],
+    ]
+    for parts in cases:
+        P = product_polytope(parts)
+        want = _polytope_from_vertices("product", P.vertices)
+        got = (P.kind, P.ambient_dim, P.vertices, P.dim, P.lattice_basis, P.vertex_coords,
+               P.lattice_saturated, P.graph)
+        assert got == (want.kind, want.ambient_dim, want.vertices, want.dim, want.lattice_basis,
+                       want.vertex_coords, want.lattice_saturated, None), [p.vertices for p in parts]
+        assert len(P.vertices) == len(set(P.vertices)) == prod(len(p.vertices) for p in parts)
 
 
 def _polytope_by_frozensets(G, kind):
@@ -516,6 +579,18 @@ def test_interior_count_matches_filtered_points():
             inside = [p for p in points if all(f.value(p, k) >= 1 for f in facets)]
             assert _count_points(P, k, interior=True) == len(inside), (P.vertices, k)
             assert _count_points(P, k) == len(points), (P.vertices, k)
+
+
+def test_base_hstar_of_k5_matches_direct_counts():
+    # B(K5) has 125 vertices and dim 9: its h* gives L(k) = sum_i h*_i
+    # C(k + d - i, d), which the listed lattice points of kP reproduce
+    P = polytope_of(complete(5), "base")
+    h, d = hstar(P).coefficients, P.dim
+    counts = [len(lattice_points(P, k)) for k in (1, 2, 3)]
+    assert counts == [125, 3425, 40275]
+    assert counts == [
+        sum(c * comb(k + d - i, d) for i, c in enumerate(h)) for k in (1, 2, 3)
+    ], h
 
 
 def test_hstar(c3, k2, c5_chord):

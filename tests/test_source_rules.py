@@ -85,6 +85,32 @@ def test_oracle_hot_path_stays_integer():
     assert found == []
 
 
+def test_lattices_are_read_off_structure():
+    # polytope_of reads its lattice off the graph's blocks and
+    # product_polytope takes the direct sum of its parts': the general HNF
+    # route is a test reference, and oracle imports from linalg only what
+    # it calls
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in ("hnf_rows", "lattice_coords")
+    ]
+    assert defined == []
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(), filename="oracle.py")
+    imported = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "linalg"
+        for alias in node.names
+    }
+    called = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert imported and imported <= called, imported - called
+
+
 def _names(node) -> set:
     return {
         getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
