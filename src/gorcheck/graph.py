@@ -101,9 +101,12 @@ class Multigraph(_MultigraphFields):
         return {k: tuple(sorted(v)) for k, v in classes.items()}
 
     def is_simple(self) -> bool:
-        if any(u == v for _, u, v in self.edges):
-            return False
-        return all(len(c) == 1 for c in self.parallel_classes.values())
+        """No loop and no parallel edge.  The answer is kept in the instance
+        __dict__ (graphs are immutable); blocks() and blow_up_factor() record it."""
+        if "_simple" not in self.__dict__:
+            self.__dict__["_simple"] = not any(u == v for _, u, v in self.edges) and all(
+                len(c) == 1 for c in self.parallel_classes.values())
+        return self.__dict__["_simple"]
 
     # -- derived graphs ----------------------------------------------------
 
@@ -323,14 +326,28 @@ def is_two_connected(G: Multigraph) -> bool:
 def blocks(G: Multigraph) -> list:
     """Biconnected components; bridges appear as K2 blocks, isolated vertices drop.
 
-    Deterministic order: sorted by each block's sorted edge-id tuple.
+    Deterministic order: sorted by each block's sorted edge-id tuple.  A
+    block's vertices come in G.sorted_vertices order, which it keeps as its
+    own sorted_vertices, so no block sorts labels again: a block that holds
+    every vertex of G shares G's tuple.  Each block records that it is
+    2-connected, and that it is simple when G is known to be.
     """
+    simple = G.__dict__.get("_simple")
+    pos = None  # G's vertex -> its position in G.sorted_vertices, built once if needed
     result = []
     for comp in sorted(tuple(sorted(b)) for b in low_link(G).blocks):
         edges = tuple((eid,) + G.edge_by_id[eid] for eid in comp)
         vs = {x for _, u, v in edges for x in (u, v)}
-        result.append(Multigraph(tuple(sorted(vs, key=label_key)), edges))
-        result[-1].__dict__["_two_connected"] = True
+        if len(vs) == G.n:
+            order = G.sorted_vertices
+        else:
+            pos = pos or {v: i for i, v in enumerate(G.sorted_vertices)}
+            order = tuple(sorted(vs, key=pos.__getitem__))
+        b = Multigraph(order, edges)
+        b.__dict__.update(sorted_vertices=order, _two_connected=True)
+        if simple:
+            b.__dict__["_simple"] = True
+        result.append(b)
     return result
 
 
@@ -536,11 +553,24 @@ def bases_and_forests(
     index = {v: i for i, v in enumerate(G.vertices)}
     ends = [(index[u], index[v]) for _, u, v in sorted(G.edges)]
     m = len(ends)
-    target = G.n - low_link(G).components  # rank of E: edges in a spanning forest
     trees = kind == "spanning_trees"
     # the package's one union-find, over vertex indexes: by size without path
     # compression, so that a union can be rolled back when the walk leaves
     # its edge
+    parent = list(range(G.n))
+    size = [1] * G.n
+    target = 0  # for spanning forests, the rank of E: the joins over all edges
+    for ru, rv in ends if trees else ():
+        while parent[ru] != ru:
+            ru = parent[ru]
+        while parent[rv] != rv:
+            rv = parent[rv]
+        if ru != rv:
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            target += 1
     parent = list(range(G.n))
     size = [1] * G.n
     joined: list = []  # the root each chosen edge hung below another
@@ -591,22 +621,30 @@ class BlowUpFactor(NamedTuple):
 
 
 def blow_up_factor(G: Multigraph) -> Optional[BlowUpFactor]:
-    """Factor G as the m-fold parallel blow-up of a simple graph, if
-    uniform; a block's base graph keeps its 2-connectivity record."""
+    """Factor G as the m-fold parallel blow-up of a simple graph, if uniform.
+
+    Classes are counted on the pairs i < j of positions in G.sorted_vertices,
+    and the base graph has one edge per class in the order of those pairs.
+    It shares G's sorted_vertices, keeps a block's 2-connectivity record and
+    records that it is simple.
+    """
     if G.m == 0:
         raise ValueError("blow_up_factor requires at least one edge")
-    if any(u == v for _, u, v in G.edges):
-        raise ValueError("blow_up_factor requires a normalized (loop-free) graph")
-    mults = {len(eids) for eids in G.parallel_classes.values()}
+    order = G.sorted_vertices
+    pos = {v: i for i, v in enumerate(order)}
+    counts: dict = {}
+    for _, u, v in G.edges:
+        i, j = pos[u], pos[v]
+        if i == j:
+            raise ValueError("blow_up_factor requires a normalized (loop-free) graph")
+        pair = (i, j) if i < j else (j, i)
+        counts[pair] = counts.get(pair, 0) + 1
+    mults = set(counts.values())
     if len(mults) != 1:
         return None
     (m,) = mults
-    H = Multigraph.build(
-        G.vertices,
-        [tuple(sorted(pair, key=label_key)) for pair in sorted(
-            G.parallel_classes, key=lambda p: tuple(sorted(label_key(x) for x in p))
-        )],
-    )
+    H = Multigraph(G.vertices, tuple((k, order[i], order[j]) for k, (i, j) in enumerate(sorted(counts))))
+    H.__dict__.update(sorted_vertices=order, _simple=True)
     if G.__dict__.get("_two_connected"):
         H.__dict__["_two_connected"] = True
     return BlowUpFactor(m, H)

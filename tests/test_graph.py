@@ -6,6 +6,8 @@ from typing import NamedTuple
 import pytest
 
 from conftest import complete, cycle, random_multigraphs
+from ladder import attach_positive
+from gorcheck import graph
 from gorcheck.errors import GuardExceeded, ParseError
 from gorcheck.graph import (
     Multigraph,
@@ -581,6 +583,133 @@ def test_blow_up_factor():
     assert f.multiplicity == 2 and f.base_graph.m == 3
     uneven = Multigraph.build(range(3), [(0, 1), (0, 1), (1, 2), (0, 2)])
     assert blow_up_factor(uneven) is None
+
+
+def _blocks_by_label_key(G):
+    """Reference: blocks() as it sorted every block's vertices by label_key."""
+    result = []
+    for comp in sorted(tuple(sorted(b)) for b in low_link(G).blocks):
+        edges = tuple((eid,) + G.edge_by_id[eid] for eid in comp)
+        vs = {x for _, u, v in edges for x in (u, v)}
+        result.append(Multigraph(tuple(sorted(vs, key=label_key)), edges))
+    return result
+
+
+def _blow_up_factor_by_label_key(G):
+    """Reference: blow_up_factor() as it sorted frozenset parallel classes
+    by label_key."""
+    if G.m == 0:
+        raise ValueError("blow_up_factor requires at least one edge")
+    if any(u == v for _, u, v in G.edges):
+        raise ValueError("blow_up_factor requires a normalized (loop-free) graph")
+    mults = {len(eids) for eids in G.parallel_classes.values()}
+    if len(mults) != 1:
+        return None
+    (m,) = mults
+    H = Multigraph.build(
+        G.vertices,
+        [tuple(sorted(pair, key=label_key)) for pair in sorted(
+            G.parallel_classes, key=lambda p: tuple(sorted(label_key(x) for x in p))
+        )],
+    )
+    return m, H
+
+
+def _label_order_cases():
+    """Graphs whose blocks and base graphs cover: the 2-connected atlas up to
+    6 vertices blown up 1-, 2- and 3-fold, mixed labels on which label_key
+    puts 9 < 10 < "10" < "9", bridges, disconnected graphs, non-uniform
+    classes, loops, and a block that misses an isolated vertex."""
+    rng = random.Random(20261020)
+    pool = [9, 10, "10", "9", 0, "a", 100, "b", -3, "-3"]
+    out = []
+    for H in two_connected_graphs(6):
+        for mult in (1, 2, 3):
+            labels = rng.sample(pool, H.n)
+            pairs = [(labels[u], labels[v]) for _, u, v in H.edges for _ in range(mult)]
+            rng.shuffle(pairs)
+            out.append(Multigraph.build(labels, [p if rng.random() < 0.5 else p[::-1] for p in pairs]))
+    for _ in range(300):
+        labels = rng.sample(pool, rng.randint(1, len(pool)))
+        pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 2 * len(labels)))]
+        out.append(Multigraph.build(labels, [(u, v) for u, v in pairs if u != v or rng.random() < 0.1]))
+    out += [
+        Multigraph.build(["9", 10, 9, "10"], [(9, 10), (10, "10"), ("10", "9")]),  # a path: bridges only
+        Multigraph.build([10, "9", 9, "10", "a"], [(10, 9), (9, "9"), ("9", 10), ("10", "a")]),  # disconnected
+        Multigraph.build([10, "9", 9], [(10, 9), (10, 9), (9, "9"), ("9", 10)]),  # non-uniform classes
+        Multigraph.build(["10", 9, 10, "9"], [(9, 10), (10, "10"), ("10", 9), (9, 9)]),  # a loop
+        Multigraph.build(["10", 9, 10, "9"], [(9, 10), (10, "10"), ("10", 9)]),  # "9" is isolated
+    ]
+    return out
+
+
+def _check_records(G):
+    """G's sorted_vertices and its recorded simplicity and 2-connectivity
+    agree with a fresh copy that has no records."""
+    fresh = Multigraph(G.vertices, G.edges)
+    assert G.sorted_vertices == tuple(sorted(G.vertices, key=label_key)), G.edges
+    if "_simple" in G.__dict__:
+        assert G.__dict__["_simple"] == fresh.is_simple(), G.edges
+    if "_two_connected" in G.__dict__:
+        assert G.__dict__["_two_connected"] == is_two_connected(fresh), G.edges
+
+
+def _blow_up_outcome(factor, G):
+    try:
+        f = factor(G)
+    except ValueError as err:
+        return str(err)
+    return None if f is None else (f[0], f[1].vertices, f[1].edges)
+
+
+def test_blocks_and_base_graphs_inherit_the_label_order():
+    # blocks() and blow_up_factor() read positions in G.sorted_vertices where
+    # they sorted labels; their output is the label_key references', and the
+    # sorted_vertices, _simple and _two_connected they hand down are right
+    checked, errors = 0, set()
+    for G in _label_order_cases():
+        for known_simple in (False, True):
+            G = Multigraph(G.vertices, G.edges)
+            if known_simple:
+                G.is_simple()
+            blks = blocks(G)
+            assert [(b.vertices, b.edges) for b in blks] == [
+                (b.vertices, b.edges) for b in _blocks_by_label_key(G)
+            ], G.edges
+            for b in [G, *blks]:
+                _check_records(b)
+                outcome = _blow_up_outcome(blow_up_factor, b)
+                assert outcome == _blow_up_outcome(_blow_up_factor_by_label_key, b), b.edges
+                if isinstance(outcome, tuple):
+                    H = blow_up_factor(b).base_graph
+                    assert H.__dict__["_simple"] is True
+                    _check_records(H)
+                elif isinstance(outcome, str):
+                    errors.add(outcome)
+                checked += 1
+    assert checked > 2500
+    assert errors == {
+        "blow_up_factor requires at least one edge",
+        "blow_up_factor requires a normalized (loop-free) graph",
+    }
+
+
+def test_one_label_sort_per_graph(monkeypatch):
+    # blocks() sorts G's labels once and every block and base graph reuses
+    # that order: no block builds parallel classes or calls label_key again
+    vertices, edges, _ = attach_positive(2, 2000, seed=5)
+    G = Multigraph.build(vertices, [e for e in edges for _ in range(2)])
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return label_key(x)
+
+    monkeypatch.setattr(graph, "label_key", counted)
+    blks = blocks(G)
+    bases = [blow_up_factor(b).base_graph for b in blks]
+    assert len(calls) == G.n
+    assert all("parallel_classes" not in g.__dict__ for g in blks + bases)
 
 
 def test_atlas_enumeration_counts():

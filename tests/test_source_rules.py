@@ -140,6 +140,16 @@ def test_one_low_link_routine():
     assert _binders("low") == ["graph.py:low_link"]
 
 
+def test_one_vertex_order():
+    # Multigraph.sorted_vertices is where a graph's labels are sorted:
+    # blocks and blow_up_factor read positions in it and hand it down, and
+    # count parallel classes on those positions
+    tree = ast.parse((PACKAGE / "graph.py").read_text(), filename="graph.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("blocks", "blow_up_factor"):
+        assert _names(functions[name]) & {"label_key", "parallel_classes"} == set(), name
+
+
 def test_delta2_decides_by_the_collide_peel():
     # a delta = 2 block is decided by peeling Collides off, with no edge
     # profile and no low-link pass; the search for the first separating
@@ -241,7 +251,7 @@ def _binders(name: str) -> list:
 
 def test_one_union_find():
     # bases_and_forests holds the package's one union-find, the one that can
-    # roll a union back; rank(E) is n minus the low-link components, and
+    # roll a union back and that also counts rank(E) for spanning forests;
     # contract merges along components(); a function that binds a `parent`
     # mapping of its own is a second union-find
     assert _binders("parent") == ["graph.py:bases_and_forests"]
