@@ -14,6 +14,7 @@ contradiction (a state the classification theorems rule out).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .errors import (
     SimpleGraphRequired,
     WeightConflict,
 )
-from .graph import DEFAULT_GUARD, Multigraph, blocks, format_edge_list, normalize, parse_graph
+from .graph import DEFAULT_GUARD, Multigraph, blocks, format_edge_list, low_link, normalize, parse_graph
 
 # Every command parses with .graph and main maps .errors to exit codes; the
 # other layers are imported inside the commands that run them, so a process
@@ -69,7 +70,7 @@ def _header(args, G: Multigraph) -> dict:
         "edges": G.m,
         "loops_removed": G.m - H.m,
         "simple": G.is_simple(),
-        "blocks": len(blocks(H)),
+        "blocks": len(low_link(H).blocks),
     }
     return {"schema": VERDICT_SCHEMA, "command": args.command, "kind": args.kind, "input": summary}
 
@@ -209,7 +210,8 @@ def cmd_certify(args) -> int:
         }
     else:
         body = {"status": v.status, "witness": v.witness.as_dict() if v.witness else None}
-    _emit({**_header(args, G), **body})
+    # certificates grow with the graph: no indentation, no spaces
+    _write(json.dumps({**_header(args, G), **body}, separators=(",", ":"), default=str) + "\n")
     _maybe_dot(args, G, v.delta)
     return EXIT_OK if v.is_gorenstein else EXIT_NOT_GORENSTEIN
 
@@ -434,6 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # on a large graph a command builds millions of small objects and frees
+    # few of them before it ends, so the cyclic collector's passes, which
+    # grow with the live heap, find next to nothing: pause it meanwhile
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -451,6 +458,9 @@ def main(argv=None) -> int:
     except InternalContradiction as exc:
         sys.stderr.write(f"internal contradiction: {exc}\n")
         return EXIT_CONTRADICTION
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

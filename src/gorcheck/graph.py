@@ -101,11 +101,22 @@ class Multigraph(_MultigraphFields):
         return {k: tuple(sorted(v)) for k, v in classes.items()}
 
     def is_simple(self) -> bool:
-        """No loop and no parallel edge.  The answer is kept in the instance
-        __dict__ (graphs are immutable); blocks() and blow_up_factor() record it."""
+        """No loop and no parallel edge, seen on the pairs i <= j of vertex
+        positions.  The answer is kept in the instance __dict__ (graphs are
+        immutable); blocks() and blow_up_factor() record it."""
         if "_simple" not in self.__dict__:
-            self.__dict__["_simple"] = not any(u == v for _, u, v in self.edges) and all(
-                len(c) == 1 for c in self.parallel_classes.values())
+            pos = {v: i for i, v in enumerate(self.vertices)}
+            n = len(pos)
+            pairs: set = set()
+            simple = True
+            for _, u, v in self.edges:
+                i, j = pos[u], pos[v]
+                pair = i * n + j if i < j else j * n + i
+                if i == j or pair in pairs:
+                    simple = False
+                    break
+                pairs.add(pair)
+            self.__dict__["_simple"] = simple
         return self.__dict__["_simple"]
 
     # -- derived graphs ----------------------------------------------------
@@ -209,9 +220,18 @@ def format_edge_list(G: Multigraph) -> str:
 
 
 def normalize(G: Multigraph) -> Multigraph:
-    """Strip loops: they never affect Gorensteinness."""
-    edges = tuple(e for e in G.edges if e[1] != e[2])
-    return G if len(edges) == G.m else Multigraph(G.vertices, edges)
+    """Strip loops: they never affect Gorensteinness.
+
+    A graph with loops keeps its loop-free graph in its instance __dict__,
+    so every caller reads the same graph and that graph's one low-link pass.
+    """
+    H = G.__dict__.get("_loop_free")
+    if H is None:
+        edges = tuple(e for e in G.edges if e[1] != e[2])
+        if len(edges) == G.m:
+            return G
+        H = G.__dict__["_loop_free"] = Multigraph(G.vertices, edges)
+    return H
 
 
 # -- connectivity ----------------------------------------------------------
@@ -233,8 +253,11 @@ def low_link(G: Multigraph, skip=None) -> LowLink:
     does not enter skip.  Isolated vertices count as components.  Only the
     tree edge a vertex was entered by is excluded from its low value, so a
     parallel edge to the parent is a back edge and a doubled edge is no
-    bridge; loops join no block.
+    bridge; loops join no block.  The pass over all of G (skip None) is
+    kept in G's instance __dict__, as graphs are immutable, and dies with G.
     """
+    if skip is None and "_low_link" in G.__dict__:
+        return G.__dict__["_low_link"]
     adj = G.adjacency
     disc: dict = {}
     low: dict = {}
@@ -281,7 +304,10 @@ def low_link(G: Multigraph, skip=None) -> LowLink:
                         cuts.add(p)
         if root_children > 1:
             cuts.add(root)
-    return LowLink(roots, frozenset(cuts), frozenset(bridges), tuple(out))
+    ll = LowLink(roots, frozenset(cuts), frozenset(bridges), tuple(out))
+    if skip is None:
+        G.__dict__["_low_link"] = ll
+    return ll
 
 
 def is_connected(G: Multigraph) -> bool:
@@ -328,22 +354,30 @@ def blocks(G: Multigraph) -> list:
 
     Deterministic order: sorted by each block's sorted edge-id tuple.  A
     block's vertices come in G.sorted_vertices order, which it keeps as its
-    own sorted_vertices, so no block sorts labels again: a block that holds
-    every vertex of G shares G's tuple.  Each block records that it is
-    2-connected, and that it is simple when G is known to be.
+    own sorted_vertices, so no block sorts labels again.  A block that holds
+    all of G's vertices and edges, in G's edge order, is G in that vertex
+    order: it shares G's sorted_vertices, edge_by_id and adjacency, whose
+    keys stay in G.vertices order.  Each block records that it is
+    2-connected, and that it is simple when G is known to be.  Every call
+    builds new blocks from G's one low-link pass.
     """
     simple = G.__dict__.get("_simple")
     pos = None  # G's vertex -> its position in G.sorted_vertices, built once if needed
     result = []
     for comp in sorted(tuple(sorted(b)) for b in low_link(G).blocks):
-        edges = tuple((eid,) + G.edge_by_id[eid] for eid in comp)
-        vs = {x for _, u, v in edges for x in (u, v)}
-        if len(vs) == G.n:
+        if len(comp) == G.m and comp == tuple(e[0] for e in G.edges) and all(G.adjacency.values()):
             order = G.sorted_vertices
+            b = Multigraph(order, G.edges)
+            b.__dict__.update(edge_by_id=G.edge_by_id, adjacency=G.adjacency)
         else:
-            pos = pos or {v: i for i, v in enumerate(G.sorted_vertices)}
-            order = tuple(sorted(vs, key=pos.__getitem__))
-        b = Multigraph(order, edges)
+            edges = tuple((eid,) + G.edge_by_id[eid] for eid in comp)
+            vs = {x for _, u, v in edges for x in (u, v)}
+            if len(vs) == G.n:
+                order = G.sorted_vertices
+            else:
+                pos = pos or {v: i for i, v in enumerate(G.sorted_vertices)}
+                order = tuple(sorted(vs, key=pos.__getitem__))
+            b = Multigraph(order, edges)
         b.__dict__.update(sorted_vertices=order, _two_connected=True)
         if simple:
             b.__dict__["_simple"] = True

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -546,6 +547,35 @@ def test_certify_base_decides_once(files, capsys, monkeypatch):
         assert code == 0 and len(json.loads(out)["certificates"]) == blocks, path
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "base", "g5"], ["certify", "base", "g5"], ["check", "indep", "dc4"],
+    ["certify", "indep", "dc4"], ["oracle", "base", "g5"], ["oracle", "indep", "g5"],
+    ["check", "base", "g5loop"], ["certify", "indep", "dc4loop"], ["oracle", "base", "g5loop"],
+])
+def test_a_command_runs_one_low_link_pass(files, capsys, monkeypatch, argv):
+    # the verdict or the polytope, and then the report header, read the
+    # blocks of one loop-free graph, which keeps its one pass; an input
+    # with loops keeps its one loop-free graph
+    from gorcheck import cli, graph, oracle
+
+    for name, loop in (("g5", "x x\n"), ("dc4", "2 2 3\n")):
+        path = files["dir"] / f"{name}loop.txt"
+        path.write_text(open(files[name]).read() + loop)
+        files[f"{name}loop"] = str(path)
+
+    real, passes = graph.low_link, []
+
+    def counted(G, skip=None):
+        if skip is not None or "_low_link" not in G.__dict__:
+            passes.append(skip)
+        return real(G, skip)
+
+    for module in (graph, oracle, cli):
+        monkeypatch.setattr(module, "low_link", counted)
+    code, _ = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 0 and passes == [None]
+
+
 def test_certify_emits_a_deep_certificate(files, capsys, monkeypatch):
     # the flat node list has no depth limit: a verdict holding a 2,000-deep
     # AttachCycle chain is reported whole, and the entry reads back
@@ -594,6 +624,46 @@ def test_closed_stdout_is_quiet(files, capsys, monkeypatch, tmp_path, argv, want
         os.close(sink)
     assert code == want
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["check", "base", "k4"], 0),
+    (["check", "base", "bad"], 1),
+    (["sweep", "--max-vertices", "8"], 2),
+    (["certify", "base", "c5chord"], 3),
+    (["check", "base", "dc4"], 4),
+    (["check", "base", "c3"], 5),
+])
+def test_the_command_runs_with_the_gc_paused(files, capsys, monkeypatch, argv, want):
+    # main pauses the cyclic GC around the command and turns it back on
+    # whatever the command's exit code
+    (files["dir"] / "bad.txt").write_text("oops\n")
+    files["bad"] = str(files["dir"] / "bad.txt")
+    during = []
+    real = baseck.base_verdict
+
+    def verdict(G):
+        during.append(gc.isenabled())
+        if want == 5:
+            raise InternalContradiction("weights disagree")
+        return real(G)
+
+    monkeypatch.setattr(baseck, "base_verdict", verdict)
+    assert gc.isenabled()
+    assert main([files.get(a, a) for a in argv]) == want
+    capsys.readouterr()
+    assert gc.isenabled()
+    assert during == ([False] if want in (0, 3, 4, 5) else [])
+
+
+def test_certify_writes_compact_json(files, capsys):
+    # certificates grow with the graph: certify writes them without
+    # indentation or spaces; check keeps its indented report
+    code, out = run(capsys, "certify", "base", files["k4"])
+    assert code == 0 and out.count("\n") == 1 and ", " not in out and ": " not in out
+    assert json.dumps(json.loads(out), separators=(",", ":")) + "\n" == out
+    code, out = run(capsys, "check", "base", files["k4"])
+    assert code == 0 and out.startswith('{\n  "schema": ')
 
 
 def test_certify_negative_exit3(files, capsys):

@@ -652,6 +652,12 @@ def _check_records(G):
         assert G.__dict__["_simple"] == fresh.is_simple(), G.edges
     if "_two_connected" in G.__dict__:
         assert G.__dict__["_two_connected"] == is_two_connected(fresh), G.edges
+    # a one-block graph's block shares G's tables; the adjacency's keys stay
+    # in G.vertices order, so only its mapping is compared
+    if "edge_by_id" in G.__dict__:
+        assert list(G.edge_by_id.items()) == list(fresh.edge_by_id.items()), G.edges
+    if "adjacency" in G.__dict__:
+        assert G.adjacency == fresh.adjacency, G.edges
 
 
 def _blow_up_outcome(factor, G):
@@ -710,6 +716,98 @@ def test_one_label_sort_per_graph(monkeypatch):
     bases = [blow_up_factor(b).base_graph for b in blks]
     assert len(calls) == G.n
     assert all("parallel_classes" not in g.__dict__ for g in blks + bases)
+
+
+def _is_simple_by_parallel_classes(G):
+    return not any(u == v for _, u, v in G.edges) and all(
+        len(c) == 1 for c in G.parallel_classes.values())
+
+
+def test_is_simple_matches_the_parallel_classes():
+    # is_simple counts pairs of vertex positions; the parallel classes it
+    # used to build give the same answer on every atlas graph, the same
+    # graph with an edge doubled or a loop added, and seeded multigraphs
+    from networkx.generators.atlas import graph_atlas_g
+
+    cases = random_multigraphs(1000, seed=20261020)
+    for g in graph_atlas_g():
+        if g.number_of_edges():
+            pairs = sorted(tuple(sorted(e)) for e in g.edges())
+            n = g.number_of_nodes()
+            cases += [
+                Multigraph.build(range(n), pairs),
+                Multigraph.build(range(n), pairs + pairs[-1:]),
+                Multigraph.build(range(n), pairs + [(n - 1, n - 1)]),
+            ]
+    answers = set()
+    for G in cases:
+        want = _is_simple_by_parallel_classes(Multigraph(G.vertices, G.edges))
+        assert G.is_simple() == want, G.edges
+        assert "parallel_classes" not in G.__dict__
+        answers.add(want)
+    assert answers == {True, False}
+
+
+def _two_connected_with_mixed_labels():
+    # a triangle with two ears, its labels out of label_key order
+    return Multigraph.build(["9", 10, "10", 9, "a"], [
+        ("9", 10), (10, "10"), ("10", "9"), ("9", 9), (9, 10), (10, "a"), ("a", "10"),
+    ])
+
+
+def test_a_second_blocks_or_low_link_call_runs_no_pass(monkeypatch):
+    G = Multigraph.build(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    ll = low_link(G)
+    assert low_link(G) is ll
+    passes = []
+
+    def counted(H, skip=None):
+        if skip is not None or "_low_link" not in H.__dict__:
+            passes.append(skip)
+        return low_link(H, skip)
+
+    monkeypatch.setattr(graph, "low_link", counted)
+    G = Multigraph(G.vertices, G.edges)
+    first = blocks(G)
+    second = blocks(G)
+    assert passes == [None]
+    assert [(b.vertices, b.edges) for b in first] == [(b.vertices, b.edges) for b in second]
+    assert len(first) == 3
+
+
+def test_a_graph_with_loops_keeps_one_loop_free_graph():
+    G = Multigraph.build(range(3), [(0, 1), (1, 1), (1, 2), (0, 2), (2, 2)])
+    H = normalize(G)
+    assert normalize(G) is H and H.edges == ((0, 0, 1), (2, 1, 2), (3, 0, 2))
+    assert normalize(H) is H and "_loop_free" not in H.__dict__
+
+
+def test_low_link_without_a_vertex_is_never_kept():
+    G = _two_connected_with_mixed_labels()
+    for x in G.vertices:
+        a, b = low_link(G, skip=x), low_link(G, skip=x)
+        assert a == b and a is not b
+        assert "_low_link" not in G.__dict__
+    assert low_link(G).cut_vertices == frozenset()
+    assert G.__dict__["_low_link"] is low_link(G)
+
+
+def test_a_one_block_graph_shares_its_tables_with_its_block():
+    G = _two_connected_with_mixed_labels()
+    (b,) = blocks(G)
+    assert b.adjacency is G.adjacency and b.edge_by_id is G.edge_by_id
+    assert b.edges is G.edges
+    assert b.vertices is b.sorted_vertices is G.sorted_vertices
+    assert b.vertices == (9, 10, "10", "9", "a")
+    # edges out of id order, or an isolated vertex: the block has its own tables
+    for H in (
+        Multigraph(G.vertices, G.edges[::-1]),
+        Multigraph(G.vertices + ("b",), G.edges),
+    ):
+        (c,) = blocks(H)
+        assert c.adjacency is not H.adjacency and c.edge_by_id is not H.edge_by_id
+        assert c.edges == G.edges and c.vertices == b.vertices
+        _check_records(c)
 
 
 def test_atlas_enumeration_counts():

@@ -445,3 +445,52 @@ def test_records_are_not_dataclasses():
             if "dataclasses" in modules:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _module_caches(tree) -> list:
+    """The lines of a module where a function is memoized by functools or
+    writes into a name bound at module level."""
+    names = {
+        t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(t, ast.Name)
+    }
+    found = []
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        params = fn.args
+        takes_arguments = params.posonlyargs or params.args or params.kwonlyargs or params.vararg or params.kwarg
+        for dec in fn.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name in ("cache", "lru_cache") and takes_arguments:
+                found.append(dec.lineno)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.append(node.lineno)
+            written = (
+                [t.value for t in node.targets if isinstance(t, ast.Subscript)]
+                if isinstance(node, ast.Assign) else
+                [node.func.value] if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("setdefault", "update", "add", "append", "extend", "__setitem__")
+                else []
+            )
+            if any(isinstance(w, ast.Name) and w.id in names for w in written):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_cache_outlives_its_graph():
+    # what is derived from a graph (its low-link pass, its blocks, a block's
+    # edge profile) is kept in the graph's instance __dict__ and dies with it.
+    # A functools cache or a module-level mapping would keep every graph
+    # alive for the life of the process, and let a later bench pass reuse an
+    # earlier pass's work.  smallgraphs._atlas keeps its lru_cache: it takes
+    # no argument, so no graph keys it; it loads the networkx atlas once
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _module_caches(tree)]
+    assert found == []
+    memoized = ast.parse("from functools import lru_cache\n@lru_cache\ndef f(G):\n    return G\n")
+    table = ast.parse("_SEEN = {}\ndef f(G):\n    _SEEN[G] = 1\n")
+    assert _module_caches(memoized) == [2] and _module_caches(table) == [3]
