@@ -32,7 +32,8 @@ ALL_DELTAS = AllDeltas()
 class Witness(NamedTuple):
     """Replayable violation: kind plus the offending object and both sides."""
 
-    # base side: no_candidate_delta | total_weight_mismatch
+    # base side: no_candidate_delta (no delta fits every block's counts; a
+    #   block with a K4 minor fits only 2) | total_weight_mismatch
     #   | flat_equality_violated; independence side: club_violated
     #   | k4_minor_found | wrong_chordless_cycle | excess_chordless_cycles
     #   | non_uniform_multiplicity
@@ -79,7 +80,8 @@ def edge_facet_profile(G: Multigraph) -> dict:
 
     On a K4-minor-free block exactly one flag holds, and the series-parallel
     reduction reads it off (graph._sp_reducible); a block with a K4 minor
-    takes one low-link pass per vertex (_profile_by_passes).
+    takes one low-link pass per vertex (_profile_by_passes), which
+    base_verdict never asks for.
     """
     _require_block(G)
     light = _sp_reducible(G)
@@ -114,19 +116,6 @@ def _profile_by_passes(G: Multigraph) -> dict:
     return profile
 
 
-def _profile(G: Multigraph) -> dict:
-    """edge_facet_profile(G), computed once per graph instance.
-
-    Graphs are immutable, so the profile is kept in the instance's __dict__
-    the way functools.cached_property keeps Multigraph.adjacency, and is
-    freed with the graph.
-    """
-    profile = G.__dict__.get("_edge_facet_profile")
-    if profile is None:
-        profile = G.__dict__["_edge_facet_profile"] = edge_facet_profile(G)
-    return profile
-
-
 def weight_function(G: Multigraph, delta: int) -> dict:
     """The forced weights at delta, {edge id: weight} in edge-id order, or
     WeightConflict.
@@ -142,7 +131,7 @@ def weight_function(G: Multigraph, delta: int) -> dict:
         _require_block(G)
         return dict.fromkeys(sorted(G.edge_by_id), 1)
     weights = {}
-    for eid, (del_ok, con_ok) in sorted(_profile(G).items()):
+    for eid, (del_ok, con_ok) in edge_facet_profile(G).items():
         if del_ok and con_ok:
             raise WeightConflict(eid, delta)
         weights[eid] = 1 if del_ok else delta - 1
@@ -150,36 +139,28 @@ def weight_function(G: Multigraph, delta: int) -> dict:
 
 
 def candidate_deltas(G: Multigraph) -> Union[frozenset, AllDeltas]:
-    """All delta in [2, |E|+1] admitting a weight function with the right total.
+    """The deltas at which the block G can be Gorenstein, by its edge counts.
 
     A K2 block has a point polytope and returns the ALL_DELTAS sentinel.
-    The upper bound |E|+1 comes from w(E) <= (delta-1)|E| and
-    w(E) = delta(|V|-1).
-
-    At delta = 2 every weight is 1, so the total is |E|.  Above 2, an edge
-    with both profile flags rules every delta out; otherwise a weight-1 edges
-    and b weight-(delta-1) edges give a + b(delta-1) = delta(|V|-1), which is
-    linear in delta: one solution, none, or (when both sides agree
-    identically) every delta.
+    Otherwise G's one series-parallel reduction decides.  A block with a K4
+    minor is Gorenstein only at delta = 2 (base_verdict), where its |E|
+    weights of 1 must total 2(|V|-1).  A K4-minor-free block has a light
+    and b heavy edges, and a + b(delta-1) = delta(|V|-1) has one solution
+    or none, counted in [3, |E|+1] since w(E) <= (delta-1)|E|: b = |V|-1
+    would need a = b, so 2(|V|-1) edges, more than such a block has.
     """
     if G.n == 2 and G.m == 1:
         return ALL_DELTAS
-    hi = G.m + 1
-    found = set()
-    if G.m == 2 * (G.n - 1):
-        found.add(2)
-    profile = _profile(G)
-    if not any(del_ok and con_ok for del_ok, con_ok in profile.values()):
-        a = sum(del_ok for del_ok, _ in profile.values())
-        b = G.m - a
-        # delta * (b - (|V|-1)) = b - a
-        num, den = b - a, b - (G.n - 1)
-        if den == 0:
-            if num == 0:
-                found.update(range(3, hi + 1))
-        elif num % den == 0 and 3 <= num // den <= hi:
-            found.add(num // den)
-    return frozenset(found)
+    _require_block(G)
+    light = _sp_reducible(G)
+    if light is None:
+        return frozenset({2}) if G.m == 2 * (G.n - 1) else frozenset()
+    a = len(light)
+    b = G.m - a
+    num, den = b - a, b - (G.n - 1)
+    if den and num % den == 0 and 3 <= num // den <= G.m + 1:
+        return frozenset({num // den})
+    return frozenset()
 
 
 def check_spade(G: Multigraph, delta: int) -> Optional[Witness]:
@@ -226,18 +207,19 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
     A positive wins at its smallest common delta: a block built at delta >=
     3 has at least |V| heavy edges, so 2 is no candidate and it has one.
 
-    delta = 2 is tried first, before any block's edge profile: 2 is a
+    delta = 2 is tried first, before any block's candidates: 2 is a
     candidate of a non-K2 block exactly when m = 2(n-1), so when every
     non-K2 block has that count, 2 is the least common candidate and the
-    loop would try it first anyway.  The Collide peel decides it without a
-    profile, and only a block it fails sends the verdict on to the
-    candidate sets and the deltas above 2, with the first witness kept.
+    loop would try it first anyway.  The Collide peel decides it, and only
+    a block it fails sends the verdict on to the candidate sets and the
+    deltas above 2, with the first witness kept.
 
     K4 minors split the two: C_delta is series-parallel, and Glue (a 2-sum)
     and Subdivide keep a graph K4-minor-free (Duffin 1965), while Collide
     keeps every K4 seed as a K4 subdivision.  So a block with a K4 minor is
     Gorenstein only at delta = 2, and a K4-minor-free block only at delta
-    >= 3, decided on the profile its series-parallel reduction reads.
+    >= 3, as candidate_deltas reads off the block's one series-parallel
+    reduction: a block with a K4 minor and |E| != 2(|V|-1) has no candidate.
     """
     from .construct import Seed, decompose  # construct imports this module
 

@@ -24,8 +24,8 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from .baseck import check_spade, weight_function
-from .errors import ConstructionError, GuardExceeded, InternalContradiction, WeightConflict
-from .graph import DEFAULT_GUARD, Multigraph, is_two_connected, label_key
+from .errors import ConstructionError, GuardExceeded, InternalContradiction
+from .graph import DEFAULT_GUARD, Multigraph, _sp_reducible, is_two_connected, label_key
 
 SCHEMA = "gorcheck.cert/3"
 
@@ -477,8 +477,9 @@ def _cycle_seed(ring) -> Node:
 def _glue_peel(G: Multigraph, delta: int) -> list:
     """The nodes of G's decomposition at delta >= 3, in post-order without
     their children, by peeling Glues and Subdivides off;
-    InternalContradiction when the peel stops short of C_delta,
-    WeightConflict from G's weights.
+    InternalContradiction when the peel stops short of C_delta, or when G
+    has a K4 minor, on which the series-parallel reduction that reads G's
+    light edges gets stuck.
 
     A run is a maximal path a, x_1 .. x_(delta-2), b whose inner vertices
     have degree 2 and whose edges are heavy, with ends a != b of other
@@ -502,9 +503,11 @@ def _glue_peel(G: Multigraph, delta: int) -> list:
     found, and a map from end pairs to their runs holds those waiting at a
     light edge for a Glue.
     """
+    light_ids = _sp_reducible(G)
+    if light_ids is None:
+        raise InternalContradiction("the series-parallel reduction gets stuck on a K4 minor")
+    light = {frozenset(G.endpoints(e)) for e in light_ids}
     adj = _adjacency(G)
-    weights = {} if G.n == G.m else weight_function(G, delta)  # a cycle's edges are all heavy
-    light = {frozenset(G.endpoints(e)) for e, wt in weights.items() if wt == 1}
     runs = {}  # frozenset({a, b}) of a light edge -> the runs waiting there
     walked = set()  # vertices walked through; degree 2 until deleted
     work = deque(v for v in G.vertices if len(adj[v]) == 2)
@@ -599,7 +602,7 @@ def decompose(G: Multigraph, delta: int):
     """
     try:
         nodes = _collide_peel(G) if delta == 2 else _glue_peel(G, delta)
-    except (InternalContradiction, WeightConflict) as stuck:
+    except InternalContradiction as stuck:
         witness = check_spade(G, delta)
         if witness is None:
             raise InternalContradiction(str(stuck)) from stuck

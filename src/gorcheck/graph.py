@@ -514,7 +514,7 @@ def induced_cycles(G: Multigraph) -> list:
 # -- K4 minors -------------------------------------------------------------
 
 
-def _sp_reducible(block: Multigraph) -> Optional[set]:
+def _sp_reducible(block: Multigraph) -> Optional[frozenset]:
     """Series-parallel reduction of a block: the ids of its light edges, or
     None when the reduction gets stuck, which it does exactly when the
     block has a K4 minor.
@@ -538,7 +538,13 @@ def _sp_reducible(block: Multigraph) -> Optional[set]:
     2-connected and not its contraction; any other pair leaves the
     contraction 2-connected, and then not the deletion, or two disjoint
     u-v paths and a path between them would make a K4 subdivision with uv.
+
+    The answer is kept in the block's instance __dict__, as low_link keeps
+    its pass, so the checker and the Glue/Subdivide peel share one
+    reduction.
     """
+    if "_light" in block.__dict__:
+        return block.__dict__["_light"]
     adj = {v: {} for v in block.vertices}  # neighbour -> input edge id, None once merged
     for eid, u, v in block.edges:
         if u != v:
@@ -558,7 +564,8 @@ def _sp_reducible(block: Multigraph) -> Optional[set]:
                 light.add(adj[a][b])
             adj[a][b] = adj[b][a] = None
         work += (w for w in nbrs if len(adj[w]) <= 2)
-    return light if len(adj) <= 2 else None
+    block.__dict__["_light"] = light = frozenset(light) if len(adj) <= 2 else None
+    return light
 
 
 def is_k4_minor_free(G: Multigraph) -> bool:

@@ -4,9 +4,10 @@ two source trees, interleaved.
     python tests/cli_ladder.py BEFORE AFTER [--n 100000] [--seed 1] [--runs 3]
 
 BEFORE and AFTER are roots of two checkouts.  The inputs are tests/ladder.py
-positives of about N vertices: the delta = 3 positive for `check base` and
-`certify base`, the attach delta = 2 tree for `check indep` and `certify
-indep`.  A fifth command, `sweep --max-vertices 7`, needs no input.  Each
+positives of about N vertices, named by their ladder kind: the delta = 3
+positive ("3") and the in-order chain ("chain") for `check base` and
+`certify base`, the attach delta = 2 tree ("attach2") for `check indep` and
+`certify indep`.  A last command, `sweep --max-vertices 7`, needs no input.  Each
 run starts every command once per tree, in fresh processes of this
 interpreter with PYTHONPATH set to the tree's src/, the tree that goes first
 alternating from run to run.  A child's wall time runs from its start to its
@@ -14,8 +15,9 @@ exit, and its peak RSS is the ru_maxrss that wait4 reports for it, the same
 figure RUSAGE_CHILDREN gives for a lone child.  A child that does not exit
 with its expected code stops the script.
 
-Prints one JSON object: per command and tree, every run's wall time and peak
-RSS, their medians, and the bytes the command wrote to stdout.
+Prints one JSON object: per command (with its input's kind) and tree, every
+run's wall time and peak RSS, their medians, and the bytes the command wrote
+to stdout.
 """
 
 from __future__ import annotations
@@ -31,20 +33,24 @@ import time
 
 from ladder import attach_positive, positive
 
-# command, the input it reads, the exit code it must give
+# command, the ladder kind of the input it reads, the exit code it must give
 COMMANDS = [
-    (["check", "base"], "base", 0),
-    (["certify", "base"], "base", 0),
-    (["check", "indep"], "indep", 0),
-    (["certify", "indep"], "indep", 0),
+    (["check", "base"], "3", 0),
+    (["certify", "base"], "3", 0),
+    (["check", "base"], "chain", 0),
+    (["certify", "base"], "chain", 0),
+    (["check", "indep"], "attach2", 0),
+    (["certify", "indep"], "attach2", 0),
     (["sweep", "--max-vertices", "7"], None, 0),
 ]
 
 
 def write_inputs(folder: str, n: int, seed: int) -> dict:
-    """The two ladder positives as edge-list files, by the kind that reads them."""
+    """The three ladder positives as edge-list files, by their kind."""
     paths = {}
-    for kind, (_, edges, *_) in (("base", positive(3, n, seed)), ("indep", attach_positive(2, n, seed))):
+    made = (("3", positive(3, n, seed)), ("chain", positive("chain", n, seed)),
+            ("attach2", attach_positive(2, n, seed)))
+    for kind, (_, edges, *_) in made:
         paths[kind] = os.path.join(folder, f"{kind}.txt")
         with open(paths[kind], "w") as fh:
             fh.write("".join(f"{u} {v}\n" for u, v in edges))
@@ -75,16 +81,17 @@ def main() -> None:
     ap.add_argument("--runs", type=int, default=3)
     args = ap.parse_args()
     trees = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
-    samples = {(" ".join(argv), side): [] for argv, _, _ in COMMANDS for side in trees}
+    names = [" ".join(argv + ([kind] if kind else [])) for argv, kind, _ in COMMANDS]
+    samples = {(name, side): [] for name in names for side in trees}
     with tempfile.TemporaryDirectory() as folder:
         inputs = write_inputs(folder, args.n, args.seed)
         out_path = os.path.join(folder, "stdout")
         for r in range(args.runs):
             order = list(trees) if r % 2 == 0 else list(trees)[::-1]
-            for argv, kind, want in COMMANDS:
+            for name, (argv, kind, want) in zip(names, COMMANDS):
                 full = argv + ([inputs[kind]] if kind else [])
                 for side in order:
-                    samples[" ".join(argv), side].append(run_once(trees[side], full, want, out_path))
+                    samples[name, side].append(run_once(trees[side], full, want, out_path))
     report = {"n": args.n, "seed": args.seed, "runs": args.runs, "trees": trees, "commands": {}}
     for (command, side), rows in samples.items():
         wall, rss, size = zip(*rows)

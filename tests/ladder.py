@@ -33,29 +33,57 @@ from __future__ import annotations
 
 import random
 import sys
+from itertools import islice
 
 
 def grown(rng, delta: int, n: int):
-    """(n', edges, light) for delta >= 3, with n <= n' < n + (delta-2)^2."""
+    """(n', edges, light) for delta >= 3, with n <= n' < n + (delta-2)^2.
+
+    Each step draws the k-th light or non-light edge index, k =
+    rng.randrange(count), which is rng.choice's draw over the sorted
+    indexes; a Fenwick tree over the light flags finds it in O(log m)."""
     edges = [(i, (i + 1) % delta) for i in range(delta)]
     light, size = set(), delta
+    # a K4-minor-free simple graph has at most 2n'-3 edges
+    tree = [0] * (2 * (n + (delta - 2) ** 2) + 1)  # Fenwick tree: 1 at light indexes
+
+    def flip(i, d):
+        i += 1
+        while i < len(tree):
+            tree[i] += d
+            i += i & -i
+
+    def kth(k, lit):
+        """The k-th (from 0) index whose light flag is lit."""
+        pos, step = 0, 1 << (len(tree) - 1).bit_length()
+        while step:
+            if pos + step < len(tree):
+                count = tree[pos + step] if lit else step - tree[pos + step]
+                if count <= k:
+                    pos += step
+                    k -= count
+            step >>= 1
+        return pos
+
     while size < n:
         if light and rng.random() < 0.5:
-            i = rng.choice(sorted(light))
+            i = kth(rng.randrange(len(light)), True)
             u, v = edges[i]
             path = [u, *range(size, size + delta - 2), v]
             edges[i] = (u, path[1])
             edges += list(zip(path[1:], path[2:]))
             light.remove(i)
+            flip(i, -1)
             size += delta - 2
         else:
-            i = rng.choice([j for j in range(len(edges)) if j not in light])
+            i = kth(rng.randrange(len(edges) - len(light)), False)
             u, v = edges[i]
             for _ in range(delta - 2):
                 path = [u, *range(size, size + delta - 2), v]
                 edges += list(zip(path, path[1:]))
                 size += delta - 2
             light.add(i)
+            flip(i, 1)
     return size, edges, light
 
 
@@ -78,8 +106,8 @@ def in_order_chain(rounds: int):
     3 + 2 * rounds vertices, every edge heavy."""
     edges = [(0, 1), (1, 2), (0, 2)]
     a, b, n = 1, 2, 3
-    for _ in range(rounds):
-        edges.remove((a, b))
+    for r in range(rounds):
+        del edges[-1 if r else 1]  # (a, b): C3's edge 1, then the last edge added
         edges += [(a, n), (n, b), (a, n + 1), (n + 1, b)]
         a, n = n + 1, n + 2
     return n, edges, set()
@@ -132,13 +160,27 @@ def attach_positive(delta: int, n: int, seed: int = 0):
 
 
 def with_chord(rng, vertices, edges):
-    """edges plus one edge between two non-adjacent vertices, or None."""
-    present = {frozenset(e) for e in edges}
-    pairs = [
-        (a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]
-        if frozenset((a, b)) not in present
-    ]
-    return edges + [rng.choice(pairs)] if pairs else None
+    """edges plus one edge between two non-adjacent vertices, or None.
+
+    The pair is rng.choice's draw over the non-adjacent pairs (a, b), a
+    before b in vertices, listed by a then b: the k-th, k =
+    rng.randrange(count), found from each vertex's count of later
+    non-neighbours without listing the pairs."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    later = [[] for _ in vertices]  # per vertex, the positions of its later neighbours
+    for i, j in {tuple(sorted((pos[u], pos[v]))) for u, v in edges if u != v}:
+        later[i].append(j)
+    counts = [len(vertices) - 1 - i - len(js) for i, js in enumerate(later)]
+    if not any(counts):
+        return None
+    k = rng.randrange(sum(counts))
+    i = 0
+    while k >= counts[i]:
+        k -= counts[i]
+        i += 1
+    taken = set(later[i])
+    j = next(islice((j for j in range(i + 1, len(vertices)) if j not in taken), k, None))
+    return edges + [(vertices[i], vertices[j])]
 
 
 def edge_swap(rng, vertices, edges):

@@ -101,20 +101,109 @@ def test_candidate_deltas_match_loop():
         assert candidate_deltas(G) == _candidate_deltas_by_loop(G), G.edges
 
 
-def test_candidate_deltas_match_loop_on_any_profile():
-    # random profile flags in place of the computed ones, including flags no
-    # graph up to 7 vertices has: a = b = |V|-1 weight-1 and weight-(delta-1)
-    # edges make every delta >= 3 a candidate
+def test_candidate_deltas_match_loop_on_any_light_set():
+    # random light sets in place of the reduction's on the K4-minor-free
+    # blocks up to 7 vertices: the loop reads the same set through
+    # weight_function, so the closed form is checked on counts of light and
+    # heavy edges that no block has
     rng = random.Random(20261018)
-    flags = [(True, False), (False, True), (True, True)]
-    for G in two_connected_graphs(6, min_vertices=4):
+    found = []
+    for G in two_connected_graphs(7):
+        if G.m < 2 or _sp_reducible(G) is None:
+            continue
         for _ in range(20):
-            profile = {eid: rng.choice(flags) for eid in sorted(G.edge_by_id)}
-            if rng.random() < 0.5:
-                profile = {eid: (f[0], not f[0]) for eid, f in profile.items()}
             H = Multigraph(G.vertices, G.edges)
-            H.__dict__["_edge_facet_profile"] = profile
-            assert candidate_deltas(H) == _candidate_deltas_by_loop(H), profile
+            H.__dict__["_light"] = light = frozenset(rng.sample(sorted(G.edge_by_id), rng.randint(0, G.m)))
+            found.append(candidate_deltas(H))
+            assert found[-1] == _candidate_deltas_by_loop(H), (G.edges, light)
+    assert len(found) > 1400 and sum(map(bool, found)) > 200
+
+
+def _fully_subdivided_k4():
+    """K4 with every edge subdivided once: 10 vertices, every edge heavy."""
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    return Multigraph.build(range(10), [e for i, (a, b) in enumerate(pairs) for e in ((a, 4 + i), (4 + i, b))])
+
+
+def _lemma_inputs():
+    """_decomposition_inputs (the atlas up to 7 vertices, the simple pool
+    graphs, ladder positives up to 24 vertices with one-chord negatives) and
+    ladder edge swaps at delta = 3, 4, 5 and the chain."""
+    from test_constructions import _decomposition_inputs
+
+    out = [G for G, _ in _decomposition_inputs()]
+    for kind in (3, 4, 5, "chain"):
+        for n in (8, 16, 24):
+            G, _, _ = ladder_positive(kind, n, seed=n)
+            swapped = edge_swap(random.Random(n), list(G.vertices), [(u, v) for _, u, v in G.edges])
+            out.append(Multigraph.build(G.vertices, swapped))
+    return out
+
+
+def test_candidates_follow_the_k4_minor_lemma():
+    # a block with a K4 minor is Gorenstein only at delta = 2, so its
+    # candidates are the loop's cut down to {2}, and a K4-minor-free block
+    # keeps the loop's.  No block of these inputs loses a candidate that
+    # way; the fully subdivided K4 is the one known block that does: the
+    # loop gives {4}, B(M) (128 vertices) has no Gorenstein point, and the
+    # verdict, flat_equality_violated at 4 by the loop, is no_candidate_delta
+    from gorcheck.oracle import gorenstein_search, polytope_of
+
+    lost, counts = [], [0, 0]
+    for G in _lemma_inputs():
+        for b in (b for b in blocks(G) if b.n > 2):
+            loop = _candidate_deltas_by_loop(b)
+            k4_minor = _sp_reducible(b) is None
+            assert candidate_deltas(b) == (loop & {2} if k4_minor else loop), b.edges
+            counts[k4_minor] += 1
+            if k4_minor and loop - {2}:
+                lost.append(b.edges)
+    assert lost == [] and min(counts) > 300, counts
+    G = _fully_subdivided_k4()
+    assert (_candidate_deltas_by_loop(G), candidate_deltas(G)) == ({4}, frozenset())
+    assert base_verdict(G) == ("not_gorenstein", None, Witness("no_candidate_delta"), ())
+    P = polytope_of(G, "base")
+    assert len(P.vertices) == 128 and gorenstein_search(P) is None
+
+
+def test_base_verdict_runs_no_per_vertex_passes(monkeypatch):
+    # the candidates of a block with a K4 minor read no edge profile, and no
+    # delta above 2 is tried on it, so base_verdict never reaches the
+    # per-vertex passes: over _agreement_inputs (with ladder positives and
+    # one-chord negatives up to 150 vertices) and edge swaps of them
+    from test_constructions import _agreement_inputs
+
+    def no_passes(G):
+        raise AssertionError("_profile_by_passes called")
+
+    monkeypatch.setattr(baseck, "_profile_by_passes", no_passes)
+    graphs = _agreement_inputs() + _lemma_inputs()[-12:]
+    for kind in (3, 4, 5, "chain"):
+        for n in (40, 150):
+            G, _, _ = ladder_positive(kind, n, seed=n)
+            swapped = edge_swap(random.Random(n), list(G.vertices), [(u, v) for _, u, v in G.edges])
+            graphs.append(Multigraph.build(G.vertices, swapped))
+    witnesses = {}
+    for G in graphs:
+        v = base_verdict(G)
+        kind = v.witness.kind if v.witness else v.status
+        witnesses[kind] = witnesses.get(kind, 0) + 1
+    assert witnesses.get("no_candidate_delta", 0) > 100, witnesses
+
+
+@pytest.mark.parametrize("kind", [3, 4, "chain"])
+def test_k4_minor_swaps_answer_in_linear_time(kind):
+    # an edge swap of a delta >= 3 positive has a K4 minor or the wrong
+    # counts: its block's candidates come off one reduction, where one
+    # low-link pass per vertex took 2.4-3.0 s at 2,000 vertices
+    G, _, _ = ladder_positive(kind, 2000, seed=2000)
+    swapped = Multigraph.build(
+        G.vertices, edge_swap(random.Random(2000), list(G.vertices), [(u, v) for _, u, v in G.edges])
+    )
+    t0 = time.perf_counter()
+    v = base_verdict(swapped)
+    assert time.perf_counter() - t0 < 0.2
+    assert v == ("not_gorenstein", None, Witness("no_candidate_delta"), ())
 
 
 def test_check_spade_cycle(c5):
@@ -250,12 +339,12 @@ def test_decomposition_decides_as_the_good_flat_system_on_the_atlas():
 
 
 def test_one_edge_profile_per_block(monkeypatch):
-    # the decomposition's parts inherit their weights, so base_verdict reads
-    # one profile per block however many parts the block splits into: one
-    # series-parallel reduction on a K4-minor-free block, and the per-vertex
-    # passes only after a reduction that gets stuck; a delta=2 positive
-    # reads none, since the Collide peel decides it first, and a block with
-    # m = 2(n-1) reads its profile only once the peel fails
+    # the decomposition's parts inherit their weights, so base_verdict runs
+    # one series-parallel reduction per block however many parts the block
+    # splits into, and the Glue/Subdivide peel reads the one the candidates
+    # ran; a delta=2 positive runs none, since the Collide peel decides it
+    # first, a block with m = 2(n-1) runs its reduction only once the peel
+    # fails, and a reduction that gets stuck runs no per-vertex passes
     events = []
     real_sp, real_passes = baseck._sp_reducible, baseck._profile_by_passes
     real_peel = construct._collide_peel
@@ -274,7 +363,7 @@ def test_one_edge_profile_per_block(monkeypatch):
             graphs.append((G, delta, ["peel"] if delta == 2 else ["reduction"]))
     G, _, _ = ladder_positive(2, 16, seed=16)
     swapped = edge_swap(random.Random(16), list(G.vertices), [(u, v) for _, u, v in G.edges])
-    graphs.append((Multigraph.build(G.vertices, swapped), None, ["peel", "reduction", "passes"]))
+    graphs.append((Multigraph.build(G.vertices, swapped), None, ["peel", "reduction"]))
     for G, delta, want in graphs:
         events.clear()
         assert base_verdict(G).delta == delta

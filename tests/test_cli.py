@@ -432,8 +432,8 @@ def test_check_base_c26(tmp_path, capsys):
 )
 def test_certify_base_ladder_positives_in_polynomial_time(tmp_path, capsys, kind, n):
     # about 200 vertices, the 201-vertex in-order chain among them: no
-    # subset table and at most one edge profile per block, read off one
-    # series-parallel reduction; at delta = 2 no profile at all, and no
+    # subset table and one series-parallel reduction per block, which the
+    # candidates and the peel share; at delta = 2 no reduction at all, and no
     # low-link pass but the one in blocks(), and a replay that merges the
     # smaller part into the larger, so 3,200 vertices fit in the same second
     G, delta, _ = ladder_positive(kind, n, seed=n)

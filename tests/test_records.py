@@ -73,7 +73,7 @@ def test_multigraph_caches_fill_and_survive_pickling():
     adjacency = G.adjacency
     assert G.__dict__["adjacency"] is adjacency and G.adjacency is adjacency
     candidate_deltas(G)
-    assert "_edge_facet_profile" in G.__dict__
+    assert "_light" in G.__dict__
     H = pickle.loads(pickle.dumps(G))
     assert type(H) is Multigraph and H == G and repr(H) == repr(G)
     assert H.adjacency == adjacency and H.sorted_vertices == G.sorted_vertices

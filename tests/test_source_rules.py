@@ -480,8 +480,8 @@ def _module_caches(tree) -> list:
 
 
 def test_no_cache_outlives_its_graph():
-    # what is derived from a graph (its low-link pass, its blocks, a block's
-    # edge profile) is kept in the graph's instance __dict__ and dies with it.
+    # what is derived from a graph (its low-link pass, a block's light edges)
+    # is kept in the graph's instance __dict__ and dies with it.
     # A functools cache or a module-level mapping would keep every graph
     # alive for the life of the process, and let a later bench pass reuse an
     # earlier pass's work.  smallgraphs._atlas keeps its lru_cache: it takes
@@ -494,3 +494,44 @@ def test_no_cache_outlives_its_graph():
     memoized = ast.parse("from functools import lru_cache\n@lru_cache\ndef f(G):\n    return G\n")
     table = ast.parse("_SEEN = {}\ndef f(G):\n    _SEEN[G] = 1\n")
     assert _module_caches(memoized) == [2] and _module_caches(table) == [3]
+
+
+def _dict_writes(tree) -> list:
+    """The lines where an instance __dict__ is written: a store into or a
+    deletion from x.__dict__[...], or a call of one of its mutating
+    methods."""
+    def is_dict(node):
+        return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and is_dict(node.value)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and is_dict(node.func.value)
+        and node.func.attr in ("__setitem__", "clear", "pop", "popitem", "setdefault", "update")
+    ]
+
+
+def test_only_graph_writes_a_graphs_dict():
+    # graph.py keeps what it derives from a graph (its low-link pass, its
+    # loop-free graph, a block's light edges) in the graph's instance
+    # __dict__; no other module writes there, so every cache on a graph is
+    # one graph.py function's, and the checkers read the graph's one
+    # series-parallel reduction instead of keeping a profile of their own
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "graph.py"
+        for line in _dict_writes(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    assert len(_dict_writes(ast.parse((PACKAGE / "graph.py").read_text()))) > 5
+    kept_profile = ast.parse(
+        "def _profile(G):\n"
+        "    profile = G.__dict__.get('_edge_facet_profile')\n"
+        "    if profile is None:\n"
+        "        profile = G.__dict__['_edge_facet_profile'] = edge_facet_profile(G)\n"
+        "    return profile\n"
+    )
+    assert _dict_writes(kept_profile) == [4]
+    assert _dict_writes(ast.parse("G.__dict__.update(x=1)\ndel G.__dict__['x']\n")) == [1, 2]
