@@ -80,8 +80,8 @@ def edge_facet_profile(G: Multigraph) -> dict:
 
     On a K4-minor-free block exactly one flag holds, and the series-parallel
     reduction reads it off (graph._sp_reducible); a block with a K4 minor
-    takes one low-link pass per vertex (_profile_by_passes), which
-    base_verdict never asks for.
+    takes one low-link pass per vertex (_profile_by_passes), which no
+    verdict, decomposition or construction asks for.
     """
     _require_block(G)
     light = _sp_reducible(G)
@@ -142,9 +142,11 @@ def candidate_deltas(G: Multigraph) -> Union[frozenset, AllDeltas]:
     """The deltas at which the block G can be Gorenstein, by its edge counts.
 
     A K2 block has a point polytope and returns the ALL_DELTAS sentinel.
-    Otherwise G's one series-parallel reduction decides.  A block with a K4
-    minor is Gorenstein only at delta = 2 (base_verdict), where its |E|
-    weights of 1 must total 2(|V|-1).  A K4-minor-free block has a light
+    A block with a K4 minor is Gorenstein only at delta = 2 (base_verdict),
+    where its |E| weights of 1 must total 2(|V|-1); a simple K4-minor-free
+    block has at most 2|V|-3 edges, so that count alone gives {2}, with no
+    reduction.  Otherwise G's one series-parallel reduction decides: a block
+    with a K4 minor has no candidate, and a K4-minor-free block has a light
     and b heavy edges, and a + b(delta-1) = delta(|V|-1) has one solution
     or none, counted in [3, |E|+1] since w(E) <= (delta-1)|E|: b = |V|-1
     would need a = b, so 2(|V|-1) edges, more than such a block has.
@@ -152,9 +154,11 @@ def candidate_deltas(G: Multigraph) -> Union[frozenset, AllDeltas]:
     if G.n == 2 and G.m == 1:
         return ALL_DELTAS
     _require_block(G)
+    if G.m == 2 * (G.n - 1):
+        return frozenset({2})
     light = _sp_reducible(G)
     if light is None:
-        return frozenset({2}) if G.m == 2 * (G.n - 1) else frozenset()
+        return frozenset()
     a = len(light)
     b = G.m - a
     num, den = b - a, b - (G.n - 1)
@@ -200,26 +204,20 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
 
     Gorenstein iff one delta works for every block simultaneously; K2 blocks
     are wildcards.  delta is None when every block is a wildcard (the polytope
-    is a point, Gorenstein at every index).  construct.decompose decides the
-    blocks at each common candidate delta in turn, and a Gorenstein verdict
-    keeps their certificates; check_spade only names a stuck block's flat,
-    the one place a block over SUBSET_GUARD_VERTICES raises GuardExceeded.
-    A positive wins at its smallest common delta: a block built at delta >=
-    3 has at least |V| heavy edges, so 2 is no candidate and it has one.
+    is a point, Gorenstein at every index).
 
-    delta = 2 is tried first, before any block's candidates: 2 is a
-    candidate of a non-K2 block exactly when m = 2(n-1), so when every
-    non-K2 block has that count, 2 is the least common candidate and the
-    loop would try it first anyway.  The Collide peel decides it, and only
-    a block it fails sends the verdict on to the candidate sets and the
-    deltas above 2, with the first witness kept.
-
-    K4 minors split the two: C_delta is series-parallel, and Glue (a 2-sum)
-    and Subdivide keep a graph K4-minor-free (Duffin 1965), while Collide
-    keeps every K4 seed as a K4 subdivision.  So a block with a K4 minor is
-    Gorenstein only at delta = 2, and a K4-minor-free block only at delta
-    >= 3, as candidate_deltas reads off the block's one series-parallel
-    reduction: a block with a K4 minor and |E| != 2(|V|-1) has no candidate.
+    Each other block fixes its delta, as candidate_deltas reads it off: K4
+    minors split the constructions, since C_delta is series-parallel, and
+    Glue (a 2-sum) and Subdivide keep a graph K4-minor-free (Duffin 1965),
+    while Collide keeps every K4 seed as a K4 subdivision.  So a block with
+    a K4 minor is Gorenstein only at delta = 2, with |E| = 2(|V|-1), and a
+    K4-minor-free block only at the one delta >= 3 its light and heavy edge
+    counts give.  The blocks' candidate sets meet in at most one delta;
+    when they meet in none the witness is no_candidate_delta.  Otherwise
+    construct.decompose decides every block at that delta once, in blocks()
+    order, and a Gorenstein verdict keeps their certificates; check_spade
+    only names a stuck block's flat, the one place a block over
+    SUBSET_GUARD_VERTICES raises GuardExceeded.
     """
     from .construct import Seed, decompose  # construct imports this module
 
@@ -233,32 +231,14 @@ def base_verdict(G: Multigraph) -> BaseVerdict:
     if not big:
         certs = tuple(Seed("k2", b.sorted_vertices) for b in blks)
         return BaseVerdict("gorenstein", None, certificates=certs)
-
-    def certificates_at(delta):
-        """(the blocks' certificates, None) at delta, or (None, the first
-        stuck block's witness)."""
-        certs = []
-        for b in blks:
-            if b.n == 2:
-                cert, witness = Seed("k2", b.sorted_vertices), None
-            else:
-                cert, witness = decompose(b, delta)
-            if witness is not None:
-                return None, witness
-            certs.append(cert)
-        return tuple(certs), None
-
-    first_witness = None
-    if all(b.m == 2 * (b.n - 1) for b in big):
-        certs, first_witness = certificates_at(2)
-        if first_witness is None:
-            return BaseVerdict("gorenstein", 2, certificates=certs)
     common = frozenset.intersection(*map(candidate_deltas, big))
     if not common:
         return BaseVerdict("not_gorenstein", None, Witness("no_candidate_delta"))
-    for delta in sorted(common - {2}):  # 2 is common only if it was tried
-        certs, witness = certificates_at(delta)
-        if witness is None:
-            return BaseVerdict("gorenstein", delta, certificates=certs)
-        first_witness = first_witness or witness
-    return BaseVerdict("not_gorenstein", None, first_witness)
+    (delta,) = common
+    certs = []
+    for b in blks:
+        cert, witness = (Seed("k2", b.sorted_vertices), None) if b.n == 2 else decompose(b, delta)
+        if witness is not None:
+            return BaseVerdict("not_gorenstein", None, witness)
+        certs.append(cert)
+    return BaseVerdict("gorenstein", delta, certificates=tuple(certs))

@@ -23,7 +23,7 @@ import json
 from collections import deque
 from typing import NamedTuple, Optional
 
-from .baseck import check_spade, weight_function
+from .baseck import Witness, _require_block, check_spade, weight_function
 from .errors import ConstructionError, GuardExceeded, InternalContradiction
 from .graph import DEFAULT_GUARD, Multigraph, _sp_reducible, is_two_connected, label_key
 
@@ -259,24 +259,18 @@ def replay_matches(cert: tuple, G: Multigraph) -> tuple:
 
 def part_weights(G: Multigraph, delta: int, part: str) -> dict:
     """weight_function(G, delta) for a construction's part, named like
-    "glue part 1"; ConstructionError naming it when it is K2, whose point
-    polytope forces no weight on its edge."""
+    "glue part 1", once G decomposes at delta.  ConstructionError naming
+    the part when it is K2, whose point polytope forces no weight on its
+    edge, or when it does not decompose, with decompose's witness.  G is
+    checked as a block before decompose runs: a part that is not simple or
+    not 2-connected gets that input error, not a replay mismatch."""
     if G.n == 2 and G.m == 1:
         raise ConstructionError(f"{part} is K2: a construction part needs at least 2 edges")
-    return weight_function(G, delta)
-
-
-def _weights_of_part(G: Multigraph, delta: int, part: str) -> dict:
-    """G's weights at delta, once G decomposes at delta; else ConstructionError
-    naming the good flat that fails."""
-    w = part_weights(G, delta, part)
+    _require_block(G)
     viol = decompose(G, delta)[1]
     if viol is not None:
-        raise ConstructionError(
-            f"{part} must satisfy the good-flat equalities at delta={delta}; "
-            f"violation: {viol.as_dict()}"
-        )
-    return w
+        raise ConstructionError(f"{part} does not decompose at delta={delta}: {viol.as_dict()}")
+    return weight_function(G, delta)
 
 
 def glue(parts, delta: int) -> Multigraph:
@@ -293,7 +287,7 @@ def glue(parts, delta: int) -> Multigraph:
             f"glue at delta={delta} needs exactly {delta - 1} parts, got {len(parts)}"
         )
     for i, (g, eid) in enumerate(parts, 1):
-        w = _weights_of_part(g, delta, f"glue part {i}")
+        w = part_weights(g, delta, f"glue part {i}")
         if w[eid] != delta - 1:
             raise ConstructionError(f"glued edge {eid} has weight {w[eid]}, needs {delta - 1}")
     return _forward(Node("glue", delta=delta), parts)
@@ -301,7 +295,7 @@ def glue(parts, delta: int) -> Multigraph:
 
 def subdivide(G: Multigraph, eid: int, delta: int) -> Multigraph:
     """Replace a weight-1 edge by a path of delta-1 edges (identity at delta=2)."""
-    w = _weights_of_part(G, delta, "subdivide part 1")
+    w = part_weights(G, delta, "subdivide part 1")
     if w[eid] != 1:
         raise ConstructionError(f"subdivision target {eid} has weight {w[eid]}, needs 1")
     if delta == 2:
@@ -312,7 +306,7 @@ def subdivide(G: Multigraph, eid: int, delta: int) -> Multigraph:
 def collide(G1: Multigraph, e1: int, G2: Multigraph, e2: int) -> Multigraph:
     """Glue two graphs along the given edges, then remove the identified edge."""
     for i, g in enumerate((G1, G2), 1):
-        _weights_of_part(g, 2, f"collide part {i}")
+        part_weights(g, 2, f"collide part {i}")
     return _forward(Node("collide"), [(G1, e1), (G2, e2)])
 
 
@@ -477,9 +471,9 @@ def _cycle_seed(ring) -> Node:
 def _glue_peel(G: Multigraph, delta: int) -> list:
     """The nodes of G's decomposition at delta >= 3, in post-order without
     their children, by peeling Glues and Subdivides off;
-    InternalContradiction when the peel stops short of C_delta, or when G
-    has a K4 minor, on which the series-parallel reduction that reads G's
-    light edges gets stuck.
+    InternalContradiction when the peel stops short of C_delta.  G is
+    K4-minor-free, as decompose checks, so the series-parallel reduction
+    reads its light edges.
 
     A run is a maximal path a, x_1 .. x_(delta-2), b whose inner vertices
     have degree 2 and whose edges are heavy, with ends a != b of other
@@ -503,10 +497,7 @@ def _glue_peel(G: Multigraph, delta: int) -> list:
     found, and a map from end pairs to their runs holds those waiting at a
     light edge for a Glue.
     """
-    light_ids = _sp_reducible(G)
-    if light_ids is None:
-        raise InternalContradiction("the series-parallel reduction gets stuck on a K4 minor")
-    light = {frozenset(G.endpoints(e)) for e in light_ids}
+    light = {frozenset(G.endpoints(e)) for e in _sp_reducible(G)}
     adj = _adjacency(G)
     runs = {}  # frozenset({a, b}) of a light edge -> the runs waiting there
     walked = set()  # vertices walked through; degree 2 until deleted
@@ -593,13 +584,18 @@ def _attach_peel(H: Multigraph, delta: int) -> Optional[tuple]:
 
 def decompose(G: Multigraph, delta: int):
     """(certificate, None) if a 2-connected simple G decomposes at delta,
-    else (None, witness).  The replay is checked exactly.  Only a stuck
-    decomposition runs check_spade, to name the violated good flat; if it
-    finds none, the stuck state stands as InternalContradiction.
+    else (None, witness).  The replay is checked exactly.
 
     The nodes come from _collide_peel at delta = 2 and from _glue_peel
-    above it.
+    above it.  A block with a K4 minor, on which the series-parallel
+    reduction gets stuck, is Gorenstein only at delta = 2
+    (baseck.base_verdict), so above 2 it answers no_candidate_delta before
+    any peel.  Only a stuck peel runs check_spade, to name the violated
+    good flat; if it finds none, the stuck state stands as
+    InternalContradiction.
     """
+    if delta >= 3 and _sp_reducible(G) is None:
+        return None, Witness("no_candidate_delta")
     try:
         nodes = _collide_peel(G) if delta == 2 else _glue_peel(G, delta)
     except InternalContradiction as stuck:
@@ -616,7 +612,8 @@ def decompose_base(G: Multigraph, delta: int) -> tuple:
     """Certificate for a 2-connected simple graph satisfying the equalities at delta.
 
     Replaying it yields G exactly, as decompose checks; an input
-    that does not decompose raises ConstructionError naming the violated flat.
+    that does not decompose raises ConstructionError naming decompose's
+    witness.
     """
     if not is_two_connected(G):
         raise ConstructionError("decompose_base requires a 2-connected graph")
@@ -625,7 +622,7 @@ def decompose_base(G: Multigraph, delta: int) -> tuple:
     cert, viol = decompose(G, delta)
     if viol is not None:
         raise ConstructionError(
-            f"input fails the good-flat equalities at delta={delta}: {viol.as_dict()}"
+            f"input does not decompose at delta={delta}: {viol.as_dict()}"
         )
     return cert
 

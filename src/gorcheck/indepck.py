@@ -3,10 +3,9 @@
 A graph qualifies exactly when it is the uniform (delta-1)-fold parallel
 blow-up of a simple graph whose 2-connected blocks are all built from K2 by
 repeatedly attaching (delta+1)-cycles to edges.  indep_verdict decides each
-block's base graph by peeling such cycles off in any order
-(construct._attach_peel; recognize_cycle_construction adds the input checks),
-checks the replay, and explains a failing block with the chordality witness
-of check_chordal_k4free.
+block's base graph by recognize_cycle_construction, which peels such cycles
+off in any order and checks the replay, and explains a failing block with
+the chordality witness of check_chordal_k4free.
 The flat equalities (check_club) and the chordality test are equivalent
 characterizations, kept for the sweeps and the tests.
 """
@@ -152,8 +151,8 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
     m = mults.pop()
     delta = m + 1
     certs = []
-    for _, H in per_block:  # simple by construction, 2-connected by its block's record
-        cert = _attach_peel(H, delta)
+    for _, H in per_block:  # the input checks read blow_up_factor's records
+        cert = recognize_cycle_construction(H, delta)
         if cert is None:
             witness = check_chordal_k4free(H, delta)
             if witness is None:
@@ -162,6 +161,5 @@ def indep_verdict(G: Multigraph) -> IndepVerdict:
                     f"chordal and K4-minor-free"
                 )
             return IndepVerdict("not_gorenstein", None, m, per_block, witness)
-        check_replay(H, cert)
         certs.append(BlowUp(cert, m) if m > 1 else cert)
     return IndepVerdict("gorenstein", delta, m, per_block, certificates=tuple(certs))

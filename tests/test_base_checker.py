@@ -17,7 +17,7 @@ from gorcheck.baseck import (
     weight_function,
 )
 from gorcheck.construct import Seed, decompose_base
-from gorcheck.errors import GuardExceeded, SimpleGraphRequired, WeightConflict
+from gorcheck.errors import ConstructionError, GuardExceeded, SimpleGraphRequired, WeightConflict
 from gorcheck.graph import Multigraph, _sp_reducible, blocks, normalize
 from gorcheck.smallgraphs import two_connected_graphs
 from ladder import edge_swap
@@ -195,7 +195,8 @@ def test_base_verdict_runs_no_per_vertex_passes(monkeypatch):
 def test_k4_minor_swaps_answer_in_linear_time(kind):
     # an edge swap of a delta >= 3 positive has a K4 minor or the wrong
     # counts: its block's candidates come off one reduction, where one
-    # low-link pass per vertex took 2.4-3.0 s at 2,000 vertices
+    # low-link pass per vertex took 2.4-3.0 s at 2,000 vertices; and
+    # decompose_base above 2 answers a K4-minor block from that reduction
     G, _, _ = ladder_positive(kind, 2000, seed=2000)
     swapped = Multigraph.build(
         G.vertices, edge_swap(random.Random(2000), list(G.vertices), [(u, v) for _, u, v in G.edges])
@@ -204,6 +205,11 @@ def test_k4_minor_swaps_answer_in_linear_time(kind):
     v = base_verdict(swapped)
     assert time.perf_counter() - t0 < 0.2
     assert v == ("not_gorenstein", None, Witness("no_candidate_delta"), ())
+    b = max(blocks(swapped), key=lambda b: b.n)
+    t0 = time.perf_counter()
+    with pytest.raises(ConstructionError, match="does not decompose at delta=3: .*no_candidate_delta"):
+        decompose_base(b, 3)
+    assert time.perf_counter() - t0 < 0.2
 
 
 def test_check_spade_cycle(c5):
@@ -342,9 +348,9 @@ def test_one_edge_profile_per_block(monkeypatch):
     # the decomposition's parts inherit their weights, so base_verdict runs
     # one series-parallel reduction per block however many parts the block
     # splits into, and the Glue/Subdivide peel reads the one the candidates
-    # ran; a delta=2 positive runs none, since the Collide peel decides it
-    # first, a block with m = 2(n-1) runs its reduction only once the peel
-    # fails, and a reduction that gets stuck runs no per-vertex passes
+    # ran; a block with m = 2(n-1) runs none, since that count alone makes
+    # 2 its one candidate and the Collide peel decides it, positive or not,
+    # and no block runs the per-vertex passes
     events = []
     real_sp, real_passes = baseck._sp_reducible, baseck._profile_by_passes
     real_peel = construct._collide_peel
@@ -363,7 +369,7 @@ def test_one_edge_profile_per_block(monkeypatch):
             graphs.append((G, delta, ["peel"] if delta == 2 else ["reduction"]))
     G, _, _ = ladder_positive(2, 16, seed=16)
     swapped = edge_swap(random.Random(16), list(G.vertices), [(u, v) for _, u, v in G.edges])
-    graphs.append((Multigraph.build(G.vertices, swapped), None, ["peel", "reduction"]))
+    graphs.append((Multigraph.build(G.vertices, swapped), None, ["peel"]))
     for G, delta, want in graphs:
         events.clear()
         assert base_verdict(G).delta == delta

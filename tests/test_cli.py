@@ -28,6 +28,9 @@ C3 = "1 2\n2 3\n3 1\n"
 C5_CHORD = "1 2\n2 3\n3 4\n4 5\n5 1\n1 3\n"
 DOUBLED_C4 = "0 1 2\n1 2 2\n2 3 2\n0 3 2\n"
 G5 = "a b\nb c\nc d\nd a\na x\nx c\n"  # K4-e with edge ac subdivided
+DOUBLED_C3 = "1 2 2\n2 3\n3 1\n"  # C3 with one edge doubled
+PATH = "1 2\n2 3\n"
+SIMPLE_REQUIRED = "base checker requires a simple graph; use the oracle for multigraphs"
 
 
 @pytest.fixture
@@ -35,7 +38,7 @@ def files(tmp_path):
     out = {}
     for name, text in [
         ("k4", K4), ("c3", C3), ("c5chord", C5_CHORD),
-        ("dc4", DOUBLED_C4), ("g5", G5),
+        ("dc4", DOUBLED_C4), ("g5", G5), ("dbl", DOUBLED_C3), ("path", PATH),
     ]:
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
@@ -219,6 +222,31 @@ def test_generate_names_a_k2_part(files, capsys, argv, part):
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert captured.err == f"input error: {part} is K2: a construction part needs at least 2 edges\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the part checks run the block checks before decompose, whose replay
+    # check would otherwise meet the doubled edge first and exit 5
+    (["glue", "dbl", "c3", "--delta", "3"], SIMPLE_REQUIRED),
+    (["glue", "c3", "dbl", "--delta", "3"], SIMPLE_REQUIRED),
+    (["subdivide", "dbl", "--delta", "3"], SIMPLE_REQUIRED),
+    (["glue", "path", "c3", "--delta", "3"], "checker operations require a 2-connected graph"),
+    (["subdivide", "path", "--delta", "3"], "checker operations require a 2-connected graph"),
+    # K4 has a K4 minor, so it decomposes at no delta above 2
+    (["glue", "k4", "k4", "--delta", "3"],
+     "glue part 1 does not decompose at delta=3: {'kind': 'no_candidate_delta'}"),
+    (["subdivide", "k4", "--delta", "4"],
+     "subdivide part 1 does not decompose at delta=4: {'kind': 'no_candidate_delta'}"),
+])
+def test_generate_checks_each_part_as_a_block(files, capsys, monkeypatch, argv, message):
+    def no_passes(G):
+        raise AssertionError("_profile_by_passes called")
+
+    monkeypatch.setattr(baseck, "_profile_by_passes", no_passes)
+    code = main(["generate"] + [files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, what", [

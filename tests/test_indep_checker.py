@@ -352,10 +352,10 @@ def test_attach_tree_of_5000_vertices(monkeypatch):
 
 
 def test_the_verdict_checks_no_base_graph_again(c4):
-    # a block's base graph is simple by construction and 2-connected by its
-    # block's record, so the verdict peels it without the public checks,
-    # which would build its parallel classes again; the public function
-    # keeps both checks
+    # a block's base graph is recorded simple and 2-connected by
+    # blow_up_factor, so the public function's checks on it read those
+    # records and build no parallel classes; on a graph without them the
+    # public function keeps both checks
     vertices, edges, _ = attach_positive(2, 10000, seed=10000)
     v = indep_verdict(Multigraph.build(vertices, edges))
     assert v.status == "gorenstein" and len(v.per_block) == 1

@@ -68,7 +68,7 @@ def test_facets_sort_by_a_then_b():
 
 
 def test_multigraph_caches_fill_and_survive_pickling():
-    G = complete(4)
+    G = complete(4).without_edges((0,))  # K4 - e: its candidates run the reduction
     assert "adjacency" not in G.__dict__
     adjacency = G.adjacency
     assert G.__dict__["adjacency"] is adjacency and G.adjacency is adjacency

@@ -301,6 +301,20 @@ def test_the_peel_rescans_no_ears():
         assert _names(tree) & {"ears", "without_vertices"} == set()
 
 
+def test_the_indep_verdict_runs_the_public_recognizer():
+    # indep_verdict decides each base graph by recognize_cycle_construction,
+    # whose input checks read the records blow_up_factor left, so the peel
+    # and its replay check are not inlined a second time
+    tree = ast.parse((PACKAGE / "indepck.py").read_text(), filename="indepck.py")
+    (verdict,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "indep_verdict"
+    ]
+    names = _names(verdict)
+    assert "recognize_cycle_construction" in names
+    assert names & {"_attach_peel", "check_replay"} == set()
+
+
 def test_one_run_walker():
     # the three peels share construct's one mutable adjacency and one walker
     # of degree-2 runs.  The independence peel keeps no heap: exact replay
