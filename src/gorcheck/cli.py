@@ -157,7 +157,7 @@ def cmd_oracle(args) -> int:
     kind = "independence" if args.kind == "indep" else "base"
     # every report needs facets: stop at the first vertex over
     # FACET_VERTEX_GUARD, which both facet routes refuse, before the block
-    # lattice is read and proved and the coordinates are built
+    # lattice is read and proved; len(P.vertices) below counts the masks
     P = polytope_of(G, kind, guard=FACET_VERTEX_GUARD)
     facets = P.require_facets()
     witness = gorenstein_search(P)
@@ -225,9 +225,7 @@ def cmd_generate(args) -> int:
     if (got < 1) if want is None else (got != want):
         what = "at least 1 input graph" if want is None else f"{want} input graph{'s' * (want != 1)}"
         raise ValueError(f"generate {args.op} takes {what}, got {got}")
-    from .construct import (
-        Seed, attach_cycle, blow_up, collide, glue, part_weights, replay, subdivide,
-    )
+    from .construct import Seed, attach_cycle, blow_up, collide, glue, replay, subdivide
 
     if args.op == "seed":
         if args.cycle is not None and args.k4:
@@ -243,22 +241,10 @@ def cmd_generate(args) -> int:
         else:
             G = replay(Seed("k2"))
     elif args.op == "glue":
-        parts = [_load_graph(p) for p in args.inputs]
-        chosen = []
-        for i, g in enumerate(parts, 1):
-            w = part_weights(g, args.delta, f"glue part {i}")
-            heavy = [e for e, wt in sorted(w.items()) if wt == args.delta - 1]
-            if not heavy:
-                raise ConstructionError("part has no weight-(delta-1) edge to glue on")
-            chosen.append((g, heavy[0]))
-        G = glue(chosen, args.delta)
+        # None: each part glues on its smallest edge id of weight delta - 1
+        G = glue([(_load_graph(p), None) for p in args.inputs], args.delta)
     elif args.op == "subdivide":
-        g = _load_graph(args.inputs[0])
-        w = part_weights(g, args.delta, "subdivide part 1")
-        light = [e for e, wt in sorted(w.items()) if wt == 1]
-        if not light:
-            raise ConstructionError("no weight-1 edge to subdivide")
-        G = subdivide(g, light[0], args.delta)
+        G = subdivide(_load_graph(args.inputs[0]), None, args.delta)
     elif args.op == "collide":
         g1, g2 = (_load_graph(p) for p in args.inputs)
         G = collide(g1, sorted(g1.edge_by_id)[0], g2, sorted(g2.edge_by_id)[0])

@@ -277,8 +277,9 @@ def glue(parts, delta: int) -> Multigraph:
     """Glue delta-1 graphs along one weight-(delta-1) edge each.
 
     parts is a list of (graph, edge id); the chosen edges are identified
-    into a single edge of the result (its weight becomes 1).  Output labels
-    are canonical integers.
+    into a single edge of the result (its weight becomes 1).  An edge id of
+    None picks the part's smallest edge id of weight delta - 1.  Output
+    labels are canonical integers.
     """
     if delta < 3:
         raise ConstructionError("glue is a delta > 2 construction")
@@ -286,16 +287,28 @@ def glue(parts, delta: int) -> Multigraph:
         raise ConstructionError(
             f"glue at delta={delta} needs exactly {delta - 1} parts, got {len(parts)}"
         )
+    chosen = []
     for i, (g, eid) in enumerate(parts, 1):
         w = part_weights(g, delta, f"glue part {i}")
+        if eid is None:
+            eid = min((e for e, wt in w.items() if wt == delta - 1), default=None)
+            if eid is None:
+                raise ConstructionError("part has no weight-(delta-1) edge to glue on")
         if w[eid] != delta - 1:
             raise ConstructionError(f"glued edge {eid} has weight {w[eid]}, needs {delta - 1}")
-    return _forward(Node("glue", delta=delta), parts)
+        chosen.append((g, eid))
+    return _forward(Node("glue", delta=delta), chosen)
 
 
 def subdivide(G: Multigraph, eid: int, delta: int) -> Multigraph:
-    """Replace a weight-1 edge by a path of delta-1 edges (identity at delta=2)."""
+    """Replace a weight-1 edge by a path of delta-1 edges (identity at delta=2).
+
+    An edge id of None picks G's smallest edge id of weight 1."""
     w = part_weights(G, delta, "subdivide part 1")
+    if eid is None:
+        eid = min((e for e, wt in w.items() if wt == 1), default=None)
+        if eid is None:
+            raise ConstructionError("no weight-1 edge to subdivide")
     if w[eid] != 1:
         raise ConstructionError(f"subdivision target {eid} has weight {w[eid]}, needs 1")
     if delta == 2:

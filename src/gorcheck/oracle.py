@@ -5,23 +5,22 @@ spanning forests / forests), and the Gorenstein witness, Ehrhart counts,
 h*-vector, and normality probe all work in exact integer arithmetic.  The
 affine lattice is read off the graph's blocks and proved on the forests
 (_block_lattice), and a product's is the direct sum of its parts'; no
-Hermite normal form is computed.  The general HNF of the vertex
-differences is the reference the tests check these lattices against.
+Hermite normal form is computed (the tests hold both to the general one).
 
 Facets come by one of two exact routes, picked by what the polytope holds.  A
-polytope that polytope_of built keeps its graph, and facets_from_flats reads
-its facets off Edmonds' inequalities (Edmonds 1970): P(M) is cut out by
-x >= 0 and x(F) <= r(F) for every flat F, and B(M) adds x(E) = r(E), so every
-facet is one of those inequalities, and each one kept is proved a facet by the
-rank of its tight vertices.  Any other polytope (product_polytope's) goes
-through facets_bruteforce, the dual-cone double description of the vertices
-alone.  That route rests on no theorem about matroids, so it also stays as
-the reference the tests hold facets_from_flats to.  Both refuse a polytope
-over FACET_VERTEX_GUARD vertices.
+polytope that polytope_of built keeps its graph and its forests' edge masks,
+and facets_from_flats reads its facets off Edmonds' inequalities (Edmonds
+1970) on the masks' per-edge columns: P(M) is cut out by x >= 0 and
+x(F) <= r(F) for every flat F, and B(M) adds x(E) = r(E).  Any other polytope
+(product_polytope's) goes through facets_bruteforce, the dual-cone double
+description of the vertices alone, which rests on no theorem about matroids
+and so is also the tests' reference.  Both refuse a polytope over
+FACET_VERTEX_GUARD vertices.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 from operator import mul
 from typing import NamedTuple, Optional
@@ -64,29 +63,53 @@ class HStarVector(NamedTuple):
 
 
 class LatticePolytope:
-    """An explicit lattice polytope; require_facets stores its facets."""
+    """An explicit lattice polytope; require_facets stores its facets.
+
+    A graph polytope (polytope_of's) is given its forests' edge masks in
+    place of its vertices and coordinates, and derives them on first read.
+    """
 
     def __init__(self, kind, ambient_dim, vertices, dim, lattice_basis, vertex_coords,
-                 lattice_saturated, facets=None, graph=None):
+                 lattice_saturated, facets=None, graph=None, masks=None):
         self.kind = kind  # "base" | "independence" | "product"
         self.ambient_dim = ambient_dim
-        self.vertices = vertices  # ambient integer vectors
         self.dim = dim
         self.lattice_basis = lattice_basis  # HNF rows: the affine lattice of differences
-        self.vertex_coords = vertex_coords  # lattice coordinates relative to vertices[0]
         # affine lattice == ambient one on the hull: True for every graph
-        # polytope and so for every product of them, since each HNF pivot
-        # of a block lattice is 1
+        # polytope and product of them, as each block lattice's pivot is 1
         self.lattice_saturated = lattice_saturated
         self.facets: Optional[tuple] = facets
-        # the loop-free graph whose forests are the vertices; ambient
-        # coordinate j is its j-th smallest edge id.  None for a polytope
-        # given by its vertices alone
+        # a graph polytope's loop-free graph, coordinate j being its j-th
+        # smallest edge id, and its forests' edge masks, bit j for coordinate
+        # j, in the vertices' sorted order; both None for any other polytope
         self.graph: Optional[Multigraph] = graph
+        self.masks: Optional[list] = masks
+        if masks is None:
+            self.vertices = vertices  # ambient integer vectors
+            self.vertex_coords = vertex_coords  # lattice coordinates relative to vertices[0]
+        else:
+            self.vertices = _VertexRows(masks, ambient_dim)
 
     @property
     def origin(self) -> tuple:
-        return self.vertices[0]
+        if self.masks is None:
+            return self.vertices[0]
+        return tuple(self.masks[0] >> j & 1 for j in range(self.ambient_dim))
+
+    @cached_property
+    def vertex_coords(self) -> tuple:
+        # a graph polytope's; P(M)'s first vertex is 0 and its basis the identity
+        verts = tuple(self.vertices)
+        if self.kind == "independence":
+            return verts
+        at = [(p, verts[0][p]) for p, _ in _basis_ends(self)]
+        return tuple(tuple([v[p] - x for p, x in at]) for v in verts)
+
+    @cached_property
+    def columns(self) -> list:
+        # a graph polytope's: bit i of column j is x_j of vertex i
+        m, text = self.ambient_dim, _binary_text(self.masks, self.ambient_dim)
+        return [int(text[m + 2 - j::m + 3], 2) for j in range(m)]
 
     def to_ambient(self, coords, t: int = 1):
         out = [t * x for x in self.origin]
@@ -98,15 +121,12 @@ class LatticePolytope:
     def require_facets(self) -> tuple:
         """The sorted facets, computed on first use and kept.
 
-        A polytope with a graph takes facets_from_flats, any other the double
+        A graph polytope takes facets_from_flats, any other the double
         description facets_bruteforce; both give the same tuple, and both
         refuse a polytope over FACET_VERTEX_GUARD vertices.
         """
         if self.facets is None:
-            if self.graph is None:
-                self.facets = facets_bruteforce(self)
-            else:
-                self.facets = facets_from_flats(self)
+            self.facets = (facets_bruteforce if self.masks is None else facets_from_flats)(self)
         return self.facets
 
 
@@ -114,23 +134,55 @@ class LatticePolytope:
 _BINARY_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+class _VertexRows:
+    """A graph polytope's vertices: len() counts the masks, and any other read
+    decodes every mask into its 0/1 tuple once (rows)."""
+
+    def __init__(self, masks, m):
+        self.masks, self.m = masks, m
+
+    def __len__(self):
+        return len(self.masks)
+
+    @cached_property
+    def rows(self) -> tuple:
+        m, data = self.m, _binary_text(self.masks, self.m)[::-1].encode().translate(_BINARY_BYTES)
+        return tuple([tuple(data[i:i + m]) for i in range(0, len(data), m + 3)])
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        return self.rows == other
+
+    def __hash__(self):
+        return hash(self.rows)
+
+
+def _binary_text(masks, m: int) -> str:
+    """The masks as binary numerals, last mask first, each with bit m set so
+    that it reads "0b1" and then m digits: rows of m + 3 characters.  Read
+    backwards, row i starts with vertex i's coordinates."""
+    return "".join([bin(s | 1 << m) for s in reversed(masks)])
+
+
 def _block_lattice(G: Multigraph, kind: str, masks: list) -> list:
     """The lattice of differences of the forests in masks, read off G's blocks and proved.
 
     The components of a loopless cycle matroid are its blocks, and the
     lattice of B(M) is the direct sum over the components E_i of
-    {x in Z^(E_i) : sum x = 0} (Edmonds 1970; Feichtner-Sturmfels 2005),
-    so dim B(M) = |E| - c; that of P(M) is Z^E.  Returns the basis as
-    sorted (pivot, last) column pairs, row i being e_pivot - e_last: for
-    B(M), each block with edge columns j_1 < ... < j_k gives a row for each
-    j < j_k with last = j_k, and for P(M) each column j gives a unit row,
-    with last = m standing for no column.  Every pivot is 1 and no pivot is
-    another row's last column, so this is the row-style HNF.  It is proved
-    on masks alone, and a failed proof raises InternalContradiction.  For
-    P(M), 0 and every unit vector are listed.  For B(M), the blocks cover
-    every edge and every forest has the same number of edges in each block,
-    so every difference lies in the lattice, and each row is the difference
-    of two listed forests.
+    {x in Z^(E_i) : sum x = 0} (Edmonds 1970; Feichtner-Sturmfels 2005); that
+    of P(M) is Z^E.  Returns the basis as sorted (pivot, last) column pairs,
+    row i being e_pivot - e_last: for B(M), a row for each column j of a block
+    but its last one j_k, with last = j_k; for P(M) a unit row per column,
+    with last = m for no column.  This is the row-style HNF.  It is proved on
+    the masks, or InternalContradiction raised: for P(M), 0 and every unit
+    vector are listed; for B(M), the blocks cover every edge, every forest
+    has the same number of edges in each block, and each row is the
+    difference of two listed forests.
     """
     m = G.m
     listed = set(masks)
@@ -147,15 +199,12 @@ def _block_lattice(G: Multigraph, kind: str, masks: list) -> list:
         covered |= inside
         size = (masks[0] & inside).bit_count()
         if any((s & inside).bit_count() != size for s in masks):
-            raise InternalContradiction(
-                f"two spanning forests differ in their edge count on the block of column {last}"
-            )
+            raise InternalContradiction(f"two spanning forests differ in their edge count "
+                                        f"on the block of column {last}")
         for j in cols[:-1]:
             pair = 1 << j | 1 << last
             if not any(s & pair == 1 << j and s ^ pair in listed for s in masks):
-                raise InternalContradiction(
-                    f"no two spanning forests differ by e_{j} - e_{last}"
-                )
+                raise InternalContradiction(f"no two spanning forests differ by e_{j} - e_{last}")
             ends.append((j, last))
     if covered != (1 << m) - 1:
         raise InternalContradiction("the blocks do not cover every edge")
@@ -166,52 +215,30 @@ def _block_lattice(G: Multigraph, kind: str, masks: list) -> list:
 def polytope_of(G: Multigraph, kind: str, guard: int = 10**6) -> LatticePolytope:
     """B(M(G)) or P(M(G)) as an explicit lattice polytope.
 
-    Each forest's edge mask from bases_and_forests is written out as one
-    binary numeral, low bit first, and read as the bytes of its 0/1 vertex.
-    The masks come in decreasing lexicographic order of their vertices, so
-    the reversed list is already sorted.  The lattice comes from
-    _block_lattice; a vertex's coordinates are its differences from the
-    first vertex at the pivot columns, and for P(M), whose first vertex is
-    0 and whose basis is the identity, the vertex itself.
+    It keeps the lattice from _block_lattice and the forests' edge masks from
+    bases_and_forests, reversed, since they come in decreasing lexicographic
+    order of their vertices.  The rest is derived on first read: columns, one
+    bitmask over the vertices per edge, each a strided slice of _binary_text,
+    for the facets and the Gorenstein search; vertices, whose len() decodes
+    nothing; vertex_coords, the differences from the first vertex at the
+    pivot columns; and origin, off the first mask alone.
     """
     G = normalize(G)
-    if kind == "base":
-        masks = list(bases_and_forests(G, "spanning_trees", guard=guard))
-    elif kind == "independence":
-        masks = list(bases_and_forests(G, "forests", guard=guard))
-    else:
+    walk = {"base": "spanning_trees", "independence": "forests"}.get(kind)
+    if walk is None:
         raise ValueError(f"unknown polytope kind {kind!r}")
-    m = G.m
-    if m == 0:
-        # format(0, "00b") is "0": an edgeless graph's one forest is the point ()
-        verts = [() for _ in masks]
-    else:
-        spec = f"0{m}b"
-        verts = [tuple(format(s, spec)[::-1].encode().translate(_BINARY_BYTES)) for s in masks]
-        verts.reverse()
+    masks = list(bases_and_forests(G, walk, guard=guard))
     ends = _block_lattice(G, kind, masks)
-    basis = []
-    for p, last in ends:
-        row = [0] * (m + 1)
-        row[p], row[last] = 1, -1
-        basis.append(tuple(row[:m]))
-    if kind == "independence":
-        coords = verts
-    else:
-        at = [(p, verts[0][p]) for p, _ in ends]
-        coords = [tuple([v[p] - x for p, x in at]) for v in verts]
-    return LatticePolytope(
-        kind, m, tuple(verts), len(ends), tuple(basis), tuple(coords), True, graph=G
-    )
+    masks.reverse()
+    basis = tuple(tuple((j == p) - (j == last) for j in range(G.m)) for p, last in ends)
+    return LatticePolytope(kind, G.m, None, len(ends), basis, None, True, graph=G, masks=masks)
 
 
 def product_polytope(parts) -> LatticePolytope:
     """Cartesian product with concatenated coordinates.
 
-    The differences of the product's vertices generate the direct sum of
-    the parts' lattices, whose HNF is the block-diagonal one of the parts'
-    bases; the coordinates concatenate too.  Each part's vertices are
-    sorted, so the nested loop lists the product's in lexicographic order.
+    Its lattice is the direct sum of the parts', whose HNF is block-diagonal;
+    the parts' vertices are sorted, so the product's come in lex order.
     """
     verts, coords, basis, width = [()], [()], [], 0
     for p in parts:
@@ -227,11 +254,8 @@ def product_polytope(parts) -> LatticePolytope:
 
 
 def facets_bruteforce(P: LatticePolytope) -> tuple:
-    """Facets from the polytope alone: extreme rays of the dual of the cone over P.
-
-    Vertices are homogenized to height 1 in lattice coordinates; an exact
-    double description yields the primitive facet functionals.
-    """
+    """Facets from the polytope alone: extreme rays of the dual of the cone over P,
+    by an exact double description of the vertices at height 1."""
     _facet_guard(P)
     points = [c + (1,) for c in P.vertex_coords]
     rays = dual_extreme_rays(points)
@@ -240,10 +264,8 @@ def facets_bruteforce(P: LatticePolytope) -> tuple:
 
 def _facet_guard(P: LatticePolytope) -> None:
     if len(P.vertices) > FACET_VERTEX_GUARD:
-        raise GuardExceeded(
-            f"facet computation guarded at {FACET_VERTEX_GUARD} vertices "
-            f"(polytope has {len(P.vertices)})"
-        )
+        raise GuardExceeded(f"facet computation guarded at {FACET_VERTEX_GUARD} vertices "
+                            f"(polytope has {len(P.vertices)})")
 
 
 def _basis_ends(P: LatticePolytope) -> list:
@@ -252,39 +274,28 @@ def _basis_ends(P: LatticePolytope) -> list:
     return [(row.index(1), row.index(-1) if -1 in row else m) for row in P.lattice_basis]
 
 
-def _lattice_facet(P: LatticePolytope, ends, u, c: int = 0) -> Facet:
-    """The ambient functional u . x + c as a primitive Facet in P's lattice coordinates.
+def _lattice_facet(ends, mask: int, scale: int, b: int) -> Facet:
+    """scale * x(mask) + b t, b its value at the origin, as a primitive Facet.
 
-    At height t a point of the cone is x = t origin + sum_i coords_i basis_i,
-    so the functional reads a_i = u . basis_i and b = u . origin + c.  Row i
-    of a graph polytope's basis is e_p - e_last for the pair ends[i], so
-    a_i = u_p - u_last, where u_m = 0 stands for no column.
+    In lattice coordinates u . x reads a_i = u . basis_i, and row i of a
+    graph polytope's basis is e_p - e_last for ends[i]: a_i is
+    scale * (mask_p - mask_last), bit m of mask standing for no column.
     """
-    u = [*u, 0]
-    a = tuple(u[p] - u[last] for p, last in ends)
-    b = sum(map(mul, u, P.origin)) + c
-    vec = primitive(a + (b,))
+    vec = primitive(tuple([scale * ((mask >> p & 1) - (mask >> last & 1)) for p, last in ends]) + (b,))
     return Facet(vec[:-1], vec[-1])
-
-
-# byte 0 -> "0", byte 1 -> "1": a 0/1 column read as one binary numeral
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _connected_flats(G: Multigraph) -> list:
     """The flats E(S) for S inside one block with G[S] connected, as (edge mask, rank).
 
     G has no loops, and bit j of a mask is G's j-th smallest edge id.  For
-    such an S with |S| >= 2, E(S) is a flat of rank |S| - 1: an edge outside
-    it has an end outside S.  Every flat on which the cycle matroid is
-    connected is one of them, since its edges form a 2-connected subgraph,
-    which lies in one block.  Each S is grown one neighbouring vertex at a
-    time from a single vertex, over a work list of vertex bitmasks, carrying
-    E(S), the block edges at S, and the neighbours of S as bitmasks.  The
-    count is polynomial where all flats are not: a cycle C_n has about n^2
-    such sets against 2^n flats.  An S on which G[S] is a tree of two or
-    more edges is grown through but not returned, since its flat splits
-    into its single edges; on C_n that leaves n + 1 flats.
+    such an S with |S| >= 2, E(S) is a flat of rank |S| - 1, and every flat on
+    which the cycle matroid is connected is one of them (its edges form a
+    2-connected subgraph).  Each S is grown one neighbouring vertex at a time
+    from a single vertex, carrying E(S), the block edges at S and the
+    neighbours of S as bitmasks: C_n has about n^2 such sets against 2^n
+    flats.  An S on which G[S] is a tree of two or more edges is grown
+    through but not returned, since its flat splits into its single edges.
     """
     col = {eid: j for j, eid in enumerate(sorted(G.edge_by_id))}
     index = {v: i for i, v in enumerate(G.vertices)}
@@ -325,10 +336,7 @@ def _tight_at(columns, mask: int, r: int, every: int) -> int:
     count, and each edge of F is added by a ripple carry across the planes.
     """
     planes: list = []
-    for j in range(mask.bit_length()):
-        if not mask >> j & 1:
-            continue
-        carry = columns[j]
+    for carry in [col for j, col in enumerate(columns) if mask >> j & 1]:
         for i, plane in enumerate(planes):
             planes[i], carry = plane ^ carry, plane & carry
             if not carry:
@@ -343,43 +351,37 @@ def _tight_at(columns, mask: int, r: int, every: int) -> int:
     return tight
 
 
-def _reaches_rank(columns, members: int, coords, need: int) -> bool:
+def _reaches_rank(columns, members: int, need: int) -> bool:
     """Whether the 0/1 points in members (a bitmask) have affine rank >= need.
 
-    columns[j] is the bitmask of the points with coordinate j equal to 1.  The
-    affine rank is the rank of the differences from one member, which is also
-    the rank of the columns of that difference matrix: over GF(2) the
-    difference is an XOR, so column j restricted to the members is
-    columns[j] & members, flipped wholesale where the first member has a 1.
-    Its GF(2) rank, from an XOR basis keyed by the leading bit, is at most the
-    rational rank, so reaching need settles it without a loop over points.
-    Otherwise the exact elimination runs on the points' lattice coordinates.
+    columns[j] is the bitmask of the points with coordinate j equal to 1.
+    The affine rank is 1 less than the rank of the columns members and
+    columns[j] & members.  Their GF(2) rank, from an XOR basis keyed by the
+    leading bit, is at most the rational one, so reaching need + 1 settles
+    it; otherwise the exact elimination runs on the points' differences.
     """
     if need <= 0:
         return True
-    first = (members & -members).bit_length() - 1
-    basis: dict = {}
+    basis = {members.bit_length(): members}
     for col in columns:
         col &= members
-        if col >> first & 1:
-            col ^= members
         while col:
-            top = col.bit_length() - 1
-            if top not in basis:
+            top = col.bit_length()
+            other = basis.get(top)
+            if other is None:
                 basis[top] = col
+                if len(basis) > need:
+                    return True
                 break
-            col ^= basis[top]
-        if len(basis) >= need:
-            return True
-    origin = coords[first]
+            col ^= other
+    first = (members & -members).bit_length() - 1
     rows = []
     rest = members ^ (1 << first)
     while rest:
-        bit = rest & -rest
-        point = coords[bit.bit_length() - 1]
-        rows.append([x - y for x, y in zip(point, origin)])
-        rest ^= bit
-    return len(_eliminate(rows, len(origin))) >= need
+        i = (rest & -rest).bit_length() - 1
+        rows.append([(col >> i & 1) - (col >> first & 1) for col in columns])
+        rest &= rest - 1
+    return len(_eliminate(rows, len(columns))) >= need
 
 
 def facets_from_flats(P: LatticePolytope) -> tuple:
@@ -391,10 +393,9 @@ def facets_from_flats(P: LatticePolytope) -> tuple:
     splits as F1 + F2 has r(F) = r(F1) + r(F2), so its inequality is the sum
     of theirs and its tight set the intersection of theirs: the connected
     flats of _connected_flats suffice.  Each candidate's tight vertices
-    form a bitmask over P.vertices.  A set that is empty or holds every
-    vertex names no facet, equal sets name one face, and a face inside a
-    larger one is no facet, so the facets are the maximal proper nonempty
-    sets.  Each of those is proved a facet: its affine rank reaches dim - 1.
+    form a bitmask, read off P.columns, which are built only past the facet
+    guard; no vertex tuple is built.  The facets are the maximal proper
+    nonempty sets, and each is proved one: its affine rank reaches dim - 1.
     A shortfall would mean Edmonds' list missed a facet, and raises
     InternalContradiction.  Returns the tuple facets_bruteforce returns.
     """
@@ -403,10 +404,8 @@ def facets_from_flats(P: LatticePolytope) -> tuple:
         # a point: the lone facet of its cone is the height functional
         return (Facet((), 1),)
     m = P.ambient_dim
-    every = (1 << len(P.vertices)) - 1
-    columns = [
-        int(bytes(col[::-1]).translate(_BINARY_DIGITS), 2) for col in zip(*P.vertices)
-    ]
+    every = (1 << len(P.masks)) - 1
+    columns = P.columns
     # tight vertex set -> the first candidate with that set, as (sign, edge
     # mask, c) for the functional sign * x(mask) + c >= 0
     faces: dict = {}
@@ -423,14 +422,15 @@ def facets_from_flats(P: LatticePolytope) -> tuple:
             kept.append(tight)
     out = []
     ends = _basis_ends(P)
+    origin = P.masks[0]
     for tight in kept:
-        if not _reaches_rank(columns, tight, P.vertex_coords, P.dim - 1):
+        if not _reaches_rank(columns, tight, P.dim - 1):
             raise InternalContradiction(
                 f"a maximal Edmonds face of {len(P.vertices)} vertices has "
                 f"affine rank below {P.dim - 1}: a facet is missing from the flats"
             )
         sign, mask, c = faces[tight]
-        out.append(_lattice_facet(P, ends, [sign * (mask >> j & 1) for j in range(m)], c))
+        out.append(_lattice_facet(ends, mask, sign, sign * (mask & origin).bit_count() + c))
     return tuple(sorted(out))
 
 
@@ -439,36 +439,30 @@ def facets_from_cor33(G: Multigraph, P: Optional[LatticePolytope] = None) -> tup
 
     Type (1): x_e >= 0 whenever G minus e stays 2-connected.  Type (2):
     (|S|-1) sum_E x - (|V|-1) sum_{E(S)} x >= 0 for every good flat S.  Both
-    are converted to primitive functionals in the polytope's own lattice
-    coordinates, so the output is directly comparable with facets_bruteforce.
+    are primitive functionals in P's lattice coordinates, as facets_bruteforce's.
     """
-    from .flats import good_flats, induced_edge_ids
+    from .flats import good_flats
 
     if not is_two_connected(G):
         raise NotTwoConnected("facets_from_cor33 requires a 2-connected graph")
     if P is None:
         P = polytope_of(G, "base")
     if P.dim == 0:
-        # single-edge graph: the polytope is a point and the only facet of its
-        # cone is the height functional
+        # single-edge graph: a point, whose cone's lone facet is the height
         return (Facet((), 1),)
-    order = sorted(G.edge_by_id)
-    pos = {eid: i for i, eid in enumerate(order)}
-    rank = G.n - 1  # G is connected
-    functionals = []
-    for eid in order:
-        if is_two_connected(G.without_edges([eid])):
-            u = [0] * len(order)
-            u[pos[eid]] = 1
-            functionals.append(u)
+    pos = {eid: i for i, eid in enumerate(sorted(G.edge_by_id))}
+    rank = G.n - 1  # G is connected: every vertex has rank ones
+    origin, ends = P.masks[0], _basis_ends(P)
+    out = [
+        _lattice_facet(ends, 1 << j, 1, origin >> j & 1)
+        for eid, j in pos.items() if is_two_connected(G.without_edges([eid]))
+    ]
     for flat in good_flats(G):
-        s = len(flat.S) - 1
-        u = [s] * len(order)
-        for eid in flat.induced_edges:
-            u[pos[eid]] -= rank
-        functionals.append(u)
-    ends = _basis_ends(P)
-    return tuple(sorted(_lattice_facet(P, ends, u) for u in functionals))
+        # x(E) is constant on B(M): only the term -rank x(E(S)) moves a_i
+        mask = sum(1 << pos[eid] for eid in flat.induced_edges)
+        b = (len(flat.S) - 1) * rank - rank * (origin & mask).bit_count()
+        out.append(_lattice_facet(ends, mask, -rank, b))
+    return tuple(sorted(out))
 
 
 def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:
@@ -478,15 +472,22 @@ def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:
     one solution (the facet normals span); the codegree bound dim + 1 makes
     the search complete for normal polytopes.  The right-hand side 1 - b delta
     is affine in delta, so [A | 1 | b] is eliminated once and each delta's
-    reduced right-hand side is read off as col_1 - delta col_b.
+    reduced right-hand side is read off as col_1 - delta col_b.  Facets join
+    the elimination n = dim at a time until n rows are independent; those fix
+    the one candidate, and each later facet is checked on it by one integer
+    dot product once it is integral, as no other candidate is a witness.
     """
     facets = P.require_facets()
     if P.dim == 0:
         # point polytope: the lone facet of its cone is the height functional
         return GorensteinWitness(1, P.origin)
-    n = P.dim
-    mat = [list(f.a) + [1, f.b] for f in facets]
-    rank = len(_eliminate(mat, n))
+    n, mat = P.dim, []
+    for k in range(n, len(facets) + n, n):
+        # eliminated rows stay reduced as the next n join them
+        mat += [list(f.a) + [1, f.b] for f in facets[k - n:k]]
+        rank = len(_eliminate(mat, n))
+        if rank == n:
+            break
     for delta in range(1, n + 2):
         # same order of outcomes as solve_unique: inconsistent, then
         # underdetermined, then the unique solution
@@ -496,19 +497,20 @@ def gorenstein_search(P: LatticePolytope) -> Optional[GorensteinWitness]:
             raise ValueError("underdetermined system")
         # row i reads pivot * x_i = col_1 - delta col_b
         sol = [divmod(row[n] - delta * row[n + 1], row[i]) for i, row in enumerate(mat[:n])]
-        if not any(r for _, r in sol):
-            coords = [q for q, _ in sol]
-            return GorensteinWitness(delta, P.to_ambient(coords, t=delta))
+        if any(r for _, r in sol):
+            continue
+        x = [q for q, _ in sol]
+        if all(sum(map(mul, f.a, x)) + f.b * delta == 1 for f in facets[k:]):
+            return GorensteinWitness(delta, P.to_ambient(x, t=delta))
     return None
 
 
 def _walk_tables(P: LatticePolytope):
     """_point_intervals' tables at k = 1, which the walk over kP scales by k.
 
-    Each facet's root slack (b plus its best cases), and per coordinate i
-    the box lo_i..hi_i and, over the facets live at i (all at i = 0, then
-    those nonzero at or past i), their best cases, their cut lists, and
-    which of them stay live at i + 1.
+    Each facet's root slack (b plus its best cases), and per coordinate i the
+    box lo_i..hi_i and, over the facets live at i (those nonzero at or past
+    i), their best cases, cut lists, and which stay live at i + 1.
     """
     facets = P.require_facets()
     lo = list(map(min, zip(*P.vertex_coords)))
@@ -535,14 +537,12 @@ def _point_intervals(P: LatticePolytope, k: int, node_guard: int, interior: bool
     prefix of the coordinates and survives while every facet's slack (its
     partial sum plus the best box corner of the free coordinates) is >= 0;
     its surviving children form one interval, cut by one division per facet.
-    A facet that is zero past the prefix is settled and never cuts again,
-    so a node's depth and its live facets' slacks fix its completions.
-    With merge, a level's nodes with equal live slacks are one state, tagged
-    with its number of prefixes; without, each prefix is a state tagged with
-    itself, and the intervals come in lex order.  Every child of a state
-    counts against node_guard, pruned or not, checked as each level starts.
-    With interior, every slack starts 1 lower: a point survives when every
-    facet value is >= 1.
+    A facet zero past the prefix is settled, so a node's depth and its live
+    facets' slacks fix its completions.  With merge, a level's nodes with
+    equal live slacks are one state, tagged with its number of prefixes;
+    without, each prefix is a state tagged with itself, in lex order.  Every
+    child of a state counts against node_guard, checked as each level
+    starts.  With interior, every slack starts 1 lower.
     """
     root, levels = tables or _walk_tables(P)
     slack = tuple(k * r - interior for r in root)
@@ -596,16 +596,15 @@ def _count_points(P: LatticePolytope, k: int, interior=False, node_guard=POINT_N
 def hstar(P: LatticePolytope) -> HStarVector:
     """Ehrhart h*-vector from lattice-point counts up to the dilate ceil(d/2).
 
-    L(k) counts the lattice points of kP, L°(k) those of its relative interior:
-    a point is interior when every facet value is > 0, which is >= 1 since the
-    facets have integer coefficients in lattice coordinates.  By
-    Ehrhart-Macdonald reciprocity (Ehrhart 1967; Macdonald 1971),
-    L(-k) = (-1)^d L°(k), so h* read backwards is the binomial transform of
-    L° (with L°(0) = 0) that gives h* from L.  With b = floor(d/2) and
-    a = d - b, h*_0..h*_b come from L(0..b) and h*_(b+1)..h*_d from L°(1..a).
-    Each count merges the walk's nodes by the slacks of the facets still live
-    (see _point_intervals), so its node guard counts the children of each
-    merged state, not of every prefix; the walk's tables serve every dilate.
+    L(k) counts the lattice points of kP, L°(k) those of its relative interior,
+    where every (integer) facet value is >= 1.  By Ehrhart-Macdonald
+    reciprocity (Ehrhart 1967; Macdonald 1971), L(-k) = (-1)^d L°(k), so h*
+    read backwards is the binomial transform of L° (with L°(0) = 0) that
+    gives h* from L.  With b = floor(d/2) and a = d - b, h*_0..h*_b come from
+    L(0..b) and h*_(b+1)..h*_d from L°(1..a).  Each count merges the walk's
+    nodes by the slacks of the facets still live (see _point_intervals), so
+    its node guard counts the children of each merged state; the walk's
+    tables serve every dilate.
     """
     d = P.dim
     a, b = d - d // 2, d // 2
@@ -642,9 +641,7 @@ def normality_probe(P: LatticePolytope, kmax: int):
     ones = set(lattice_points(P, 1))
     sums = set(ones)
     for k in range(2, kmax + 1):
-        sums = {
-            tuple(a + b for a, b in zip(p, q)) for p in sums for q in ones
-        }
+        sums = {tuple(a + b for a, b in zip(p, q)) for p in sums for q in ones}
         for pt in lattice_points(P, k):
             if pt not in sums:
                 return (k, P.to_ambient(list(pt), t=k))

@@ -1,6 +1,6 @@
 """Verdict digest: one sha256 per input family over the verdicts of both kinds.
 
-    PYTHONPATH=src python tests/digest.py [--certs]
+    PYTHONPATH=src python tests/digest.py [--certs] [--oracle]
 
 prints one line per family: its name, its input count and the sha256 of one
 record per input and kind, "base" then "indep".  A record holds the
@@ -10,6 +10,12 @@ dict, or the type and message of the error the verdict raised.  With
 print the same digests exactly when their verdicts, witnesses and errors
 (and, with --certs, their certificates) agree input by input.
 
+With --oracle two more families follow, whose records come from the exact
+oracle instead (oracle_record): both polytopes of each graph, with their
+vertex count, dim, lattice basis, sorted facets and Gorenstein witness, the
+facets and the witness under FACET_VERTEX_GUARD, or the error's type and
+message.
+
 The families:
 - atlas: every networkx atlas graph up to 7 vertices with an edge
 - pool:<name>: the graphs of each perfbench/corpus/<name>.json pool, which
@@ -17,6 +23,9 @@ The families:
 - ladder: the tests/ladder.py positives of 4 to 24 vertices at delta = 2..5
   and the in-order chain, and the attach-cycle trees at delta = 2 and 3,
   over three seeds, each with its with_chord and edge_swap negatives
+- oracle:atlas: with --oracle, every 2-connected atlas graph up to 6
+  vertices
+- oracle:pool:oracle-xval: with --oracle, the graphs of that pool
 
 tests/test_cli.py runs it on the atlas up to 4 vertices.
 """
@@ -36,6 +45,7 @@ from gorcheck.construct import cert_to_json
 from gorcheck.errors import ParseError
 from gorcheck.graph import Multigraph, parse_graph
 from gorcheck.indepck import indep_verdict
+from gorcheck.oracle import gorenstein_search, polytope_of
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
@@ -59,6 +69,28 @@ def record(G: Multigraph, certs: bool) -> str:
             if certs:
                 out["certificates"] = [cert_to_json(cert) for cert in v.certificates]
         lines.append(json.dumps({"kind": kind, **out}, sort_keys=True))
+    return "\n".join(lines)
+
+
+def oracle_record(G: Multigraph) -> str:
+    """B(M(G)) and P(M(G)) as the oracle sees them, one JSON line each.
+
+    polytope_of runs at its default guard, so a polytope over the facet
+    guard still records its vertex count, dim and basis; its facets and
+    witness are then the facet guard's error.
+    """
+    lines = []
+    for kind in ("base", "independence"):
+        out = {"kind": kind}
+        try:
+            P = polytope_of(G, kind)
+            out.update(vertices=len(P.vertices), dim=P.dim, basis=P.lattice_basis)
+            out["facets"] = P.require_facets()
+            w = gorenstein_search(P)
+            out["witness"] = None if w is None else [w.delta, w.v]
+        except Exception as err:  # every error is part of the record
+            out.update(error=type(err).__name__, message=str(err))
+        lines.append(json.dumps(out, sort_keys=True))
     return "\n".join(lines)
 
 
@@ -103,11 +135,12 @@ def ladder() -> list:
     return out
 
 
-def digest(graphs, certs: bool = False) -> str:
-    """The sha256 of the records of graphs, in order."""
+def digest(graphs, certs: bool = False, of=None) -> str:
+    """The sha256 of the records of graphs, in order; of, if given, makes
+    each record in place of record."""
     h = hashlib.sha256()
     for G in graphs:
-        h.update(record(G, certs).encode() + b"\n")
+        h.update((of(G) if of else record(G, certs)).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -120,7 +153,20 @@ def families() -> dict:
     return out
 
 
+def oracle_families() -> dict:
+    """The --oracle families' names and graphs."""
+    from gorcheck.smallgraphs import two_connected_graphs
+
+    return {
+        "oracle:atlas": two_connected_graphs(6),
+        "oracle:pool:oracle-xval": pool(ROOT / "perfbench" / "corpus" / "oracle-xval.json"),
+    }
+
+
 if __name__ == "__main__":
     certs = "--certs" in sys.argv[1:]
     for name, graphs in families().items():
         print(name, len(graphs), digest(graphs, certs), flush=True)
+    if "--oracle" in sys.argv[1:]:
+        for name, graphs in oracle_families().items():
+            print(name, len(graphs), digest(graphs, of=oracle_record), flush=True)

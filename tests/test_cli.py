@@ -249,6 +249,31 @@ def test_generate_checks_each_part_as_a_block(files, capsys, monkeypatch, argv, 
     assert captured.err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, sizes", [
+    # two C3 parts, then the verdict on their glue, K4 - e
+    (["glue", "c3", "c3", "--delta", "3"], [(3, 3), (3, 3), (4, 5)]),
+    # K4 - e, then the verdict on its subdivision
+    (["subdivide", "k4e", "--delta", "3"], [(4, 5), (5, 6)]),
+])
+def test_generate_decomposes_each_part_once(files, capsys, monkeypatch, argv, sizes):
+    # the CLI ran part_weights on each part to choose its edge, and glue /
+    # subdivide ran it again on the same part
+    k4e = files["dir"] / "k4e.txt"
+    k4e.write_text("a b\na c\na d\nb c\nb d\n")
+    seen = []  # holds every graph, so no two share an id
+    real = construct.decompose
+
+    def counting(G, delta):
+        seen.append(G)
+        return real(G, delta)
+
+    monkeypatch.setattr(construct, "decompose", counting)
+    code = main(["generate"] + [str(k4e) if a == "k4e" else files.get(a, a) for a in argv])
+    assert (code, capsys.readouterr().err) == (0, "verdict: gorenstein delta=3\n")
+    assert [(G.n, G.m) for G in seen] == sizes
+    assert len({id(G) for G in seen}) == len(seen)
+
+
 @pytest.mark.parametrize("argv, what", [
     (["seed", "--cycle", "1000000000"], "cycle seed guarded at 1000000 vertices; asked for"),
     (["blowup", "k2", "--m", "1000000000"], "replay guarded at 1000000 edges; this one has"),
@@ -545,6 +570,24 @@ def test_verdict_digest_runs():
                     "witness": None}
     assert indep == {"kind": "indep", "status": "gorenstein", "delta": 2, "m": 1,
                      "witness": None}
+
+
+def test_oracle_digest_runs():
+    # tests/digest.py --oracle hashes both polytopes of every graph: vertex
+    # count, dim, basis, facets and witness, or the facet guard's error
+    import digest
+
+    graphs = digest.atlas(4)
+    assert digest.digest(graphs, of=digest.oracle_record) == digest.digest(
+        graphs, of=digest.oracle_record) != digest.digest(graphs)
+    base, indep = map(json.loads, digest.oracle_record(graphs[0]).split("\n"))
+    assert base == {"kind": "base", "vertices": 1, "dim": 0, "basis": [],
+                    "facets": [[[], 1]], "witness": [1, [1]]}
+    assert indep == {"kind": "independence", "vertices": 2, "dim": 1, "basis": [[1]],
+                     "facets": [[[-1], 1], [[1], 0]], "witness": [2, [1]]}
+    base = json.loads(digest.oracle_record(complete(6)).split("\n")[0])
+    assert (base["vertices"], base["dim"], base["error"], base["message"]) == (
+        1296, 14, "GuardExceeded", "facet computation guarded at 512 vertices (polytope has 1296)")
 
 
 def test_stuck_decomposition_of_a_positive_exit5(files, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from functools import cache
 from math import comb, prod
@@ -674,12 +675,17 @@ def test_require_facets_picks_the_route_by_graph(monkeypatch, c3, k2):
     monkeypatch.setattr(oracle, "facets_bruteforce", refuse)
     assert polytope_of(c3, "base").require_facets() == expected
     monkeypatch.undo()
-    # a product has no graph: the double description runs
+    # a product has no graph and no masks: the double description runs, as
+    # it does for a polytope given its vertices and a graph, since the
+    # Edmonds route reads the masks' columns
     P = product_polytope([polytope_of(c3, "base"), polytope_of(k2, "independence")])
     assert P.graph is None
     expected = facets_bruteforce(P)
     monkeypatch.setattr(oracle, "facets_from_flats", refuse)
     assert P.require_facets() == expected
+    Q = _polytope_from_vertices("base", polytope_of(c3, "base").vertices, graph=c3)
+    assert Q.graph is c3 and Q.masks is None
+    assert Q.require_facets() == facets_bruteforce(Q)
 
 
 def test_rank_proof_falls_back_to_exact_elimination(monkeypatch):
@@ -694,11 +700,65 @@ def test_rank_proof_falls_back_to_exact_elimination(monkeypatch):
         return linalg._eliminate(mat, ncols)
 
     monkeypatch.setattr(oracle, "_eliminate", counting)
-    assert _reaches_rank(columns, 0b1111, points, 2) and calls == []
-    assert _reaches_rank(columns, 0b1111, points, 3) and calls == [3]
-    assert not _reaches_rank(columns, 0b1111, points, 4)
-    assert not _reaches_rank(columns, 0b0011, points, 2)
-    assert _reaches_rank(columns, 0b0001, points, 0)
+    assert _reaches_rank(columns, 0b1111, 2) and calls == []
+    assert _reaches_rank(columns, 0b1111, 3) and calls == [3]
+    assert not _reaches_rank(columns, 0b1111, 4)
+    assert not _reaches_rank(columns, 0b0011, 2)
+    assert _reaches_rank(columns, 0b0001, 0)
+
+
+def _no_vertex_tuples(monkeypatch):
+    def decode(rows):
+        raise AssertionError("vertex tuples decoded")
+
+    # a property on the class wins over a cached_property value already kept
+    monkeypatch.setattr(oracle._VertexRows, "rows", property(decode))
+
+
+def test_cross_validation_builds_no_vertex_tuple(monkeypatch, tmp_path, capsys):
+    # every 2-connected atlas graph up to 6 vertices, both kinds: the facets,
+    # the Gorenstein search and `gorcheck oracle` read the edge columns and
+    # the masks only, and the GF(2) rank proves every facet without the
+    # exact fallback, the facet route's only elimination
+    from gorcheck.cli import main
+
+    _no_vertex_tuples(monkeypatch)
+
+    def no_fallback(mat, ncols):
+        raise AssertionError("exact rank fallback ran")
+
+    answered = 0
+    for i, G in enumerate(two_connected_graphs(6)):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text("".join(f"{u} {v}\n" for _, u, v in G.edges))
+        for kind in ("base", "independence"):
+            P = polytope_of(G, kind)
+            if len(P.vertices) > oracle.FACET_VERTEX_GUARD:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_eliminate", no_fallback)
+                P.require_facets()
+            gorenstein_search(P)
+            code = main(["oracle", "base" if kind == "base" else "indep", str(path)])
+            assert code == 0, capsys.readouterr().err
+            assert json.loads(capsys.readouterr().out)["polytope"]["vertices"] == len(P.vertices)
+            answered += 1
+    assert answered == 121
+
+
+def test_a_polytope_over_the_facet_guard_builds_no_column(monkeypatch):
+    # the guard counts the masks: neither the columns nor a vertex tuple
+    # exists when it trips, in either facet route or the search
+    def build(P):
+        raise AssertionError("columns built")
+
+    _no_vertex_tuples(monkeypatch)
+    monkeypatch.setattr(oracle.LatticePolytope, "columns", property(build))
+    P = polytope_of(complete(6), "base")
+    for run in (P.require_facets, lambda: facets_bruteforce(P), lambda: gorenstein_search(P)):
+        with pytest.raises(GuardExceeded, match=r"guarded at 512 vertices \(polytope has 1296\)"):
+            run()
+    assert len(P.vertices) == 1296 and P.facets is None
 
 
 def test_missing_flat_is_a_contradiction(monkeypatch, c3):

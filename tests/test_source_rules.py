@@ -58,22 +58,30 @@ def test_isomorphism_oracles_stay_off_the_production_path():
 
 
 def test_oracle_hot_path_stays_integer():
-    # the elimination, the double description and the facet route from the
-    # flats run over integer rows and bitmasks; Fractions appear only in the
-    # quotients solve_unique and invert return
+    # the elimination, the double description, the facet route from the
+    # flats with the columns it reads, and the Gorenstein search run over
+    # integer rows and bitmasks; Fractions appear only in the quotients
+    # solve_unique and invert return
     routines = {
         "linalg.py": ("_eliminate", "dual_extreme_rays"),
         "oracle.py": (
             "_connected_flats", "_tight_at", "_reaches_rank", "_lattice_facet",
-            "facets_from_flats",
+            "facets_from_flats", "_binary_text", "LatticePolytope.columns",
+            "LatticePolytope.origin", "gorenstein_search",
         ),
     }
     found = []
     for module, names in routines.items():
         tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+        # top-level functions by name, methods as Class.method
+        scopes = [(node, "") for node in tree.body]
+        scopes += [
+            (method, f"{node.name}.") for node in tree.body if isinstance(node, ast.ClassDef)
+            for method in node.body
+        ]
         bodies = {
-            node.name: node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name in names
+            prefix + node.name: node for node, prefix in scopes
+            if isinstance(node, ast.FunctionDef) and prefix + node.name in names
         }
         assert sorted(bodies) == sorted(names)
         found += [
