@@ -174,6 +174,8 @@ def parse_graph(text: str) -> Multigraph:
 
     One edge per line: "u v" or "u v m" with m >= 1 parallel copies.  '#'
     starts a comment; vertex labels are arbitrary non-whitespace tokens.
+    A line that would take the edge count past DEFAULT_GUARD raises
+    GuardExceeded before its pairs are listed.
     """
     vertices: list = []
     seen = set()
@@ -198,6 +200,10 @@ def parse_graph(text: str) -> Multigraph:
             if w not in seen:
                 seen.add(w)
                 vertices.append(w)
+        if len(pairs) + mult > DEFAULT_GUARD:
+            raise GuardExceeded(
+                f"edge list guarded at {DEFAULT_GUARD} edges; line {lineno} brings it to {len(pairs) + mult}"
+            )
         pairs.extend([(u, v)] * mult)
     if not pairs:
         raise ParseError("document contains no edges", 1)
@@ -600,20 +606,8 @@ def bases_and_forests(
     # its edge
     parent = list(range(G.n))
     size = [1] * G.n
-    target = 0  # for spanning forests, the rank of E: the joins over all edges
-    for ru, rv in ends if trees else ():
-        while parent[ru] != ru:
-            ru = parent[ru]
-        while parent[rv] != rv:
-            rv = parent[rv]
-        if ru != rv:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            target += 1
-    parent = list(range(G.n))
-    size = [1] * G.n
+    # for spanning forests, the rank of E, read off G's one low-link pass
+    target = G.n - low_link(G).components if trees else 0
     joined: list = []  # the root each chosen edge hung below another
     mask = count = 0
     # depth-first over edge indexes, taking each edge before leaving it out

@@ -20,10 +20,10 @@ from .errors import InternalContradiction, NotTwoConnected
 from .flats import indecomposable_flats, induced_edge_ids
 from .graph import (
     Multigraph,
+    _sp_reducible,
     blocks,
     blow_up_factor,
     induced_cycles,
-    is_k4_minor_free,
     is_two_connected,
     normalize,
 )
@@ -69,7 +69,7 @@ def check_chordal_k4free(H: Multigraph, delta: int) -> Optional[Witness]:
     _require_simple_block(H)
     if delta < 2:
         raise ValueError("delta must be >= 2")
-    if not is_k4_minor_free(H):
+    if _sp_reducible(H) is None:  # H is one block: its one reduction
         return Witness("k4_minor_found")
     cycles = [H.vertices] if H.n == H.m else induced_cycles(H)
     for cyc in cycles:

@@ -1,18 +1,16 @@
-"""Exhaustive enumeration of small graphs for sweeps and cross-validation."""
+"""Exhaustive enumeration of small graphs for sweeps and cross-validation.
+
+two_connected.txt, written by tests/freeze_graphs.py, holds one hex edge mask
+per line, whose bit j(j-1)/2 + i is the edge {i, j}, i < j.
+"""
 
 from __future__ import annotations
 
-from functools import lru_cache
+import os
 
-from .graph import Multigraph, is_two_connected
+from .graph import Multigraph
 
-
-@lru_cache(maxsize=None)
-def _atlas():
-    # networkx is imported here, not at module level: only sweeps need it
-    from networkx.generators.atlas import graph_atlas_g
-
-    return graph_atlas_g()
+_DATA = os.path.join(os.path.dirname(__file__), "two_connected.txt")
 
 
 def two_connected_graphs(
@@ -27,15 +25,11 @@ def two_connected_graphs(
     if max_vertices > 7:
         raise ValueError("exhaustive enumeration is available up to 7 vertices")
     out = []
-    for g in _atlas():
-        n = g.number_of_nodes()
-        if n < min_vertices or n > max_vertices:
-            continue
-        if max_edges is not None and g.number_of_edges() > max_edges:
-            continue
-        if g.number_of_edges() == 0:
-            continue
-        M = Multigraph.build(range(n), sorted(tuple(sorted(e)) for e in g.edges()))
-        if is_two_connected(M):
-            out.append(M)
+    with open(_DATA) as f:
+        for line in f:
+            mask = int(line, 16)
+            pairs = [(i, j) for j in range(1, 8) for i in range(j) if mask >> (j * (j - 1) // 2 + i) & 1]
+            n = pairs[-1][1] + 1  # no vertex is isolated
+            if min_vertices <= n <= max_vertices and (max_edges is None or len(pairs) <= max_edges):
+                out.append(Multigraph.build(range(n), sorted(pairs)))
     return out

@@ -1,6 +1,6 @@
 """Verdict digest: one sha256 per input family over the verdicts of both kinds.
 
-    PYTHONPATH=src python tests/digest.py [--certs] [--oracle]
+    PYTHONPATH=src python tests/digest.py [--certs] [--oracle] [--sweep]
 
 prints one line per family: its name, its input count and the sha256 of one
 record per input and kind, "base" then "indep".  A record holds the
@@ -26,6 +26,8 @@ The families:
 - oracle:atlas: with --oracle, every 2-connected atlas graph up to 6
   vertices
 - oracle:pool:oracle-xval: with --oracle, the graphs of that pool
+- sweep: with --sweep, the exit code and stdout of each SWEEPS command, run
+  in process through gorcheck.cli.main; its count is the number of commands
 
 tests/test_cli.py runs it on the atlas up to 4 vertices.
 """
@@ -49,6 +51,14 @@ from gorcheck.oracle import gorenstein_search, polytope_of
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
+SWEEPS = (
+    ["--max-vertices", "7"],
+    ["--max-vertices", "7", "--kind", "indep"],
+    ["--max-vertices", "7", "--kind", "indep-equivalence"],
+    ["--max-vertices", "7", "--jobs", "2"],
+    ["--max-vertices", "5", "--cross-validate"],
+    ["--max-vertices", "5", "--cross-validate", "--kind", "indep"],
+)
 
 
 def record(G: Multigraph, certs: bool) -> str:
@@ -163,6 +173,22 @@ def oracle_families() -> dict:
     }
 
 
+def sweep_digest() -> str:
+    """The sha256 of the exit code and stdout of each SWEEPS command."""
+    import contextlib
+    import io
+
+    from gorcheck.cli import main
+
+    h = hashlib.sha256()
+    for argv in SWEEPS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["sweep", *argv])
+        h.update(f"{code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     certs = "--certs" in sys.argv[1:]
     for name, graphs in families().items():
@@ -170,3 +196,5 @@ if __name__ == "__main__":
     if "--oracle" in sys.argv[1:]:
         for name, graphs in oracle_families().items():
             print(name, len(graphs), digest(graphs, of=oracle_record), flush=True)
+    if "--sweep" in sys.argv[1:]:
+        print("sweep", len(SWEEPS), sweep_digest(), flush=True)

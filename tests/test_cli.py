@@ -466,6 +466,30 @@ def test_check_base_over_the_subset_guard_exit2(tmp_path, capsys):
     )
 
 
+def test_a_multiplicity_past_the_edge_guard_exits_2(tmp_path):
+    # "1 2 1000000000" asks for 10^9 edges: parse_graph counts them before it
+    # lists a pair, so a process limited to 1 GB of address space exits 2
+    # with one line where it raised MemoryError, and exited 1, with a traceback
+    import resource
+    import subprocess
+
+    import gorcheck
+
+    path = tmp_path / "huge.txt"
+    path.write_text("1 2 1000000000\n")
+    src = os.path.dirname(os.path.dirname(gorcheck.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gorcheck.cli", "check", "base", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9)),
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "guard exceeded: edge list guarded at 1000000 edges; line 1 brings it to 1000000000\n"
+
+
 def test_check_base_c26(tmp_path, capsys):
     # a positive block over the subset guard decides by decomposition
     path = tmp_path / "c26.txt"
@@ -882,15 +906,15 @@ def test_loop_only_graph_is_a_point_polytope(tmp_path, capsys, argv):
         assert (doc["status"], doc["delta"]) == (oracle_status, None)
 
 
-# Print the gorcheck modules (and fractions, dataclasses, inspect) a fresh
-# process has loaded after an import statement, and after
+# Print the gorcheck modules (and fractions, dataclasses, inspect, networkx)
+# a fresh process has loaded after an import statement, and after
 # `gorcheck.cli.main(argv)` when argv is given.
 _LOADED = """
 import json, sys
 exec(sys.argv[1])
 code = gorcheck.cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
-loaded = sorted(m for m in sys.modules
-                if m.split(".")[0] in ("gorcheck", "fractions", "dataclasses", "inspect"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in
+                ("gorcheck", "fractions", "dataclasses", "inspect", "networkx"))
 sys.stderr.write("\\n" + json.dumps([code, loaded]) + "\\n")
 """
 
@@ -919,18 +943,19 @@ def _loaded_modules(statement, *argv):
     (["check", "indep", "k4"], {"oracle", "linalg"}),
     (["certify", "indep", "dc4"], {"oracle", "linalg"}),
     (["generate", "seed", "--k4"], {"oracle", "linalg", "smallgraphs"}),
+    (["sweep", "--max-vertices", "3"], {"oracle", "linalg", "fractions"}),
 ])
 def test_a_command_imports_only_the_layers_it_runs(files, argv, absent):
     # a cold `gorcheck` process compiles every module it imports; records are
-    # NamedTuples, so these commands load neither dataclasses nor the inspect
-    # it imports (sweep does: networkx, whose atlas it reads, imports both)
+    # NamedTuples, so no command loads dataclasses or the inspect it imports,
+    # and sweep reads its graphs from package data, not networkx's atlas
     loaded = _loaded_modules("import gorcheck.cli", *(files.get(a, a) for a in argv))
     assert {"gorcheck", "cli", "errors", "graph"} <= loaded
-    assert loaded & (absent | {"dataclasses", "inspect"}) == set()
+    assert loaded & (absent | {"dataclasses", "inspect", "networkx"}) == set()
 
 
 def test_importing_the_cli_loads_only_the_parser_layers():
-    # _LOADED also reports dataclasses and inspect, so they are absent here
+    # _LOADED also reports dataclasses, inspect and networkx, so they are absent here
     assert _loaded_modules("import gorcheck") == {"gorcheck"}
     assert _loaded_modules("import gorcheck.cli") == {"gorcheck", "cli", "errors", "graph"}
 

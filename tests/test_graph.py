@@ -48,6 +48,14 @@ def test_parse_errors():
         assert exc.line == 2
 
 
+def test_parse_guards_the_running_edge_count():
+    # the count runs over the lines, and a line that takes it past 10^6 is
+    # refused before its pairs are listed (test_cli runs "1 2 1000000000"
+    # under an address-space limit)
+    with pytest.raises(GuardExceeded, match=r"^edge list guarded at 1000000 edges; line 3 brings it to 1000001$"):
+        parse_graph("a b 999999\n# the count so far is 999999\nb c 2\n")
+
+
 def test_normalize_strips_loops():
     G = parse_graph("a a\na b\n")
     N = normalize(G)
@@ -815,3 +823,35 @@ def test_atlas_enumeration_counts():
     assert len(two_connected_graphs(4)) == 1 + 1 + 3  # K2, C3, {C4, K4-e, K4}
     assert len(two_connected_graphs(5)) == 15
     assert len(two_connected_graphs(6)) == 71
+    assert len(two_connected_graphs(7)) == 539
+    # per vertex count, n = 2..7: OEIS A002218
+    per_n = [len(two_connected_graphs(n, min_vertices=n)) for n in range(2, 8)]
+    assert per_n == [1, 1, 3, 10, 56, 468]
+
+
+def test_the_frozen_list_is_the_atlas():
+    # the package data is what tests/freeze_graphs.py writes from the atlas,
+    # and each graph list read from it is the atlas's, graph by graph and
+    # edge by edge, with networkx deciding 2-connectivity
+    import freeze_graphs
+    import networkx as nx
+    from networkx.generators.atlas import graph_atlas_g
+
+    from gorcheck import smallgraphs
+
+    with open(smallgraphs._DATA) as f:
+        assert f.read() == freeze_graphs.text(freeze_graphs.masks())
+    atlas = [  # as the package read the atlas: labels 0..n-1, edges sorted
+        Multigraph.build(range(g.number_of_nodes()), sorted(tuple(sorted(e)) for e in g.edges()))
+        for g in graph_atlas_g() if g.number_of_nodes() >= 2 and nx.is_biconnected(g)
+    ]
+    for max_vertices in range(2, 8):
+        for min_vertices in range(2, max_vertices + 1):
+            for max_edges in (None, 6, 9):
+                got = two_connected_graphs(max_vertices, max_edges, min_vertices)
+                assert got == [
+                    G for G in atlas
+                    if min_vertices <= G.n <= max_vertices and (max_edges is None or G.m <= max_edges)
+                ]
+    with pytest.raises(ValueError):
+        two_connected_graphs(8)

@@ -259,9 +259,9 @@ def _binders(name: str) -> list:
 
 def test_one_union_find():
     # bases_and_forests holds the package's one union-find, the one that can
-    # roll a union back and that also counts rank(E) for spanning forests;
-    # contract merges along components(); a function that binds a `parent`
-    # mapping of its own is a second union-find
+    # roll a union back; rank(E) for spanning forests comes from the graph's
+    # one low-link pass; contract merges along components(); a function that
+    # binds a `parent` mapping of its own is a second union-find
     assert _binders("parent") == ["graph.py:bases_and_forests"]
     gone = {"_find", "_union", "graphic_rank", "_is_cycle_graph"}
     found = [
@@ -479,12 +479,10 @@ def _module_caches(tree) -> list:
     }
     found = []
     for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
-        params = fn.args
-        takes_arguments = params.posonlyargs or params.args or params.kwonlyargs or params.vararg or params.kwarg
         for dec in fn.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
             name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-            if name in ("cache", "lru_cache") and takes_arguments:
+            if name in ("cache", "lru_cache"):
                 found.append(dec.lineno)
         for node in ast.walk(fn):
             if isinstance(node, ast.Global):
@@ -506,8 +504,8 @@ def test_no_cache_outlives_its_graph():
     # is kept in the graph's instance __dict__ and dies with it.
     # A functools cache or a module-level mapping would keep every graph
     # alive for the life of the process, and let a later bench pass reuse an
-    # earlier pass's work.  smallgraphs._atlas keeps its lru_cache: it takes
-    # no argument, so no graph keys it; it loads the networkx atlas once
+    # earlier pass's work.  No function is memoized at all, not even one
+    # that takes no argument: the package reads its one data file per call
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -515,7 +513,9 @@ def test_no_cache_outlives_its_graph():
     assert found == []
     memoized = ast.parse("from functools import lru_cache\n@lru_cache\ndef f(G):\n    return G\n")
     table = ast.parse("_SEEN = {}\ndef f(G):\n    _SEEN[G] = 1\n")
+    loaded_once = ast.parse("import functools\n@functools.cache\ndef f():\n    return 1\n")
     assert _module_caches(memoized) == [2] and _module_caches(table) == [3]
+    assert _module_caches(loaded_once) == [2]
 
 
 def _dict_writes(tree) -> list:
